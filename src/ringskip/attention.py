@@ -18,14 +18,16 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .gate import GateCache, GateParams, gate_backward, gate_forward
-from .neighborhood import (
-    AttentionConfig,
-    EmptyNeighborhoodError,
-    GatherMap,
-    Kind,
-    UnionNeighborhood,
+from .neighborhood import AttentionConfig, GatherMap, Kind, UnionNeighborhood
+from .numerics import (
+    Rng,
+    ShapeError,
+    gelu,
+    gelu_grad,
+    layer_norm_backward,
+    layer_norm_forward,
+    softmax_row,
 )
-from .numerics import LN_EPS, Rng, ShapeError, gelu, gelu_grad, softmax_row
 
 
 @dataclass
@@ -98,15 +100,39 @@ class AttnCache:
     multiply_adds: int = 0
 
 
-def _log_prior(alpha_h: Optional[np.ndarray], schedule: List[GatherMap]) -> Optional[np.ndarray]:
-    """(B, H, n, O) log-prior tensor; None when the gate term is ablated away."""
-    if alpha_h is None:
-        return None
-    parts = []
-    for m in schedule:
-        w = alpha_h if m.kind == Kind.RING else 1.0 - alpha_h
-        parts.append(np.log(w))
-    return np.stack(parts, axis=-1)
+def log_prior(alpha_h: np.ndarray, ring_mask: np.ndarray) -> np.ndarray:
+    """Gate log-prior per slot: log(alpha) on RING slots, log(1 - alpha) on SKIP.
+
+    alpha_h (...), ring_mask (O,) bool -> (..., O). One log per gate value and
+    branch, broadcast over the slots.
+    """
+    a = alpha_h[..., None]
+    return np.where(ring_mask, np.log(a), np.log(1.0 - a))
+
+
+def gated_softmax(
+    scores: np.ndarray,
+    alpha_h: Optional[np.ndarray],
+    ring_mask: np.ndarray,
+    valid: np.ndarray,
+    config: AttentionConfig,
+) -> np.ndarray:
+    """The single fused softmax over the slot (last) axis of `scores`.
+
+    Adds the gate log-prior (none when alpha_h is None, the no_gate ablation),
+    clamps to [-logit_clamp, logit_clamp] before or after the prior as
+    configured, and normalises over the valid slots. The batched forward and
+    stepwise decoding both go through here.
+    """
+    prior = None if alpha_h is None else log_prior(alpha_h, ring_mask)
+    lc = config.logit_clamp
+    if config.clamp_after_prior:
+        logits = np.clip(scores if prior is None else scores + prior, -lc, lc)
+    else:
+        logits = np.clip(scores, -lc, lc)
+        if prior is not None:
+            logits = logits + prior
+    return softmax_row(logits, valid)
 
 
 def pi_attention_forward(
@@ -142,20 +168,11 @@ def pi_attention_forward(
     n_off = len(schedule)
     scores = np.empty((b, h_cnt, n, n_off))
     valid = np.stack([m.valid for m in schedule], axis=-1)  # (n, O)
+    ring_mask = np.array([m.kind == Kind.RING for m in schedule])
     for o, m in enumerate(schedule):
         scores[..., o] = np.einsum("bhnd,bhnd->bhn", qh, kh[:, :, m.src, :]) * scale
 
-    prior = _log_prior(alpha_h, schedule)
-    lc = config.logit_clamp
-    if config.clamp_after_prior:
-        logits = scores if prior is None else scores + prior
-        logits = np.clip(logits, -lc, lc)
-    else:
-        logits = np.clip(scores, -lc, lc)
-        if prior is not None:
-            logits = logits + prior
-
-    probs = softmax_row(logits, valid)
+    probs = gated_softmax(scores, alpha_h, ring_mask, valid, config)
 
     drop_mask = None
     probs_used = probs
@@ -203,7 +220,6 @@ def pi_attention_backward(
     h_cnt, d_h = cfg.n_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(d_h)
     sched = cache.schedule
-    valid = np.stack([m.valid for m in sched], axis=-1)
 
     flat_fused = cache.fused.reshape(-1, d)
     flat_dout = d_out.reshape(-1, d)
@@ -226,8 +242,10 @@ def pi_attention_backward(
 
     lc = cfg.logit_clamp
     if cfg.clamp_after_prior:
-        alpha_h = None if cache.alpha is None else cache.alpha.transpose(0, 2, 1)
-        pre = cache.scores_raw if alpha_h is None else cache.scores_raw + _log_prior(alpha_h, sched)
+        pre = cache.scores_raw
+        if cache.alpha is not None:
+            ring_mask = np.array([m.kind == Kind.RING for m in sched])
+            pre = pre + log_prior(cache.alpha.transpose(0, 2, 1), ring_mask)
         clamp_pass = np.abs(pre) <= lc
         d_scores = d_logits * clamp_pass
         d_prior = d_logits * clamp_pass
@@ -333,24 +351,6 @@ def dense_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _ln_forward(x, gain, bias):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
-    return xhat * gain + bias, (xhat, inv, gain)
-
-
-def _ln_backward(cache, dy):
-    xhat, inv, gain = cache
-    d_gain = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
-    d_bias = dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
-    dg = dy * gain
-    dx = inv * (dg - dg.mean(axis=-1, keepdims=True)
-                - xhat * (dg * xhat).mean(axis=-1, keepdims=True))
-    return dx, d_gain, d_bias
-
-
 @dataclass
 class BlockCache:
     ln1: tuple
@@ -371,11 +371,11 @@ def block_forward(
     rng: Optional[Rng] = None,
 ) -> Tuple[np.ndarray, BlockCache]:
     """y = x + Attn(LN1(x)); out = y + FFN(LN2(y))."""
-    h1, ln1c = _ln_forward(x, params.ln1_g, params.ln1_b)
+    h1, ln1c = layer_norm_forward(x, params.ln1_g, params.ln1_b)
     a, attn_cache = pi_attention_forward(h1, params.proj, params.gate, schedule,
                                          config, train=train, rng=rng)
     y1 = x + a
-    h2, ln2c = _ln_forward(y1, params.ln2_g, params.ln2_b)
+    h2, ln2c = layer_norm_forward(y1, params.ln2_g, params.ln2_b)
     ff_pre = h2 @ params.w_ff1 + params.b_ff1
     ff_act = gelu(ff_pre)
     out = y1 + ff_act @ params.w_ff2 + params.b_ff2
@@ -399,12 +399,12 @@ def block_backward(
     d_w_ff1 = flat_h2.T @ flat_dpre
     d_b_ff1 = flat_dpre.sum(axis=0)
     d_h2 = d_ff_pre @ params.w_ff1.T
-    d_y1_ln, d_ln2_g, d_ln2_b = _ln_backward(cache.ln2, d_h2)
+    d_y1_ln, d_ln2_g, d_ln2_b = layer_norm_backward(cache.ln2, d_h2)
     d_y1 = d_out + d_y1_ln
 
     d_h1, proj_grads, gate_grads = pi_attention_backward(params.proj, params.gate,
                                                          cache.attn, d_y1)
-    d_x_ln, d_ln1_g, d_ln1_b = _ln_backward(cache.ln1, d_h1)
+    d_x_ln, d_ln1_g, d_ln1_b = layer_norm_backward(cache.ln1, d_h1)
     d_x = d_y1 + d_x_ln
 
     if gate_grads is None:
@@ -441,8 +441,7 @@ def distributions_from_scores(
     if alpha_raw is not None:
         a = alpha_raw if eps is None else (1.0 - 2.0 * eps) * alpha_raw + eps
         with np.errstate(divide="ignore"):
-            prior = np.where(ring_mask, np.log(a[..., None]),
-                             np.log(1.0 - a[..., None]))
+            prior = log_prior(a, ring_mask)
     else:
         prior = 0.0
     s = scores if clamp is None else np.clip(scores, -clamp, clamp)

@@ -25,7 +25,7 @@ from .attention import (
 from .decoder import KVCache, decode_step
 from .gate import init_gate
 from .model import ModelConfig, ModelParams, flatten, init_model, model_forward
-from .neighborhood import AttentionConfig, build_union, gather_schedule
+from .neighborhood import ABLATIONS, AttentionConfig, build_union, gather_schedule
 from .numerics import Rng, grad_check
 
 
@@ -45,9 +45,6 @@ def random_attention_params(rng: Rng, d_model: int, n_heads: int):
     return proj, gate
 
 
-ABLATION_GRID = ("full", "no_skip", "no_gate", "static_alpha", "no_ring")
-
-
 def oracle_grid(size: str = "full") -> List[Tuple[AttentionConfig, int]]:
     """(config, n) combinations for the equivalence sweep."""
     if size == "small":
@@ -55,7 +52,7 @@ def oracle_grid(size: str = "full") -> List[Tuple[AttentionConfig, int]]:
         ablations = ("full", "no_skip", "no_gate")
     else:
         ns, ks, pis, hs = [4, 12, 33, 64], [0, 1, 2, 4], [1, 2, 4, 8, 16], [1, 2, 4]
-        ablations = ABLATION_GRID
+        ablations = ABLATIONS
     d_model = 8
     grid = []
     for n, k, pi, h, causal, abl in itertools.product(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -104,7 +103,7 @@ def cmd_grad_check(args) -> int:
         f.write("tensor,max_rel_error\n")
         for name in sorted(errors):
             f.write(f"{name},{errors[name]:.6e}\n")
-    ok = worst < 1e-6
+    ok = bool(worst < 1e-6)
     (out / "summary.json").write_text(json.dumps(
         {"worst_tensor": worst_name, "max_rel_error": worst, "pass": ok},
         indent=2) + "\n")
@@ -170,6 +169,15 @@ def cmd_decode(args) -> int:
         prompt = [int(t) for t in args.prompt.split(",")]
     except ValueError:
         prompt = [b % cfg.vocab for b in args.prompt.encode("utf-8")]
+    bad = [t for t in prompt if not 0 <= t < cfg.vocab]
+    if bad:
+        print(f"error: prompt token {bad[0]} outside the vocabulary "
+              f"[0, {cfg.vocab})", file=sys.stderr)
+        return 2
+    if len(prompt) + args.steps > cfg.max_seq:
+        print(f"error: prompt length {len(prompt)} + steps {args.steps} exceeds "
+              f"max_seq {cfg.max_seq}", file=sys.stderr)
+        return 2
     rng = Rng(args.seed)
     seq = generate(params, cfg, prompt, args.steps,
                    greedy=args.temp is None,
@@ -310,14 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", type=str, default=None)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--threads", type=int, default=None,
-                   help="best-effort cap on BLAS threads (set before numpy "
-                        "does real work)")
     # the same globals are accepted after the subcommand name; SUPPRESS keeps
     # the subparser from clobbering values given before it
     common = argparse.ArgumentParser(add_help=False)
-    for flag, typ in (("--seed", int), ("--config", str), ("--out", str),
-                      ("--threads", int)):
+    for flag, typ in (("--seed", int), ("--config", str), ("--out", str)):
         common.add_argument(flag, type=typ, default=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True, parser_class=(
         lambda **kw: argparse.ArgumentParser(parents=[common], **kw)))
@@ -390,9 +394,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError) as exc:

@@ -1,46 +1,39 @@
-"""Incremental autoregressive decoding with a rolling per-layer KV cache.
+"""Incremental autoregressive decoding: the one-row case of the sparse
+attention, reading keys and values from a fixed per-layer ring buffer.
 
-Each step projects only the new token, attends over the causal union of its
-ring-left window and the skip partner from cached rows, and appends one K/V
-row per layer. Rows older than t - max(k, skip_period) are evicted, so the
-cache holds at most max(k, skip_period) + 1 positions per layer and per-step
-work is independent of t. Stepwise logits are bit-for-bit the same math as
-the batched forward, so they agree with a teacher-forced full pass.
+Each step projects only the new token and attends over the slots of
+`offset_plan` with offset <= 0, in the forward's slot order, through the same
+`gated_softmax` the batched forward uses. Slot offset o is valid when
+t + o >= 0. Each layer keeps a buffer of max(k, skip_period) + 1 rows, and
+position t lives in row t mod size, so the newest row overwrites the one no
+slot can reach any more: nothing is evicted, memory is fixed, and per-step
+work is independent of t. Stepwise logits agree with a teacher-forced full
+pass to rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
-from .attention import _ln_forward, merge_heads
+from .attention import gated_softmax
 from .gate import gate_forward
 from .model import ModelConfig, ModelParams
-from .neighborhood import Kind
-from .numerics import Rng, gelu, softmax_row
+from .neighborhood import Kind, offset_plan
+from .numerics import Rng, gelu, layer_norm_forward, softmax_row
 
 
 class CacheGapError(RuntimeError):
-    """A required cached position is missing."""
+    """A step arrived out of order, so the cache cannot serve it."""
 
 
 @dataclass
 class LayerCache:
-    rows: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-
-    def put(self, t: int, k_row: np.ndarray, v_row: np.ndarray) -> None:
-        self.rows[t] = (k_row, v_row)
-
-    def get(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
-        if t not in self.rows:
-            raise CacheGapError(f"cache gap: position {t} not retained")
-        return self.rows[t]
-
-    def evict_before(self, cutoff: int) -> None:
-        for t in [t for t in self.rows if t < cutoff]:
-            del self.rows[t]
+    # (max(k, skip_period) + 1, 2, H, d_h): K and V of position t at row
+    # t mod size; allocated by decode_step at t == 0
+    rows: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -51,26 +44,6 @@ class KVCache:
     @classmethod
     def empty(cls, n_layers: int) -> "KVCache":
         return cls(layers=[LayerCache() for _ in range(n_layers)])
-
-    def positions(self, layer: int = 0) -> List[int]:
-        return sorted(self.layers[layer].rows)
-
-
-def _union_targets(t: int, cfg: ModelConfig) -> List[Tuple[int, Kind]]:
-    """Causal union for the query row at position t, oldest first."""
-    att = cfg.attention
-    targets: List[Tuple[int, Kind]] = []
-    if att.ablation == "no_ring":
-        ring = [t] if att.include_self else []
-    else:
-        lo = max(0, t - att.ring_k)
-        hi = t if att.include_self else t - 1
-        ring = list(range(lo, hi + 1))
-    skip_t = t - att.skip_period
-    if att.ablation != "no_skip" and skip_t >= 0 and skip_t not in ring:
-        targets.append((skip_t, Kind.SKIP))
-    targets.extend((j, Kind.RING) for j in ring)
-    return targets
 
 
 def decode_step(
@@ -88,47 +61,39 @@ def decode_step(
         raise CacheGapError(f"cache is consistent through {cache.next_pos - 1}, got t={t}")
     if t >= cfg.max_seq:
         raise ValueError(f"position {t} exceeds max_seq {cfg.max_seq}")
+    if not 0 <= token < cfg.vocab:
+        raise ValueError(f"token {token} outside the vocabulary [0, {cfg.vocab})")
     h_cnt, d_h = att.n_heads, att.head_dim
+    size = max(att.ring_k, att.skip_period) + 1
+    if t == 0:
+        for lc in cache.layers:
+            lc.rows = np.zeros((size, 2, h_cnt, d_h))
+    slots = [(o, kind) for o, kind in offset_plan(att) if o <= 0]
+    pos = t + np.array([o for o, _ in slots])
+    valid = pos >= 0
+    ring_mask = np.array([kind == Kind.RING for _, kind in slots])
     scale = 1.0 / np.sqrt(d_h)
-    lc = att.logit_clamp
 
     x = params.tok_emb[token] + params.pos_emb[t]  # (d,)
-    for layer, bp in enumerate(params.blocks):
-        h1, _ = _ln_forward(x, bp.ln1_g, bp.ln1_b)
+    for bp, lc in zip(params.blocks, cache.layers):
+        h1, _ = layer_norm_forward(x, bp.ln1_g, bp.ln1_b)
         q = (h1 @ bp.proj.wq + bp.proj.bq).reshape(h_cnt, d_h)
-        k_row = (h1 @ bp.proj.wk).reshape(h_cnt, d_h)
-        v_row = (h1 @ bp.proj.wv + bp.proj.bv).reshape(h_cnt, d_h)
-        lc_store = cache.layers[layer]
-        lc_store.put(t, k_row, v_row)
+        lc.rows[t % size, 0] = (h1 @ bp.proj.wk).reshape(h_cnt, d_h)
+        lc.rows[t % size, 1] = (h1 @ bp.proj.wv + bp.proj.bv).reshape(h_cnt, d_h)
 
         gate_in = q.reshape(-1) if att.gate_on_query else h1
-        alpha, _ = gate_forward(bp.gate, gate_in[None, None, :], att)
-        alpha_h = None if alpha is None else alpha[0, 0]  # (H,)
+        alpha, _ = gate_forward(bp.gate, gate_in, att)  # (H,) or None
 
-        targets = _union_targets(t, cfg)
-        k_sel = np.stack([lc_store.get(j)[0] for j, _ in targets], axis=1)  # (H, S, d_h)
-        v_sel = np.stack([lc_store.get(j)[1] for j, _ in targets], axis=1)
-        scores = np.einsum("hd,hsd->hs", q, k_sel) * scale
-        if alpha_h is not None:
-            ring_mask = np.array([kind == Kind.RING for _, kind in targets])
-            prior = np.where(ring_mask, np.log(alpha_h[:, None]),
-                             np.log(1.0 - alpha_h[:, None]))
-        else:
-            prior = 0.0
-        if att.clamp_after_prior:
-            logits = np.clip(scores + prior, -lc, lc)
-        else:
-            logits = np.clip(scores, -lc, lc) + prior
-        probs = softmax_row(logits)
-        attn_h = np.einsum("hs,hsd->hd", probs, v_sel)
-        a = attn_h.reshape(-1) @ bp.proj.wo + bp.proj.bo
-        y1 = x + a
-        h2, _ = _ln_forward(y1, bp.ln2_g, bp.ln2_b)
+        # slots with pos < 0 read an unrelated row; they get probability 0
+        kv = lc.rows[pos % size]  # (S, 2, H, d_h)
+        scores = np.einsum("hd,shd->hs", q, kv[:, 0]) * scale
+        probs = gated_softmax(scores, alpha, ring_mask, valid, att)
+        attn_h = np.einsum("hs,shd->hd", probs, kv[:, 1])
+        y1 = x + attn_h.reshape(-1) @ bp.proj.wo + bp.proj.bo
+        h2, _ = layer_norm_forward(y1, bp.ln2_g, bp.ln2_b)
         x = y1 + gelu(h2 @ bp.w_ff1 + bp.b_ff1) @ bp.w_ff2 + bp.b_ff2
 
-        lc_store.evict_before(t - max(att.ring_k, att.skip_period))
-
-    hf, _ = _ln_forward(x, params.lnf_g, params.lnf_b)
+    hf, _ = layer_norm_forward(x, params.lnf_g, params.lnf_b)
     cache.next_pos = t + 1
     return hf @ params.w_out + params.b_out
 

@@ -19,15 +19,13 @@ from .attention import (
     BlockParams,
     GateParams,
     ProjectionParams,
-    _ln_backward,
-    _ln_forward,
     block_backward,
     block_forward,
     init_projection,
 )
 from .gate import init_gate
 from .neighborhood import AttentionConfig, GatherMap, gather_schedule
-from .numerics import Rng
+from .numerics import Rng, layer_norm_backward, layer_norm_forward
 
 
 @dataclass(frozen=True)
@@ -133,7 +131,7 @@ def model_forward(
     for bp in params.blocks:
         x, c = block_forward(x, bp, schedule, cfg.attention, train=train, rng=rng)
         caches.append(c)
-    hf, lnf_c = _ln_forward(x, params.lnf_g, params.lnf_b)
+    hf, lnf_c = layer_norm_forward(x, params.lnf_g, params.lnf_b)
     logits = hf @ params.w_out + params.b_out
     return logits, ModelCache(tokens=tokens, x0=x0, blocks=caches, lnf=lnf_c, hf=hf)
 
@@ -151,7 +149,7 @@ def model_backward(
     d_w_out = flat_hf.T @ flat_dl
     d_b_out = flat_dl.sum(axis=0)
     d_hf = d_logits @ params.w_out.T
-    d_x, d_lnf_g, d_lnf_b = _ln_backward(cache.lnf, d_hf)
+    d_x, d_lnf_g, d_lnf_b = layer_norm_backward(cache.lnf, d_hf)
 
     block_grads: List[BlockParams] = [None] * len(params.blocks)  # type: ignore[list-item]
     for i in range(len(params.blocks) - 1, -1, -1):

@@ -1,5 +1,5 @@
-"""Dense numerics substrate: matmul, nonlinearities, masked softmax, layer norm,
-a seeded PRNG, and finite-difference gradient checking.
+"""Dense numerics substrate: nonlinearities, masked softmax, layer norm with
+its backward pass, a seeded PRNG, and finite-difference gradient checking.
 
 Everything runs in float64 on numpy arrays. Accumulation order is whatever the
 linked BLAS uses, which is deterministic run-to-run for a fixed thread count;
@@ -27,13 +27,6 @@ class ShapeError(ValueError):
 
 class NonFiniteError(FloatingPointError):
     """A value that must be finite is NaN or Inf."""
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
-        raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    return a @ b
 
 
 def softmax_row(logits: np.ndarray, valid: Optional[np.ndarray] = None) -> np.ndarray:
@@ -75,12 +68,27 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 LN_EPS = 1e-5
 
 
-def layer_norm(row: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Layer norm over the last axis with variance epsilon 1e-5."""
-    row = np.asarray(row, dtype=np.float64)
-    mu = row.mean(axis=-1, keepdims=True)
-    var = row.var(axis=-1, keepdims=True)
-    return (row - mu) / np.sqrt(var + LN_EPS) * gain + bias
+def layer_norm_forward(x, gain, bias):
+    """Layer norm over the last axis with variance epsilon 1e-5.
+
+    Returns (output, cache for `layer_norm_backward`).
+    """
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = (x - mu) * inv
+    return xhat * gain + bias, (xhat, inv, gain)
+
+
+def layer_norm_backward(cache, dy):
+    """Returns (d_x, d_gain, d_bias)."""
+    xhat, inv, gain = cache
+    d_gain = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
+    d_bias = dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
+    dg = dy * gain
+    dx = inv * (dg - dg.mean(axis=-1, keepdims=True)
+                - xhat * (dg * xhat).mean(axis=-1, keepdims=True))
+    return dx, d_gain, d_bias
 
 
 class Rng:

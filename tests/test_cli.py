@@ -3,6 +3,9 @@ import json
 import pytest
 
 from ringskip.cli import main
+from ringskip.model import ModelConfig, init_model
+from ringskip.neighborhood import AttentionConfig
+from ringskip.trainer import save_checkpoint
 
 
 def test_validate_config_ok(tmp_path):
@@ -89,3 +92,41 @@ def test_train_then_decode(tmp_path):
                  "--prompt", "1,2,3", "--steps", "5", "--out", str(dec)]) == 0
     lines = (dec / "tokens.csv").read_text().strip().split("\n")
     assert len(lines) == 1 + 3 + 5
+
+
+@pytest.fixture
+def small_ckpt(tmp_path):
+    att = AttentionConfig(d_model=16, n_heads=2, ring_k=1, skip_period=4)
+    cfg = ModelConfig(layers=1, d_model=16, n_heads=2, d_ff=32, vocab=16,
+                      max_seq=16, attention=att)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, cfg, init_model(cfg, seed=0), seed=0)
+    return path
+
+
+@pytest.mark.parametrize("prompt,steps,message", [
+    ("-1", 4, "outside the vocabulary"),
+    ("1,2,99", 4, "outside the vocabulary"),
+    ("1,2,3", 14, "exceeds max_seq"),
+])
+def test_decode_bad_input_exits_2(small_ckpt, tmp_path, capsys, prompt, steps,
+                                  message):
+    code = main(["decode", "--ckpt", str(small_ckpt), "--prompt", prompt,
+                 "--steps", str(steps), "--out", str(tmp_path / "dec")])
+    err = capsys.readouterr().err.strip().split("\n")
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert not (tmp_path / "dec" / "tokens.csv").exists()
+
+
+def test_decode_fills_max_seq_exactly(small_ckpt, tmp_path):
+    dec = tmp_path / "dec"
+    assert main(["decode", "--ckpt", str(small_ckpt), "--prompt", "1,2,3",
+                 "--steps", "13", "--out", str(dec)]) == 0
+    assert len((dec / "tokens.csv").read_text().strip().split("\n")) == 1 + 16
+
+
+def test_grad_check_writes_passing_summary(tmp_path):
+    out = tmp_path / "gc"
+    assert main(["grad-check", "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["pass"] is True
