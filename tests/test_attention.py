@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from ringskip.attention import (
     dense_oracle,
     distributions_from_scores,
     kl_divergence,
     kl_stabilization,
+    pi_attention_backward,
     pi_attention_forward,
 )
 from ringskip.checks import (
@@ -14,8 +17,11 @@ from ringskip.checks import (
     run_oracle_check,
     run_stacked_grad_check,
 )
+from ringskip.model import flatten
 from ringskip.neighborhood import (
+    ABLATIONS,
     AttentionConfig,
+    EmptyNeighborhoodError,
     Kind,
     build_union,
     count_score_slots,
@@ -40,6 +46,63 @@ def setup(c, n, seed=0):
 def test_sparse_matches_dense_small_grid():
     res = run_oracle_check(oracle_grid("small"))
     assert res.max_delta < 1e-10, res.worst
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_masked_sparse_matches_oracle_and_gradients(data):
+    # n up to 24 with strides up to 30 draws empty skip spans (pi >= n); the
+    # random user_mask punches holes inside the spans of the other offsets
+    n = data.draw(st.integers(1, 24), label="n")
+    causal = data.draw(st.booleans(), label="causal")
+    c = cfg(n_heads=data.draw(st.sampled_from([1, 2]), label="heads"),
+            ring_k=data.draw(st.integers(0, 4), label="k"),
+            skip_period=data.draw(st.integers(1, 30), label="pi"),
+            causal=causal,
+            bidirectional_skip=not causal and data.draw(st.booleans(), label="bidir"),
+            ablation=data.draw(st.sampled_from(ABLATIONS), label="ablation"),
+            logit_clamp=data.draw(st.sampled_from([0.5, 20.0]), label="clamp"),
+            gate_on_query=data.draw(st.booleans(), label="gate_on_query"),
+            clamp_after_prior=data.draw(st.booleans(), label="clamp_after_prior"))
+    user_mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n),
+                                   label="user_mask"))
+    try:
+        sched = gather_schedule(c, n, user_mask)
+        union = build_union(c, n, user_mask)
+    except EmptyNeighborhoodError:
+        reject()
+    rng = Rng(data.draw(st.integers(0, 2 ** 31 - 1), label="seed"))
+    proj, gate = random_attention_params(rng, c.d_model, c.n_heads)
+    x = rng.normal((2, n, c.d_model))
+    out, cache = pi_attention_forward(x, proj, gate, sched, c)
+    assert np.abs(out - dense_oracle(x, proj, gate, union, c)).max() < 1e-10
+
+    # central difference of sum(out * d_out) along one joint direction over x,
+    # the projections and (when it has a trainable path) the gate
+    d_out = rng.normal(out.shape)
+    d_x, g_proj, g_gate = pi_attention_backward(proj, gate, cache, d_out)
+    trees = [proj] if g_gate is None else [proj, gate]
+    params = flatten(trees)
+    grads = flatten([g_proj] if g_gate is None else [g_proj, g_gate])
+    u = {k: rng.normal(a.shape) for k, a in params.items()}
+    u_x = rng.normal(x.shape)
+    analytic = float((d_x * u_x).sum()) + sum(float((grads[k] * u[k]).sum())
+                                              for k in params)
+    h = 1e-6
+
+    def loss(sign):
+        saved = {k: a.copy() for k, a in params.items()}
+        for k, a in params.items():
+            a += sign * h * u[k]
+        try:
+            o, _ = pi_attention_forward(x + sign * h * u_x, proj, gate, sched, c)
+        finally:
+            for k, a in params.items():
+                a[...] = saved[k]
+        return float((o * d_out).sum())
+
+    fd = (loss(1.0) - loss(-1.0)) / (2.0 * h)
+    assert abs(fd - analytic) / (abs(analytic) + 1e-8) < 1e-6
 
 
 def test_probs_normalize_over_valid_slots():
