@@ -1,8 +1,9 @@
 """Fused union-neighborhood attention: one softmax per token over ring plus
 skip slots, with the gate entering as a log-prior on the logits.
 
-The sparse path works offset-by-offset on the gather schedule (clamp + mask),
-so each valid slot is scored exactly once. `dense_oracle` recomputes the same
+The sparse path works offset-by-offset on the gather schedule: each offset is
+a band of query rows against key rows shifted by the offset, so gathers and
+scatters are plain slices and each slot is scored once. `dense_oracle` recomputes the same
 operator with full n x n tensors built independently from the per-token union
 entries; the two must agree to ~1e-12 arithmetic noise.
 
@@ -67,9 +68,9 @@ def init_projection(rng: Rng, d_model: int) -> ProjectionParams:
 
 
 def split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    """(B, n, d) -> (B, H, n, d_h)"""
+    """(B, n, d) -> (B, H, n, d_h), contiguous so that row slices are whole blocks"""
     b, n, d = x.shape
-    return x.reshape(b, n, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+    return np.ascontiguousarray(x.reshape(b, n, n_heads, d // n_heads).transpose(0, 2, 1, 3))
 
 
 def merge_heads(x: np.ndarray) -> np.ndarray:
@@ -166,11 +167,12 @@ def pi_attention_forward(
     alpha_h = None if alpha is None else alpha.transpose(0, 2, 1)  # (B, H, n)
 
     n_off = len(schedule)
-    scores = np.empty((b, h_cnt, n, n_off))
+    scores = np.zeros((b, h_cnt, n, n_off))
     valid = np.stack([m.valid for m in schedule], axis=-1)  # (n, O)
     ring_mask = np.array([m.kind == Kind.RING for m in schedule])
     for o, m in enumerate(schedule):
-        scores[..., o] = np.einsum("bhnd,bhnd->bhn", qh, kh[:, :, m.src, :]) * scale
+        scores[:, :, m.rows, o] = np.einsum("bhnd,bhnd->bhn", qh[:, :, m.rows],
+                                            kh[:, :, m.keys]) * scale
 
     probs = gated_softmax(scores, alpha_h, ring_mask, valid, config)
 
@@ -185,7 +187,7 @@ def pi_attention_forward(
 
     out_h = np.zeros_like(qh)
     for o, m in enumerate(schedule):
-        out_h += probs_used[..., o, None] * vh[:, :, m.src, :]
+        out_h[:, :, m.rows] += probs_used[:, :, m.rows, o, None] * vh[:, :, m.keys]
 
     fused = merge_heads(out_h)
     out = fused @ proj.wo + proj.bo
@@ -220,6 +222,7 @@ def pi_attention_backward(
     h_cnt, d_h = cfg.n_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(d_h)
     sched = cache.schedule
+    ring_mask = np.array([m.kind == Kind.RING for m in sched])
 
     flat_fused = cache.fused.reshape(-1, d)
     flat_dout = d_out.reshape(-1, d)
@@ -228,52 +231,42 @@ def pi_attention_backward(
     d_out_h = split_heads(d_out @ proj.wo.T, h_cnt)
 
     probs_used = cache.probs if cache.drop_mask is None else cache.probs * cache.drop_mask
-    d_probs_used = np.empty_like(cache.probs)
+    d_probs_used = np.zeros_like(cache.probs)
     d_vh = np.zeros_like(cache.vh)
     for o, m in enumerate(sched):
-        d_probs_used[..., o] = np.einsum("bhnd,bhnd->bhn", d_out_h, cache.vh[:, :, m.src, :])
-        np.add.at(d_vh, (slice(None), slice(None), m.src),
-                  probs_used[..., o, None] * d_out_h)
+        d_probs_used[:, :, m.rows, o] = np.einsum("bhnd,bhnd->bhn", d_out_h[:, :, m.rows],
+                                                  cache.vh[:, :, m.keys])
+        d_vh[:, :, m.keys] += probs_used[:, :, m.rows, o, None] * d_out_h[:, :, m.rows]
 
     d_probs = d_probs_used if cache.drop_mask is None else d_probs_used * cache.drop_mask
     # softmax backward; invalid slots have probs == 0 so they drop out
     inner = (cache.probs * d_probs).sum(axis=-1, keepdims=True)
     d_logits = cache.probs * (d_probs - inner)
 
-    lc = cfg.logit_clamp
-    if cfg.clamp_after_prior:
-        pre = cache.scores_raw
-        if cache.alpha is not None:
-            ring_mask = np.array([m.kind == Kind.RING for m in sched])
-            pre = pre + log_prior(cache.alpha.transpose(0, 2, 1), ring_mask)
-        clamp_pass = np.abs(pre) <= lc
-        d_scores = d_logits * clamp_pass
-        d_prior = d_logits * clamp_pass
-    else:
-        clamp_pass = np.abs(cache.scores_raw) <= lc
-        d_scores = d_logits * clamp_pass
-        d_prior = d_logits
+    pre = cache.scores_raw
+    if cfg.clamp_after_prior and cache.alpha is not None:
+        pre = pre + log_prior(cache.alpha.transpose(0, 2, 1), ring_mask)
+    d_scores = d_logits * (np.abs(pre) <= cfg.logit_clamp)
+    d_prior = d_scores if cfg.clamp_after_prior else d_logits
 
     gate_grads: Optional[GateParams] = None
     d_gate_in = None
     if cache.gate_cache is not None:
         alpha_h = cache.alpha.transpose(0, 2, 1)  # (B, H, n)
-        d_alpha_h = np.zeros((b, h_cnt, n))
-        for o, m in enumerate(sched):
-            if m.kind == Kind.RING:
-                d_alpha_h += d_prior[..., o] / alpha_h
-            else:
-                d_alpha_h -= d_prior[..., o] / (1.0 - alpha_h)
+        d_alpha_h = (d_prior[..., ring_mask].sum(axis=-1) / alpha_h
+                     - d_prior[..., ~ring_mask].sum(axis=-1) / (1.0 - alpha_h))
         d_gate_in, gate_grads = gate_backward(gate_params, cache.gate_cache,
                                               d_alpha_h.transpose(0, 2, 1))
 
     d_qh = np.zeros_like(cache.qh)
     d_kh = np.zeros_like(cache.kh)
     for o, m in enumerate(sched):
-        ds = d_scores[..., o, None] * scale
-        d_qh += ds * cache.kh[:, :, m.src, :]
-        np.add.at(d_kh, (slice(None), slice(None), m.src), ds * cache.qh)
+        ds = d_scores[:, :, m.rows, o, None] * scale
+        d_qh[:, :, m.rows] += ds * cache.kh[:, :, m.keys]
+        d_kh[:, :, m.keys] += ds * cache.qh[:, :, m.rows]
 
+    # merge_heads copies; free the dead intermediates first to keep the peak down
+    del d_out_h, d_probs_used, d_probs, d_logits, d_scores, d_prior
     d_q_flat = merge_heads(d_qh)
     if d_gate_in is not None and cfg.gate_on_query:
         d_q_flat = d_q_flat + d_gate_in

@@ -35,7 +35,8 @@ from .decoder import generate
 from .numerics import Rng
 
 
-def _write_manifest(args, out_dir: Path) -> None:
+def _write_manifest(args, out_dir: Path, **telemetry) -> None:
+    """Run record; wall-clock `telemetry` goes here, never into CSV bodies."""
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": args.command,
@@ -44,6 +45,7 @@ def _write_manifest(args, out_dir: Path) -> None:
         "version": __version__,
         "out_dir": str(out_dir),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        **telemetry,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -155,8 +157,8 @@ def cmd_train(args) -> int:
                           "charlm": "char_lm"}[args.task], **raw["task"])
     tc = TrainConfig(seed=args.seed, **raw.get("train", {}))
     out = _out_dir(args)
-    _write_manifest(args, out)
     res = train(cfg, task, tc, out_dir=out)
+    _write_manifest(args, out, tokens_per_sec=res.tokens_per_sec)
     last = res.metrics[-1]
     print(f"train: task={task.kind} steps_run={last['step'] + 1} "
           f"loss={last['loss']:.4f} accuracy={res.final_accuracy:.4f}")
@@ -164,7 +166,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    cfg, params, _ = load_checkpoint(Path(args.ckpt))
+    try:
+        cfg, params, _ = load_checkpoint(Path(args.ckpt))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         prompt = [int(t) for t in args.prompt.split(",")]
     except ValueError:

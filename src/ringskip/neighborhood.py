@@ -4,8 +4,8 @@ union neighborhood each token's single softmax runs over.
 Two equivalent views are exposed:
   * `build_union` — per-token lists of (target, offset, kind, valid) entries,
     the ground truth the dense oracle and the CSV dump consume;
-  * `gather_schedule` — one clamped index map per distinct offset, the plan
-    the vectorized attention path executes (clamp to [0, n-1], then mask).
+  * `gather_schedule` — per distinct offset, one shifted slice of rows plus a
+    validity mask: the plan the vectorized attention path executes.
 
 Overlap rule: if the skip stride lands inside the ring window the duplicate
 slot is kept once as a RING member (the ring log-prior applies).
@@ -99,12 +99,23 @@ class UnionNeighborhood:
 
 @dataclass(frozen=True)
 class GatherMap:
-    """Clamped source-index map for one offset, with validity mask."""
+    """One offset as a shifted slice: query rows [lo, hi) read key rows
+    [lo + offset, hi + offset). [lo, hi) is the extent of `valid` (lo == hi
+    when no row is valid); rows inside it can still be user_mask holes."""
 
     offset: int
     kind: Kind
-    src: np.ndarray    # (n,) int, clamped to [0, n-1]
+    lo: int
+    hi: int
     valid: np.ndarray  # (n,) bool
+
+    @property
+    def rows(self) -> slice:
+        return slice(self.lo, self.hi)
+
+    @property
+    def keys(self) -> slice:
+        return slice(self.lo + self.offset, self.hi + self.offset)
 
 
 def offset_plan(config: AttentionConfig) -> List[tuple]:
@@ -164,7 +175,7 @@ def gather_schedule(
     n: int,
     user_mask: Optional[np.ndarray] = None,
 ) -> List[GatherMap]:
-    """One clamp-and-mask index map per distinct offset (the execution plan)."""
+    """One shifted slice plus validity mask per distinct offset (the execution plan)."""
     if n < 1:
         raise ConfigError(f"n: sequence length must be >= 1, got {n}")
     base = np.arange(n)
@@ -176,10 +187,11 @@ def gather_schedule(
         valid = (target >= 0) & (target < n)
         if config.causal and offset > 0:
             valid &= False
-        clamped = np.clip(target, 0, n - 1)
         if user_mask is not None:
-            valid &= user_mask[clamped]
-        maps.append(GatherMap(offset=offset, kind=kind, src=clamped, valid=valid))
+            valid &= user_mask[np.clip(target, 0, n - 1)]
+        rows = np.flatnonzero(valid)
+        lo, hi = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
+        maps.append(GatherMap(offset=offset, kind=kind, lo=lo, hi=hi, valid=valid))
     if not np.any([m.valid for m in maps], axis=0).all():
         bad = int(np.argmin(np.any([m.valid for m in maps], axis=0)))
         raise EmptyNeighborhoodError(f"empty neighborhood at token {bad}")
@@ -196,8 +208,9 @@ def union_from_schedule(maps: List[GatherMap], n: int) -> UnionNeighborhood:
     entries: List[List[NeighborEntry]] = [[] for _ in range(n)]
     for m in maps:
         for i in range(n):
-            entries[i].append(NeighborEntry(target=int(m.src[i]), offset=m.offset,
-                                            kind=m.kind, valid=bool(m.valid[i])))
+            entries[i].append(NeighborEntry(target=min(max(i + m.offset, 0), n - 1),
+                                            offset=m.offset, kind=m.kind,
+                                            valid=bool(m.valid[i])))
     return UnionNeighborhood(n=n, entries=entries)
 
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from .attention import init_projection, pi_attention_forward
 from .gate import init_gate
-from .neighborhood import AttentionConfig, build_union, count_score_slots, gather_schedule
+from .neighborhood import (AttentionConfig, ConfigError, build_union, count_score_slots,
+                           gather_schedule)
 from .numerics import Rng
 
 
@@ -130,7 +131,7 @@ def ring_simulate(
     """
     config.validate()
     if shards < 1 or shards > n:
-        raise ValueError(f"shards must lie in [1, n], got {shards} for n={n}")
+        raise ConfigError(f"shards: must lie in [1, n], got {shards} for n={n}")
     per = -(-n // shards)  # ceil; last shard padded
     shard_of = lambda i: i // per
     row_elems = batch * heads * d_h

@@ -245,20 +245,26 @@ def save_checkpoint(path: Path, cfg: ModelConfig, params: ModelParams, seed: int
 
 
 def load_checkpoint(path: Path) -> Tuple[ModelConfig, ModelParams, int]:
-    with open(path, "rb") as f:
-        hlen = int.from_bytes(f.read(8), "little")
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        if header.get("format") != "ringskip-ckpt-v1":
-            raise ValueError(f"unrecognized checkpoint format in {path}")
-        mc = dict(header["model"])
-        mc["attention"] = AttentionConfig(**mc["attention"])
-        cfg = ModelConfig(**mc)
-        params = init_model(cfg, seed=0)
-        flat = flatten(params)
-        for spec in header["arrays"]:
-            arr = flat[spec["name"]]
-            raw = f.read(arr.size * 8)
-            arr[...] = np.frombuffer(raw, dtype="<f8").reshape(spec["shape"])
+    """Read a checkpoint; ValueError naming the file when its length is not
+    what the header's array shapes need (a truncated file or trailing bytes)."""
+    blob = Path(path).read_bytes()
+    hlen = int.from_bytes(blob[:8], "little")
+    header = json.loads(blob[8:8 + hlen].decode("utf-8"))
+    if header.get("format") != "ringskip-ckpt-v1":
+        raise ValueError(f"unrecognized checkpoint format in {path}")
+    expected = 8 + hlen + 8 * sum(int(np.prod(a["shape"])) for a in header["arrays"])
+    if len(blob) != expected:
+        raise ValueError(f"checkpoint {path} is {len(blob)} bytes, its header says {expected}")
+    mc = dict(header["model"])
+    mc["attention"] = AttentionConfig(**mc["attention"])
+    cfg = ModelConfig(**mc)
+    params = init_model(cfg, seed=0)
+    flat = flatten(params)
+    data = np.frombuffer(blob, dtype="<f8", offset=8 + hlen)
+    for spec in header["arrays"]:
+        arr = flat[spec["name"]]
+        arr[...] = data[:arr.size].reshape(spec["shape"])
+        data = data[arr.size:]
     return cfg, params, int(header["seed"])
 
 
@@ -270,8 +276,9 @@ def load_checkpoint(path: Path) -> Tuple[ModelConfig, ModelParams, int]:
 @dataclass
 class TrainResult:
     params: ModelParams
-    metrics: List[dict]           # step, loss, accuracy, tokens_per_sec
+    metrics: List[dict]           # step, loss, accuracy
     final_accuracy: float
+    tokens_per_sec: float         # over the training steps, evaluation excluded
 
 
 def train(
@@ -296,6 +303,7 @@ def train(
 
     metrics: List[dict] = []
     acc = float("nan")
+    tokens, busy = 0, 0.0
     for step in range(tc.steps):
         t0 = time.perf_counter()
         inp, tgt = make_batch(task, data_rng, tc.batch_size, corpus)
@@ -307,15 +315,13 @@ def train(
         grads = flatten(model_backward(params, cfg, mcache, d_logits))
         clip_by_global_norm(grads, tc.clip_norm)
         adamw_step(flat, grads, state, tc, lr=lr_at(step, tc))
-        dt = time.perf_counter() - t0
+        busy += time.perf_counter() - t0
+        tokens += inp.size
 
         if step % tc.eval_interval == 0 or step == tc.steps - 1:
             acc = evaluate(params, cfg, task, schedule, seed=eval_rng_seed,
                            batch_size=tc.batch_size, corpus=corpus)
-            metrics.append({
-                "step": step, "loss": loss, "accuracy": acc,
-                "tokens_per_sec": inp.size / dt,
-            })
+            metrics.append({"step": step, "loss": loss, "accuracy": acc})
             if tc.stop_accuracy is not None and acc >= tc.stop_accuracy:
                 break
 
@@ -323,12 +329,12 @@ def train(
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "metrics.csv", "w") as f:
-            f.write("step,loss,accuracy,tokens_per_sec\n")
+            f.write("step,loss,accuracy\n")
             for m in metrics:
-                f.write(f"{m['step']},{m['loss']:.17g},{m['accuracy']:.17g},"
-                        f"{m['tokens_per_sec']:.6g}\n")
+                f.write(f"{m['step']},{m['loss']:.17g},{m['accuracy']:.17g}\n")
         save_checkpoint(out_dir / "model.ckpt", cfg, params, tc.seed)
-    return TrainResult(params=params, metrics=metrics, final_accuracy=acc)
+    return TrainResult(params=params, metrics=metrics, final_accuracy=acc,
+                       tokens_per_sec=tokens / busy)
 
 
 def evaluate(

@@ -2,6 +2,7 @@
 pass/fail line with the measured quantity. Tolerances are pinned here and
 must not be loosened."""
 
+import json
 import time
 
 import numpy as np
@@ -193,12 +194,22 @@ def test_criterion_8_cost_and_comm_evaluators(capsys):
 
 
 def test_criterion_9_determinism(capsys, tmp_path):
+    train_cfg = tmp_path / "train.json"
+    train_cfg.write_text(json.dumps({
+        "model": {"layers": 1, "d_model": 16, "n_heads": 2, "d_ff": 32,
+                  "vocab": 16, "max_seq": 16,
+                  "attention": {"d_model": 16, "n_heads": 2, "ring_k": 1,
+                                "skip_period": 4}},
+        "task": {"vocab": 16, "seq_len": 16, "delay": 4},
+        "train": {"steps": 5, "batch_size": 4, "eval_interval": 2},
+    }))
     jobs = [
         ["oracle-check", "--grid", "small"],
         ["rf-bound"],
         ["cost-model"],
         ["bench"],
         ["kl-check", "--seeds", "5"],
+        ["train", "--task", "copy", "--config", str(train_cfg)],
     ]
     mismatches = []
     compared = 0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from ringskip.attention import (
@@ -8,6 +8,7 @@ from ringskip.attention import (
     distributions_from_scores,
     kl_divergence,
     kl_stabilization,
+    log_prior,
     pi_attention_backward,
     pi_attention_forward,
 )
@@ -78,31 +79,41 @@ def test_masked_sparse_matches_oracle_and_gradients(data):
     assert np.abs(out - dense_oracle(x, proj, gate, union, c)).max() < 1e-10
 
     # central difference of sum(out * d_out) along one joint direction over x,
-    # the projections and (when it has a trainable path) the gate
+    # the projections and (when it has a trainable path) the gate; a valid
+    # logit next to the clamp's kink would make the difference one-sided
+    pre = cache.scores_raw
+    if c.clamp_after_prior and cache.alpha is not None:
+        ring = np.array([m.kind == Kind.RING for m in sched])
+        pre = pre + log_prior(cache.alpha.transpose(0, 2, 1), ring)
+    valid = np.stack([m.valid for m in sched], axis=-1)
+    assume(np.abs(np.abs(pre) - c.logit_clamp)[..., valid].min() > 1e-4)
     d_out = rng.normal(out.shape)
     d_x, g_proj, g_gate = pi_attention_backward(proj, gate, cache, d_out)
     trees = [proj] if g_gate is None else [proj, gate]
-    params = flatten(trees)
-    grads = flatten([g_proj] if g_gate is None else [g_proj, g_gate])
+    params = {"x": x, **flatten(trees)}
+    grads = {"x": d_x, **flatten([g_proj] if g_gate is None else [g_proj, g_gate])}
     u = {k: rng.normal(a.shape) for k, a in params.items()}
-    u_x = rng.normal(x.shape)
-    analytic = float((d_x * u_x).sum()) + sum(float((grads[k] * u[k]).sum())
-                                              for k in params)
+    norm = np.sqrt(sum(float((v * v).sum()) for v in u.values()))
+    analytic = sum(float((grads[k] * u[k]).sum()) for k in params) / norm
     h = 1e-6
 
     def loss(sign):
         saved = {k: a.copy() for k, a in params.items()}
         for k, a in params.items():
-            a += sign * h * u[k]
+            a += sign * h * u[k] / norm
         try:
-            o, _ = pi_attention_forward(x + sign * h * u_x, proj, gate, sched, c)
+            o, _ = pi_attention_forward(x, proj, gate, sched, c)
         finally:
             for k, a in params.items():
                 a[...] = saved[k]
         return float((o * d_out).sum())
 
     fd = (loss(1.0) - loss(-1.0)) / (2.0 * h)
-    assert abs(fd - analytic) / (abs(analytic) + 1e-8) < 1e-6
+    # relative to |grad|, the largest derivative a unit direction can see; a
+    # ratio to the derivative itself is ill-conditioned when the direction is
+    # nearly orthogonal to the gradient
+    g_norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    assert abs(fd - analytic) < 1e-6 * g_norm
 
 
 def test_probs_normalize_over_valid_slots():

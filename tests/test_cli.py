@@ -66,6 +66,12 @@ def test_simulate_ring(tmp_path):
     assert summary["formula_elements"] == 2 * 2 * 4 * 8 * 8
 
 
+def test_simulate_ring_zero_shards_exits_2(tmp_path, capsys):
+    assert main(["simulate-ring", "--shards", "0", "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: shards")
+
+
 def test_global_flags_accepted_after_subcommand(tmp_path):
     out = tmp_path / "g"
     assert main(["cost-model", "--out", str(out), "--seed", "7"]) == 0
@@ -94,6 +100,22 @@ def test_train_then_decode(tmp_path):
     assert len(lines) == 1 + 3 + 5
 
 
+def test_train_throughput_goes_to_manifest_not_csv(tmp_path):
+    att = {"d_model": 8, "n_heads": 2, "ring_k": 1, "skip_period": 4}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "model": {"layers": 1, "d_model": 8, "n_heads": 2, "d_ff": 16, "vocab": 16,
+                  "max_seq": 16, "attention": att},
+        "task": {"vocab": 16, "seq_len": 16, "delay": 4},
+        "train": {"steps": 2, "batch_size": 2, "eval_interval": 1},
+    }))
+    run = tmp_path / "run"
+    assert main(["train", "--task", "copy", "--config", str(cfg_path),
+                 "--out", str(run)]) == 0
+    assert (run / "metrics.csv").read_text().split("\n")[0] == "step,loss,accuracy"
+    assert json.loads((run / "manifest.json").read_text())["tokens_per_sec"] > 0
+
+
 @pytest.fixture
 def small_ckpt(tmp_path):
     att = AttentionConfig(d_model=16, n_heads=2, ring_k=1, skip_period=4)
@@ -116,6 +138,18 @@ def test_decode_bad_input_exits_2(small_ckpt, tmp_path, capsys, prompt, steps,
     err = capsys.readouterr().err.strip().split("\n")
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert not (tmp_path / "dec" / "tokens.csv").exists()
+
+
+@pytest.mark.parametrize("damage", [lambda b: b[:-12], lambda b: b + bytes(8)],
+                         ids=["truncated", "trailing_bytes"])
+def test_decode_damaged_checkpoint_exits_2(small_ckpt, tmp_path, capsys, damage):
+    small_ckpt.write_bytes(damage(small_ckpt.read_bytes()))
+    code = main(["decode", "--ckpt", str(small_ckpt), "--prompt", "1,2,3",
+                 "--out", str(tmp_path / "dec")])
+    err = capsys.readouterr().err.strip().split("\n")
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and str(small_ckpt) in err[0]
     assert not (tmp_path / "dec" / "tokens.csv").exists()
 
 
