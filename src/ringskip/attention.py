@@ -3,9 +3,9 @@ skip slots, with the gate entering as a log-prior on the logits.
 
 The sparse path works offset-by-offset on the gather schedule: each offset is
 a band of query rows against key rows shifted by the offset, so gathers and
-scatters are plain slices and each slot is scored once. `dense_oracle` recomputes the same
-operator with full n x n tensors built independently from the per-token union
-entries; the two must agree to ~1e-12 arithmetic noise.
+scatters are plain slices and each slot is scored once. `dense_oracle`
+recomputes the same operator with full n x n tensors built independently from
+the per-token union entries; the two must agree to ~1e-12 arithmetic noise.
 
 Backward passes are hand-derived reverse mode; every gradient is covered by
 central-difference checks in the test suite.
