@@ -5,6 +5,7 @@ stabilization sweep."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -121,18 +122,33 @@ def stacked_block_setup(seed: int = 0, n: int = 6, d_model: int = 16,
     return cfg, blocks, x, w_loss, schedule
 
 
+def _with_tensor(obj, path: str, value: np.ndarray):
+    """Copy of a parameter dataclass tree with the tensor at a dotted `flatten`
+    path replaced by `value`; every other node is shared, not copied."""
+    head, _, rest = path.partition(".")
+    if rest:
+        value = _with_tensor(getattr(obj, head), rest, value)
+    return dataclasses.replace(obj, **{head: value})
+
+
 def run_stacked_grad_check(seed: int = 0, h: float = 1e-5, **kw) -> Dict[str, float]:
     """Central-difference check of every parameter tensor and the input.
+
+    Each stack of perturbed points is evaluated as one replica-stacked
+    forward: a perturbed parameter gets a leading replica axis (matrices
+    (m, a, b), vectors (m, 1, d), broadcast over positions) and x is broadcast
+    to (m, n, d); perturbations of x are ordinary batch rows. Every replica is
+    a full forward through every block.
 
     Returns name -> max relative error.
     """
     cfg, blocks, x, w_loss, schedule = stacked_block_setup(seed, **kw)
 
-    def loss_fn() -> float:
-        y = x
-        for bp in blocks:
+    def losses(xs: np.ndarray, stack: List[BlockParams]) -> np.ndarray:
+        y = xs
+        for bp in stack:
             y, _ = block_forward(y, bp, schedule, cfg)
-        return float((y[0] * w_loss).sum())
+        return (y * w_loss).sum(axis=(1, 2))
 
     # analytic gradients
     y = x
@@ -146,13 +162,22 @@ def run_stacked_grad_check(seed: int = 0, h: float = 1e-5, **kw) -> Dict[str, fl
         d_y, g = block_backward(bp, c, d_y)
         grads.insert(0, g)
 
+    def perturbed_block(i: int, name: str):
+        def f(stack: np.ndarray) -> np.ndarray:
+            if stack.ndim == 2:
+                stack = stack[:, None, :]
+            trial = list(blocks)
+            trial[i] = _with_tensor(blocks[i], name, stack)
+            return losses(np.broadcast_to(x, (len(stack),) + x.shape[1:]), trial)
+        return f
+
     errors: Dict[str, float] = {}
     for i, (bp, g) in enumerate(zip(blocks, grads)):
         for name, arr in flatten(bp).items():
-            analytic = flatten(g)[name]
             errors[f"block{i}.{name}"] = grad_check(
-                lambda _: loss_fn(), arr, analytic, h=h)
-    errors["x"] = grad_check(lambda _: loss_fn(), x, d_y, h=h)
+                perturbed_block(i, name), arr, flatten(g)[name], h=h)
+    errors["x"] = grad_check(
+        lambda stack: losses(stack.reshape((-1,) + x.shape[1:]), blocks), x, d_y, h=h)
     return errors
 
 

@@ -19,6 +19,10 @@ from scipy.special import erf, expit
 
 SQRT2 = np.sqrt(2.0)
 GRAD_CHECK_FLOOR = 1e-8
+# Coordinates per call of f in `grad_check`. Chunks of 16-32 run the
+# stacked-block check as fast as larger ones and add about 1 MB of working set;
+# a chunk of 128 adds about 6 MB.
+GRAD_CHECK_CHUNK = 32
 
 
 class ShapeError(ValueError):
@@ -117,14 +121,23 @@ class Rng:
 
 
 def grad_check(
-    f: Callable[[np.ndarray], float],
+    f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     analytic: np.ndarray,
     h: float = 1e-5,
 ) -> float:
     """Central-difference check of an analytic gradient.
 
+    `f` maps a stack of points, shape (m, *x.shape), to their m losses. The
+    coordinates of x are taken in chunks of at most GRAD_CHECK_CHUNK; for a
+    chunk of m coordinates, f gets one (2m, *x.shape) stack whose row j is
+    x + h e_j and whose row m + j is x - h e_j. Each difference is
+    fd = (f(x + h e_i) - f(x - h e_i)) / 2h, so an f that evaluates every row
+    on its own gives the same numbers as one scalar loss called per point.
+
     Returns max over coordinates of |fd - analytic| / (|analytic| + 1e-8).
+    NonFiniteError names the first coordinate whose perturbed loss is not
+    finite.
     """
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"grad_check: step h={h} outside [1e-7, 1e-3]")
@@ -135,15 +148,21 @@ def grad_check(
     worst = 0.0
     flat = x.ravel()
     gflat = analytic.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(x)
-        flat[i] = orig - h
-        fm = f(x)
-        flat[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NonFiniteError(f"grad_check: f non-finite near coordinate {i}")
+    for start in range(0, flat.size, GRAD_CHECK_CHUNK):
+        idx = np.arange(start, min(start + GRAD_CHECK_CHUNK, flat.size))
+        m = idx.size
+        stack = np.tile(flat, (2 * m, 1))
+        stack[np.arange(m), idx] = flat[idx] + h
+        stack[np.arange(m, 2 * m), idx] = flat[idx] - h
+        losses = np.asarray(f(stack.reshape((2 * m,) + x.shape)), dtype=np.float64)
+        if losses.shape != (2 * m,):
+            raise ShapeError(f"grad_check: f returned {losses.shape} for {2 * m} points")
+        fp, fm = losses[:m], losses[m:]
+        bad = ~(np.isfinite(fp) & np.isfinite(fm))
+        if bad.any():
+            raise NonFiniteError(
+                f"grad_check: f non-finite near coordinate {idx[bad.argmax()]}")
         fd = (fp - fm) / (2.0 * h)
-        worst = max(worst, abs(fd - gflat[i]) / (abs(gflat[i]) + GRAD_CHECK_FLOOR))
+        g = gflat[idx]
+        worst = max(worst, float((np.abs(fd - g) / (np.abs(g) + GRAD_CHECK_FLOOR)).max()))
     return worst

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -245,27 +246,48 @@ def save_checkpoint(path: Path, cfg: ModelConfig, params: ModelParams, seed: int
 
 
 def load_checkpoint(path: Path) -> Tuple[ModelConfig, ModelParams, int]:
-    """Read a checkpoint; ValueError naming the file when its length is not
-    what the header's array shapes need (a truncated file or trailing bytes)."""
+    """Read a checkpoint. Every fault in the file raises ValueError naming it:
+    a header that is not UTF-8 JSON, lacks `seed`, `model` or `arrays`, holds
+    an invalid model config, lists other arrays or shapes than the model's, or
+    a file length that is not what the header's shapes need (a truncated file
+    or trailing bytes)."""
     blob = Path(path).read_bytes()
     hlen = int.from_bytes(blob[:8], "little")
-    header = json.loads(blob[8:8 + hlen].decode("utf-8"))
-    if header.get("format") != "ringskip-ckpt-v1":
+    try:
+        header = json.loads(blob[8:8 + hlen].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ValueError(f"checkpoint {path}: unreadable header ({exc})") from None
+    if not isinstance(header, dict) or header.get("format") != "ringskip-ckpt-v1":
         raise ValueError(f"unrecognized checkpoint format in {path}")
-    expected = 8 + hlen + 8 * sum(int(np.prod(a["shape"])) for a in header["arrays"])
+    missing = [key for key in ("seed", "model", "arrays") if key not in header]
+    if missing:
+        raise ValueError(f"checkpoint {path}: header lacks {', '.join(missing)}")
+    try:
+        seed = int(header["seed"])
+        specs = [(str(a["name"]), tuple(int(s) for s in a["shape"])) for a in header["arrays"]]
+        mc = dict(header["model"])
+        mc["attention"] = AttentionConfig(**mc["attention"])
+        cfg = ModelConfig(**mc)
+        cfg.validate()
+        params = init_model(cfg, seed=0)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path}: bad header ({exc!r})") from None
+    expected = 8 + hlen + 8 * sum(math.prod(shape) for _, shape in specs)
     if len(blob) != expected:
         raise ValueError(f"checkpoint {path} is {len(blob)} bytes, its header says {expected}")
-    mc = dict(header["model"])
-    mc["attention"] = AttentionConfig(**mc["attention"])
-    cfg = ModelConfig(**mc)
-    params = init_model(cfg, seed=0)
     flat = flatten(params)
+    odd = sorted(set(flat).symmetric_difference(name for name, _ in specs))
+    if odd:
+        raise ValueError(f"checkpoint {path}: header and model arrays differ: {', '.join(odd)}")
     data = np.frombuffer(blob, dtype="<f8", offset=8 + hlen)
-    for spec in header["arrays"]:
-        arr = flat[spec["name"]]
-        arr[...] = data[:arr.size].reshape(spec["shape"])
+    for name, shape in specs:
+        arr = flat[name]
+        if shape != arr.shape:
+            raise ValueError(f"checkpoint {path}: array {name!r} has shape {shape}, "
+                             f"the model needs {arr.shape}")
+        arr[...] = data[:arr.size].reshape(shape)
         data = data[arr.size:]
-    return cfg, params, int(header["seed"])
+    return cfg, params, seed
 
 
 # ---------------------------------------------------------------------------

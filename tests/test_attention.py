@@ -4,6 +4,8 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from ringskip.attention import (
+    block_backward,
+    block_forward,
     dense_oracle,
     distributions_from_scores,
     kl_divergence,
@@ -17,6 +19,7 @@ from ringskip.checks import (
     random_attention_params,
     run_oracle_check,
     run_stacked_grad_check,
+    stacked_block_setup,
 )
 from ringskip.model import flatten
 from ringskip.neighborhood import (
@@ -28,7 +31,7 @@ from ringskip.neighborhood import (
     count_score_slots,
     gather_schedule,
 )
-from ringskip.numerics import Rng
+from ringskip.numerics import GRAD_CHECK_FLOOR, NonFiniteError, Rng
 
 
 def cfg(**kw):
@@ -188,6 +191,56 @@ def test_stacked_gradients_quick():
     errors = run_stacked_grad_check(seed=1, n=4, d_model=8, n_heads=2,
                                     k=1, pi=2, layers=1)
     assert max(errors.values()) < 1e-6, max(errors, key=errors.get)
+
+
+def scalar_grad_check(f, x, analytic, h=1e-5):
+    """The per-coordinate loop that `grad_check` replaced, kept as its
+    reference: one scalar loss per coordinate and sign, x perturbed in place."""
+    worst = 0.0
+    flat = x.ravel()
+    gflat = analytic.ravel()
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = f(x)
+        flat[i] = orig - h
+        fm = f(x)
+        flat[i] = orig
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise NonFiniteError(f"grad_check: f non-finite near coordinate {i}")
+        fd = (fp - fm) / (2.0 * h)
+        worst = max(worst, abs(fd - gflat[i]) / (abs(gflat[i]) + GRAD_CHECK_FLOOR))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_grad_check_equals_scalar_loop(seed):
+    kw = dict(n=4, d_model=8, n_heads=2, k=1, pi=2, layers=2)
+    cfg, blocks, x, w_loss, schedule = stacked_block_setup(seed, **kw)
+
+    def loss_fn():
+        y = x
+        for bp in blocks:
+            y, _ = block_forward(y, bp, schedule, cfg)
+        return float((y[0] * w_loss).sum())
+
+    y = x
+    caches = []
+    for bp in blocks:
+        y, c = block_forward(y, bp, schedule, cfg)
+        caches.append(c)
+    d_y = np.broadcast_to(w_loss, y.shape).copy()
+    grads = []
+    for bp, c in zip(reversed(blocks), reversed(caches)):
+        d_y, g = block_backward(bp, c, d_y)
+        grads.insert(0, g)
+    expected = {}
+    for i, (bp, g) in enumerate(zip(blocks, grads)):
+        for name, arr in flatten(bp).items():
+            expected[f"block{i}.{name}"] = scalar_grad_check(
+                lambda _: loss_fn(), arr, flatten(g)[name])
+    expected["x"] = scalar_grad_check(lambda _: loss_fn(), x, d_y)
+    assert run_stacked_grad_check(seed=seed, **kw) == expected
 
 
 def test_kl_divergence_hand_value():

@@ -153,6 +153,45 @@ def test_decode_damaged_checkpoint_exits_2(small_ckpt, tmp_path, capsys, damage)
     assert not (tmp_path / "dec" / "tokens.csv").exists()
 
 
+def _rewrite_header(blob: bytes, edit) -> bytes:
+    """Checkpoint bytes with the JSON header replaced by edit(header dict),
+    which returns a dict or raw header bytes; the array data is kept."""
+    hlen = int.from_bytes(blob[:8], "little")
+    header = edit(json.loads(blob[8:8 + hlen]))
+    if isinstance(header, dict):
+        header = json.dumps(header).encode("utf-8")
+    return len(header).to_bytes(8, "little") + header + blob[8 + hlen:]
+
+
+def _without(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+def _rename_first_array(h):
+    h["arrays"][0]["name"] = "no_such_array"
+    return h
+
+
+def _unknown_attention_field(h):
+    h["model"]["attention"]["no_such_field"] = 1
+    return h
+
+
+@pytest.mark.parametrize("edit", [
+    _without("seed"), _without("model"), _without("arrays"), _rename_first_array,
+    _unknown_attention_field, lambda h: b"{not json", lambda h: b'{"format": "\xff\xfe"}',
+], ids=["missing_seed", "missing_model", "missing_arrays", "unknown_array",
+        "unknown_attention_field", "garbage_json", "not_utf8"])
+def test_decode_bad_checkpoint_header_exits_2(small_ckpt, tmp_path, capsys, edit):
+    small_ckpt.write_bytes(_rewrite_header(small_ckpt.read_bytes(), edit))
+    code = main(["decode", "--ckpt", str(small_ckpt), "--prompt", "1,2,3",
+                 "--out", str(tmp_path / "dec")])
+    err = capsys.readouterr().err.strip().split("\n")
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and str(small_ckpt) in err[0]
+    assert not (tmp_path / "dec" / "tokens.csv").exists()
+
+
 def test_decode_fills_max_seq_exactly(small_ckpt, tmp_path):
     dec = tmp_path / "dec"
     assert main(["decode", "--ckpt", str(small_ckpt), "--prompt", "1,2,3",

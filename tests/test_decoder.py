@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringskip.checks import run_decode_check
 from ringskip.decoder import CacheGapError, KVCache, decode_step, generate
@@ -33,6 +35,23 @@ def test_stepwise_matches_full_forward_every_config(ablation, gate_on_query,
                     gate_on_query=gate_on_query,
                     clamp_after_prior=clamp_after_prior, logit_clamp=0.5)
     assert run_decode_check(cfg, seq_len=20) < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, 4), pi=st.integers(1, 20), heads=st.sampled_from([1, 2, 4]),
+       ablation=st.sampled_from(ABLATIONS), gate_on_query=st.booleans(),
+       clamp_after_prior=st.booleans(), layers=st.integers(1, 2),
+       logit_clamp=st.sampled_from([0.5, 20.0]), seed=st.integers(0, 2 ** 16))
+def test_stepwise_matches_full_forward_random_config(k, pi, heads, ablation,
+                                                     gate_on_query, clamp_after_prior,
+                                                     layers, logit_clamp, seed):
+    att = AttentionConfig(d_model=16, n_heads=heads, ring_k=k, skip_period=pi,
+                          causal=True, ablation=ablation, gate_on_query=gate_on_query,
+                          clamp_after_prior=clamp_after_prior, logit_clamp=logit_clamp)
+    cfg = ModelConfig(layers=layers, d_model=16, n_heads=heads, d_ff=32, vocab=11,
+                      max_seq=64, attention=att)
+    # 24 steps pass the largest skip stride, so the skip slot becomes valid
+    assert run_decode_check(cfg, seq_len=24, seed=seed) < 1e-8
 
 
 def test_cache_retention_window():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,13 +63,21 @@ def test_gate_gradients_match_finite_differences():
     x = Rng(5).normal((1, 4, 8))
     w = Rng(6).normal((1, 4, 2))  # fixed loss mixing weights
 
-    def loss():
-        a, _ = gate_forward(params, x, c)
-        return float((a * w).sum())
+    def losses(name):
+        """Loss of each point in a stack of perturbed copies of one tensor;
+        a stacked parameter broadcasts over the batch as a leading replica axis."""
+        def f(stack):
+            if name == "x":
+                a, _ = gate_forward(params, stack[:, 0], c)
+            else:
+                replicas = stack[:, None, :] if stack.ndim == 2 else stack
+                a, _ = gate_forward(dataclasses.replace(params, **{name: replicas}), x, c)
+            return (a * w).sum(axis=(1, 2))
+        return f
 
     alpha, cache = gate_forward(params, x, c)
     d_inp, g = gate_backward(params, cache, w.copy())
     for name, arr, grad in [("w1", params.w1, g.w1), ("b1", params.b1, g.b1),
                             ("w2", params.w2, g.w2), ("b2", params.b2, g.b2),
                             ("x", x, d_inp)]:
-        assert grad_check(lambda _: loss(), arr, grad) < 1e-6, name
+        assert grad_check(losses(name), arr, grad) < 1e-6, name

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringskip.numerics import (
+    NonFiniteError,
     Rng,
+    ShapeError,
     gelu,
     gelu_grad,
     grad_check,
@@ -79,12 +81,50 @@ def test_grad_check_quadratic():
     x = Rng(4).normal((6,))
 
     def f(v):
-        return float(0.5 * (v * v).sum())
+        return 0.5 * (v * v).sum(axis=-1)
 
     assert grad_check(f, x, x.copy()) < 1e-7
+
+
+def half_square(stack):
+    """0.5 |v|^2 of each point in a stack of (7, 10) points."""
+    return 0.5 * (stack * stack).sum(axis=(1, 2))
+
+
+# 70 coordinates are chunks of 32, 32 and 6: index 0 and 40 open a chunk,
+# 69 closes the last, partial one
+@pytest.mark.parametrize("i", [0, 40, 69])
+def test_grad_check_catches_one_wrong_coordinate(i):
+    x = Rng(7).normal((7, 10))
+    assert grad_check(half_square, x, x.copy()) < 1e-7
+    analytic = x.copy()
+    analytic.flat[i] += 1e-3
+    assert grad_check(half_square, x, analytic) > 1e-6
+
+
+def test_grad_check_names_first_non_finite_coordinate():
+    x = Rng(8).normal((7, 10))
+
+    def f(stack):
+        out = half_square(stack)
+        out[stack.reshape(len(stack), -1)[:, 45] != x.flat[45]] = np.nan
+        return out
+
+    with pytest.raises(NonFiniteError, match=r"coordinate 45$"):
+        grad_check(f, x, x.copy())
+
+
+def test_grad_check_rejects_shape_mismatch():
+    x = np.ones(3)
+    with pytest.raises(ShapeError, match=r"\(3,\) vs gradient \(4,\)"):
+        grad_check(half_square, x, np.ones(4))
+    with pytest.raises(ShapeError, match="returned"):
+        grad_check(lambda v: 0.0, x, x)
 
 
 def test_grad_check_rejects_bad_step():
     x = np.ones(2)
     with pytest.raises(ValueError, match="outside"):
         grad_check(lambda v: 0.0, x, x, h=1e-9)
+    with pytest.raises(ValueError, match="outside"):
+        grad_check(lambda v: 0.0, x, x, h=1e-2)

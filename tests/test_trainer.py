@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringskip.model import ModelConfig, flatten, init_model
 from ringskip.neighborhood import AttentionConfig
@@ -142,6 +146,29 @@ def test_checkpoint_bad_magic(tmp_path):
     blob = b'{"format": "other"}'
     path.write_bytes(len(blob).to_bytes(8, "little") + blob)
     with pytest.raises(ValueError, match="format"):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def saved_ckpt(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    save_checkpoint(path, model_cfg(), init_model(model_cfg(), seed=0), seed=0)
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_damaged_checkpoint_rejected_naming_file(saved_ckpt, data):
+    blob = saved_ckpt.read_bytes()
+    if data.draw(st.booleans(), label="append"):
+        damaged = blob + data.draw(st.binary(min_size=1, max_size=64), label="junk")
+    else:
+        header_end = 8 + int.from_bytes(blob[:8], "little")
+        cut = st.one_of(st.integers(0, header_end), st.integers(0, len(blob) - 1))
+        damaged = blob[:data.draw(cut, label="cut_at")]
+    path = saved_ckpt.with_name("damaged.ckpt")
+    path.write_bytes(damaged)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
         load_checkpoint(path)
 
 
