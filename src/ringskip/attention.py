@@ -23,7 +23,7 @@ from .neighborhood import AttentionConfig, GatherMap, Kind, UnionNeighborhood
 from .numerics import (
     Rng,
     ShapeError,
-    gelu,
+    gelu_cdf,
     gelu_grad,
     layer_norm_backward,
     layer_norm_forward,
@@ -351,7 +351,7 @@ class BlockCache:
     y1: np.ndarray
     ln2: tuple
     ff_pre: np.ndarray
-    ff_act: np.ndarray
+    ff_cdf: np.ndarray  # gelu_cdf(ff_pre); the activation is ff_pre * ff_cdf
     h2: np.ndarray
 
 
@@ -370,10 +370,10 @@ def block_forward(
     y1 = x + a
     h2, ln2c = layer_norm_forward(y1, params.ln2_g, params.ln2_b)
     ff_pre = h2 @ params.w_ff1 + params.b_ff1
-    ff_act = gelu(ff_pre)
-    out = y1 + ff_act @ params.w_ff2 + params.b_ff2
+    ff_cdf = gelu_cdf(ff_pre)
+    out = y1 + (ff_pre * ff_cdf) @ params.w_ff2 + params.b_ff2
     return out, BlockCache(ln1=ln1c, attn=attn_cache, y1=y1, ln2=ln2c,
-                           ff_pre=ff_pre, ff_act=ff_act, h2=h2)
+                           ff_pre=ff_pre, ff_cdf=ff_cdf, h2=h2)
 
 
 def block_backward(
@@ -382,11 +382,11 @@ def block_backward(
     d_out: np.ndarray,
 ) -> Tuple[np.ndarray, BlockParams]:
     d_ff_act = d_out @ params.w_ff2.T
-    flat_act = cache.ff_act.reshape(-1, cache.ff_act.shape[-1])
+    flat_act = (cache.ff_pre * cache.ff_cdf).reshape(-1, cache.ff_pre.shape[-1])
     flat_dout = d_out.reshape(-1, d_out.shape[-1])
     d_w_ff2 = flat_act.T @ flat_dout
     d_b_ff2 = flat_dout.sum(axis=0)
-    d_ff_pre = d_ff_act * gelu_grad(cache.ff_pre)
+    d_ff_pre = d_ff_act * gelu_grad(cache.ff_pre, cache.ff_cdf)
     flat_h2 = cache.h2.reshape(-1, cache.h2.shape[-1])
     flat_dpre = d_ff_pre.reshape(-1, d_ff_pre.shape[-1])
     d_w_ff1 = flat_h2.T @ flat_dpre

@@ -40,6 +40,9 @@ class LayerCache:
 class KVCache:
     layers: List[LayerCache]
     next_pos: int = 0
+    # slot offsets (offset_plan's, <= 0) and RING flags; set by decode_step at t == 0
+    offsets: Optional[np.ndarray] = None
+    ring_mask: Optional[np.ndarray] = None
 
     @classmethod
     def empty(cls, n_layers: int) -> "KVCache":
@@ -68,10 +71,12 @@ def decode_step(
     if t == 0:
         for lc in cache.layers:
             lc.rows = np.zeros((size, 2, h_cnt, d_h))
-    slots = [(o, kind) for o, kind in offset_plan(att) if o <= 0]
-    pos = t + np.array([o for o, _ in slots])
-    valid = pos >= 0
-    ring_mask = np.array([kind == Kind.RING for _, kind in slots])
+        slots = [(o, kind) for o, kind in offset_plan(att) if o <= 0]
+        cache.offsets = np.array([o for o, _ in slots])
+        cache.ring_mask = np.array([kind == Kind.RING for _, kind in slots])
+    pos = t + cache.offsets
+    # slots with pos < 0 read an unrelated row; they get probability 0
+    valid, kv_rows = pos >= 0, pos % size
     scale = 1.0 / np.sqrt(d_h)
 
     x = params.tok_emb[token] + params.pos_emb[t]  # (d,)
@@ -84,10 +89,9 @@ def decode_step(
         gate_in = q.reshape(-1) if att.gate_on_query else h1
         alpha, _ = gate_forward(bp.gate, gate_in, att)  # (H,) or None
 
-        # slots with pos < 0 read an unrelated row; they get probability 0
-        kv = lc.rows[pos % size]  # (S, 2, H, d_h)
+        kv = lc.rows[kv_rows]  # (S, 2, H, d_h)
         scores = np.einsum("hd,shd->hs", q, kv[:, 0]) * scale
-        probs = gated_softmax(scores, alpha, ring_mask, valid, att)
+        probs = gated_softmax(scores, alpha, cache.ring_mask, valid, att)
         attn_h = np.einsum("hs,shd->hd", probs, kv[:, 1])
         y1 = x + attn_h.reshape(-1) @ bp.proj.wo + bp.proj.bo
         h2, _ = layer_norm_forward(y1, bp.ln2_g, bp.ln2_b)

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .neighborhood import AttentionConfig
-from .numerics import NonFiniteError, Rng, gelu, gelu_grad, sigmoid
+from .numerics import NonFiniteError, Rng, gelu_cdf, gelu_grad, sigmoid
 
 
 @dataclass
@@ -44,7 +44,7 @@ def init_gate(rng: Rng, d_model: int, n_heads: int) -> GateParams:
 class GateCache:
     inp: np.ndarray
     h_pre: np.ndarray   # pre-GELU hidden
-    h_act: np.ndarray
+    h_cdf: np.ndarray   # gelu_cdf(h_pre); the activation is h_pre * h_cdf
     alpha_raw: np.ndarray
     eps: float
 
@@ -66,10 +66,10 @@ def gate_forward(
     if not np.isfinite(inp).all():
         raise NonFiniteError("gate input contains non-finite values")
     h_pre = inp @ params.w1 + params.b1
-    h_act = gelu(h_pre)
-    alpha_raw = sigmoid(h_act @ params.w2 + params.b2)
+    h_cdf = gelu_cdf(h_pre)
+    alpha_raw = sigmoid((h_pre * h_cdf) @ params.w2 + params.b2)
     alpha = (1.0 - 2.0 * config.eps) * alpha_raw + config.eps
-    return alpha, GateCache(inp=inp, h_pre=h_pre, h_act=h_act,
+    return alpha, GateCache(inp=inp, h_pre=h_pre, h_cdf=h_cdf,
                             alpha_raw=alpha_raw, eps=config.eps)
 
 
@@ -85,11 +85,11 @@ def gate_backward(
     if cache is None:
         raise ValueError("gate_backward: no cache (ablated gate has no gradients)")
     dz = (1.0 - 2.0 * cache.eps) * d_alpha * cache.alpha_raw * (1.0 - cache.alpha_raw)
-    flat_h = cache.h_act.reshape(-1, cache.h_act.shape[-1])
+    flat_h = (cache.h_pre * cache.h_cdf).reshape(-1, cache.h_pre.shape[-1])
     flat_dz = dz.reshape(-1, dz.shape[-1])
     d_w2 = flat_h.T @ flat_dz
     d_b2 = flat_dz.sum(axis=0)
-    dh = (dz @ params.w2.T) * gelu_grad(cache.h_pre)
+    dh = (dz @ params.w2.T) * gelu_grad(cache.h_pre, cache.h_cdf)
     flat_in = cache.inp.reshape(-1, cache.inp.shape[-1])
     flat_dh = dh.reshape(-1, dh.shape[-1])
     d_w1 = flat_in.T @ flat_dh

@@ -83,6 +83,19 @@ def init_model(cfg: ModelConfig, seed: int) -> ModelParams:
     )
 
 
+def param_shapes(cfg: ModelConfig) -> Dict[str, Tuple[int, ...]]:
+    """Name -> shape of each init_model(cfg) array, in flatten order, none allocated."""
+    d, half, f, h, v = cfg.d_model, cfg.d_model // 2, cfg.d_ff, cfg.n_heads, cfg.vocab
+    block = {**dict.fromkeys(("proj.wq", "proj.wk", "proj.wv", "proj.wo"), (d, d)),
+             **dict.fromkeys(("proj.bq", "proj.bv", "proj.bo"), (d,)),
+             "gate.w1": (d, half), "gate.b1": (half,), "gate.w2": (half, h), "gate.b2": (h,),
+             **dict.fromkeys(("ln1_g", "ln1_b", "ln2_g", "ln2_b"), (d,)),
+             "w_ff1": (d, f), "b_ff1": (f,), "w_ff2": (f, d), "b_ff2": (d,)}
+    return {"tok_emb": (v, d), "pos_emb": (cfg.max_seq, d),
+            **{f"blocks.{i}.{k}": s for i in range(cfg.layers) for k, s in block.items()},
+            "lnf_g": (d,), "lnf_b": (d,), "w_out": (d, v), "b_out": (v,)}
+
+
 def flatten(obj, prefix: str = "") -> Dict[str, np.ndarray]:
     """Ordered name -> array view of a parameter (or gradient) tree."""
     out: Dict[str, np.ndarray] = {}

@@ -5,6 +5,9 @@ Everything runs in float64 on numpy arrays. Accumulation order is whatever the
 linked BLAS uses, which is deterministic run-to-run for a fixed thread count;
 all determinism guarantees in this package are stated at that level.
 
+`softmax_row`, `gelu`, `gelu_grad` and the layer norm skip redundant passes
+but equal their textbook forms bit for bit; the tests keep those forms.
+
 The PRNG is numpy's PCG64 behind a thin seeded wrapper. The algorithm is
 stable across numpy versions for a fixed seed; tests rely on properties of the
 draws, never on golden values.
@@ -36,33 +39,35 @@ class NonFiniteError(FloatingPointError):
 def softmax_row(logits: np.ndarray, valid: Optional[np.ndarray] = None) -> np.ndarray:
     """Masked, max-subtracted softmax over the last axis.
 
-    Invalid entries get probability exactly 0 and never enter the exponent sum
-    (masking, not -inf arithmetic). Raises on rows with no valid entry.
+    `valid` broadcasts against `logits` and is checked for empty rows at its
+    own shape. Invalid entries become -inf, so exp gives them exactly 0.
+    Raises on rows with no valid entry.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if valid is None:
-        valid = np.ones(logits.shape, dtype=bool)
-    else:
-        valid = np.broadcast_to(np.asarray(valid, dtype=bool), logits.shape)
-    if not valid.any(axis=-1).all():
-        raise ValueError("empty neighborhood: softmax row has no valid entry")
-    shifted = np.where(valid, logits, -np.inf)
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    expv = np.where(valid, np.exp(np.where(valid, shifted, 0.0)), 0.0)
+    if valid is not None:
+        valid = np.asarray(valid, dtype=bool)
+        if not valid.any(axis=-1).all():
+            raise ValueError("empty neighborhood: softmax row has no valid entry")
+        logits = np.where(valid, logits, -np.inf)
+    expv = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return expv / expv.sum(axis=-1, keepdims=True)
+
+
+def gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = 0.5 (1 + erf(x / sqrt 2)); x * Phi(x) is the GELU bit for bit."""
+    return 0.5 * (1.0 + erf(np.asarray(x, dtype=np.float64) / SQRT2))
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """Exact (erf-based) GELU."""
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + erf(x / SQRT2))
+    return x * gelu_cdf(x)
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    """d/dx of the erf-form GELU."""
+def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d/dx of the erf-form GELU, given cdf = gelu_cdf(x) (no second erf)."""
     x = np.asarray(x, dtype=np.float64)
-    phi = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    return 0.5 * (1.0 + erf(x / SQRT2)) + x * phi
+    return cdf + x * (np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi))
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -73,25 +78,27 @@ LN_EPS = 1e-5
 
 
 def layer_norm_forward(x, gain, bias):
-    """Layer norm over the last axis with variance epsilon 1e-5.
+    """Layer norm over the last axis with variance epsilon 1e-5; centres once
+    and takes the variance from the centred copy.
 
     Returns (output, cache for `layer_norm_backward`).
     """
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
+    d = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + LN_EPS)
+    xhat = xc * inv
     return xhat * gain + bias, (xhat, inv, gain)
 
 
 def layer_norm_backward(cache, dy):
     """Returns (d_x, d_gain, d_bias)."""
     xhat, inv, gain = cache
-    d_gain = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
-    d_bias = dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
+    d = xhat.shape[-1]
+    d_gain = (dy * xhat).reshape(-1, d).sum(axis=0)
+    d_bias = dy.reshape(-1, d).sum(axis=0)
     dg = dy * gain
-    dx = inv * (dg - dg.mean(axis=-1, keepdims=True)
-                - xhat * (dg * xhat).mean(axis=-1, keepdims=True))
+    dx = inv * (dg - dg.sum(axis=-1, keepdims=True) / d
+                - xhat * ((dg * xhat).sum(axis=-1, keepdims=True) / d))
     return dx, d_gain, d_bias
 
 

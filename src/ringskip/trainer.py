@@ -23,7 +23,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .model import ModelConfig, ModelParams, flatten, init_model, model_backward, model_forward
+from .model import (ModelConfig, ModelParams, flatten, init_model, model_backward,
+                    model_forward, param_shapes)
 from .neighborhood import AttentionConfig, gather_schedule
 from .numerics import Rng, softmax_row
 
@@ -250,7 +251,7 @@ def load_checkpoint(path: Path) -> Tuple[ModelConfig, ModelParams, int]:
     a header that is not UTF-8 JSON, lacks `seed`, `model` or `arrays`, holds
     an invalid model config, lists other arrays or shapes than the model's, or
     a file length that is not what the header's shapes need (a truncated file
-    or trailing bytes)."""
+    or trailing bytes). All of it is checked before any model array is made."""
     blob = Path(path).read_bytes()
     hlen = int.from_bytes(blob[:8], "little")
     try:
@@ -269,22 +270,22 @@ def load_checkpoint(path: Path) -> Tuple[ModelConfig, ModelParams, int]:
         mc["attention"] = AttentionConfig(**mc["attention"])
         cfg = ModelConfig(**mc)
         cfg.validate()
-        params = init_model(cfg, seed=0)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {path}: bad header ({exc!r})") from None
     expected = 8 + hlen + 8 * sum(math.prod(shape) for _, shape in specs)
     if len(blob) != expected:
         raise ValueError(f"checkpoint {path} is {len(blob)} bytes, its header says {expected}")
-    flat = flatten(params)
-    odd = sorted(set(flat).symmetric_difference(name for name, _ in specs))
+    # shapes before arrays; every layer has arrays, so more layers than specs fail
+    shapes = param_shapes(cfg) if cfg.layers <= len(specs) else {}
+    odd = sorted(set(shapes.items()).symmetric_difference(specs))
     if odd:
-        raise ValueError(f"checkpoint {path}: header and model arrays differ: {', '.join(odd)}")
+        raise ValueError(f"checkpoint {path}: header and model arrays differ: "
+                         + ", ".join(f"{name} {shape}" for name, shape in odd))
+    params = init_model(cfg, seed=0)
+    flat = flatten(params)
     data = np.frombuffer(blob, dtype="<f8", offset=8 + hlen)
     for name, shape in specs:
         arr = flat[name]
-        if shape != arr.shape:
-            raise ValueError(f"checkpoint {path}: array {name!r} has shape {shape}, "
-                             f"the model needs {arr.shape}")
         arr[...] = data[:arr.size].reshape(shape)
         data = data[arr.size:]
     return cfg, params, seed

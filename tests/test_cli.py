@@ -177,11 +177,23 @@ def _unknown_attention_field(h):
     return h
 
 
+def _model_field(name, value):
+    def edit(h):
+        h["model"][name] = value
+        return h
+    return edit
+
+
+# huge_vocab and huge_layers keep the array list and the data as saved, so the
+# file length matches: only the config's own shapes can reject them, before
+# any model array of that size is allocated
 @pytest.mark.parametrize("edit", [
     _without("seed"), _without("model"), _without("arrays"), _rename_first_array,
     _unknown_attention_field, lambda h: b"{not json", lambda h: b'{"format": "\xff\xfe"}',
+    _model_field("vocab", 2 ** 40), _model_field("layers", 10 ** 9),
 ], ids=["missing_seed", "missing_model", "missing_arrays", "unknown_array",
-        "unknown_attention_field", "garbage_json", "not_utf8"])
+        "unknown_attention_field", "garbage_json", "not_utf8", "huge_vocab",
+        "huge_layers"])
 def test_decode_bad_checkpoint_header_exits_2(small_ckpt, tmp_path, capsys, edit):
     small_ckpt.write_bytes(_rewrite_header(small_ckpt.read_bytes(), edit))
     code = main(["decode", "--ckpt", str(small_ckpt), "--prompt", "1,2,3",

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from ringskip.checks import run_decode_check
 from ringskip.decoder import CacheGapError, KVCache, decode_step, generate
-from ringskip.model import ModelConfig, init_model
+from ringskip.model import ModelConfig, init_model, model_forward
 from ringskip.neighborhood import ABLATIONS, AttentionConfig
+from ringskip.numerics import Rng
 
 
 def model_cfg(layers=1, k=2, pi=8, **kw):
@@ -52,6 +53,29 @@ def test_stepwise_matches_full_forward_random_config(k, pi, heads, ablation,
                       max_seq=64, attention=att)
     # 24 steps pass the largest skip stride, so the skip slot becomes valid
     assert run_decode_check(cfg, seq_len=24, seed=seed) < 1e-8
+
+
+def test_interleaved_sequences_keep_their_own_slot_plan():
+    # two sequences under different slot plans, stepped alternately: neither
+    # may read the other's offsets or ring mask
+    cfgs = [model_cfg(layers=2, k=2, pi=8), model_cfg(layers=2, k=4, pi=3, ablation="no_skip")]
+    params = [init_model(cfg, seed=i) for i, cfg in enumerate(cfgs)]
+    tokens = [Rng(i).integers(0, cfg.vocab, (24,)) for i, cfg in enumerate(cfgs)]
+
+    def alone(i):
+        cache = KVCache.empty(cfgs[i].layers)
+        return np.array([decode_step(params[i], cfgs[i], cache, int(tok), t)
+                         for t, tok in enumerate(tokens[i])])
+
+    caches = [KVCache.empty(cfg.layers) for cfg in cfgs]
+    steps = [[], []]
+    for t in range(24):
+        for i in (0, 1):
+            steps[i].append(decode_step(params[i], cfgs[i], caches[i], int(tokens[i][t]), t))
+    for i in (0, 1):
+        full, _ = model_forward(tokens[i][None], params[i], cfgs[i])
+        assert np.array_equal(np.array(steps[i]), alone(i))
+        assert np.abs(np.array(steps[i]) - full[0]).max() < 1e-8
 
 
 def test_cache_retention_window():

@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import erf
 
 from ringskip.numerics import (
     NonFiniteError,
     Rng,
     ShapeError,
     gelu,
+    gelu_cdf,
     gelu_grad,
     grad_check,
+    layer_norm_backward,
     layer_norm_forward,
     sigmoid,
     softmax_row,
@@ -53,7 +57,7 @@ def test_gelu_values_and_gradient():
     x = Rng(2).normal((20,))
     h = 1e-6
     fd = (gelu(x + h) - gelu(x - h)) / (2 * h)
-    assert np.abs(fd - gelu_grad(x)).max() < 1e-7
+    assert np.abs(fd - gelu_grad(x, gelu_cdf(x))).max() < 1e-7
 
 
 def test_sigmoid_saturation():
@@ -128,3 +132,91 @@ def test_grad_check_rejects_bad_step():
         grad_check(lambda v: 0.0, x, x, h=1e-9)
     with pytest.raises(ValueError, match="outside"):
         grad_check(lambda v: 0.0, x, x, h=1e-2)
+
+
+# ---------------------------------------------------------------------------
+# the trimmed primitives against their textbook forms, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def bits_equal(a, b) -> bool:
+    """Same shape and the same float64 bit patterns (so -0.0 != 0.0)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def softmax_textbook(logits, valid):
+    valid = np.broadcast_to(valid, logits.shape)
+    shifted = np.where(valid, logits, -np.inf)
+    shifted = shifted - shifted.max(axis=-1, keepdims=True)
+    expv = np.where(valid, np.exp(np.where(valid, shifted, 0.0)), 0.0)
+    return expv / expv.sum(axis=-1, keepdims=True)
+
+
+def layer_norm_textbook(x, gain, bias):
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+    xhat = (x - mu) * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def layer_norm_backward_textbook(xhat, inv, gain, dy):
+    dg = dy * gain
+    return inv * (dg - dg.mean(axis=-1, keepdims=True)
+                  - xhat * (dg * xhat).mean(axis=-1, keepdims=True))
+
+
+SHAPES = hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=SHAPES, seed=st.integers(0, 2 ** 31 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 50.0]), shift=st.floats(-100, 100))
+def test_layer_norm_bit_identical_to_mean_var_form(shape, seed, scale, shift):
+    rng = Rng(seed)
+    x = rng.normal(shape, scale=scale) + shift
+    gain, bias = rng.normal(shape[-1:]), rng.normal(shape[-1:])
+    dy = rng.normal(shape)
+    y, cache = layer_norm_forward(x, gain, bias)
+    y_ref, xhat, inv = layer_norm_textbook(x, gain, bias)
+    assert bits_equal(y, y_ref)
+    assert bits_equal(cache[0], xhat) and bits_equal(cache[1], inv)
+    dx, d_gain, d_bias = layer_norm_backward(cache, dy)
+    assert bits_equal(dx, layer_norm_backward_textbook(xhat, inv, gain, dy))
+    assert bits_equal(d_gain, (dy * xhat).reshape(-1, shape[-1]).sum(axis=0))
+    assert bits_equal(d_bias, dy.reshape(-1, shape[-1]).sum(axis=0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=SHAPES, mask_dims=st.integers(0, 4), seed=st.integers(0, 2 ** 31 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 300.0]))
+def test_softmax_bit_identical_to_three_where_form(shape, mask_dims, seed, scale):
+    # the mask covers the trailing mask_dims axes (at least the slot axis) and
+    # broadcasts over the rest, like the (n, O) mask of (B, H, n, O) scores
+    rng = Rng(seed)
+    logits = rng.normal(shape, scale=scale)
+    mask_shape = shape[len(shape) - max(1, min(mask_dims, len(shape))):]
+    valid = rng.uniform(mask_shape) < 0.6
+    # one valid slot per row at a random position
+    valid |= np.arange(shape[-1]) == rng.integers(0, shape[-1], mask_shape[:-1] + (1,))
+    assert bits_equal(softmax_row(logits, valid), softmax_textbook(logits, valid))
+    assert bits_equal(softmax_row(logits), softmax_textbook(logits, True))
+
+
+def test_softmax_broadcast_mask_empty_row_raises():
+    valid = np.ones((5, 3), dtype=bool)
+    valid[2] = False
+    with pytest.raises(ValueError, match="empty neighborhood"):
+        softmax_row(np.zeros((2, 4, 5, 3)), valid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=hnp.arrays(np.float64, SHAPES, elements=st.floats(-50, 50)))
+def test_gelu_with_cached_cdf_bit_identical_to_erf_form(x):
+    cdf = gelu_cdf(x)
+    act = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    assert bits_equal(gelu(x), act)
+    assert bits_equal(x * cdf, act)  # the activation the FFN and gate rebuild
+    grad = (0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+            + x * (np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)))
+    assert bits_equal(gelu_grad(x, cdf), grad)

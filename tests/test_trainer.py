@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringskip.model import ModelConfig, flatten, init_model
+from ringskip.model import ModelConfig, flatten, init_model, param_shapes
 from ringskip.neighborhood import AttentionConfig
 from ringskip.numerics import Rng
 from ringskip.trainer import (
@@ -139,6 +139,19 @@ def test_checkpoint_roundtrip(tmp_path):
     assert seed == 5 and cfg2 == cfg
     for name, arr in flatten(params).items():
         assert (flatten(params2)[name] == arr).all(), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(layers=st.integers(1, 3), heads=st.sampled_from([1, 2, 4]),
+       head_dim=st.integers(1, 5), d_ff=st.integers(1, 9), vocab=st.integers(1, 9),
+       max_seq=st.integers(1, 9))
+def test_param_shapes_match_init_model(layers, heads, head_dim, d_ff, vocab, max_seq):
+    d = heads * head_dim
+    att = AttentionConfig(d_model=d, n_heads=heads, ring_k=1, skip_period=4)
+    cfg = ModelConfig(layers=layers, d_model=d, n_heads=heads, d_ff=d_ff,
+                      vocab=vocab, max_seq=max_seq, attention=att)
+    made = [(name, arr.shape) for name, arr in flatten(init_model(cfg, seed=0)).items()]
+    assert list(param_shapes(cfg).items()) == made
 
 
 def test_checkpoint_bad_magic(tmp_path):
