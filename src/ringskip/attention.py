@@ -14,7 +14,7 @@ central-difference checks in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -410,78 +410,3 @@ def block_backward(
         w_ff1=d_w_ff1, b_ff1=d_b_ff1, w_ff2=d_w_ff2, b_ff2=d_b_ff2,
     )
     return d_x, grads
-
-
-# ---------------------------------------------------------------------------
-# stabilization analysis
-# ---------------------------------------------------------------------------
-
-
-def distributions_from_scores(
-    scores: np.ndarray,
-    ring_mask: np.ndarray,
-    valid: np.ndarray,
-    alpha_raw: Optional[np.ndarray],
-    eps: Optional[float],
-    clamp: Optional[float],
-) -> np.ndarray:
-    """Union-softmax probabilities for raw scores under a given stabilization.
-
-    scores: (..., n, O); ring_mask: (O,) bool; valid: (n, O); alpha_raw has the
-    slot-broadcastable shape (..., n). eps=None means no gate clip; clamp=None
-    means no logit clamp.
-    """
-    if alpha_raw is not None:
-        a = alpha_raw if eps is None else (1.0 - 2.0 * eps) * alpha_raw + eps
-        with np.errstate(divide="ignore"):
-            prior = log_prior(a, ring_mask)
-    else:
-        prior = 0.0
-    s = scores if clamp is None else np.clip(scores, -clamp, clamp)
-    logits = s + prior
-    # -inf priors (alpha exactly 0/1 without clipping) zero out that branch
-    branch_ok = np.isfinite(logits)
-    return softmax_row(np.where(branch_ok, logits, 0.0), valid & branch_ok)
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """KL(p || q) over the last axis; +inf where p > 0 meets q == 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
-    return terms.sum(axis=-1)
-
-
-def kl_stabilization(
-    x: np.ndarray,
-    proj: ProjectionParams,
-    gate_params: GateParams,
-    schedule: List[GatherMap],
-    config: AttentionConfig,
-    eps_list: List[float],
-) -> Dict[float, Tuple[float, float]]:
-    """Per-epsilon (mean, max) KL between stabilized and ideal distributions.
-
-    The ideal distribution uses the unclipped gate output and unclamped logits;
-    each stabilized variant applies the epsilon clip and the configured clamp.
-    """
-    if x.ndim == 2:
-        x = x[None]
-    _, cache = pi_attention_forward(x, proj, gate_params, schedule, config)
-    ring_mask = np.array([m.kind == Kind.RING for m in schedule])
-    valid = np.stack([m.valid for m in schedule], axis=-1)
-    if cache.gate_cache is not None:
-        alpha_raw = cache.gate_cache.alpha_raw.transpose(0, 2, 1)  # (B, H, n)
-    elif cache.alpha is not None:
-        alpha_raw = cache.alpha.transpose(0, 2, 1)
-    else:
-        alpha_raw = None
-    ideal = distributions_from_scores(cache.scores_raw, ring_mask, valid,
-                                      alpha_raw, eps=None, clamp=None)
-    report: Dict[float, Tuple[float, float]] = {}
-    for eps in eps_list:
-        stab = distributions_from_scores(cache.scores_raw, ring_mask, valid,
-                                         alpha_raw, eps=eps,
-                                         clamp=config.logit_clamp)
-        kl = kl_divergence(stab, ideal)
-        report[eps] = (float(kl.mean()), float(kl.max()))
-    return report

@@ -8,7 +8,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,12 +19,11 @@ from .attention import (
     block_backward,
     block_forward,
     dense_oracle,
-    distributions_from_scores,
-    kl_divergence,
+    gated_softmax,
     pi_attention_forward,
 )
 from .decoder import KVCache, decode_step
-from .gate import init_gate
+from .gate import clip_alpha
 from .model import ModelConfig, ModelParams, flatten, init_model, model_forward
 from .neighborhood import ABLATIONS, AttentionConfig, build_union, gather_schedule
 from .numerics import Rng, grad_check
@@ -196,12 +195,25 @@ def run_decode_check(cfg: ModelConfig, seq_len: int = 40,
     return worst
 
 
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL(p || q) over the last axis; +inf where p > 0 meets q == 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
+    return terms.sum(axis=-1)
+
+
 def run_kl_random_scores(n: int = 256, k: int = 2, pi: int = 8,
                          eps: float = 1e-4, clamp: float = 20.0,
                          seeds: int = 100) -> Tuple[float, float]:
-    """Mean/max KL on standard-normal scores and uniform raw gate values."""
+    """Mean/max KL on standard-normal scores and uniform raw gate values.
+
+    Both distributions come from `gated_softmax`. The stabilized one takes the
+    clipped gate and the clamp; the ideal one takes the raw gate and no clamp,
+    so an alpha of exactly 0 or 1 gives a -inf prior and probability 0.
+    """
     cfg = AttentionConfig(d_model=4, n_heads=1, ring_k=k, skip_period=pi,
                           causal=True, eps=eps, logit_clamp=clamp)
+    ideal_cfg = dataclasses.replace(cfg, logit_clamp=np.inf)
     schedule = gather_schedule(cfg, n)
     ring_mask = np.array([m.kind.value == "RING" for m in schedule])
     valid = np.stack([m.valid for m in schedule], axis=-1)
@@ -210,10 +222,9 @@ def run_kl_random_scores(n: int = 256, k: int = 2, pi: int = 8,
         rng = Rng(1000 + s)
         scores = rng.normal((1, 1, n, len(schedule)))
         alpha_raw = rng.uniform((1, 1, n))
-        ideal = distributions_from_scores(scores, ring_mask, valid, alpha_raw,
-                                          eps=None, clamp=None)
-        stab = distributions_from_scores(scores, ring_mask, valid, alpha_raw,
-                                         eps=eps, clamp=clamp)
+        with np.errstate(divide="ignore"):
+            ideal = gated_softmax(scores, alpha_raw, ring_mask, valid, ideal_cfg)
+        stab = gated_softmax(scores, clip_alpha(alpha_raw, eps), ring_mask, valid, cfg)
         kl = kl_divergence(stab, ideal)
         means.append(float(kl.mean()))
         maxes.append(float(kl.max()))

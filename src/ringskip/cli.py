@@ -10,26 +10,23 @@ configuration error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .checks import (
     oracle_grid,
-    run_decode_check,
     run_kl_random_scores,
     run_oracle_check,
     run_stacked_grad_check,
 )
 from .model import ModelConfig
-from .neighborhood import AttentionConfig, ConfigError, build_union, union_table_csv
+from .neighborhood import (AttentionConfig, ConfigError, Kind, build_union, offset_plan,
+                           union_table_csv)
 from .perf import CostParams, cost_model_eval, fit_cost_constants, ring_simulate, work_report
-from .rfield import reach_full, reach_restricted, restricted_bound, rf_report
+from .rfield import rf_report
 from .trainer import TaskSpec, TrainConfig, load_checkpoint, train
 from .decoder import generate
 from .numerics import Rng
@@ -118,19 +115,10 @@ def cmd_rf_bound(args) -> int:
     out = _out_dir(args)
     _write_manifest(args, out)
     if args.k is not None:
-        k, pi, layers = args.k, args.pi, args.layers
-        bound = restricted_bound(k, pi, layers)
-        n = layers * (k + pi) + 2
-        cfg = AttentionConfig(d_model=2, n_heads=1, ring_k=k, skip_period=pi,
-                              causal=True)
-        full = reach_full(cfg, n, n - 1, layers).leftward_extent()
-        restricted = reach_restricted(cfg, n, n - 1, layers)
-        csv = ("k,pi,layers,full_reach,restricted_reach,bound,"
-               "bound_holds_restricted,bound_holds_full\n"
-               f"{k},{pi},{layers},{full},{restricted},{bound},"
-               f"{int(restricted <= bound)},{int(full <= bound)}\n")
+        csv = rf_report([args.k], [args.pi], [args.layers])
+        _, _, _, full, restricted, bound, holds, _ = csv.split("\n")[1].split(",")
         print(f"restricted={restricted}, bound={bound}, full={full}")
-        ok = restricted <= bound
+        ok = holds == "1"
     else:
         csv = rf_report(range(1, 5), (2, 4, 8, 16), range(1, 11))
         rows = [r.split(",") for r in csv.strip().split("\n")[1:]]
@@ -273,17 +261,15 @@ def cmd_kl_check(args) -> int:
     out = _out_dir(args)
     _write_manifest(args, out)
     eps_list = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+    means = []
     with open(out / "kl_check.csv", "w") as f:
         f.write("eps,mean_kl,max_kl\n")
-        prev_mean = None
-        monotone = True
         for eps in eps_list:
             mean_kl, max_kl = run_kl_random_scores(eps=eps, seeds=args.seeds)
             f.write(f"{eps:g},{mean_kl:.6e},{max_kl:.6e}\n")
-            if prev_mean is not None and mean_kl > prev_mean + 1e-12:
-                monotone = False
-            prev_mean = mean_kl
-    mean_ref, _ = run_kl_random_scores(eps=1e-4, seeds=args.seeds)
+            means.append(mean_kl)
+    monotone = all(b <= a + 1e-12 for a, b in zip(means, means[1:]))
+    mean_ref = means[eps_list.index(1e-4)]
     ok = monotone and mean_ref < 2e-2
     print(f"kl-check: mean KL at eps=1e-4 is {mean_ref:.3e} (< 2e-2), "
           f"nonincreasing as eps shrinks: {monotone} -> "
@@ -309,7 +295,8 @@ def cmd_validate_config(args) -> int:
     _write_manifest(args, out)
     union = build_union(att, args.n)
     (out / "union.csv").write_text(union_table_csv(union))
-    if att.skip_period <= att.ring_k and att.ablation not in ("no_skip", "no_ring"):
+    if (att.ablation != "no_skip"
+            and all(kind != Kind.SKIP for _, kind in offset_plan(att))):
         print("note: skip stride falls inside the ring window; the overlapping "
               "slot is kept once as a RING member")
     print(f"validate-config: OK (union table for n={args.n} written)")

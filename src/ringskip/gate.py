@@ -1,8 +1,8 @@
 """Per-token, per-head fusion gate.
 
 A shared two-layer trunk (width d_model/2, GELU) emits H sigmoid outputs per
-token; the raw gate alpha is then affinely clipped to [eps, 1-eps] so the
-log-priors built from it stay finite.
+token; `clip_alpha` then maps the raw gate alpha affinely onto [eps, 1-eps] so
+the log-priors built from it stay finite.
 
 Ablations:
   * static_alpha  — constant alpha, MLP bypassed, no gate gradients;
@@ -40,6 +40,11 @@ def init_gate(rng: Rng, d_model: int, n_heads: int) -> GateParams:
     )
 
 
+def clip_alpha(alpha_raw: np.ndarray, eps: float) -> np.ndarray:
+    """The eps clip (1-2*eps)*alpha + eps, mapping [0, 1] onto [eps, 1-eps]."""
+    return (1.0 - 2.0 * eps) * alpha_raw + eps
+
+
 @dataclass
 class GateCache:
     inp: np.ndarray
@@ -56,7 +61,7 @@ def gate_forward(
 ) -> Tuple[Optional[np.ndarray], Optional[GateCache]]:
     """Stabilized gate values, shape (..., n, H); None under the no_gate ablation.
 
-    alpha = sigmoid(w2 . gelu(w1 . inp + b1) + b2), then (1-2*eps)*alpha + eps.
+    alpha = clip_alpha(sigmoid(w2 . gelu(w1 . inp + b1) + b2), eps).
     """
     if config.ablation == "no_gate":
         return None, None
@@ -68,7 +73,7 @@ def gate_forward(
     h_pre = inp @ params.w1 + params.b1
     h_cdf = gelu_cdf(h_pre)
     alpha_raw = sigmoid((h_pre * h_cdf) @ params.w2 + params.b2)
-    alpha = (1.0 - 2.0 * config.eps) * alpha_raw + config.eps
+    alpha = clip_alpha(alpha_raw, config.eps)
     return alpha, GateCache(inp=inp, h_pre=h_pre, h_cdf=h_cdf,
                             alpha_raw=alpha_raw, eps=config.eps)
 

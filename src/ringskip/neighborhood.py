@@ -139,18 +139,25 @@ def offset_plan(config: AttentionConfig) -> List[tuple]:
     return plan
 
 
+def _checked_mask(n: int, user_mask: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """user_mask as an (n,) bool array (or None); raises ConfigError otherwise."""
+    if n < 1:
+        raise ConfigError(f"n: sequence length must be >= 1, got {n}")
+    if user_mask is None:
+        return None
+    user_mask = np.asarray(user_mask, dtype=bool)
+    if user_mask.shape != (n,):
+        raise ConfigError(f"user_mask: expected shape ({n},), got {user_mask.shape}")
+    return user_mask
+
+
 def build_union(
     config: AttentionConfig,
     n: int,
     user_mask: Optional[np.ndarray] = None,
 ) -> UnionNeighborhood:
     """Per-token union of ring and skip targets with bounds/causal masking."""
-    if n < 1:
-        raise ConfigError(f"n: sequence length must be >= 1, got {n}")
-    if user_mask is not None:
-        user_mask = np.asarray(user_mask, dtype=bool)
-        if user_mask.shape != (n,):
-            raise ConfigError(f"user_mask: expected shape ({n},), got {user_mask.shape}")
+    user_mask = _checked_mask(n, user_mask)
     plan = offset_plan(config)
     entries: List[List[NeighborEntry]] = []
     for i in range(n):
@@ -176,11 +183,8 @@ def gather_schedule(
     user_mask: Optional[np.ndarray] = None,
 ) -> List[GatherMap]:
     """One shifted slice plus validity mask per distinct offset (the execution plan)."""
-    if n < 1:
-        raise ConfigError(f"n: sequence length must be >= 1, got {n}")
+    user_mask = _checked_mask(n, user_mask)
     base = np.arange(n)
-    if user_mask is not None:
-        user_mask = np.asarray(user_mask, dtype=bool)
     maps = []
     for offset, kind in offset_plan(config):
         target = base + offset

@@ -19,8 +19,8 @@ import numpy as np
 
 from .attention import init_projection, pi_attention_forward
 from .gate import init_gate
-from .neighborhood import (AttentionConfig, ConfigError, build_union, count_score_slots,
-                           gather_schedule)
+from .neighborhood import (AttentionConfig, ConfigError, Kind, build_union,
+                           count_score_slots, gather_schedule, offset_plan)
 from .numerics import Rng
 
 
@@ -129,7 +129,7 @@ def ring_simulate(
     microbatch's stage 2 with the current one's stage 3:
     makespan = M*t1 + t2 + (M-1)*max(t2, t3) + t3.
     """
-    config.validate()
+    plan = offset_plan(config)
     if shards < 1 or shards > n:
         raise ConfigError(f"shards: must lie in [1, n], got {shards} for n={n}")
     per = -(-n // shards)  # ceil; last shard padded
@@ -137,7 +137,7 @@ def ring_simulate(
     row_elems = batch * heads * d_h
     messages: List[Message] = []
 
-    k = config.ring_k if config.ablation != "no_ring" else 0
+    k = max((abs(o) for o, kind in plan if kind == Kind.RING), default=0)
     for s in range(1, shards):
         left_rows = min(k, per)
         if left_rows > 0:
@@ -147,16 +147,14 @@ def ring_simulate(
             if first_real < n:
                 messages.append(Message("halo", s, s - 1, 2 * left_rows * row_elems))
 
-    if config.ablation != "no_skip":
-        strides = [-config.skip_period]
-        if config.bidirectional_skip:
-            strides.append(config.skip_period)
-        for i in range(n):
-            for st in strides:
-                j = i + st
-                if 0 <= j < n and shard_of(j) != shard_of(i):
-                    messages.append(Message("skip", shard_of(j), shard_of(i),
-                                            2 * row_elems))
+    # a skip stride inside the ring window has no SKIP slot: the halo carries it
+    strides = [o for o, kind in plan if kind == Kind.SKIP]
+    for i in range(n):
+        for st in strides:
+            j = i + st
+            if 0 <= j < n and shard_of(j) != shard_of(i):
+                messages.append(Message("skip", shard_of(j), shard_of(i),
+                                        2 * row_elems))
 
     tallied = sum(m.elements for m in messages)
     # every element sent lands at exactly one destination shard

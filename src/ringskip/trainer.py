@@ -98,12 +98,10 @@ def cross_entropy(
     return loss, grad.reshape(logits.shape)
 
 
-def token_accuracy(logits: np.ndarray, targets: np.ndarray,
-                   ignore_index: int = IGNORE_INDEX) -> float:
-    tgt = np.asarray(targets)
-    keep = tgt != ignore_index
-    pred = logits.argmax(axis=-1)
-    return float((pred[keep] == tgt[keep]).mean())
+def count_correct(logits: np.ndarray, targets: np.ndarray) -> Tuple[int, int]:
+    """(argmax hits, counted targets) over the targets that are not ignored."""
+    keep = targets != IGNORE_INDEX
+    return int((logits.argmax(axis=-1)[keep] == targets[keep]).sum()), int(keep.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +377,7 @@ def evaluate(
     for _ in range(n_batches):
         inp, tgt = make_batch(task, rng, batch_size, corpus)
         logits, _ = model_forward(inp, params, cfg, schedule)
-        keep = tgt != IGNORE_INDEX
-        correct += int((logits.argmax(axis=-1)[keep] == tgt[keep]).sum())
-        total += int(keep.sum())
+        hits, counted = count_correct(logits, tgt)
+        correct += hits
+        total += counted
     return correct / total

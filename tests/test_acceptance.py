@@ -28,7 +28,7 @@ from ringskip.perf import (
     work_report,
 )
 from ringskip.rfield import rf_report
-from ringskip.trainer import IGNORE_INDEX, TaskSpec, TrainConfig, make_batch, train
+from ringskip.trainer import TaskSpec, TrainConfig, count_correct, make_batch, train
 
 
 def report(capsys, line, ok):
@@ -129,9 +129,9 @@ def test_criterion_6_skip_path_necessity(capsys):
     while total < 10000:
         inp, tgt = make_batch(task, rng, 16)
         logits, _ = model_forward(inp, no_skip.params, model("no_skip"))
-        keep = tgt != IGNORE_INDEX
-        correct += int((logits.argmax(axis=-1)[keep] == tgt[keep]).sum())
-        total += int(keep.sum())
+        hits, counted = count_correct(logits, tgt)
+        correct += hits
+        total += counted
     acc = correct / total
     chance_band = 1.0 / 16 + 0.05
     p = binomtest(correct, total, chance_band, alternative="less").pvalue

@@ -7,20 +7,20 @@ from ringskip.attention import (
     block_backward,
     block_forward,
     dense_oracle,
-    distributions_from_scores,
-    kl_divergence,
-    kl_stabilization,
+    gated_softmax,
     log_prior,
     pi_attention_backward,
     pi_attention_forward,
 )
 from ringskip.checks import (
+    kl_divergence,
     oracle_grid,
     random_attention_params,
     run_oracle_check,
     run_stacked_grad_check,
     stacked_block_setup,
 )
+from ringskip.gate import clip_alpha
 from ringskip.model import flatten
 from ringskip.neighborhood import (
     ABLATIONS,
@@ -255,27 +255,46 @@ def test_distributions_ideal_vs_stabilized():
     rng = Rng(9)
     scores = rng.normal((1, 1, 6, 4))
     ring = np.array([True, True, False, False])
-    valid = np.ones((6, 4), dtype=bool)
+    valid = np.ones((7, 4), dtype=bool)
     alpha = rng.uniform((1, 1, 6), 0.2, 0.8)
-    ideal = distributions_from_scores(scores, ring, valid, alpha,
-                                      eps=None, clamp=None)
-    stab = distributions_from_scores(scores, ring, valid, alpha,
-                                     eps=1e-4, clamp=20.0)
+    # a seventh row whose raw gate is exactly 1: the ideal skip prior is -inf
+    scores = np.concatenate([scores, scores[:, :, :1]], axis=2)
+    alpha = np.append(alpha, 1.0).reshape(1, 1, 7)
+
+    def stabilized(eps, clamp):
+        c = cfg(eps=eps, logit_clamp=clamp)
+        return gated_softmax(scores, clip_alpha(alpha, eps), ring, valid, c)
+
+    with np.errstate(divide="ignore"):
+        ideal = gated_softmax(scores, alpha, ring, valid, cfg(logit_clamp=np.inf))
+    stab = stabilized(1e-4, 20.0)
+    assert (ideal[..., 6, ~ring] == 0.0).all()
+    assert stab[..., 6, ~ring].min() > 0.0
     # nothing clamps here and alpha is interior, so the two nearly agree
-    assert kl_divergence(stab, ideal).max() < 1e-6
-    exact = distributions_from_scores(scores, ring, valid, alpha,
-                                      eps=1e-15, clamp=1e9)
-    assert kl_divergence(exact, ideal).max() < 1e-12
+    assert kl_divergence(stab, ideal)[..., :6].max() < 1e-6
+    exact = stabilized(1e-15, 1e9)
+    assert kl_divergence(exact, ideal)[..., :6].max() < 1e-12
 
 
-def test_kl_stabilization_report_keys():
-    c = cfg()
-    proj, gate, x = setup(c, 16)
-    rep = kl_stabilization(x, proj, gate, gather_schedule(c, 16), c,
-                           eps_list=[1e-2, 1e-4])
-    assert set(rep) == {1e-2, 1e-4}
-    for mean_kl, max_kl in rep.values():
-        assert 0.0 <= mean_kl <= max_kl
+def test_clip_alpha_reproduces_forward_alpha():
+    c = cfg(eps=1e-2)
+    proj, gate, x = setup(c, 12)
+    _, cache = pi_attention_forward(x, proj, gate, gather_schedule(c, 12), c)
+    assert np.array_equal(clip_alpha(cache.gate_cache.alpha_raw, c.eps), cache.alpha)
+
+
+@pytest.mark.parametrize("clamp_after_prior", [False, True])
+def test_gated_softmax_reproduces_forward_probs(clamp_after_prior):
+    # a clamp of 0.5 binds on many slots, so the clamp order matters
+    c = cfg(logit_clamp=0.5, clamp_after_prior=clamp_after_prior)
+    proj, gate, x = setup(c, 12)
+    _, cache = pi_attention_forward(x, proj, gate, gather_schedule(c, 12), c)
+    ring = np.array([m.kind == Kind.RING for m in cache.schedule])
+    valid = np.stack([m.valid for m in cache.schedule], axis=-1)
+    assert (np.abs(cache.scores_raw) > 0.5).any()
+    probs = gated_softmax(cache.scores_raw, cache.alpha.transpose(0, 2, 1), ring,
+                          valid, c)
+    assert np.array_equal(probs, cache.probs)
 
 
 def test_dense_oracle_respects_mask():

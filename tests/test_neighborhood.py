@@ -120,6 +120,14 @@ def test_user_mask_applies():
         assert 3 not in union.valid_targets(i)
 
 
+@pytest.mark.parametrize("shape", [(6,), (3,), (4, 1)])
+def test_user_mask_wrong_shape_rejected(shape):
+    mask = np.ones(shape, dtype=bool)
+    for build in (build_union, gather_schedule):
+        with pytest.raises(ConfigError, match=r"user_mask: expected shape \(4,\)"):
+            build(cfg(), 4, user_mask=mask)
+
+
 def test_union_table_csv_shape():
     union = build_union(cfg(), 6)
     lines = union_table_csv(union).strip().split("\n")

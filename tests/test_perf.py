@@ -93,6 +93,16 @@ def test_ring_simulator_padding_and_edge_cases():
         ring_simulate(20, 10, att(), 1, 1, 4)
 
 
+@pytest.mark.parametrize("causal", [True, False])
+@pytest.mark.parametrize("k,pi", [(4, 2), (4, 4), (2, 1)])
+def test_ring_simulator_sends_no_skip_rows_when_stride_inside_ring(k, pi, causal):
+    # pi <= k: the plan keeps the stride as a RING slot, which the halo carries
+    c = att(k=k, pi=pi, causal=causal, bidirectional_skip=not causal)
+    rep = ring_simulate(4, 32, c, batch=2, heads=4, d_h=8)
+    assert not [m for m in rep.tallied_messages if m.stage == "skip"]
+    assert [m for m in rep.tallied_messages if m.stage == "halo"]
+
+
 def test_ring_simulator_pipeline_makespan():
     rep = ring_simulate(4, 32, att(), batch=2, heads=4, d_h=8,
                         cost=rates(), microbatches=4)

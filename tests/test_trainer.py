@@ -15,6 +15,7 @@ from ringskip.trainer import (
     TrainConfig,
     adamw_step,
     clip_by_global_norm,
+    count_correct,
     cross_entropy,
     global_norm,
     load_checkpoint,
@@ -22,7 +23,6 @@ from ringskip.trainer import (
     lr_at,
     make_batch,
     save_checkpoint,
-    token_accuracy,
     train,
 )
 
@@ -53,11 +53,11 @@ def test_cross_entropy_ignore_index():
         cross_entropy(logits, np.full((1, 4), IGNORE_INDEX))
 
 
-def test_token_accuracy():
+def test_count_correct():
     logits = np.zeros((1, 3, 4))
     logits[0, :, 2] = 1.0
     targets = np.array([[2, 1, IGNORE_INDEX]])
-    assert token_accuracy(logits, targets) == 0.5
+    assert count_correct(logits, targets) == (1, 2)
 
 
 def test_global_norm_clip():
