@@ -298,8 +298,9 @@ def dense_oracle(
 ) -> np.ndarray:
     """Full n x n masked attention with the log-prior as a bias matrix.
 
-    Built from the per-token union entries, independently of the gather-based
-    sparse path; used purely for equivalence checks.
+    The masks come from the per-token union entries (`union.dense_masks`,
+    built once per union), independently of the gather-based sparse path;
+    used purely for equivalence checks.
     """
     if x.ndim == 2:
         x = x[None]
@@ -314,14 +315,7 @@ def dense_oracle(
     gate_in = merge_heads(qh) if config.gate_on_query else x
     alpha, _ = gate_forward(gate_params, gate_in, config)
 
-    allowed = np.zeros((n, n), dtype=bool)
-    ring_pair = np.zeros((n, n), dtype=bool)
-    for i, row in enumerate(union.entries):
-        for e in row:
-            if e.valid:
-                allowed[i, e.target] = True
-                if e.kind == Kind.RING:
-                    ring_pair[i, e.target] = True
+    allowed, ring_pair = union.dense_masks
 
     scores = np.einsum("bhid,bhjd->bhij", qh, kh) * scale
     lc = config.logit_clamp

@@ -25,7 +25,8 @@ from .attention import (
 from .decoder import KVCache, decode_step
 from .gate import clip_alpha
 from .model import ModelConfig, ModelParams, flatten, init_model, model_forward
-from .neighborhood import ABLATIONS, AttentionConfig, build_union, gather_schedule
+from .neighborhood import (ABLATIONS, AttentionConfig, build_union, gather_schedule,
+                           offset_plan)
 from .numerics import Rng, grad_check
 
 
@@ -64,29 +65,53 @@ def oracle_grid(size: str = "full") -> List[Tuple[AttentionConfig, int]]:
     return grid
 
 
+def footprint(cfg: AttentionConfig, n: int) -> tuple:
+    """What `gather_schedule` and `build_union` read of (cfg, n) without a
+    user_mask: the offset plan, causality and n. Equal footprints give equal
+    schedules and unions."""
+    return tuple(offset_plan(cfg)), cfg.causal, n
+
+
 @dataclass
 class OracleResult:
     checked: int
     max_delta: float
     worst: Optional[Tuple[AttentionConfig, int]]
     rows: List[dict]
+    footprints: int  # schedule/union pairs built: one per distinct footprint
 
 
 def run_oracle_check(grid: Sequence[Tuple[AttentionConfig, int]],
                      seed: int = 0, tol: float = 1e-10) -> OracleResult:
-    """Sparse path vs dense masked oracle, elementwise, per config."""
+    """Sparse path vs dense masked oracle, elementwise, per config.
+
+    Configs that share a `footprint` share one schedule and one union, built
+    when the footprint first appears and dropped once its configs have run,
+    so one union is alive at a time. Each config keeps its own
+    `Rng(seed).spawn(idx)`, and rows, `max_delta` and `worst` follow grid
+    order, so the result does not depend on the grouping.
+    """
+    groups: Dict[tuple, List[int]] = {}
+    for idx, (cfg, n) in enumerate(grid):
+        groups.setdefault(footprint(cfg, n), []).append(idx)
+    deltas = [0.0] * len(grid)
+    for members in groups.values():
+        first_cfg, n = grid[members[0]]
+        schedule = gather_schedule(first_cfg, n)
+        union = build_union(first_cfg, n)
+        for idx in members:
+            cfg = grid[idx][0]
+            rng = Rng(seed).spawn(idx)
+            proj, gate = random_attention_params(rng, cfg.d_model, cfg.n_heads)
+            x = rng.normal((1, n, cfg.d_model))
+            sparse, _ = pi_attention_forward(x, proj, gate, schedule, cfg)
+            dense = dense_oracle(x, proj, gate, union, cfg)
+            deltas[idx] = float(np.abs(sparse - dense).max())
+        del schedule, union
     rows = []
     max_delta = 0.0
     worst = None
-    for idx, (cfg, n) in enumerate(grid):
-        rng = Rng(seed).spawn(idx)
-        proj, gate = random_attention_params(rng, cfg.d_model, cfg.n_heads)
-        x = rng.normal((1, n, cfg.d_model))
-        schedule = gather_schedule(cfg, n)
-        union = build_union(cfg, n)
-        sparse, _ = pi_attention_forward(x, proj, gate, schedule, cfg)
-        dense = dense_oracle(x, proj, gate, union, cfg)
-        delta = float(np.abs(sparse - dense).max())
+    for (cfg, n), delta in zip(grid, deltas):
         rows.append({"n": n, "k": cfg.ring_k, "pi": cfg.skip_period,
                      "heads": cfg.n_heads, "causal": int(cfg.causal),
                      "ablation": cfg.ablation, "max_delta": delta,
@@ -94,7 +119,7 @@ def run_oracle_check(grid: Sequence[Tuple[AttentionConfig, int]],
         if delta > max_delta:
             max_delta, worst = delta, (cfg, n)
     return OracleResult(checked=len(grid), max_delta=max_delta, worst=worst,
-                        rows=rows)
+                        rows=rows, footprints=len(groups))
 
 
 def stacked_block_setup(seed: int = 0, n: int = 6, d_model: int = 16,

@@ -72,9 +72,11 @@ def _model_config(d: dict) -> ModelConfig:
 
 def cmd_oracle_check(args) -> int:
     grid = oracle_grid(args.grid)
+    t0 = time.perf_counter()
     res = run_oracle_check(grid, seed=args.seed)
     out = _out_dir(args)
-    _write_manifest(args, out)
+    _write_manifest(args, out, footprints_built=res.footprints,
+                    sweep_seconds=time.perf_counter() - t0)
     with open(out / "oracle_check.csv", "w") as f:
         f.write("n,k,pi,heads,causal,ablation,max_delta,ok\n")
         for r in res.rows:
@@ -112,8 +114,6 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_rf_bound(args) -> int:
-    out = _out_dir(args)
-    _write_manifest(args, out)
     if args.k is not None:
         csv = rf_report([args.k], [args.pi], [args.layers])
         _, _, _, full, restricted, bound, holds, _ = csv.split("\n")[1].split(",")
@@ -125,6 +125,8 @@ def cmd_rf_bound(args) -> int:
         ok = all(r[6] == "1" for r in rows)
         print(f"rf-bound: {len(rows)} grid points, restricted bound holds at "
               f"{'100%' if ok else 'SOME FAILED'}")
+    out = _out_dir(args)
+    _write_manifest(args, out)
     (out / "rf_bound.csv").write_text(csv)
     return 0 if ok else 1
 

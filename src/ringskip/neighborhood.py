@@ -16,7 +16,8 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import List, Optional
+from functools import cached_property
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -95,6 +96,23 @@ class UnionNeighborhood:
 
     def valid_targets(self, i: int) -> List[int]:
         return [e.target for e in self.entries[i] if e.valid]
+
+    @cached_property
+    def dense_masks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(allowed, ring_pair): read-only (n, n) bool masks, [i, j] set when
+        token i has a valid entry targeting j (of kind RING for ring_pair).
+        Built from `entries` on first use; the entries must not change after."""
+        allowed = np.zeros((self.n, self.n), dtype=bool)
+        ring_pair = np.zeros((self.n, self.n), dtype=bool)
+        for i, row in enumerate(self.entries):
+            for e in row:
+                if e.valid:
+                    allowed[i, e.target] = True
+                    if e.kind == Kind.RING:
+                        ring_pair[i, e.target] = True
+        allowed.flags.writeable = False
+        ring_pair.flags.writeable = False
+        return allowed, ring_pair
 
 
 @dataclass(frozen=True)

@@ -175,7 +175,9 @@ def ring_simulate(
         makespan = m * t1 + t2 + (m - 1) * max(t2, t3) + t3
 
     return CommReport(
-        formula_elements=comm_volume(batch, heads, d_h, config.skip_period),
+        # a plan without SKIP slots has no stride gathers to count
+        formula_elements=(comm_volume(batch, heads, d_h, config.skip_period)
+                          if strides else 0),
         tallied_messages=messages,
         tallied_elements=tallied,
         received_elements=received,

@@ -16,11 +16,11 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
-from .neighborhood import AttentionConfig, build_union
+from .neighborhood import AttentionConfig, ConfigError, build_union
 
 
 @dataclass
@@ -34,9 +34,11 @@ class ReachSet:
     def final(self) -> np.ndarray:
         return self.layers[-1]
 
-    def leftward_extent(self) -> int:
-        reached = np.flatnonzero(self.final)
-        return int(self.query - reached.min())
+    def leftward_extent(self, layers: Optional[int] = None) -> int:
+        """Distance from the query to the leftmost token reached after
+        `layers` layers (all of them by default)."""
+        mask = self.final if layers is None else self.layers[layers - 1]
+        return int(self.query - np.flatnonzero(mask).min())
 
 
 def skip_budget(layers: int) -> int:
@@ -87,20 +89,27 @@ def reach_restricted(config: AttentionConfig, n: int, query: int, layers: int) -
 def rf_report(k_values, pi_values, layer_values) -> str:
     """CSV of full vs restricted reach against the analytic bound.
 
-    n is chosen per row so no boundary truncation occurs (interior regime).
+    One BFS per (k, pi) runs to the largest layer count, and each row reads
+    the reach after its own layer count. n is beyond any possible reach
+    (interior regime): no reach touches token 0, so the extents are those of
+    any larger n, and the per-layer reaches of one BFS are exact.
     """
+    if min(layer_values) < 1:
+        raise ConfigError("layers: must be >= 1")
     buf = io.StringIO()
     buf.write("k,pi,layers,full_reach,restricted_reach,bound,"
               "bound_holds_restricted,bound_holds_full\n")
+    top = max(layer_values)
     for k in k_values:
         for pi in pi_values:
+            n = top * (k + pi) + 2
+            query = n - 1
+            cfg = AttentionConfig(d_model=2, n_heads=1, ring_k=k,
+                                  skip_period=pi, causal=True)
+            reach = reach_full(cfg, n, query, top)
             for layers in layer_values:
                 bound = restricted_bound(k, pi, layers)
-                n = layers * (k + pi) + 2  # beyond any possible reach
-                query = n - 1
-                cfg = AttentionConfig(d_model=2, n_heads=1, ring_k=k,
-                                      skip_period=pi, causal=True)
-                full = reach_full(cfg, n, query, layers).leftward_extent()
+                full = reach.leftward_extent(layers)
                 restricted = reach_restricted(cfg, n, query, layers)
                 buf.write(f"{k},{pi},{layers},{full},{restricted},{bound},"
                           f"{int(restricted <= bound)},{int(full <= bound)}\n")

@@ -12,7 +12,9 @@ from ringskip.attention import (
     pi_attention_backward,
     pi_attention_forward,
 )
+from ringskip import checks
 from ringskip.checks import (
+    footprint,
     kl_divergence,
     oracle_grid,
     random_attention_params,
@@ -50,6 +52,44 @@ def setup(c, n, seed=0):
 def test_sparse_matches_dense_small_grid():
     res = run_oracle_check(oracle_grid("small"))
     assert res.max_delta < 1e-10, res.worst
+
+
+def test_footprint_determines_schedule_and_union():
+    # run_oracle_check builds one schedule and union per footprint; a builder
+    # reading any config field outside the footprint would make them differ
+    refs = {}
+    for c, n in oracle_grid("full"):
+        sched, union = gather_schedule(c, n), build_union(c, n)
+        ref_sched, ref_union = refs.setdefault(footprint(c, n), (sched, union))
+        assert len(sched) == len(ref_sched)
+        for m, r in zip(sched, ref_sched):
+            assert (m.offset, m.kind, m.lo, m.hi) == (r.offset, r.kind, r.lo, r.hi)
+            assert np.array_equal(m.valid, r.valid)
+        assert union.entries == ref_union.entries
+    assert len(refs) == 144
+
+
+def test_oracle_check_flags_the_one_wrong_config(monkeypatch):
+    grid = oracle_grid("small")
+    first = {}
+    for idx, (c, n) in enumerate(grid):
+        first.setdefault(footprint(c, n), idx)
+    target = next(i for i in range(len(grid) // 2, len(grid))
+                  if first[footprint(*grid[i])] != i)
+    bad_cfg, bad_n = grid[target]
+    forward = checks.pi_attention_forward
+
+    def perturbed(x, proj, gate, sched, c, **kw):
+        out, cache = forward(x, proj, gate, sched, c, **kw)
+        if c == bad_cfg and x.shape[1] == bad_n:
+            out = out + 1e-6
+        return out, cache
+
+    monkeypatch.setattr(checks, "pi_attention_forward", perturbed)
+    res = run_oracle_check(grid)
+    assert [i for i, r in enumerate(res.rows) if not r["ok"]] == [target]
+    assert res.worst == (bad_cfg, bad_n)
+    assert abs(res.max_delta - 1e-6) < 1e-9
 
 
 @settings(max_examples=200, deadline=None)

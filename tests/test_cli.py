@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,11 +47,42 @@ def test_oracle_check_small_grid(tmp_path):
     assert summary["pass"] is True
 
 
+def test_oracle_check_cost_goes_to_manifest(tmp_path):
+    out = tmp_path / "oc"
+    assert main(["oracle-check", "--grid", "full", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["footprints_built"] == 144
+    assert manifest["sweep_seconds"] > 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary) == {"checked", "max_delta", "pass"}
+    assert (out / "oracle_check.csv").read_text().startswith(
+        "n,k,pi,heads,causal,ablation,max_delta,ok\n")
+
+
 def test_rf_bound_single_point(tmp_path, capsys):
     out = tmp_path / "rf"
     assert main(["rf-bound", "--k", "1", "--pi", "4", "--layers", "4",
                  "--out", str(out)]) == 0
     assert "restricted=12, bound=12, full=16" in capsys.readouterr().out
+
+
+def test_rf_bound_zero_layers_exits_2(tmp_path, capsys):
+    assert main(["rf-bound", "--k", "1", "--layers", "0",
+                 "--out", str(tmp_path / "rf")]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: layers")
+    assert not (tmp_path / "rf").exists()
+
+
+def test_python_m_ringskip_from_checkout(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ringskip", "rf-bound", "--k", "1", "--pi", "4",
+         "--layers", "4", "--out", str(tmp_path / "rf")],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "restricted=12, bound=12, full=16" in proc.stdout
 
 
 def test_cost_model_eval_value(tmp_path):

@@ -133,3 +133,19 @@ def test_union_table_csv_shape():
     lines = union_table_csv(union).strip().split("\n")
     assert lines[0] == "token,offset,kind,valid"
     assert len(lines) == 1 + 6 * len(offset_plan(cfg()))
+
+
+def test_dense_masks_follow_entries_and_are_read_only():
+    mask = np.ones(10, dtype=bool)
+    mask[4] = False
+    union = build_union(cfg(ring_k=2, skip_period=3), 10, user_mask=mask)
+    allowed, ring_pair = union.dense_masks
+    assert union.dense_masks[0] is allowed  # built once per union
+    for i in range(10):
+        assert set(np.flatnonzero(allowed[i])) == set(union.valid_targets(i))
+        ring = {e.target for e in union.entries[i] if e.valid and e.kind == Kind.RING}
+        assert set(np.flatnonzero(ring_pair[i])) == ring
+    assert not allowed[:, 4].any() and not np.triu(allowed, 1).any()
+    for m in (allowed, ring_pair):
+        with pytest.raises(ValueError):
+            m[0, 0] = True

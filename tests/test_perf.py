@@ -101,6 +101,14 @@ def test_ring_simulator_sends_no_skip_rows_when_stride_inside_ring(k, pi, causal
     rep = ring_simulate(4, 32, c, batch=2, heads=4, d_h=8)
     assert not [m for m in rep.tallied_messages if m.stage == "skip"]
     assert [m for m in rep.tallied_messages if m.stage == "halo"]
+    assert rep.formula_elements == 0
+
+
+def test_ring_simulator_no_skip_ablation_has_no_closed_form_volume():
+    rep = ring_simulate(4, 32, att(ablation="no_skip"), batch=2, heads=4, d_h=8)
+    assert not [m for m in rep.tallied_messages if m.stage == "skip"]
+    assert rep.formula_elements == 0
+    assert ring_simulate(4, 32, att(), batch=2, heads=4, d_h=8).formula_elements == 1024
 
 
 def test_ring_simulator_pipeline_makespan():

@@ -70,3 +70,18 @@ def test_report_grid_bound_holds_with_equality():
         # no relation is asserted between full BFS reach and the restricted
         # figure: the accounting can over- or under-shoot the true reach
         assert int(r[3]) <= int(r[0]) * int(r[2]) + int(r[1]) * int(r[2])
+
+
+def test_report_matches_one_bfs_per_row():
+    # rf_report reads every row from one BFS per (k, pi) at the largest layer
+    # count; the reference runs a BFS per row at that row's own n
+    csv = rf_report(range(1, 5), (2, 4, 8, 16), range(1, 11))
+    for r in csv.strip().split("\n")[1:]:
+        k, pi, layers, full = map(int, r.split(",")[:4])
+        n = layers * (k + pi) + 2
+        assert reach_full(cfg(k, pi), n, n - 1, layers).leftward_extent() == full
+
+
+def test_report_rejects_layer_counts_below_one():
+    with pytest.raises(ValueError, match="layers"):
+        rf_report([1], [4], [0, 4])
