@@ -155,14 +155,17 @@ def _with_tensor(obj, path: str, value: np.ndarray):
     return dataclasses.replace(obj, **{head: value})
 
 
-def run_stacked_grad_check(seed: int = 0, h: float = 1e-5, **kw) -> Dict[str, float]:
-    """Central-difference check of every parameter tensor and the input.
+def run_stacked_grad_check(seed: int = 0, h: float = 1e-3, **kw) -> Dict[str, float]:
+    """Fourth-order central-difference check of every parameter tensor and
+    the input (see `grad_check`).
 
     Each stack of perturbed points is evaluated as one replica-stacked
     forward: a perturbed parameter gets a leading replica axis (matrices
     (m, a, b), vectors (m, 1, d), broadcast over positions) and x is broadcast
-    to (m, n, d); perturbations of x are ordinary batch rows. Every replica is
-    a full forward through every block.
+    to (m, n, d); perturbations of x are ordinary batch rows. A perturbation
+    of block i starts from block i's input as cached by the analytic forward,
+    since the blocks before it see no change, and runs through block i and
+    every block after it.
 
     Returns name -> max relative error.
     """
@@ -174,10 +177,11 @@ def run_stacked_grad_check(seed: int = 0, h: float = 1e-5, **kw) -> Dict[str, fl
             y, _ = block_forward(y, bp, schedule, cfg)
         return (y * w_loss).sum(axis=(1, 2))
 
-    # analytic gradients
+    # analytic gradients; inputs[i] is block i's input
     y = x
-    caches = []
+    inputs, caches = [], []
     for bp in blocks:
+        inputs.append(y)
         y, c = block_forward(y, bp, schedule, cfg)
         caches.append(c)
     d_y = np.broadcast_to(w_loss, y.shape).copy()
@@ -187,12 +191,13 @@ def run_stacked_grad_check(seed: int = 0, h: float = 1e-5, **kw) -> Dict[str, fl
         grads.insert(0, g)
 
     def perturbed_block(i: int, name: str):
+        y_in = inputs[i]
+
         def f(stack: np.ndarray) -> np.ndarray:
             if stack.ndim == 2:
                 stack = stack[:, None, :]
-            trial = list(blocks)
-            trial[i] = _with_tensor(blocks[i], name, stack)
-            return losses(np.broadcast_to(x, (len(stack),) + x.shape[1:]), trial)
+            trial = [_with_tensor(blocks[i], name, stack)] + blocks[i + 1:]
+            return losses(np.broadcast_to(y_in, (len(stack),) + y_in.shape[1:]), trial)
         return f
 
     errors: Dict[str, float] = {}

@@ -95,20 +95,27 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    errors = run_stacked_grad_check(seed=args.seed)
-    worst_name = max(errors, key=errors.get)
-    worst = errors[worst_name]
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds: must be >= 1, got {args.seeds}")
+    seeds = range(args.seed, args.seed + args.seeds)
+    errors = {seed: run_stacked_grad_check(seed=seed) for seed in seeds}
+    per_seed = [{"seed": seed, "worst_tensor": max(e, key=e.get),
+                 "max_rel_error": max(e.values())} for seed, e in errors.items()]
+    worst = max(per_seed, key=lambda r: r["max_rel_error"])
     out = _out_dir(args)
     _write_manifest(args, out)
     with open(out / "grad_check.csv", "w") as f:
-        f.write("tensor,max_rel_error\n")
-        for name in sorted(errors):
-            f.write(f"{name},{errors[name]:.6e}\n")
-    ok = bool(worst < 1e-6)
+        f.write("seed,tensor,max_rel_error\n")
+        for seed, e in errors.items():
+            for name in sorted(e):
+                f.write(f"{seed},{name},{e[name]:.6e}\n")
+    ok = bool(worst["max_rel_error"] < 1e-6)
     (out / "summary.json").write_text(json.dumps(
-        {"worst_tensor": worst_name, "max_rel_error": worst, "pass": ok},
+        {"worst_seed": worst["seed"], "worst_tensor": worst["worst_tensor"],
+         "max_rel_error": worst["max_rel_error"], "pass": ok, "per_seed": per_seed},
         indent=2) + "\n")
-    print(f"grad-check: {len(errors)} tensors, worst {worst_name} = {worst:.3e}"
+    print(f"grad-check: {len(errors[args.seed])} tensors at {len(seeds)} seeds, worst "
+          f"{worst['worst_tensor']} = {worst['max_rel_error']:.3e} at seed {worst['seed']}"
           f" -> {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -326,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_oracle_check)
 
     s = sub.add_parser("grad-check", help="finite-difference check through 2 stacked blocks")
+    s.add_argument("--seeds", type=int, default=9, help="seeds --seed, --seed + 1, ...")
     s.set_defaults(func=cmd_grad_check)
 
     s = sub.add_parser("rf-bound", help="receptive-field reach vs analytic bound")

@@ -22,9 +22,9 @@ from scipy.special import erf, expit
 
 SQRT2 = np.sqrt(2.0)
 GRAD_CHECK_FLOOR = 1e-8
-# Coordinates per call of f in `grad_check`. Chunks of 16-32 run the
-# stacked-block check as fast as larger ones and add about 1 MB of working set;
-# a chunk of 128 adds about 6 MB.
+# Coordinates per call of f in `grad_check` (4 points each). Chunks of 16-32
+# run the stacked-block check as fast as larger ones and add a few MB of
+# working set at most.
 GRAD_CHECK_CHUNK = 32
 
 
@@ -131,16 +131,22 @@ def grad_check(
     f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     analytic: np.ndarray,
-    h: float = 1e-5,
+    h: float = 1e-3,
 ) -> float:
-    """Central-difference check of an analytic gradient.
+    """Fourth-order central-difference check of an analytic gradient.
 
     `f` maps a stack of points, shape (m, *x.shape), to their m losses. The
     coordinates of x are taken in chunks of at most GRAD_CHECK_CHUNK; for a
-    chunk of m coordinates, f gets one (2m, *x.shape) stack whose row j is
-    x + h e_j and whose row m + j is x - h e_j. Each difference is
-    fd = (f(x + h e_i) - f(x - h e_i)) / 2h, so an f that evaluates every row
-    on its own gives the same numbers as one scalar loss called per point.
+    chunk of m coordinates, f gets one (4m, *x.shape) stack whose rows
+    j, m + j, 2m + j and 3m + j are x + h e_j, x - h e_j, x + 2h e_j and
+    x - 2h e_j. Each difference is the five-point stencil
+
+        fd = (8 (f(x + h e_i) - f(x - h e_i)) - (f(x + 2h e_i) - f(x - 2h e_i))) / 12h,
+
+    the Richardson extrapolation of the central difference. Its truncation
+    error is O(h^4), so h can be large enough to keep round-off small. An f
+    that evaluates every row on its own gives the same numbers as one scalar
+    loss called per point.
 
     Returns max over coordinates of |fd - analytic| / (|analytic| + 1e-8).
     NonFiniteError names the first coordinate whose perturbed loss is not
@@ -158,18 +164,18 @@ def grad_check(
     for start in range(0, flat.size, GRAD_CHECK_CHUNK):
         idx = np.arange(start, min(start + GRAD_CHECK_CHUNK, flat.size))
         m = idx.size
-        stack = np.tile(flat, (2 * m, 1))
-        stack[np.arange(m), idx] = flat[idx] + h
-        stack[np.arange(m, 2 * m), idx] = flat[idx] - h
-        losses = np.asarray(f(stack.reshape((2 * m,) + x.shape)), dtype=np.float64)
-        if losses.shape != (2 * m,):
-            raise ShapeError(f"grad_check: f returned {losses.shape} for {2 * m} points")
-        fp, fm = losses[:m], losses[m:]
-        bad = ~(np.isfinite(fp) & np.isfinite(fm))
+        stack = np.tile(flat, (4 * m, 1))
+        for r, step in enumerate((h, -h, 2.0 * h, -2.0 * h)):
+            stack[np.arange(r * m, (r + 1) * m), idx] = flat[idx] + step
+        losses = np.asarray(f(stack.reshape((4 * m,) + x.shape)), dtype=np.float64)
+        if losses.shape != (4 * m,):
+            raise ShapeError(f"grad_check: f returned {losses.shape} for {4 * m} points")
+        bad = ~np.isfinite(losses.reshape(4, m)).all(axis=0)
         if bad.any():
             raise NonFiniteError(
                 f"grad_check: f non-finite near coordinate {idx[bad.argmax()]}")
-        fd = (fp - fm) / (2.0 * h)
+        fp, fm, f2p, f2m = losses.reshape(4, m)
+        fd = (8.0 * (fp - fm) - (f2p - f2m)) / (12.0 * h)
         g = gflat[idx]
         worst = max(worst, float((np.abs(fd - g) / (np.abs(g) + GRAD_CHECK_FLOOR)).max()))
     return worst

@@ -50,13 +50,15 @@ def test_criterion_1_oracle_equivalence(capsys):
 
 def test_criterion_2_gradient_correctness(capsys):
     t0 = time.perf_counter()
-    errors = run_stacked_grad_check(seed=0)  # 2 blocks, n=6, d=16, H=2
+    errors = {seed: run_stacked_grad_check(seed=seed)  # 2 blocks, n=6, d=16, H=2
+              for seed in range(9)}
     dt = time.perf_counter() - t0
-    worst = max(errors.values())
+    worst_seed = max(errors, key=lambda s: max(errors[s].values()))
+    worst = max(errors[worst_seed].values())
     ok = worst < 1e-6 and dt < 60
     report(capsys, f"[criterion 2] finite-difference gradients: "
-                   f"{len(errors)} tensors, worst rel error = {worst:.3e} "
-                   f"(< 1e-6), {dt:.1f}s", ok)
+                   f"{len(errors[0])} tensors at seeds 0-8, worst rel error = "
+                   f"{worst:.3e} at seed {worst_seed} (< 1e-6), {dt:.1f}s", ok)
 
 
 def test_criterion_3_restricted_propagation_bound(capsys):

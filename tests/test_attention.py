@@ -233,22 +233,24 @@ def test_stacked_gradients_quick():
     assert max(errors.values()) < 1e-6, max(errors, key=errors.get)
 
 
-def scalar_grad_check(f, x, analytic, h=1e-5):
+def scalar_grad_check(f, x, analytic, h=1e-3):
     """The per-coordinate loop that `grad_check` replaced, kept as its
-    reference: one scalar loss per coordinate and sign, x perturbed in place."""
+    reference: one scalar loss per coordinate and step, x perturbed in place,
+    the same five-point stencil."""
     worst = 0.0
     flat = x.ravel()
     gflat = analytic.ravel()
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
-        fp = f(x)
-        flat[i] = orig - h
-        fm = f(x)
+        vals = []
+        for step in (h, -h, 2.0 * h, -2.0 * h):
+            flat[i] = orig + step
+            vals.append(f(x))
         flat[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
+        if not np.isfinite(vals).all():
             raise NonFiniteError(f"grad_check: f non-finite near coordinate {i}")
-        fd = (fp - fm) / (2.0 * h)
+        fp, fm, f2p, f2m = vals
+        fd = (8.0 * (fp - fm) - (f2p - f2m)) / (12.0 * h)
         worst = max(worst, abs(fd - gflat[i]) / (abs(gflat[i]) + GRAD_CHECK_FLOOR))
     return worst
 
@@ -281,6 +283,43 @@ def test_stacked_grad_check_equals_scalar_loop(seed):
                 lambda _: loss_fn(), arr, flatten(g)[name])
     expected["x"] = scalar_grad_check(lambda _: loss_fn(), x, d_y)
     assert run_stacked_grad_check(seed=seed, **kw) == expected
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_stacked_grad_check_catches_relative_mutant(seed, monkeypatch):
+    # block0.gate.w1 has the least margin under the gate; its largest
+    # analytic coordinate, scaled by (1 + 1e-5), must fail the 1e-6 gate
+    backward, check = checks.block_backward, checks.grad_check
+    calls, mutated = [], []
+
+    def mutant_backward(params, cache, d_out):
+        d_x, g = backward(params, cache, d_out)
+        calls.append(g)
+        if len(calls) == 2:  # blocks run backward: the second call is block 0
+            w1 = g.gate.w1
+            w1.flat[np.abs(w1).argmax()] *= 1.0 + 1e-5
+            mutated.append(w1)
+        return d_x, g
+
+    def only_mutated(f, x, analytic, h):
+        # the other tensors are covered by criterion 2; skip them here
+        return check(f, x, analytic, h) if analytic is mutated[0] else 0.0
+
+    monkeypatch.setattr(checks, "block_backward", mutant_backward)
+    monkeypatch.setattr(checks, "grad_check", only_mutated)
+    errors = run_stacked_grad_check(seed=seed)
+    assert errors["block0.gate.w1"] > 1e-6
+
+
+def test_grad_check_points_stay_clear_of_the_clamp():
+    # the stencil steps up to 2h = 2e-3; every score sits at least 15 from the
+    # clamp at 20, so no kink of the clamp lies inside a step
+    for seed in range(9):
+        cfg, blocks, x, _, schedule = stacked_block_setup(seed)
+        y = x
+        for bp in blocks:
+            y, c = block_forward(y, bp, schedule, cfg)
+            assert np.abs(c.attn.scores_raw).max() < cfg.logit_clamp - 15.0
 
 
 def test_kl_divergence_hand_value():

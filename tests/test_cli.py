@@ -249,4 +249,14 @@ def test_decode_fills_max_seq_exactly(small_ckpt, tmp_path):
 def test_grad_check_writes_passing_summary(tmp_path):
     out = tmp_path / "gc"
     assert main(["grad-check", "--out", str(out)]) == 0
-    assert json.loads((out / "summary.json").read_text())["pass"] is True
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["pass"] is True
+    assert [r["seed"] for r in summary["per_seed"]] == list(range(9))
+    assert max(r["max_rel_error"] for r in summary["per_seed"]) == summary["max_rel_error"]
+    rows = (out / "grad_check.csv").read_text().splitlines()
+    assert rows[0] == "seed,tensor,max_rel_error" and len(rows) == 1 + 9 * 39
+
+
+def test_grad_check_rejects_no_seeds(tmp_path, capsys):
+    assert main(["grad-check", "--seeds", "0", "--out", str(tmp_path / "gc")]) == 2
+    assert "--seeds" in capsys.readouterr().err
