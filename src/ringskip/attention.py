@@ -1,11 +1,20 @@
 """Fused union-neighborhood attention: one softmax per token over ring plus
 skip slots, with the gate entering as a log-prior on the logits.
 
-The sparse path works offset-by-offset on the gather schedule: each offset is
-a band of query rows against key rows shifted by the offset, so gathers and
-scatters are plain slices and each slot is scored once. `dense_oracle`
-recomputes the same operator with full n x n tensors built independently from
-the per-token union entries; the two must agree to ~1e-12 arithmetic noise.
+The sparse path works on the gather schedule in slot-major layout: scores,
+probabilities and their gradients are (O, B, H, n) arrays, one contiguous
+(B, H, n) plane per offset slot, so per-slot writes are whole planes and the
+softmax reductions combine planes. Scores and their gradients are one einsum
+per slot over rows shifted by the slot's offset. Each run of consecutive
+offsets (the ring window) aggregates as one band: a batched matmul of every
+row's window of key rows (a `sliding_window_view`) with its vector of slot
+weights. That covers the value aggregation and d_q; the transposed products
+(d_v, d_k) read the slot weights along a skewed diagonal, in reverse slot
+order. Rows whose window leaves [0, n), at most k at each end, and
+single-offset runs (skip slots) use shifted slices.
+`dense_oracle` recomputes the same operator with full n x n tensors built
+independently from the per-token union entries; the two must agree to ~1e-12
+arithmetic noise.
 
 Backward passes are hand-derived reverse mode; every gradient is covered by
 central-difference checks in the test suite.
@@ -17,6 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .gate import GateCache, GateParams, gate_backward, gate_forward
 from .neighborhood import AttentionConfig, GatherMap, Kind, UnionNeighborhood
@@ -87,8 +97,8 @@ class AttnCache:
     qh: np.ndarray
     kh: np.ndarray
     vh: np.ndarray
-    scores_raw: np.ndarray       # (B, H, n, O), pre-clamp
-    probs: np.ndarray            # (B, H, n, O), post-softmax, pre-dropout
+    scores_raw: np.ndarray       # (O, B, H, n) slot-major, pre-clamp
+    probs: np.ndarray            # (O, B, H, n) slot-major, post-softmax, pre-dropout
     drop_mask: Optional[np.ndarray]
     alpha: Optional[np.ndarray]  # (B, n, H), stabilized
     gate_cache: Optional[GateCache]
@@ -104,11 +114,11 @@ class AttnCache:
 def log_prior(alpha_h: np.ndarray, ring_mask: np.ndarray) -> np.ndarray:
     """Gate log-prior per slot: log(alpha) on RING slots, log(1 - alpha) on SKIP.
 
-    alpha_h (...), ring_mask (O,) bool -> (..., O). One log per gate value and
+    alpha_h (...), ring_mask (O,) bool -> (O, ...). One log per gate value and
     branch, broadcast over the slots.
     """
-    a = alpha_h[..., None]
-    return np.where(ring_mask, np.log(a), np.log(1.0 - a))
+    ring = ring_mask.reshape(ring_mask.shape + (1,) * np.ndim(alpha_h))
+    return np.where(ring, np.log(alpha_h), np.log(1.0 - alpha_h))
 
 
 def gated_softmax(
@@ -118,12 +128,13 @@ def gated_softmax(
     valid: np.ndarray,
     config: AttentionConfig,
 ) -> np.ndarray:
-    """The single fused softmax over the slot (last) axis of `scores`.
+    """The single fused softmax over the slot (first) axis of `scores`.
 
-    Adds the gate log-prior (none when alpha_h is None, the no_gate ablation),
+    scores (O, ...); alpha_h (...) or None (the no_gate ablation, no prior);
+    ring_mask (O,); valid broadcasts against scores. Adds the gate log-prior,
     clamps to [-logit_clamp, logit_clamp] before or after the prior as
-    configured, and normalises over the valid slots. The batched forward and
-    stepwise decoding both go through here.
+    configured, and normalises over the valid slots. The batched forward,
+    stepwise decoding and the KL check all go through here.
     """
     prior = None if alpha_h is None else log_prior(alpha_h, ring_mask)
     lc = config.logit_clamp
@@ -133,7 +144,72 @@ def gated_softmax(
         logits = np.clip(scores, -lc, lc)
         if prior is not None:
             logits = logits + prior
-    return softmax_row(logits, valid)
+    return softmax_row(logits, valid, axis=0)
+
+
+def _runs(schedule: List[GatherMap]) -> List[Tuple[int, int]]:
+    """Slot ranges [s0, s1) of the schedule whose offsets step by +1."""
+    runs, s0 = [], 0
+    for s in range(1, len(schedule) + 1):
+        if s == len(schedule) or schedule[s].offset != schedule[s - 1].offset + 1:
+            runs.append((s0, s))
+            s0 = s
+    return runs
+
+
+def _band_rows(n: int, lo_shift: int, hi_shift: int, width: int):
+    """Interior [lo, hi) where a band of `width` slots runs as windows (empty
+    for one slot or when no row's window fits), and the edges around it."""
+    lo, hi = max(lo_shift, 0), min(n - hi_shift, n)
+    if width < 2 or hi <= lo:
+        return 0, 0, ((0, n),)
+    return lo, hi, ((0, lo), (hi, n))
+
+
+def _band_gather(out, coef, src, schedule, s0, s1) -> None:
+    """out[:, :, i] += sum over slots s in [s0, s1) of coef[s, :, :, i] * src[:, :, i + o_s].
+
+    coef (O, B, H, n) is zero wherever slot s of row i is invalid.
+    """
+    a, w = schedule[s0].offset, s1 - s0
+    lo, hi, edges = _band_rows(out.shape[2], -a, a + w - 1, w)
+    if hi > lo:
+        # window i + a .. i + a + w - 1 of src rows, times row i's slot weights
+        win = sliding_window_view(src, w, axis=2)[:, :, lo + a:hi + a]
+        c = coef[s0:s1, :, :, lo:hi].transpose(1, 2, 3, 0)[..., None]
+        out[:, :, lo:hi] += (win @ c)[..., 0]
+    for s in range(s0, s1):
+        m = schedule[s]
+        for e0, e1 in edges:
+            r0, r1 = max(m.lo, e0), min(m.hi, e1)
+            if r0 < r1:
+                out[:, :, r0:r1] += (coef[s, :, :, r0:r1, None]
+                                     * src[:, :, r0 + m.offset:r1 + m.offset])
+
+
+def _band_scatter(out, coef, src, schedule, s0, s1) -> None:
+    """The transpose of `_band_gather`: out[:, :, j] += sum over slots s in
+    [s0, s1) of coef[s, :, :, j - o_s] * src[:, :, j - o_s]."""
+    a, w = schedule[s0].offset, s1 - s0
+    top = a + w - 1
+    lo, hi, edges = _band_rows(out.shape[2], top, -a, w)
+    if hi > lo:
+        # window entry u of key j is src row j - top + u, read by slot s1 - 1 - u
+        win = sliding_window_view(src, w, axis=2)[:, :, lo - top:hi - top]
+        # its weight coef[s1 - 1 - u, :, :, j - top + u]: the slot planes read
+        # along a skewed diagonal, copied contiguous so the matmul runs in BLAS
+        so, sb, sh, si = coef.strides
+        c = np.ascontiguousarray(as_strided(
+            coef[s1 - 1, :, :, lo - top:], shape=coef.shape[1:3] + (hi - lo, w),
+            strides=(sb, sh, si, si - so), writeable=False))
+        out[:, :, lo:hi] += (win @ c[..., None])[..., 0]
+    for s in range(s0, s1):
+        m = schedule[s]
+        for e0, e1 in edges:
+            r0, r1 = max(m.lo, e0 - m.offset), min(m.hi, e1 - m.offset)
+            if r0 < r1:
+                out[:, :, r0 + m.offset:r1 + m.offset] += (coef[s, :, :, r0:r1, None]
+                                                           * src[:, :, r0:r1])
 
 
 def pi_attention_forward(
@@ -167,14 +243,15 @@ def pi_attention_forward(
     alpha_h = None if alpha is None else alpha.transpose(0, 2, 1)  # (B, H, n)
 
     n_off = len(schedule)
-    scores = np.zeros((b, h_cnt, n, n_off))
-    valid = np.stack([m.valid for m in schedule], axis=-1)  # (n, O)
+    valid = np.stack([m.valid for m in schedule])  # (O, n)
     ring_mask = np.array([m.kind == Kind.RING for m in schedule])
+    scores = np.zeros((n_off, b, h_cnt, n))
     for o, m in enumerate(schedule):
-        scores[:, :, m.rows, o] = np.einsum("bhnd,bhnd->bhn", qh[:, :, m.rows],
-                                            kh[:, :, m.keys]) * scale
+        np.einsum("bhnd,bhnd->bhn", qh[:, :, m.rows], kh[:, :, m.keys],
+                  out=scores[o, :, :, m.rows])
+    scores *= scale
 
-    probs = gated_softmax(scores, alpha_h, ring_mask, valid, config)
+    probs = gated_softmax(scores, alpha_h, ring_mask, valid[:, None, None], config)
 
     drop_mask = None
     probs_used = probs
@@ -186,8 +263,8 @@ def pi_attention_forward(
         probs_used = probs * drop_mask
 
     out_h = np.zeros_like(qh)
-    for o, m in enumerate(schedule):
-        out_h[:, :, m.rows] += probs_used[:, :, m.rows, o, None] * vh[:, :, m.keys]
+    for s0, s1 in _runs(schedule):
+        _band_gather(out_h, probs_used, vh, schedule, s0, s1)
 
     fused = merge_heads(out_h)
     out = fused @ proj.wo + proj.bo
@@ -231,16 +308,18 @@ def pi_attention_backward(
     d_out_h = split_heads(d_out @ proj.wo.T, h_cnt)
 
     probs_used = cache.probs if cache.drop_mask is None else cache.probs * cache.drop_mask
+    runs = _runs(sched)
     d_probs_used = np.zeros_like(cache.probs)
-    d_vh = np.zeros_like(cache.vh)
     for o, m in enumerate(sched):
-        d_probs_used[:, :, m.rows, o] = np.einsum("bhnd,bhnd->bhn", d_out_h[:, :, m.rows],
-                                                  cache.vh[:, :, m.keys])
-        d_vh[:, :, m.keys] += probs_used[:, :, m.rows, o, None] * d_out_h[:, :, m.rows]
+        np.einsum("bhnd,bhnd->bhn", d_out_h[:, :, m.rows], cache.vh[:, :, m.keys],
+                  out=d_probs_used[o, :, :, m.rows])
+    d_vh = np.zeros_like(cache.vh)
+    for s0, s1 in runs:
+        _band_scatter(d_vh, probs_used, d_out_h, sched, s0, s1)
 
     d_probs = d_probs_used if cache.drop_mask is None else d_probs_used * cache.drop_mask
     # softmax backward; invalid slots have probs == 0 so they drop out
-    inner = (cache.probs * d_probs).sum(axis=-1, keepdims=True)
+    inner = (cache.probs * d_probs).sum(axis=0)
     d_logits = cache.probs * (d_probs - inner)
 
     pre = cache.scores_raw
@@ -253,17 +332,17 @@ def pi_attention_backward(
     d_gate_in = None
     if cache.gate_cache is not None:
         alpha_h = cache.alpha.transpose(0, 2, 1)  # (B, H, n)
-        d_alpha_h = (d_prior[..., ring_mask].sum(axis=-1) / alpha_h
-                     - d_prior[..., ~ring_mask].sum(axis=-1) / (1.0 - alpha_h))
+        d_alpha_h = (d_prior[ring_mask].sum(axis=0) / alpha_h
+                     - d_prior[~ring_mask].sum(axis=0) / (1.0 - alpha_h))
         d_gate_in, gate_grads = gate_backward(gate_params, cache.gate_cache,
                                               d_alpha_h.transpose(0, 2, 1))
 
+    d_scores *= scale
     d_qh = np.zeros_like(cache.qh)
     d_kh = np.zeros_like(cache.kh)
-    for o, m in enumerate(sched):
-        ds = d_scores[:, :, m.rows, o, None] * scale
-        d_qh[:, :, m.rows] += ds * cache.kh[:, :, m.keys]
-        d_kh[:, :, m.keys] += ds * cache.qh[:, :, m.rows]
+    for s0, s1 in runs:
+        _band_gather(d_qh, d_scores, cache.kh, sched, s0, s1)
+        _band_scatter(d_kh, d_scores, cache.qh, sched, s0, s1)
 
     # merge_heads copies; free the dead intermediates first to keep the peak down
     del d_out_h, d_probs_used, d_probs, d_logits, d_scores, d_prior

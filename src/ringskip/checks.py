@@ -225,11 +225,11 @@ def run_decode_check(cfg: ModelConfig, seq_len: int = 40,
     return worst
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """KL(p || q) over the last axis; +inf where p > 0 meets q == 0."""
+def kl_divergence(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray:
+    """KL(p || q) over `axis` (the last by default); +inf where p > 0 meets q == 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
-    return terms.sum(axis=-1)
+    return terms.sum(axis=axis)
 
 
 def run_kl_random_scores(n: int = 256, k: int = 2, pi: int = 8,
@@ -246,16 +246,16 @@ def run_kl_random_scores(n: int = 256, k: int = 2, pi: int = 8,
     ideal_cfg = dataclasses.replace(cfg, logit_clamp=np.inf)
     schedule = gather_schedule(cfg, n)
     ring_mask = np.array([m.kind.value == "RING" for m in schedule])
-    valid = np.stack([m.valid for m in schedule], axis=-1)
+    valid = np.stack([m.valid for m in schedule])[:, None, None]
     means, maxes = [], []
     for s in range(seeds):
         rng = Rng(1000 + s)
-        scores = rng.normal((1, 1, n, len(schedule)))
+        scores = rng.normal((len(schedule), 1, 1, n))
         alpha_raw = rng.uniform((1, 1, n))
         with np.errstate(divide="ignore"):
             ideal = gated_softmax(scores, alpha_raw, ring_mask, valid, ideal_cfg)
         stab = gated_softmax(scores, clip_alpha(alpha_raw, eps), ring_mask, valid, cfg)
-        kl = kl_divergence(stab, ideal)
+        kl = kl_divergence(stab, ideal, axis=0)
         means.append(float(kl.mean()))
         maxes.append(float(kl.max()))
     return float(np.mean(means)), float(np.max(maxes))

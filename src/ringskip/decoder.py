@@ -2,8 +2,8 @@
 attention, reading keys and values from a fixed per-layer ring buffer.
 
 Each step projects only the new token and attends over the slots of
-`offset_plan` with offset <= 0, in the forward's slot order, through the same
-`gated_softmax` the batched forward uses. Slot offset o is valid when
+`offset_plan` (a causal plan, so every offset is <= 0), in the forward's slot
+order, through the same `gated_softmax` the batched forward uses. Slot offset o is valid when
 t + o >= 0. Each layer keeps a buffer of max(k, skip_period) + 1 rows, and
 position t lives in row t mod size, so the newest row overwrites the one no
 slot can reach any more: nothing is evicted, memory is fixed, and per-step
@@ -71,9 +71,9 @@ def decode_step(
     if t == 0:
         for lc in cache.layers:
             lc.rows = np.zeros((size, 2, h_cnt, d_h))
-        slots = [(o, kind) for o, kind in offset_plan(att) if o <= 0]
-        cache.offsets = np.array([o for o, _ in slots])
-        cache.ring_mask = np.array([kind == Kind.RING for _, kind in slots])
+        plan = offset_plan(att)
+        cache.offsets = np.array([o for o, _ in plan])
+        cache.ring_mask = np.array([kind == Kind.RING for _, kind in plan])
     pos = t + cache.offsets
     # slots with pos < 0 read an unrelated row; they get probability 0
     valid, kv_rows = pos >= 0, pos % size
@@ -90,9 +90,9 @@ def decode_step(
         alpha, _ = gate_forward(bp.gate, gate_in, att)  # (H,) or None
 
         kv = lc.rows[kv_rows]  # (S, 2, H, d_h)
-        scores = np.einsum("hd,shd->hs", q, kv[:, 0]) * scale
-        probs = gated_softmax(scores, alpha, cache.ring_mask, valid, att)
-        attn_h = np.einsum("hs,shd->hd", probs, kv[:, 1])
+        scores = np.einsum("hd,shd->sh", q, kv[:, 0]) * scale
+        probs = gated_softmax(scores, alpha, cache.ring_mask, valid[:, None], att)
+        attn_h = np.einsum("sh,shd->hd", probs, kv[:, 1])
         y1 = x + attn_h.reshape(-1) @ bp.proj.wo + bp.proj.bo
         h2, _ = layer_norm_forward(y1, bp.ln2_g, bp.ln2_b)
         x = y1 + gelu(h2 @ bp.w_ff1 + bp.b_ff1) @ bp.w_ff2 + bp.b_ff2

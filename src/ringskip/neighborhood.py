@@ -9,15 +9,19 @@ Two equivalent views are exposed:
 
 Overlap rule: if the skip stride lands inside the ring window the duplicate
 slot is kept once as a RING member (the ring log-prior applies).
+
+Causal rule: a causal plan holds no positive offset, so no slot of the
+execution plan is dead by causality. `build_union` (and the dense oracle
+built from it) still apply their own causal test, since they are the check.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -81,8 +85,7 @@ class AttentionConfig:
             raise ConfigError("static_alpha_value: must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class NeighborEntry:
+class NeighborEntry(NamedTuple):
     target: int
     offset: int
     kind: Kind
@@ -137,14 +140,17 @@ class GatherMap:
 
 
 def offset_plan(config: AttentionConfig) -> List[tuple]:
-    """Ordered (offset, kind) list after ablation and overlap resolution."""
+    """Ordered (offset, kind) list after ablation, causality and overlap
+    resolution. Ring offsets come first, in increasing order; a causal plan
+    stops them at 0 (its skip stride is always backward)."""
     config.validate()
     ring: List[int] = []
     if config.ablation == "no_ring":
         if config.include_self:
             ring = [0]
     else:
-        ring = [o for o in range(-config.ring_k, config.ring_k + 1)
+        top = 0 if config.causal else config.ring_k
+        ring = [o for o in range(-config.ring_k, top + 1)
                 if o != 0 or config.include_self]
     plan = [(o, Kind.RING) for o in ring]
     if config.ablation != "no_skip":
@@ -176,19 +182,16 @@ def build_union(
 ) -> UnionNeighborhood:
     """Per-token union of ring and skip targets with bounds/causal masking."""
     user_mask = _checked_mask(n, user_mask)
+    mask = None if user_mask is None else user_mask.tolist()
     plan = offset_plan(config)
+    causal = config.causal
     entries: List[List[NeighborEntry]] = []
     for i in range(n):
         row = []
         for offset, kind in plan:
             j = i + offset
-            valid = 0 <= j < n
-            if valid and config.causal and j > i:
-                valid = False
-            if valid and user_mask is not None and not user_mask[j]:
-                valid = False
-            row.append(NeighborEntry(target=min(max(j, 0), n - 1), offset=offset,
-                                     kind=kind, valid=valid))
+            valid = 0 <= j < n and not (causal and j > i) and (mask is None or mask[j])
+            row.append(NeighborEntry(min(max(j, 0), n - 1), offset, kind, valid))
         if not any(e.valid for e in row):
             raise EmptyNeighborhoodError(f"empty neighborhood at token {i}")
         entries.append(row)
@@ -207,8 +210,6 @@ def gather_schedule(
     for offset, kind in offset_plan(config):
         target = base + offset
         valid = (target >= 0) & (target < n)
-        if config.causal and offset > 0:
-            valid &= False
         if user_mask is not None:
             valid &= user_mask[np.clip(target, 0, n - 1)]
         rows = np.flatnonzero(valid)

@@ -202,8 +202,11 @@ def measure_work(config: AttentionConfig, n: int, seed: int = 0) -> WorkLedger:
     gate = init_gate(rng.spawn(2), config.d_model, config.n_heads)
     schedule = gather_schedule(config, n)
     _, cache = pi_attention_forward(x, proj, gate, schedule, config)
-    union = build_union(config, n)
-    assert cache.score_evals == count_score_slots(union)
+    # an explicit check, not an assert, so that `python -O` keeps it
+    slots = count_score_slots(build_union(config, n))
+    if cache.score_evals != slots:
+        raise RuntimeError(f"work ledger: the sparse path scored {cache.score_evals} "
+                           f"slots, the union holds {slots}")
     return WorkLedger(n=n, score_evals=cache.score_evals,
                       multiply_adds=cache.multiply_adds,
                       stored_activation_elements=cache.stored_activation_elements)

@@ -95,12 +95,17 @@ def test_oracle_check_flags_the_one_wrong_config(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_masked_sparse_matches_oracle_and_gradients(data):
-    # n up to 24 with strides up to 30 draws empty skip spans (pi >= n); the
-    # random user_mask punches holes inside the spans of the other offsets
+    # n up to 24 with strides up to 30 draws empty skip spans (pi >= n), and
+    # k up to 4 draws ring bands wider than n; the random user_mask punches
+    # holes inside the spans of the other offsets. Without the self slot the
+    # ring splits into two runs; it is drawn only for k >= 1, since k = 0
+    # leaves almost no token a valid slot
     n = data.draw(st.integers(1, 24), label="n")
     causal = data.draw(st.booleans(), label="causal")
+    k = data.draw(st.integers(0, 4), label="k")
     c = cfg(n_heads=data.draw(st.sampled_from([1, 2]), label="heads"),
-            ring_k=data.draw(st.integers(0, 4), label="k"),
+            ring_k=k,
+            include_self=k == 0 or data.draw(st.booleans(), label="include_self"),
             skip_period=data.draw(st.integers(1, 30), label="pi"),
             causal=causal,
             bidirectional_skip=not causal and data.draw(st.booleans(), label="bidir"),
@@ -128,8 +133,9 @@ def test_masked_sparse_matches_oracle_and_gradients(data):
     if c.clamp_after_prior and cache.alpha is not None:
         ring = np.array([m.kind == Kind.RING for m in sched])
         pre = pre + log_prior(cache.alpha.transpose(0, 2, 1), ring)
-    valid = np.stack([m.valid for m in sched], axis=-1)
-    assume(np.abs(np.abs(pre) - c.logit_clamp)[..., valid].min() > 1e-4)
+    valid = np.stack([m.valid for m in sched])
+    near = np.abs(np.abs(pre) - c.logit_clamp).transpose(1, 2, 0, 3)
+    assume(near[..., valid].min() > 1e-4)
     d_out = rng.normal(out.shape)
     d_x, g_proj, g_gate = pi_attention_backward(proj, gate, cache, d_out)
     trees = [proj] if g_gate is None else [proj, gate]
@@ -163,9 +169,9 @@ def test_probs_normalize_over_valid_slots():
     c = cfg()
     proj, gate, x = setup(c, 10)
     _, cache = pi_attention_forward(x, proj, gate, gather_schedule(c, 10), c)
-    valid = np.stack([m.valid for m in cache.schedule], axis=-1)
-    assert np.allclose(cache.probs.sum(axis=-1), 1.0)
-    assert (cache.probs[..., ~valid] == 0.0).all()
+    valid = np.stack([m.valid for m in cache.schedule])
+    assert np.allclose(cache.probs.sum(axis=0), 1.0)
+    assert (cache.probs.transpose(1, 2, 0, 3)[..., ~valid] == 0.0).all()
 
 
 def test_score_counter_matches_union_slots():
@@ -197,8 +203,8 @@ def test_larger_alpha_shifts_mass_onto_ring_slots():
     _, hi = pi_attention_forward(x, proj, gate, sched, c_hi)
     ring = np.array([m.kind == Kind.RING for m in sched])
     # token n-1 has both ring and skip slots valid
-    ring_lo = lo.probs[0, :, n - 1, ring].sum(axis=0)
-    ring_hi = hi.probs[0, :, n - 1, ring].sum(axis=0)
+    ring_lo = lo.probs[ring, 0, :, n - 1].sum(axis=0)
+    ring_hi = hi.probs[ring, 0, :, n - 1].sum(axis=0)
     assert (ring_hi > ring_lo).all()
 
 
@@ -332,12 +338,12 @@ def test_kl_divergence_hand_value():
 
 def test_distributions_ideal_vs_stabilized():
     rng = Rng(9)
-    scores = rng.normal((1, 1, 6, 4))
+    scores = np.moveaxis(rng.normal((1, 1, 6, 4)), -1, 0)  # slots first
     ring = np.array([True, True, False, False])
-    valid = np.ones((7, 4), dtype=bool)
+    valid = np.ones((4, 1, 1, 7), dtype=bool)
     alpha = rng.uniform((1, 1, 6), 0.2, 0.8)
     # a seventh row whose raw gate is exactly 1: the ideal skip prior is -inf
-    scores = np.concatenate([scores, scores[:, :, :1]], axis=2)
+    scores = np.concatenate([scores, scores[..., :1]], axis=-1)
     alpha = np.append(alpha, 1.0).reshape(1, 1, 7)
 
     def stabilized(eps, clamp):
@@ -347,12 +353,12 @@ def test_distributions_ideal_vs_stabilized():
     with np.errstate(divide="ignore"):
         ideal = gated_softmax(scores, alpha, ring, valid, cfg(logit_clamp=np.inf))
     stab = stabilized(1e-4, 20.0)
-    assert (ideal[..., 6, ~ring] == 0.0).all()
-    assert stab[..., 6, ~ring].min() > 0.0
+    assert (ideal[~ring, ..., 6] == 0.0).all()
+    assert stab[~ring, ..., 6].min() > 0.0
     # nothing clamps here and alpha is interior, so the two nearly agree
-    assert kl_divergence(stab, ideal)[..., :6].max() < 1e-6
+    assert kl_divergence(stab, ideal, axis=0)[..., :6].max() < 1e-6
     exact = stabilized(1e-15, 1e9)
-    assert kl_divergence(exact, ideal)[..., :6].max() < 1e-12
+    assert kl_divergence(exact, ideal, axis=0)[..., :6].max() < 1e-12
 
 
 def test_clip_alpha_reproduces_forward_alpha():
@@ -369,7 +375,7 @@ def test_gated_softmax_reproduces_forward_probs(clamp_after_prior):
     proj, gate, x = setup(c, 12)
     _, cache = pi_attention_forward(x, proj, gate, gather_schedule(c, 12), c)
     ring = np.array([m.kind == Kind.RING for m in cache.schedule])
-    valid = np.stack([m.valid for m in cache.schedule], axis=-1)
+    valid = np.stack([m.valid for m in cache.schedule])[:, None, None]
     assert (np.abs(cache.scores_raw) > 0.5).any()
     probs = gated_softmax(cache.scores_raw, cache.alpha.transpose(0, 2, 1), ring,
                           valid, c)

@@ -41,6 +41,8 @@ def test_validate_names_offending_field(bad, field):
 
 def test_offset_plan_full():
     plan = offset_plan(cfg())
+    assert plan == [(-1, Kind.RING), (0, Kind.RING), (-4, Kind.SKIP)]
+    plan = offset_plan(cfg(causal=False))
     assert plan == [(-1, Kind.RING), (0, Kind.RING), (1, Kind.RING),
                     (-4, Kind.SKIP)]
 
@@ -48,6 +50,8 @@ def test_offset_plan_full():
 def test_offset_plan_overlap_keeps_slot_once_as_ring():
     # skip stride inside the ring window: no separate SKIP slot
     plan = offset_plan(cfg(ring_k=2, skip_period=1))
+    assert plan == [(o, Kind.RING) for o in (-2, -1, 0)]
+    plan = offset_plan(cfg(ring_k=2, skip_period=1, causal=False))
     assert plan == [(o, Kind.RING) for o in (-2, -1, 0, 1, 2)]
 
 
@@ -67,10 +71,14 @@ def test_gather_map_clamp_and_mask():
 
 
 def test_causal_masks_positive_offsets():
-    maps = gather_schedule(cfg(), 8)
-    for m in maps:
-        if m.offset > 0:
-            assert not m.valid.any()
+    # a causal plan holds no positive offset, for every ablation and ring
+    for abl in ("full", "no_skip", "no_gate", "static_alpha", "no_ring"):
+        for k in (0, 1, 3):
+            for include_self in (True, False):
+                c = cfg(ring_k=k, ablation=abl, include_self=include_self)
+                assert all(o <= 0 for o, _ in offset_plan(c))
+    maps = gather_schedule(cfg(ring_k=3), 8)
+    assert [m.offset for m in maps] == [-3, -2, -1, 0, -4]
 
 
 def test_count_score_slots_example():

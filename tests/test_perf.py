@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ringskip import perf
 from ringskip.neighborhood import AttentionConfig
 from ringskip.perf import (
     CostParams,
@@ -136,3 +137,17 @@ def test_work_report_csv():
     assert len(rows) == 2
     assert rows[0][10] == "" and rows[1][10] != ""
     assert 1.9 <= float(rows[1][10]) <= 2.1
+
+
+def test_measure_work_ledger_mismatch_raises(monkeypatch):
+    # the ledger check is an explicit raise, so it holds under `python -O` too
+    forward = perf.pi_attention_forward
+
+    def overcounting(*args, **kw):
+        out, cache = forward(*args, **kw)
+        cache.score_evals += 1
+        return out, cache
+
+    monkeypatch.setattr(perf, "pi_attention_forward", overcounting)
+    with pytest.raises(RuntimeError, match="work ledger"):
+        measure_work(att(), 64)
