@@ -7,7 +7,7 @@ probabilities and their gradients are (O, B, H, n) arrays, one contiguous
 softmax reductions combine planes. Scores and their gradients are one einsum
 per slot over rows shifted by the slot's offset. Each run of consecutive
 offsets (the ring window) aggregates as one band: a batched matmul of every
-row's window of key rows (a `sliding_window_view`) with its vector of slot
+row's window of key rows (a strided view, no copy) with its vector of slot
 weights. That covers the value aggregation and d_q; the transposed products
 (d_v, d_k) read the slot weights along a skewed diagonal, in reverse slot
 order. Rows whose window leaves [0, n), at most k at each end, and
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .gate import GateCache, GateParams, gate_backward, gate_forward
 from .neighborhood import AttentionConfig, GatherMap, Kind, UnionNeighborhood
@@ -169,13 +168,16 @@ def _band_rows(n: int, lo_shift: int, hi_shift: int, width: int):
 def _band_gather(out, coef, src, schedule, s0, s1) -> None:
     """out[:, :, i] += sum over slots s in [s0, s1) of coef[s, :, :, i] * src[:, :, i + o_s].
 
-    coef (O, B, H, n) is zero wherever slot s of row i is invalid.
+    coef (O, B, H, n) is zero wherever slot s of row i is invalid. src is
+    C-contiguous: the band's windows are a strided view into it.
     """
     a, w = schedule[s0].offset, s1 - s0
     lo, hi, edges = _band_rows(out.shape[2], -a, a + w - 1, w)
     if hi > lo:
-        # window i + a .. i + a + w - 1 of src rows, times row i's slot weights
-        win = sliding_window_view(src, w, axis=2)[:, :, lo + a:hi + a]
+        # row i's window (d_h, w): src rows i + a .. i + a + w - 1, as columns
+        sb, sh, si, sd = src.strides
+        win = np.ndarray(src.shape[:2] + (hi - lo, src.shape[3], w), src.dtype, src,
+                         (lo + a) * si, (sb, sh, si, sd, si))
         c = coef[s0:s1, :, :, lo:hi].transpose(1, 2, 3, 0)[..., None]
         out[:, :, lo:hi] += (win @ c)[..., 0]
     for s in range(s0, s1):
@@ -189,19 +191,21 @@ def _band_gather(out, coef, src, schedule, s0, s1) -> None:
 
 def _band_scatter(out, coef, src, schedule, s0, s1) -> None:
     """The transpose of `_band_gather`: out[:, :, j] += sum over slots s in
-    [s0, s1) of coef[s, :, :, j - o_s] * src[:, :, j - o_s]."""
+    [s0, s1) of coef[s, :, :, j - o_s] * src[:, :, j - o_s]. coef and src are
+    C-contiguous: the band reads both through strided views."""
     a, w = schedule[s0].offset, s1 - s0
     top = a + w - 1
     lo, hi, edges = _band_rows(out.shape[2], top, -a, w)
     if hi > lo:
-        # window entry u of key j is src row j - top + u, read by slot s1 - 1 - u
-        win = sliding_window_view(src, w, axis=2)[:, :, lo - top:hi - top]
-        # its weight coef[s1 - 1 - u, :, :, j - top + u]: the slot planes read
-        # along a skewed diagonal, copied contiguous so the matmul runs in BLAS
-        so, sb, sh, si = coef.strides
-        c = np.ascontiguousarray(as_strided(
-            coef[s1 - 1, :, :, lo - top:], shape=coef.shape[1:3] + (hi - lo, w),
-            strides=(sb, sh, si, si - so), writeable=False))
+        # key j's window: src rows j - top + u for u < w, read by slot s1 - 1 - u
+        sb, sh, si, sd = src.strides
+        win = np.ndarray(src.shape[:2] + (hi - lo, src.shape[3], w), src.dtype, src,
+                         (lo - top) * si, (sb, sh, si, sd, si))
+        # and their weights coef[s1 - 1 - u, :, :, j - top + u]: the slot planes
+        # read along a skewed diagonal, copied contiguous so the matmul runs in BLAS
+        co, cb, ch, ci = coef.strides
+        c = np.array(np.ndarray(coef.shape[1:3] + (hi - lo, w), coef.dtype, coef,
+                                (s1 - 1) * co + (lo - top) * ci, (cb, ch, ci, ci - co)))
         out[:, :, lo:hi] += (win @ c[..., None])[..., 0]
     for s in range(s0, s1):
         m = schedule[s]

@@ -3,12 +3,12 @@ attention, reading keys and values from a fixed per-layer ring buffer.
 
 Each step projects only the new token and attends over the slots of
 `offset_plan` (a causal plan, so every offset is <= 0), in the forward's slot
-order, through the same `gated_softmax` the batched forward uses. Slot offset o is valid when
-t + o >= 0. Each layer keeps a buffer of max(k, skip_period) + 1 rows, and
-position t lives in row t mod size, so the newest row overwrites the one no
-slot can reach any more: nothing is evicted, memory is fixed, and per-step
-work is independent of t. Stepwise logits agree with a teacher-forced full
-pass to rounding.
+order, through the same `gated_softmax` the batched forward uses. Slot offset
+o is valid when t + o >= 0. Each layer keeps a buffer of
+max(k, skip_period) + 1 rows, and position t lives in row t mod size, so the
+newest row overwrites the one no slot can reach any more: nothing is evicted,
+memory is fixed, and per-step work is independent of t. Stepwise logits
+agree with a teacher-forced full pass to rounding.
 """
 
 from __future__ import annotations
