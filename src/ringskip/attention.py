@@ -90,7 +90,8 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AttnCache:
-    """Saved activations for the analytic backward pass."""
+    """Saved activations for the analytic backward pass. The slot arrays are
+    slot-major: slot o of `schedule` is the contiguous plane [o]."""
 
     x: np.ndarray
     qh: np.ndarray
@@ -98,7 +99,7 @@ class AttnCache:
     vh: np.ndarray
     scores_raw: np.ndarray       # (O, B, H, n) slot-major, pre-clamp
     probs: np.ndarray            # (O, B, H, n) slot-major, post-softmax, pre-dropout
-    drop_mask: Optional[np.ndarray]
+    drop_mask: Optional[np.ndarray]  # (O, B, H, n), keep / (1 - dropout_p)
     alpha: Optional[np.ndarray]  # (B, n, H), stabilized
     gate_cache: Optional[GateCache]
     fused: np.ndarray            # (B, n, d) pre-output-projection

@@ -225,11 +225,11 @@ def run_decode_check(cfg: ModelConfig, seq_len: int = 40,
     return worst
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray:
-    """KL(p || q) over `axis` (the last by default); +inf where p > 0 meets q == 0."""
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL(p || q) over the first (slot) axis; +inf where p > 0 meets q == 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
-    return terms.sum(axis=axis)
+    return terms.sum(axis=0)
 
 
 def run_kl_random_scores(n: int = 256, k: int = 2, pi: int = 8,
@@ -255,7 +255,7 @@ def run_kl_random_scores(n: int = 256, k: int = 2, pi: int = 8,
         with np.errstate(divide="ignore"):
             ideal = gated_softmax(scores, alpha_raw, ring_mask, valid, ideal_cfg)
         stab = gated_softmax(scores, clip_alpha(alpha_raw, eps), ring_mask, valid, cfg)
-        kl = kl_divergence(stab, ideal, axis=0)
+        kl = kl_divergence(stab, ideal)
         means.append(float(kl.mean()))
         maxes.append(float(kl.max()))
     return float(np.mean(means)), float(np.max(maxes))

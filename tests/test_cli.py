@@ -255,8 +255,3 @@ def test_grad_check_writes_passing_summary(tmp_path):
     assert max(r["max_rel_error"] for r in summary["per_seed"]) == summary["max_rel_error"]
     rows = (out / "grad_check.csv").read_text().splitlines()
     assert rows[0] == "seed,tensor,max_rel_error" and len(rows) == 1 + 9 * 39
-
-
-def test_grad_check_rejects_no_seeds(tmp_path, capsys):
-    assert main(["grad-check", "--seeds", "0", "--out", str(tmp_path / "gc")]) == 2
-    assert "--seeds" in capsys.readouterr().err

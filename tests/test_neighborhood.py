@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringskip.neighborhood import (
+    ABLATIONS,
     AttentionConfig,
     ConfigError,
     EmptyNeighborhoodError,
@@ -72,7 +73,7 @@ def test_gather_map_clamp_and_mask():
 
 def test_causal_masks_positive_offsets():
     # a causal plan holds no positive offset, for every ablation and ring
-    for abl in ("full", "no_skip", "no_gate", "static_alpha", "no_ring"):
+    for abl in ABLATIONS:
         for k in (0, 1, 3):
             for include_self in (True, False):
                 c = cfg(ring_k=k, ablation=abl, include_self=include_self)
