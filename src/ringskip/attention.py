@@ -229,7 +229,7 @@ def pi_attention_forward(
     """Sparse fused attention over the gather schedule.
 
     Returns (output (B, n, d_model), cache). Attention weights are available
-    as cache.probs, laid out per (head, token, offset slot).
+    as cache.probs, laid out per (offset slot, batch, head, token).
     """
     if x.ndim == 2:
         x = x[None]

@@ -192,7 +192,7 @@ def test_layer_norm_bit_identical_to_mean_var_form(shape, seed, scale, shift):
        scale=st.sampled_from([1e-3, 1.0, 300.0]))
 def test_softmax_bit_identical_to_three_where_form(shape, mask_dims, seed, scale):
     # the mask covers the trailing mask_dims axes (at least the slot axis) and
-    # broadcasts over the rest, like the (n, O) mask of (B, H, n, O) scores
+    # broadcasts over the rest, like dense_oracle's (n, n) mask of (B, H, n, n) logits
     rng = Rng(seed)
     logits = rng.normal(shape, scale=scale)
     mask_shape = shape[len(shape) - max(1, min(mask_dims, len(shape))):]
