@@ -4,14 +4,17 @@ skip slots, with the gate entering as a log-prior on the logits.
 The sparse path works on the gather schedule in slot-major layout: scores,
 probabilities and their gradients are (O, B, H, n) arrays, one contiguous
 (B, H, n) plane per offset slot, so per-slot writes are whole planes and the
-softmax reductions combine planes. Scores and their gradients are one einsum
-per slot over rows shifted by the slot's offset. Each run of consecutive
-offsets (the ring window) aggregates as one band: a batched matmul of every
-row's window of key rows (a strided view, no copy) with its vector of slot
-weights. That covers the value aggregation and d_q; the transposed products
-(d_v, d_k) read the slot weights along a skewed diagonal, in reverse slot
-order. Rows whose window leaves [0, n), at most k at each end, and
-single-offset runs (skip slots) use shifted slices.
+softmax reductions combine planes. The head buffers (B, H, P + n + P, d_h)
+carry P zero rows at each end, P being the reach of the live ring slots
+(P <= k). Each run of consecutive ring offsets is then one `_band` over all n
+rows: a batched matmul of every row's window of buffer rows (a strided view,
+no copy) with its vector of slot weights. That covers the value aggregation
+and d_q; for d_v and d_k, `_skew` first moves each slot plane to the key rows
+it reads, in reverse slot order. Windows reaching past [0, n) read the zero
+margins. Skip slots, scores and d_probs take one shifted slice per slot, over
+the rows whose key row lies in [0, n) (`_span`); a slot with |offset| >= n
+takes no product. Validity lives only in the softmax mask, which gives
+invalid slots probability 0.
 `dense_oracle` recomputes the same operator with full n x n tensors built
 independently from the per-token union entries; the two must agree to ~1e-12
 arithmetic noise.
@@ -76,10 +79,14 @@ def init_projection(rng: Rng, d_model: int) -> ProjectionParams:
     )
 
 
-def split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    """(B, n, d) -> (B, H, n, d_h), contiguous so that row slices are whole blocks"""
+def split_heads(x: np.ndarray, n_heads: int, pad: int = 0) -> np.ndarray:
+    """(B, n, d) -> (B, H, pad + n + pad, d_h), contiguous so that row slices are
+    whole blocks; the pad rows at each end are zero"""
     b, n, d = x.shape
-    return np.ascontiguousarray(x.reshape(b, n, n_heads, d // n_heads).transpose(0, 2, 1, 3))
+    out = np.empty((b, n_heads, pad + n + pad, d // n_heads))
+    out[:, :, :pad] = out[:, :, pad + n:] = 0.0
+    out[:, :, pad:pad + n] = x.reshape(b, n, n_heads, -1).transpose(0, 2, 1, 3)
+    return out
 
 
 def merge_heads(x: np.ndarray) -> np.ndarray:
@@ -94,9 +101,9 @@ class AttnCache:
     slot-major: slot o of `schedule` is the contiguous plane [o]."""
 
     x: np.ndarray
-    qh: np.ndarray
-    kh: np.ndarray
-    vh: np.ndarray
+    qh: np.ndarray               # (B, H, P + n + P, d_h); P zero margin rows at each end
+    kh: np.ndarray               # likewise
+    vh: np.ndarray               # likewise
     scores_raw: np.ndarray       # (O, B, H, n) slot-major, pre-clamp
     probs: np.ndarray            # (O, B, H, n) slot-major, post-softmax, pre-dropout
     drop_mask: Optional[np.ndarray]  # (O, B, H, n), keep / (1 - dropout_p)
@@ -147,74 +154,80 @@ def gated_softmax(
     return softmax_row(logits, valid, axis=0)
 
 
-def _runs(schedule: List[GatherMap]) -> List[Tuple[int, int]]:
-    """Slot ranges [s0, s1) of the schedule whose offsets step by +1."""
-    runs, s0 = [], 0
-    for s in range(1, len(schedule) + 1):
-        if s == len(schedule) or schedule[s].offset != schedule[s - 1].offset + 1:
-            runs.append((s0, s))
-            s0 = s
-    return runs
+def _span(offset: int, n: int) -> Tuple[int, int]:
+    """Rows [lo, hi) of [0, n) whose key row, row + offset, lies in [0, n)."""
+    lo = min(max(-offset, 0), n)
+    return lo, max(lo, min(n - offset, n))
 
 
-def _band_rows(n: int, lo_shift: int, hi_shift: int, width: int):
-    """Interior [lo, hi) where a band of `width` slots runs as windows (empty
-    for one slot or when no row's window fits), and the edges around it."""
-    lo, hi = max(lo_shift, 0), min(n - hi_shift, n)
-    if width < 2 or hi <= lo:
-        return 0, 0, ((0, n),)
-    return lo, hi, ((0, lo), (hi, n))
+def _bands(schedule: List[GatherMap], n: int) -> Tuple[List[List[int]], int]:
+    """The runs [s0, s1, first offset] of consecutive RING offsets with
+    |offset| < n, each one `_band`, and the margin P they reach (P <= k)."""
+    bands: List[List[int]] = []
+    for s, m in enumerate(schedule):
+        if m.kind == Kind.RING and abs(m.offset) < n:
+            if bands and bands[-1][1] == s and schedule[s - 1].offset == m.offset - 1:
+                bands[-1][1] = s + 1
+            else:
+                bands.append([s, s + 1, m.offset])
+    return bands, max((max(-a, a + s1 - s0 - 1) for s0, s1, a in bands), default=0)
 
 
-def _band_gather(out, coef, src, schedule, s0, s1) -> None:
-    """out[:, :, i] += sum over slots s in [s0, s1) of coef[s, :, :, i] * src[:, :, i + o_s].
-
-    coef (O, B, H, n) is zero wherever slot s of row i is invalid. src is
-    C-contiguous: the band's windows are a strided view into it.
-    """
-    a, w = schedule[s0].offset, s1 - s0
-    lo, hi, edges = _band_rows(out.shape[2], -a, a + w - 1, w)
-    if hi > lo:
-        # row i's window (d_h, w): src rows i + a .. i + a + w - 1, as columns
-        sb, sh, si, sd = src.strides
-        win = np.ndarray(src.shape[:2] + (hi - lo, src.shape[3], w), src.dtype, src,
-                         (lo + a) * si, (sb, sh, si, sd, si))
-        c = coef[s0:s1, :, :, lo:hi].transpose(1, 2, 3, 0)[..., None]
-        out[:, :, lo:hi] += (win @ c)[..., 0]
-    for s in range(s0, s1):
-        m = schedule[s]
-        for e0, e1 in edges:
-            r0, r1 = max(m.lo, e0), min(m.hi, e1)
-            if r0 < r1:
-                out[:, :, r0:r1] += (coef[s, :, :, r0:r1, None]
-                                     * src[:, :, r0 + m.offset:r1 + m.offset])
+def _band(out, src, coef, start) -> None:
+    """out[:, :, i] += sum over u < w of coef[:, :, i, u] * src[:, :, start + i + u]
+    for all n rows: coef is (B, H, n, w), and src (C-contiguous) has the margin
+    rows for every window, so the windows are a strided view (no copy) and the
+    band is one batched matmul."""
+    b, h, n, w = coef.shape
+    sb, sh, si, sd = src.strides
+    win = np.ndarray((b, h, n, src.shape[3], w), src.dtype, src, start * si,
+                     (sb, sh, si, sd, si))
+    out += (win @ coef[..., None])[..., 0]
 
 
-def _band_scatter(out, coef, src, schedule, s0, s1) -> None:
-    """The transpose of `_band_gather`: out[:, :, j] += sum over slots s in
-    [s0, s1) of coef[s, :, :, j - o_s] * src[:, :, j - o_s]. coef and src are
-    C-contiguous: the band reads both through strided views."""
-    a, w = schedule[s0].offset, s1 - s0
-    top = a + w - 1
-    lo, hi, edges = _band_rows(out.shape[2], top, -a, w)
-    if hi > lo:
-        # key j's window: src rows j - top + u for u < w, read by slot s1 - 1 - u
-        sb, sh, si, sd = src.strides
-        win = np.ndarray(src.shape[:2] + (hi - lo, src.shape[3], w), src.dtype, src,
-                         (lo - top) * si, (sb, sh, si, sd, si))
-        # and their weights coef[s1 - 1 - u, :, :, j - top + u]: the slot planes
-        # read along a skewed diagonal, copied contiguous so the matmul runs in BLAS
-        co, cb, ch, ci = coef.strides
-        c = np.array(np.ndarray(coef.shape[1:3] + (hi - lo, w), coef.dtype, coef,
-                                (s1 - 1) * co + (lo - top) * ci, (cb, ch, ci, ci - co)))
-        out[:, :, lo:hi] += (win @ c[..., None])[..., 0]
-    for s in range(s0, s1):
-        m = schedule[s]
-        for e0, e1 in edges:
-            r0, r1 = max(m.lo, e0 - m.offset), min(m.hi, e1 - m.offset)
-            if r0 < r1:
-                out[:, :, r0 + m.offset:r1 + m.offset] += (coef[s, :, :, r0:r1, None]
-                                                           * src[:, :, r0:r1])
+def _skew(coef, top) -> np.ndarray:
+    """The planes coef (w, B, H, n) of a run whose last offset is `top`, moved to
+    the key rows they read, in reverse slot order: (B, H, n, w) with [..., j, u]
+    = coef[w-1-u, ..., j - top + u], zero where that row leaves [0, n)."""
+    out = np.zeros(coef.shape[1:] + coef.shape[:1])
+    for u in range(len(coef)):
+        lo, hi = _span(top - u, out.shape[2])
+        out[:, :, lo + top - u:hi + top - u, u] = coef[-1 - u, :, :, lo:hi]
+    return out
+
+
+def _gather(out, coef, src, schedule, bands, pad) -> None:
+    """out[:, :, i] += sum over slots s of coef[s, :, :, i] * src[:, :, pad + i + o_s],
+    where coef (O, B, H, n) is zero on invalid slots and src has `pad` margin rows."""
+    for s0, s1, a in bands:
+        _band(out, src, coef[s0:s1].transpose(1, 2, 3, 0), pad + a)
+    for s, m in enumerate(schedule):
+        if m.kind == Kind.SKIP:
+            o = m.offset
+            lo, hi = _span(o, out.shape[2])
+            out[:, :, lo:hi] += coef[s, :, :, lo:hi, None] * src[:, :, pad + lo + o:pad + hi + o]
+
+
+def _scatter(out, coef, src, schedule, bands, pad) -> None:
+    """The transpose of `_gather`: out[:, :, i + o_s] += coef[s, :, :, i] *
+    src[:, :, pad + i]. Key j's window is src rows j - top + u, for slot s1 - 1 - u."""
+    for s0, s1, a in bands:
+        top = a + s1 - s0 - 1
+        _band(out, src, _skew(coef[s0:s1], top), pad - top)
+    for s, m in enumerate(schedule):
+        if m.kind == Kind.SKIP:
+            o = m.offset
+            lo, hi = _span(o, out.shape[2])
+            out[:, :, lo + o:hi + o] += coef[s, :, :, lo:hi, None] * src[:, :, pad + lo:pad + hi]
+
+
+def _slot_dots(out, a, b, schedule, pad) -> None:
+    """out[s, :, :, i] = a[:, :, pad + i] . b[:, :, pad + i + o_s] over the rows
+    whose key row lies in [0, n); a and b have `pad` margin rows."""
+    for s, m in enumerate(schedule):
+        lo, hi = _span(m.offset, out.shape[3])
+        np.einsum("bhnd,bhnd->bhn", a[:, :, pad + lo:pad + hi],
+                  b[:, :, pad + lo + m.offset:pad + hi + m.offset], out=out[s, :, :, lo:hi])
 
 
 def pi_attention_forward(
@@ -239,11 +252,12 @@ def pi_attention_forward(
     h_cnt, d_h = config.n_heads, config.head_dim
     scale = 1.0 / np.sqrt(d_h)
 
-    qh = split_heads(x @ proj.wq + proj.bq, h_cnt)
-    kh = split_heads(x @ proj.wk, h_cnt)
-    vh = split_heads(x @ proj.wv + proj.bv, h_cnt)
+    bands, pad = _bands(schedule, n)
+    qh = split_heads(x @ proj.wq + proj.bq, h_cnt, pad)
+    kh = split_heads(x @ proj.wk, h_cnt, pad)
+    vh = split_heads(x @ proj.wv + proj.bv, h_cnt, pad)
 
-    gate_in = merge_heads(qh) if config.gate_on_query else x
+    gate_in = merge_heads(qh[:, :, pad:pad + n]) if config.gate_on_query else x
     alpha, gate_cache = gate_forward(gate_params, gate_in, config)
     alpha_h = None if alpha is None else alpha.transpose(0, 2, 1)  # (B, H, n)
 
@@ -251,9 +265,7 @@ def pi_attention_forward(
     valid = np.stack([m.valid for m in schedule])  # (O, n)
     ring_mask = np.array([m.kind == Kind.RING for m in schedule])
     scores = np.zeros((n_off, b, h_cnt, n))
-    for o, m in enumerate(schedule):
-        np.einsum("bhnd,bhnd->bhn", qh[:, :, m.rows], kh[:, :, m.keys],
-                  out=scores[o, :, :, m.rows])
+    _slot_dots(scores, qh, kh, schedule, pad)
     scores *= scale
 
     probs = gated_softmax(scores, alpha_h, ring_mask, valid[:, None, None], config)
@@ -267,9 +279,8 @@ def pi_attention_forward(
         drop_mask = keep / (1.0 - config.dropout_p)
         probs_used = probs * drop_mask
 
-    out_h = np.zeros_like(qh)
-    for s0, s1 in _runs(schedule):
-        _band_gather(out_h, probs_used, vh, schedule, s0, s1)
+    out_h = np.zeros((b, h_cnt, n, d_h))
+    _gather(out_h, probs_used, vh, schedule, bands, pad)
 
     fused = merge_heads(out_h)
     out = fused @ proj.wo + proj.bo
@@ -310,17 +321,14 @@ def pi_attention_backward(
     flat_dout = d_out.reshape(-1, d)
     d_wo = flat_fused.T @ flat_dout
     d_bo = flat_dout.sum(axis=0)
-    d_out_h = split_heads(d_out @ proj.wo.T, h_cnt)
+    bands, pad = _bands(sched, n)
+    d_out_h = split_heads(d_out @ proj.wo.T, h_cnt, pad)
 
     probs_used = cache.probs if cache.drop_mask is None else cache.probs * cache.drop_mask
-    runs = _runs(sched)
     d_probs_used = np.zeros_like(cache.probs)
-    for o, m in enumerate(sched):
-        np.einsum("bhnd,bhnd->bhn", d_out_h[:, :, m.rows], cache.vh[:, :, m.keys],
-                  out=d_probs_used[o, :, :, m.rows])
-    d_vh = np.zeros_like(cache.vh)
-    for s0, s1 in runs:
-        _band_scatter(d_vh, probs_used, d_out_h, sched, s0, s1)
+    _slot_dots(d_probs_used, d_out_h, cache.vh, sched, pad)
+    d_vh = np.zeros((b, h_cnt, n, d_h))
+    _scatter(d_vh, probs_used, d_out_h, sched, bands, pad)
 
     d_probs = d_probs_used if cache.drop_mask is None else d_probs_used * cache.drop_mask
     # softmax backward; invalid slots have probs == 0 so they drop out
@@ -343,11 +351,9 @@ def pi_attention_backward(
                                               d_alpha_h.transpose(0, 2, 1))
 
     d_scores *= scale
-    d_qh = np.zeros_like(cache.qh)
-    d_kh = np.zeros_like(cache.kh)
-    for s0, s1 in runs:
-        _band_gather(d_qh, d_scores, cache.kh, sched, s0, s1)
-        _band_scatter(d_kh, d_scores, cache.qh, sched, s0, s1)
+    d_qh, d_kh = np.zeros((2, b, h_cnt, n, d_h))
+    _gather(d_qh, d_scores, cache.kh, sched, bands, pad)
+    _scatter(d_kh, d_scores, cache.qh, sched, bands, pad)
 
     # merge_heads copies; free the dead intermediates first to keep the peak down
     del d_out_h, d_probs_used, d_probs, d_logits, d_scores, d_prior

@@ -4,8 +4,8 @@ attention, reading keys and values from a fixed per-layer ring buffer.
 Each step projects only the new token and attends over the slots of
 `offset_plan` (a causal plan, so every offset is <= 0), in the forward's slot
 order, through the same `gated_softmax` the batched forward uses. Slot offset
-o is valid when t + o >= 0. Each layer keeps a buffer of
-max(k, skip_period) + 1 rows, and position t lives in row t mod size, so the
+o is valid when t + o >= 0. Each layer keeps a buffer of 1 + the plan's
+largest |offset| rows, and position t lives in row t mod size, so the
 newest row overwrites the one no slot can reach any more: nothing is evicted,
 memory is fixed, and per-step work is independent of t. Stepwise logits
 agree with a teacher-forced full pass to rounding.
@@ -31,8 +31,8 @@ class CacheGapError(RuntimeError):
 
 @dataclass
 class LayerCache:
-    # (max(k, skip_period) + 1, 2, H, d_h): K and V of position t at row
-    # t mod size; allocated by decode_step at t == 0
+    # (1 + the plan's largest |offset|, 2, H, d_h): K and V of position t at
+    # row t mod size; allocated by decode_step at t == 0
     rows: Optional[np.ndarray] = None
 
 
@@ -67,13 +67,13 @@ def decode_step(
     if not 0 <= token < cfg.vocab:
         raise ValueError(f"token {token} outside the vocabulary [0, {cfg.vocab})")
     h_cnt, d_h = att.n_heads, att.head_dim
-    size = max(att.ring_k, att.skip_period) + 1
     if t == 0:
-        for lc in cache.layers:
-            lc.rows = np.zeros((size, 2, h_cnt, d_h))
         plan = offset_plan(att)
         cache.offsets = np.array([o for o, _ in plan])
         cache.ring_mask = np.array([kind == Kind.RING for _, kind in plan])
+        for lc in cache.layers:
+            lc.rows = np.zeros((1 - cache.offsets.min(), 2, h_cnt, d_h))
+    size = len(cache.layers[0].rows)
     pos = t + cache.offsets
     # slots with pos < 0 read an unrelated row; they get probability 0
     valid, kv_rows = pos >= 0, pos % size

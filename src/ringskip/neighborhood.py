@@ -4,8 +4,8 @@ union neighborhood each token's single softmax runs over.
 Two equivalent views are exposed:
   * `build_union` — per-token lists of (target, offset, kind, valid) entries,
     the ground truth the dense oracle and the CSV dump consume;
-  * `gather_schedule` — per distinct offset, one shifted slice of rows plus a
-    validity mask: the plan the vectorized attention path executes.
+  * `gather_schedule` — per distinct offset, its kind plus a validity mask:
+    the plan the vectorized attention path executes.
 
 Overlap rule: if the skip stride lands inside the ring window the duplicate
 slot is kept once as a RING member (the ring log-prior applies).
@@ -120,23 +120,12 @@ class UnionNeighborhood:
 
 @dataclass(frozen=True)
 class GatherMap:
-    """One offset as a shifted slice: query rows [lo, hi) read key rows
-    [lo + offset, hi + offset). [lo, hi) is the extent of `valid` (lo == hi
-    when no row is valid); rows inside it can still be user_mask holes."""
+    """One offset slot: query row i reads key row i + offset, and the slot
+    counts where valid[i] (the key row lies in [0, n) and user_mask keeps it)."""
 
     offset: int
     kind: Kind
-    lo: int
-    hi: int
     valid: np.ndarray  # (n,) bool
-
-    @property
-    def rows(self) -> slice:
-        return slice(self.lo, self.hi)
-
-    @property
-    def keys(self) -> slice:
-        return slice(self.lo + self.offset, self.hi + self.offset)
 
 
 def offset_plan(config: AttentionConfig) -> List[tuple]:
@@ -203,7 +192,7 @@ def gather_schedule(
     n: int,
     user_mask: Optional[np.ndarray] = None,
 ) -> List[GatherMap]:
-    """One shifted slice plus validity mask per distinct offset (the execution plan)."""
+    """Kind plus validity mask per distinct offset (the execution plan)."""
     user_mask = _checked_mask(n, user_mask)
     base = np.arange(n)
     maps = []
@@ -212,9 +201,7 @@ def gather_schedule(
         valid = (target >= 0) & (target < n)
         if user_mask is not None:
             valid &= user_mask[np.clip(target, 0, n - 1)]
-        rows = np.flatnonzero(valid)
-        lo, hi = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
-        maps.append(GatherMap(offset=offset, kind=kind, lo=lo, hi=hi, valid=valid))
+        maps.append(GatherMap(offset=offset, kind=kind, valid=valid))
     if not np.any([m.valid for m in maps], axis=0).all():
         bad = int(np.argmin(np.any([m.valid for m in maps], axis=0)))
         raise EmptyNeighborhoodError(f"empty neighborhood at token {bad}")

@@ -7,8 +7,11 @@ Two quantities per (k, skip period, L):
     every layer but the skip hop is charged only at interval-doubling layers
     (cumulative skips after layer l equal ceil(log2 l)).
 
-The restricted extent obeys k*L + pi*ceil(log2 L); the full BFS reach can
-exceed that bound (up to L*(k+pi)) and is reported as documented behavior.
+Hops and strides are read from `offset_plan`. The restricted extent of an
+interior query equals k*L + pi*ceil(log2 L) where the plan has a SKIP slot,
+and k*L where it has none (pi <= k keeps the stride as a RING slot). The full
+BFS reach can exceed the bound (up to L*(k+pi)) and is reported as documented
+behavior.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .neighborhood import AttentionConfig, ConfigError, build_union
+from .neighborhood import AttentionConfig, ConfigError, Kind, build_union, offset_plan
 
 
 @dataclass
@@ -70,18 +73,19 @@ def reach_full(config: AttentionConfig, n: int, query: int, layers: int) -> Reac
 
 
 def reach_restricted(config: AttentionConfig, n: int, query: int, layers: int) -> int:
-    """Leftward extent under the doubling-charged skip rule (causal)."""
+    """Leftward extent under the doubling-charged skip rule (causal). The ring
+    hop and the skip stride are the plan's own: a stride the plan keeps as a
+    RING slot (pi <= k), or drops (no_skip), is never charged."""
     if not config.causal:
         raise ValueError("receptive-field analysis is defined for causal configs")
-    k, pi = config.ring_k, config.skip_period
-    has_skip = config.ablation not in ("no_skip",)
-    has_ring = config.ablation not in ("no_ring",)
+    plan = offset_plan(config)
+    hop = max([-o for o, kind in plan if kind == Kind.RING], default=0)
+    stride = max([-o for o, kind in plan if kind == Kind.SKIP], default=0)
     lo = query
     for layer in range(1, layers + 1):
-        if has_ring:
-            lo -= k
-        if has_skip and skip_budget(layer) > skip_budget(layer - 1):
-            lo -= pi
+        lo -= hop
+        if skip_budget(layer) > skip_budget(layer - 1):
+            lo -= stride
         lo = max(lo, 0)
     return query - lo
 

@@ -4,9 +4,9 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from ringskip.attention import (
-    _band_gather,
-    _band_scatter,
-    _runs,
+    _bands,
+    _gather,
+    _scatter,
     block_backward,
     block_forward,
     dense_oracle,
@@ -14,6 +14,7 @@ from ringskip.attention import (
     log_prior,
     pi_attention_backward,
     pi_attention_forward,
+    split_heads,
 )
 from ringskip import checks
 from ringskip.checks import (
@@ -66,7 +67,7 @@ def test_footprint_determines_schedule_and_union():
         ref_sched, ref_union = refs.setdefault(footprint(c, n), (sched, union))
         assert len(sched) == len(ref_sched)
         for m, r in zip(sched, ref_sched):
-            assert (m.offset, m.kind, m.lo, m.hi) == (r.offset, r.kind, r.lo, r.hi)
+            assert (m.offset, m.kind) == (r.offset, r.kind)
             assert np.array_equal(m.valid, r.valid)
         assert union.entries == ref_union.entries
     assert len(refs) == 144
@@ -174,9 +175,12 @@ def test_masked_sparse_matches_oracle_and_gradients(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_band_products_match_per_slot_loop(data):
-    # the reference is the per-slot shifted-slice loop the bands replaced; only
-    # the order of the sums differs, so agreement is to rounding. Small n and
-    # wide rings put every row at an edge, or leave no interior at all
+    # `_gather` and `_scatter` run each ring run as one `_band` (the scatter
+    # after `_skew`) over buffers with zero margins, and each skip slot as one
+    # shifted slice; the reference is the per-slot loop over valid rows, so
+    # only the order of the sums differs and agreement is to rounding. Small n
+    # and wide rings put most windows partly in the margins, and k >= n or
+    # pi >= n leaves slots that take no product
     n = data.draw(st.integers(1, 20), label="n")
     causal = data.draw(st.booleans(), label="causal")
     k = data.draw(st.integers(0, 5), label="k")
@@ -190,20 +194,38 @@ def test_band_products_match_per_slot_loop(data):
     except EmptyNeighborhoodError:
         reject()
     rng = Rng(data.draw(st.integers(0, 2 ** 31 - 1), label="seed"))
+    bands, pad = _bands(sched, n)
+    ring = [abs(m.offset) for m in sched if m.kind == Kind.RING and abs(m.offset) < n]
+    assert pad == max(ring, default=0) <= k
     valid = np.stack([m.valid for m in sched])
     coef = rng.normal((len(sched), 2, 3, n)) * valid[:, None, None]  # 0 on invalid slots
-    src = rng.normal((2, 3, n, 4))
+    x = rng.normal((2, n, 12))
+    src, padded = split_heads(x, 3), split_heads(x, 3, pad)
+    assert np.array_equal(padded[:, :, pad:pad + n], src)
+    assert not padded[:, :, :pad].any() and not padded[:, :, pad + n:].any()
     gathered, scattered = np.zeros_like(src), np.zeros_like(src)
-    for s0, s1 in _runs(sched):
-        _band_gather(gathered, coef, src, sched, s0, s1)
-        _band_scatter(scattered, coef, src, sched, s0, s1)
+    _gather(gathered, coef, padded, sched, bands, pad)
+    _scatter(scattered, coef, padded, sched, bands, pad)
     ref_g, ref_s = np.zeros_like(src), np.zeros_like(src)
     for o, m in enumerate(sched):
-        ref_g[:, :, m.rows] += coef[o, :, :, m.rows, None] * src[:, :, m.keys]
-        ref_s[:, :, m.keys] += coef[o, :, :, m.rows, None] * src[:, :, m.rows]
+        for i in np.flatnonzero(m.valid):
+            ref_g[:, :, i] += coef[o, :, :, i, None] * src[:, :, i + m.offset]
+            ref_s[:, :, i + m.offset] += coef[o, :, :, i, None] * src[:, :, i]
     tol = 64 * np.finfo(np.float64).eps * len(sched) * np.abs(coef).max() * np.abs(src).max()
     assert np.abs(gathered - ref_g).max() <= tol
     assert np.abs(scattered - ref_s).max() <= tol
+
+
+@pytest.mark.parametrize("k", [1, 20])
+def test_stride_beyond_n_takes_no_product_and_no_margin(k):
+    # a stride of 10**6 at n = 8 reads no key row, and ring offsets from n
+    # on (k = 20) widen neither the margin nor the work
+    c = cfg(ring_k=k, skip_period=10 ** 6)
+    n = 8
+    proj, gate, x = setup(c, n)
+    out, cache = pi_attention_forward(x, proj, gate, gather_schedule(c, n), c)
+    assert np.abs(out - dense_oracle(x, proj, gate, build_union(c, n), c)).max() < 1e-10
+    assert cache.kh.shape[2] == n + 2 * min(k, n - 1)
 
 
 def test_probs_normalize_over_valid_slots():

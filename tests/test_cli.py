@@ -246,12 +246,16 @@ def test_decode_fills_max_seq_exactly(small_ckpt, tmp_path):
     assert len((dec / "tokens.csv").read_text().strip().split("\n")) == 1 + 16
 
 
-def test_grad_check_writes_passing_summary(tmp_path):
-    out = tmp_path / "gc"
-    assert main(["grad-check", "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
+def test_grad_check_writes_passing_summary(grad_check_run):
+    assert grad_check_run.exit_code == 0
+    summary = grad_check_run.summary
     assert summary["pass"] is True
     assert [r["seed"] for r in summary["per_seed"]] == list(range(9))
     assert max(r["max_rel_error"] for r in summary["per_seed"]) == summary["max_rel_error"]
-    rows = (out / "grad_check.csv").read_text().splitlines()
+    rows = grad_check_run.csv_rows
     assert rows[0] == "seed,tensor,max_rel_error" and len(rows) == 1 + 9 * 39
+    # each seed's worst error in the summary is the largest of its CSV rows
+    for r in summary["per_seed"]:
+        csv_worst = max(float(x.split(",")[2]) for x in rows[1:]
+                        if x.startswith(f"{r['seed']},"))
+        assert csv_worst == float(f"{r['max_rel_error']:.6e}")

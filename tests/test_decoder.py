@@ -84,8 +84,20 @@ def test_cache_retention_window():
     cache = KVCache.empty(cfg.layers)
     for t in range(21):
         decode_step(params, cfg, cache, t % cfg.vocab, t)
-        # a fixed ring buffer of max(k, stride) + 1 rows on every layer
-        assert [len(layer.rows) for layer in cache.layers] == [max(2, 8) + 1] * cfg.layers
+        # a fixed ring buffer of 1 + the plan's largest |offset| rows on every layer
+        assert [len(layer.rows) for layer in cache.layers] == [1 + 8] * cfg.layers
+
+
+def test_cache_rows_follow_the_plan():
+    # no_skip drops the stride from the plan, so the buffer holds 1 + k rows
+    cfg = model_cfg(layers=2, k=2, pi=8, ablation="no_skip")
+    params = init_model(cfg, seed=0)
+    cache = KVCache.empty(cfg.layers)
+    tokens = np.arange(21) % cfg.vocab
+    steps = [decode_step(params, cfg, cache, int(tok), t) for t, tok in enumerate(tokens)]
+    assert [len(layer.rows) for layer in cache.layers] == [3] * cfg.layers
+    full, _ = model_forward(tokens[None], params, cfg)
+    assert np.abs(np.array(steps) - full[0]).max() < 1e-8
 
 
 def test_out_of_order_step_rejected():

@@ -67,7 +67,6 @@ def test_offset_plan_ablations():
 def test_gather_map_clamp_and_mask():
     maps = gather_schedule(cfg(ring_k=2, ablation="no_skip"), 4)
     m = {g.offset: g for g in maps}[-2]
-    assert (m.lo, m.hi) == (2, 4)
     assert m.valid.tolist() == [False, False, True, True]
 
 

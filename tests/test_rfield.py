@@ -1,6 +1,6 @@
 import pytest
 
-from ringskip.neighborhood import AttentionConfig
+from ringskip.neighborhood import AttentionConfig, Kind, offset_plan
 from ringskip.rfield import (
     reach_full,
     reach_restricted,
@@ -50,6 +50,14 @@ def test_restricted_respects_ablations():
     assert reach_restricted(c, 40, 39, 4) == 8  # k per layer only
 
 
+def test_restricted_charges_no_stride_the_plan_keeps_as_ring():
+    # pi <= k: the stride is a RING slot, so no skip hop is charged and the
+    # conservative figure equals the true BFS reach
+    assert reach_restricted(cfg(4, 2), 40, 39, 3) == 12
+    assert reach_full(cfg(4, 2), 40, 39, 3).leftward_extent() == 12
+    assert restricted_bound(4, 2, 3) == 16
+
+
 def test_non_causal_rejected():
     c = AttentionConfig(d_model=2, n_heads=1, ring_k=1, skip_period=4,
                         causal=False)
@@ -64,8 +72,11 @@ def test_report_grid_bound_holds_with_equality():
     rows = [r.split(",") for r in csv.strip().split("\n")[1:]]
     assert len(rows) == 4 * 4 * 10
     for r in rows:
+        k, pi, layers = map(int, r[:3])
         restricted, bound = int(r[4]), int(r[5])
-        assert restricted == bound  # interior queries: equality, not just <=
+        has_skip = any(kind == Kind.SKIP for _, kind in offset_plan(cfg(k, pi)))
+        # interior queries: equality, not just <=; pi <= k charges no skip hop
+        assert restricted == (bound if has_skip else k * layers)
         assert r[6] == "1"
         # no relation is asserted between full BFS reach and the restricted
         # figure: the accounting can over- or under-shoot the true reach
