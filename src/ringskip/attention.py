@@ -1,20 +1,21 @@
 """Fused union-neighborhood attention: one softmax per token over ring plus
 skip slots, with the gate entering as a log-prior on the logits.
 
-The sparse path works on the gather schedule in slot-major layout: scores,
-probabilities and their gradients are (O, B, H, n) arrays, one contiguous
-(B, H, n) plane per offset slot, so per-slot writes are whole planes and the
-softmax reductions combine planes. The head buffers (B, H, P + n + P, d_h)
-carry P zero rows at each end, P being the reach of the live ring slots
-(P <= k). Each run of consecutive ring offsets is then one `_band` over all n
-rows: a batched matmul of every row's window of buffer rows (a strided view,
-no copy) with its vector of slot weights. That covers the value aggregation
-and d_q; for d_v and d_k, `_skew` first moves each slot plane to the key rows
-it reads, in reverse slot order. Windows reaching past [0, n) read the zero
-margins. Skip slots, scores and d_probs take one shifted slice per slot, over
-the rows whose key row lies in [0, n) (`_span`); a slot with |offset| >= n
-takes no product. Validity lives only in the softmax mask, which gives
-invalid slots probability 0.
+The sparse path executes one `ExecutionPlan`, built for the input's n, and
+rebuilds none of its offsets, RING flags, validity, band runs or margin P.
+Scores, probabilities and their gradients are slot-major (O, B, H, n) arrays,
+one contiguous (B, H, n) plane per offset slot, so per-slot writes are whole
+planes and the softmax reductions combine planes. The head buffers
+(B, H, P + n + P, d_h) carry P zero rows at each end, P being the reach of the
+live ring slots (P <= k). Each of the plan's runs of consecutive ring offsets
+is one `_band` over all n rows: a batched matmul of every row's window of
+buffer rows (a strided view, no copy) with its vector of slot weights. That
+covers the value aggregation and d_q; for d_v and d_k, `_skew` first moves each
+slot plane to the key rows it reads, in reverse slot order. Windows reaching
+past [0, n) read the zero margins. Skip slots, scores and d_probs take one
+shifted slice per slot, over the rows whose key row lies in [0, n) (its span);
+a slot with |offset| >= n takes no product. Validity lives only in the softmax
+mask, which gives invalid slots probability 0.
 `dense_oracle` recomputes the same operator with full n x n tensors built
 independently from the per-token union entries; the two must agree to ~1e-12
 arithmetic noise.
@@ -26,12 +27,12 @@ central-difference checks in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .gate import GateCache, GateParams, gate_backward, gate_forward
-from .neighborhood import AttentionConfig, GatherMap, Kind, UnionNeighborhood
+from .neighborhood import AttentionConfig, ExecutionPlan, UnionNeighborhood
 from .numerics import (
     Rng,
     ShapeError,
@@ -98,7 +99,7 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
 @dataclass
 class AttnCache:
     """Saved activations for the analytic backward pass. The slot arrays are
-    slot-major: slot o of `schedule` is the contiguous plane [o]."""
+    slot-major: slot s of `schedule` is the contiguous plane [s]."""
 
     x: np.ndarray
     qh: np.ndarray               # (B, H, P + n + P, d_h); P zero margin rows at each end
@@ -110,7 +111,7 @@ class AttnCache:
     alpha: Optional[np.ndarray]  # (B, n, H), stabilized
     gate_cache: Optional[GateCache]
     fused: np.ndarray            # (B, n, d) pre-output-projection
-    schedule: List[GatherMap]
+    schedule: ExecutionPlan
     config: AttentionConfig
     # work accounting (per this call, per layer)
     score_evals: int = 0
@@ -154,25 +155,6 @@ def gated_softmax(
     return softmax_row(logits, valid, axis=0)
 
 
-def _span(offset: int, n: int) -> Tuple[int, int]:
-    """Rows [lo, hi) of [0, n) whose key row, row + offset, lies in [0, n)."""
-    lo = min(max(-offset, 0), n)
-    return lo, max(lo, min(n - offset, n))
-
-
-def _bands(schedule: List[GatherMap], n: int) -> Tuple[List[List[int]], int]:
-    """The runs [s0, s1, first offset] of consecutive RING offsets with
-    |offset| < n, each one `_band`, and the margin P they reach (P <= k)."""
-    bands: List[List[int]] = []
-    for s, m in enumerate(schedule):
-        if m.kind == Kind.RING and abs(m.offset) < n:
-            if bands and bands[-1][1] == s and schedule[s - 1].offset == m.offset - 1:
-                bands[-1][1] = s + 1
-            else:
-                bands.append([s, s + 1, m.offset])
-    return bands, max((max(-a, a + s1 - s0 - 1) for s0, s1, a in bands), default=0)
-
-
 def _band(out, src, coef, start) -> None:
     """out[:, :, i] += sum over u < w of coef[:, :, i, u] * src[:, :, start + i + u]
     for all n rows: coef is (B, H, n, w), and src (C-contiguous) has the margin
@@ -185,61 +167,59 @@ def _band(out, src, coef, start) -> None:
     out += (win @ coef[..., None])[..., 0]
 
 
-def _skew(coef, top) -> np.ndarray:
+def _skew(coef, top, spans) -> np.ndarray:
     """The planes coef (w, B, H, n) of a run whose last offset is `top`, moved to
-    the key rows they read, in reverse slot order: (B, H, n, w) with [..., j, u]
-    = coef[w-1-u, ..., j - top + u], zero where that row leaves [0, n)."""
+    the key rows they read (the run's `spans`), in reverse slot order: (B, H, n, w)
+    with [..., j, u] = coef[w-1-u, ..., j - top + u], zero where that row leaves [0, n)."""
     out = np.zeros(coef.shape[1:] + coef.shape[:1])
     for u in range(len(coef)):
-        lo, hi = _span(top - u, out.shape[2])
+        lo, hi = spans[-1 - u]
         out[:, :, lo + top - u:hi + top - u, u] = coef[-1 - u, :, :, lo:hi]
     return out
 
 
-def _gather(out, coef, src, schedule, bands, pad) -> None:
-    """out[:, :, i] += sum over slots s of coef[s, :, :, i] * src[:, :, pad + i + o_s],
-    where coef (O, B, H, n) is zero on invalid slots and src has `pad` margin rows."""
-    for s0, s1, a in bands:
+def _gather(out, coef, src, plan: ExecutionPlan) -> None:
+    """out[:, :, i] += sum over slots s of coef[s, :, :, i] * src[:, :, P + i + o_s], where
+    coef (O, B, H, n) is zero on invalid slots and src has the plan's P margin rows."""
+    pad = plan.pad
+    for s0, s1, a in plan.bands:
         _band(out, src, coef[s0:s1].transpose(1, 2, 3, 0), pad + a)
-    for s, m in enumerate(schedule):
-        if m.kind == Kind.SKIP:
-            o = m.offset
-            lo, hi = _span(o, out.shape[2])
-            out[:, :, lo:hi] += coef[s, :, :, lo:hi, None] * src[:, :, pad + lo + o:pad + hi + o]
+    for s, o in plan.skips:
+        lo, hi = plan.spans[s]
+        out[:, :, lo:hi] += coef[s, :, :, lo:hi, None] * src[:, :, pad + lo + o:pad + hi + o]
 
 
-def _scatter(out, coef, src, schedule, bands, pad) -> None:
+def _scatter(out, coef, src, plan: ExecutionPlan) -> None:
     """The transpose of `_gather`: out[:, :, i + o_s] += coef[s, :, :, i] *
-    src[:, :, pad + i]. Key j's window is src rows j - top + u, for slot s1 - 1 - u."""
-    for s0, s1, a in bands:
+    src[:, :, P + i]. Key j's window is src rows j - top + u, for slot s1 - 1 - u."""
+    pad = plan.pad
+    for s0, s1, a in plan.bands:
         top = a + s1 - s0 - 1
-        _band(out, src, _skew(coef[s0:s1], top), pad - top)
-    for s, m in enumerate(schedule):
-        if m.kind == Kind.SKIP:
-            o = m.offset
-            lo, hi = _span(o, out.shape[2])
-            out[:, :, lo + o:hi + o] += coef[s, :, :, lo:hi, None] * src[:, :, pad + lo:pad + hi]
+        _band(out, src, _skew(coef[s0:s1], top, plan.spans[s0:s1]), pad - top)
+    for s, o in plan.skips:
+        lo, hi = plan.spans[s]
+        out[:, :, lo + o:hi + o] += coef[s, :, :, lo:hi, None] * src[:, :, pad + lo:pad + hi]
 
 
-def _slot_dots(out, a, b, schedule, pad) -> None:
-    """out[s, :, :, i] = a[:, :, pad + i] . b[:, :, pad + i + o_s] over the rows
-    whose key row lies in [0, n); a and b have `pad` margin rows."""
-    for s, m in enumerate(schedule):
-        lo, hi = _span(m.offset, out.shape[3])
+def _slot_dots(out, a, b, plan: ExecutionPlan) -> None:
+    """out[s, :, :, i] = a[:, :, P + i] . b[:, :, P + i + o_s] over the slot's
+    span; a and b have the plan's P margin rows."""
+    pad = plan.pad
+    for s, (o, (lo, hi)) in enumerate(zip(plan.offsets.tolist(), plan.spans)):
         np.einsum("bhnd,bhnd->bhn", a[:, :, pad + lo:pad + hi],
-                  b[:, :, pad + lo + m.offset:pad + hi + m.offset], out=out[s, :, :, lo:hi])
+                  b[:, :, pad + lo + o:pad + hi + o], out=out[s, :, :, lo:hi])
 
 
 def pi_attention_forward(
     x: np.ndarray,
     proj: ProjectionParams,
     gate_params: GateParams,
-    schedule: List[GatherMap],
+    schedule: ExecutionPlan,
     config: AttentionConfig,
     train: bool = False,
     rng: Optional[Rng] = None,
 ) -> Tuple[np.ndarray, AttnCache]:
-    """Sparse fused attention over the gather schedule.
+    """Sparse fused attention over an execution plan built for x's length.
 
     Returns (output (B, n, d_model), cache). Attention weights are available
     as cache.probs, laid out per (offset slot, batch, head, token).
@@ -249,10 +229,12 @@ def pi_attention_forward(
     b, n, d = x.shape
     if d != config.d_model:
         raise ShapeError(f"input width {d} != d_model {config.d_model}")
+    if n != schedule.n:
+        raise ShapeError(f"input length {n} != the plan's length {schedule.n}")
     h_cnt, d_h = config.n_heads, config.head_dim
     scale = 1.0 / np.sqrt(d_h)
 
-    bands, pad = _bands(schedule, n)
+    pad = schedule.pad
     qh = split_heads(x @ proj.wq + proj.bq, h_cnt, pad)
     kh = split_heads(x @ proj.wk, h_cnt, pad)
     vh = split_heads(x @ proj.wv + proj.bv, h_cnt, pad)
@@ -261,14 +243,11 @@ def pi_attention_forward(
     alpha, gate_cache = gate_forward(gate_params, gate_in, config)
     alpha_h = None if alpha is None else alpha.transpose(0, 2, 1)  # (B, H, n)
 
-    n_off = len(schedule)
-    valid = np.stack([m.valid for m in schedule])  # (O, n)
-    ring_mask = np.array([m.kind == Kind.RING for m in schedule])
-    scores = np.zeros((n_off, b, h_cnt, n))
-    _slot_dots(scores, qh, kh, schedule, pad)
+    scores = np.zeros((len(schedule), b, h_cnt, n))
+    _slot_dots(scores, qh, kh, schedule)
     scores *= scale
 
-    probs = gated_softmax(scores, alpha_h, ring_mask, valid[:, None, None], config)
+    probs = gated_softmax(scores, alpha_h, schedule.ring, schedule.valid[:, None, None], config)
 
     drop_mask = None
     probs_used = probs
@@ -280,12 +259,12 @@ def pi_attention_forward(
         probs_used = probs * drop_mask
 
     out_h = np.zeros((b, h_cnt, n, d_h))
-    _gather(out_h, probs_used, vh, schedule, bands, pad)
+    _gather(out_h, probs_used, vh, schedule)
 
     fused = merge_heads(out_h)
     out = fused @ proj.wo + proj.bo
 
-    n_valid = int(valid.sum())
+    n_valid = schedule.n_valid
     cache = AttnCache(
         x=x, qh=qh, kh=kh, vh=vh, scores_raw=scores, probs=probs,
         drop_mask=drop_mask, alpha=alpha, gate_cache=gate_cache, fused=fused,
@@ -314,21 +293,19 @@ def pi_attention_backward(
     b, n, d = cache.x.shape
     h_cnt, d_h = cfg.n_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(d_h)
-    sched = cache.schedule
-    ring_mask = np.array([m.kind == Kind.RING for m in sched])
+    plan = cache.schedule
 
     flat_fused = cache.fused.reshape(-1, d)
     flat_dout = d_out.reshape(-1, d)
     d_wo = flat_fused.T @ flat_dout
     d_bo = flat_dout.sum(axis=0)
-    bands, pad = _bands(sched, n)
-    d_out_h = split_heads(d_out @ proj.wo.T, h_cnt, pad)
+    d_out_h = split_heads(d_out @ proj.wo.T, h_cnt, plan.pad)
 
     probs_used = cache.probs if cache.drop_mask is None else cache.probs * cache.drop_mask
     d_probs_used = np.zeros_like(cache.probs)
-    _slot_dots(d_probs_used, d_out_h, cache.vh, sched, pad)
+    _slot_dots(d_probs_used, d_out_h, cache.vh, plan)
     d_vh = np.zeros((b, h_cnt, n, d_h))
-    _scatter(d_vh, probs_used, d_out_h, sched, bands, pad)
+    _scatter(d_vh, probs_used, d_out_h, plan)
 
     d_probs = d_probs_used if cache.drop_mask is None else d_probs_used * cache.drop_mask
     # softmax backward; invalid slots have probs == 0 so they drop out
@@ -337,7 +314,7 @@ def pi_attention_backward(
 
     pre = cache.scores_raw
     if cfg.clamp_after_prior and cache.alpha is not None:
-        pre = pre + log_prior(cache.alpha.transpose(0, 2, 1), ring_mask)
+        pre = pre + log_prior(cache.alpha.transpose(0, 2, 1), plan.ring)
     d_scores = d_logits * (np.abs(pre) <= cfg.logit_clamp)
     d_prior = d_scores if cfg.clamp_after_prior else d_logits
 
@@ -345,15 +322,15 @@ def pi_attention_backward(
     d_gate_in = None
     if cache.gate_cache is not None:
         alpha_h = cache.alpha.transpose(0, 2, 1)  # (B, H, n)
-        d_alpha_h = (d_prior[ring_mask].sum(axis=0) / alpha_h
-                     - d_prior[~ring_mask].sum(axis=0) / (1.0 - alpha_h))
+        d_alpha_h = (d_prior[plan.ring].sum(axis=0) / alpha_h
+                     - d_prior[~plan.ring].sum(axis=0) / (1.0 - alpha_h))
         d_gate_in, gate_grads = gate_backward(gate_params, cache.gate_cache,
                                               d_alpha_h.transpose(0, 2, 1))
 
     d_scores *= scale
     d_qh, d_kh = np.zeros((2, b, h_cnt, n, d_h))
-    _gather(d_qh, d_scores, cache.kh, sched, bands, pad)
-    _scatter(d_kh, d_scores, cache.qh, sched, bands, pad)
+    _gather(d_qh, d_scores, cache.kh, plan)
+    _scatter(d_kh, d_scores, cache.qh, plan)
 
     # merge_heads copies; free the dead intermediates first to keep the peak down
     del d_out_h, d_probs_used, d_probs, d_logits, d_scores, d_prior
@@ -442,7 +419,7 @@ class BlockCache:
 def block_forward(
     x: np.ndarray,
     params: BlockParams,
-    schedule: List[GatherMap],
+    schedule: ExecutionPlan,
     config: AttentionConfig,
     train: bool = False,
     rng: Optional[Rng] = None,

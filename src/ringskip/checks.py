@@ -244,17 +244,16 @@ def run_kl_random_scores(n: int = 256, k: int = 2, pi: int = 8,
     cfg = AttentionConfig(d_model=4, n_heads=1, ring_k=k, skip_period=pi,
                           causal=True, eps=eps, logit_clamp=clamp)
     ideal_cfg = dataclasses.replace(cfg, logit_clamp=np.inf)
-    schedule = gather_schedule(cfg, n)
-    ring_mask = np.array([m.kind.value == "RING" for m in schedule])
-    valid = np.stack([m.valid for m in schedule])[:, None, None]
+    plan = gather_schedule(cfg, n)
+    valid = plan.valid[:, None, None]
     means, maxes = [], []
     for s in range(seeds):
         rng = Rng(1000 + s)
-        scores = rng.normal((len(schedule), 1, 1, n))
+        scores = rng.normal((len(plan), 1, 1, n))
         alpha_raw = rng.uniform((1, 1, n))
         with np.errstate(divide="ignore"):
-            ideal = gated_softmax(scores, alpha_raw, ring_mask, valid, ideal_cfg)
-        stab = gated_softmax(scores, clip_alpha(alpha_raw, eps), ring_mask, valid, cfg)
+            ideal = gated_softmax(scores, alpha_raw, plan.ring, valid, ideal_cfg)
+        stab = gated_softmax(scores, clip_alpha(alpha_raw, eps), plan.ring, valid, cfg)
         kl = kl_divergence(stab, ideal)
         means.append(float(kl.mean()))
         maxes.append(float(kl.max()))

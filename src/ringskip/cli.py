@@ -23,7 +23,7 @@ from .checks import (
     run_stacked_grad_check,
 )
 from .model import ModelConfig
-from .neighborhood import (AttentionConfig, ConfigError, Kind, build_union, offset_plan,
+from .neighborhood import (AttentionConfig, ConfigError, build_union, slot_layout,
                            union_table_csv)
 from .perf import CostParams, cost_model_eval, fit_cost_constants, ring_simulate, work_report
 from .rfield import rf_report
@@ -174,19 +174,13 @@ def cmd_decode(args) -> int:
         prompt = [int(t) for t in args.prompt.split(",")]
     except ValueError:
         prompt = [b % cfg.vocab for b in args.prompt.encode("utf-8")]
-    bad = [t for t in prompt if not 0 <= t < cfg.vocab]
-    if bad:
-        print(f"error: prompt token {bad[0]} outside the vocabulary "
-              f"[0, {cfg.vocab})", file=sys.stderr)
+    try:  # generate rejects tokens outside the vocabulary, max_seq overruns, bad --temp
+        seq = generate(params, cfg, prompt, args.steps, greedy=args.temp is None,
+                       temperature=1.0 if args.temp is None else args.temp,
+                       rng=Rng(args.seed))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if len(prompt) + args.steps > cfg.max_seq:
-        print(f"error: prompt length {len(prompt)} + steps {args.steps} exceeds "
-              f"max_seq {cfg.max_seq}", file=sys.stderr)
-        return 2
-    rng = Rng(args.seed)
-    seq = generate(params, cfg, prompt, args.steps,
-                   greedy=args.temp is None,
-                   temperature=args.temp or 1.0, rng=rng)
     out = _out_dir(args)
     _write_manifest(args, out)
     (out / "tokens.csv").write_text(
@@ -306,8 +300,8 @@ def cmd_validate_config(args) -> int:
     _write_manifest(args, out)
     union = build_union(att, args.n)
     (out / "union.csv").write_text(union_table_csv(union))
-    if (att.ablation != "no_skip"
-            and all(kind != Kind.SKIP for _, kind in offset_plan(att))):
+    _, ring, _ = slot_layout(att)
+    if att.ablation != "no_skip" and ring.all():
         print("note: skip stride falls inside the ring window; the overlapping "
               "slot is kept once as a RING member")
     print(f"validate-config: OK (union table for n={args.n} written)")

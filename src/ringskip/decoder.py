@@ -2,7 +2,7 @@
 attention, reading keys and values from a fixed per-layer ring buffer.
 
 Each step projects only the new token and attends over the slots of
-`offset_plan` (a causal plan, so every offset is <= 0), in the forward's slot
+`slot_layout` (a causal plan, so every offset is <= 0), in the forward's slot
 order, through the same `gated_softmax` the batched forward uses. Slot offset
 o is valid when t + o >= 0. Each layer keeps a buffer of 1 + the plan's
 largest |offset| rows, and position t lives in row t mod size, so the
@@ -21,7 +21,7 @@ import numpy as np
 from .attention import gated_softmax
 from .gate import gate_forward
 from .model import ModelConfig, ModelParams
-from .neighborhood import Kind, offset_plan
+from .neighborhood import slot_layout
 from .numerics import Rng, gelu, layer_norm_forward, softmax_row
 
 
@@ -40,7 +40,7 @@ class LayerCache:
 class KVCache:
     layers: List[LayerCache]
     next_pos: int = 0
-    # slot offsets (offset_plan's, <= 0) and RING flags; set by decode_step at t == 0
+    # slot offsets (slot_layout's, <= 0) and RING flags; set by decode_step at t == 0
     offsets: Optional[np.ndarray] = None
     ring_mask: Optional[np.ndarray] = None
 
@@ -68,9 +68,7 @@ def decode_step(
         raise ValueError(f"token {token} outside the vocabulary [0, {cfg.vocab})")
     h_cnt, d_h = att.n_heads, att.head_dim
     if t == 0:
-        plan = offset_plan(att)
-        cache.offsets = np.array([o for o, _ in plan])
-        cache.ring_mask = np.array([kind == Kind.RING for _, kind in plan])
+        cache.offsets, cache.ring_mask, _ = slot_layout(att)
         for lc in cache.layers:
             lc.rows = np.zeros((1 - cache.offsets.min(), 2, h_cnt, d_h))
     size = len(cache.layers[0].rows)
@@ -111,13 +109,18 @@ def generate(
     temperature: float = 1.0,
     rng: Optional[Rng] = None,
 ) -> List[int]:
-    """Extend a nonempty prompt by `steps` tokens (greedy or temperature)."""
+    """Extend a nonempty prompt by `steps` tokens (greedy, or sampled at a
+    finite temperature > 0), within max_seq."""
     if not prompt:
         raise ValueError("prompt must be nonempty")
+    if len(prompt) + steps > cfg.max_seq:
+        raise ValueError(f"prompt length {len(prompt)} + steps {steps} exceeds "
+                         f"max_seq {cfg.max_seq}")
     if not greedy and rng is None:
         raise ValueError("temperature sampling requires an rng")
+    if not greedy and not 0.0 < temperature < np.inf:
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
     cache = KVCache.empty(cfg.layers)
-    logits = None
     for t, tok in enumerate(prompt):
         logits = decode_step(params, cfg, cache, tok, t)
     out = list(prompt)

@@ -24,7 +24,7 @@ from .attention import (
     init_projection,
 )
 from .gate import init_gate
-from .neighborhood import AttentionConfig, GatherMap, gather_schedule
+from .neighborhood import AttentionConfig, ExecutionPlan, gather_schedule
 from .numerics import Rng, layer_norm_backward, layer_norm_forward
 
 
@@ -125,7 +125,7 @@ def model_forward(
     tokens: np.ndarray,
     params: ModelParams,
     cfg: ModelConfig,
-    schedule: Optional[List[GatherMap]] = None,
+    schedule: Optional[ExecutionPlan] = None,
     train: bool = False,
     rng: Optional[Rng] = None,
 ) -> Tuple[np.ndarray, ModelCache]:

@@ -1,11 +1,12 @@
 """Sparse footprint construction: ring window, periodic skip links, and the
 union neighborhood each token's single softmax runs over.
 
-Two equivalent views are exposed:
+`offset_plan` holds the rules; `slot_layout` is its n-independent array form
+(offsets, RING flags, ring reach), read by decoding, `rfield` and `perf`.
   * `build_union` — per-token lists of (target, offset, kind, valid) entries,
     the ground truth the dense oracle and the CSV dump consume;
-  * `gather_schedule` — per distinct offset, its kind plus a validity mask:
-    the plan the vectorized attention path executes.
+  * `gather_schedule` — the `ExecutionPlan` of one (config, n, user_mask),
+    built once and read by the kernel and the KL check.
 
 Overlap rule: if the skip stride lands inside the ring window the duplicate
 slot is kept once as a RING member (the ring log-prior applies).
@@ -18,10 +19,11 @@ built from it) still apply their own causal test, since they are the check.
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -97,9 +99,6 @@ class UnionNeighborhood:
     n: int
     entries: List[List[NeighborEntry]]
 
-    def valid_targets(self, i: int) -> List[int]:
-        return [e.target for e in self.entries[i] if e.valid]
-
     @cached_property
     def dense_masks(self) -> Tuple[np.ndarray, np.ndarray]:
         """(allowed, ring_pair): read-only (n, n) bool masks, [i, j] set when
@@ -116,16 +115,6 @@ class UnionNeighborhood:
         allowed.flags.writeable = False
         ring_pair.flags.writeable = False
         return allowed, ring_pair
-
-
-@dataclass(frozen=True)
-class GatherMap:
-    """One offset slot: query row i reads key row i + offset, and the slot
-    counts where valid[i] (the key row lies in [0, n) and user_mask keeps it)."""
-
-    offset: int
-    kind: Kind
-    valid: np.ndarray  # (n,) bool
 
 
 def offset_plan(config: AttentionConfig) -> List[tuple]:
@@ -150,6 +139,48 @@ def offset_plan(config: AttentionConfig) -> List[tuple]:
         # skip stride inside the ring window: keep the slot once, as RING
         plan += [(o, Kind.SKIP) for o in skips if o not in ring_set]
     return plan
+
+
+def slot_layout(config: AttentionConfig) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The n-independent part of the plan: `offset_plan`'s offsets and RING
+    flags, read-only (O,) arrays, and the ring reach, the largest RING |offset|."""
+    plan = offset_plan(config)
+    offsets = np.array([o for o, _ in plan], dtype=np.int64)
+    ring = np.array([kind == Kind.RING for _, kind in plan], dtype=bool)
+    offsets.flags.writeable = ring.flags.writeable = False
+    return offsets, ring, int(np.abs(offsets[ring]).max(initial=0))
+
+
+class Slot(NamedTuple):
+    offset: int
+    kind: Kind
+    valid: np.ndarray  # (n,) bool, a row view of the plan's validity
+
+
+@dataclass(frozen=True, eq=False)
+class ExecutionPlan:
+    """What the sparse kernel reads of (config, n, user_mask). Row i of slot s
+    reads key row i + offsets[s] and counts where valid[s, i]. Iterating gives
+    one `Slot` per offset, in slot order."""
+
+    offsets: np.ndarray  # (O,) int, read-only
+    ring: np.ndarray     # (O,) bool, read-only
+    valid: np.ndarray    # (O, n) bool, read-only
+    spans: Tuple[Tuple[int, int], ...]  # per slot, the rows [lo, hi) whose key row lies in [0, n)
+    # runs (s0, s1, first offset) of consecutive RING offsets with |offset| < n,
+    # each one `_band`, and the margin P they reach (P <= k)
+    bands: Tuple[Tuple[int, int, int], ...]
+    pad: int
+    skips: Tuple[Tuple[int, int], ...]  # (slot, offset) of each SKIP slot
+    n: int
+    n_valid: int
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def __iter__(self) -> Iterator[Slot]:
+        for s, o in enumerate(self.offsets.tolist()):
+            yield Slot(o, Kind.RING if self.ring[s] else Kind.SKIP, self.valid[s])
 
 
 def _checked_mask(n: int, user_mask: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -191,37 +222,37 @@ def gather_schedule(
     config: AttentionConfig,
     n: int,
     user_mask: Optional[np.ndarray] = None,
-) -> List[GatherMap]:
-    """Kind plus validity mask per distinct offset (the execution plan)."""
+) -> ExecutionPlan:
+    """The execution plan of (config, n, user_mask)."""
     user_mask = _checked_mask(n, user_mask)
-    base = np.arange(n)
-    maps = []
-    for offset, kind in offset_plan(config):
-        target = base + offset
-        valid = (target >= 0) & (target < n)
-        if user_mask is not None:
-            valid &= user_mask[np.clip(target, 0, n - 1)]
-        maps.append(GatherMap(offset=offset, kind=kind, valid=valid))
-    if not np.any([m.valid for m in maps], axis=0).all():
-        bad = int(np.argmin(np.any([m.valid for m in maps], axis=0)))
-        raise EmptyNeighborhoodError(f"empty neighborhood at token {bad}")
-    return maps
+    offsets, ring, reach = slot_layout(config)
+    lo = np.clip(-offsets, 0, n)
+    hi = np.maximum(lo, np.clip(n - offsets, 0, n))
+    rows = np.arange(n)
+    valid = (rows >= lo[:, None]) & (rows < hi[:, None])
+    if user_mask is not None:
+        valid &= user_mask[np.clip(offsets[:, None] + rows, 0, n - 1)]
+    covered = valid.any(axis=0)
+    if not covered.all():
+        raise EmptyNeighborhoodError(f"empty neighborhood at token {int(np.argmin(covered))}")
+    valid.flags.writeable = False
+    offs = offsets.tolist()
+    # ring offsets increase, so slot and offset step together within a run:
+    # o - s is constant along it and changes at the gap of a dropped self slot
+    live = [(s, o) for s, o in enumerate(offs) if ring[s] and abs(o) < n]
+    runs = [list(run) for _, run in itertools.groupby(live, lambda so: so[1] - so[0])]
+    # the ring holds every |offset| from 1 to its reach on one side at least,
+    # so the banded runs reach min(reach, n - 1)
+    return ExecutionPlan(offsets, ring, valid, tuple(zip(lo.tolist(), hi.tolist())),
+                         tuple((r[0][0], r[-1][0] + 1, r[0][1]) for r in runs),
+                         min(reach, n - 1),
+                         tuple((s, o) for s, o in enumerate(offs) if not ring[s]),
+                         n, int(valid.sum()))
 
 
 def count_score_slots(union: UnionNeighborhood) -> int:
     """Total valid union slots; the attention path scores exactly this many."""
     return sum(sum(e.valid for e in row) for row in union.entries)
-
-
-def union_from_schedule(maps: List[GatherMap], n: int) -> UnionNeighborhood:
-    """Reconstruct per-token entries from the gather plan (consistency check)."""
-    entries: List[List[NeighborEntry]] = [[] for _ in range(n)]
-    for m in maps:
-        for i in range(n):
-            entries[i].append(NeighborEntry(target=min(max(i + m.offset, 0), n - 1),
-                                            offset=m.offset, kind=m.kind,
-                                            valid=bool(m.valid[i])))
-    return UnionNeighborhood(n=n, entries=entries)
 
 
 def union_table_csv(union: UnionNeighborhood) -> str:

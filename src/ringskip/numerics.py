@@ -15,6 +15,7 @@ draws, never on golden values.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -104,11 +105,15 @@ def layer_norm_backward(cache, dy):
 
 
 class Rng:
-    """Seeded PCG64 generator. Identical seeds give bit-identical draw streams."""
+    """Seeded PCG64 generator, built on the first draw (spawning seeds none).
+    Identical seeds give bit-identical draw streams."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(self.seed))
 
     def normal(self, shape, scale: float = 1.0) -> np.ndarray:
         return self._gen.normal(0.0, scale, size=shape)

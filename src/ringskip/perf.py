@@ -19,8 +19,8 @@ import numpy as np
 
 from .attention import init_projection, pi_attention_forward
 from .gate import init_gate
-from .neighborhood import (AttentionConfig, ConfigError, Kind, build_union,
-                           count_score_slots, gather_schedule, offset_plan)
+from .neighborhood import (AttentionConfig, ConfigError, build_union,
+                           count_score_slots, gather_schedule, slot_layout)
 from .numerics import Rng
 
 
@@ -129,7 +129,7 @@ def ring_simulate(
     microbatch's stage 2 with the current one's stage 3:
     makespan = M*t1 + t2 + (M-1)*max(t2, t3) + t3.
     """
-    plan = offset_plan(config)
+    offsets, ring, k = slot_layout(config)
     if shards < 1 or shards > n:
         raise ConfigError(f"shards: must lie in [1, n], got {shards} for n={n}")
     per = -(-n // shards)  # ceil; last shard padded
@@ -137,18 +137,15 @@ def ring_simulate(
     row_elems = batch * heads * d_h
     messages: List[Message] = []
 
-    k = max((abs(o) for o, kind in plan if kind == Kind.RING), default=0)
+    halo = 2 * min(k, per) * row_elems
     for s in range(1, shards):
-        left_rows = min(k, per)
-        if left_rows > 0:
-            messages.append(Message("halo", s - 1, s, 2 * left_rows * row_elems))
-        if not config.causal and left_rows > 0:
-            first_real = s * per
-            if first_real < n:
-                messages.append(Message("halo", s, s - 1, 2 * left_rows * row_elems))
+        if halo:
+            messages.append(Message("halo", s - 1, s, halo))
+            if not config.causal and s * per < n:
+                messages.append(Message("halo", s, s - 1, halo))
 
     # a skip stride inside the ring window has no SKIP slot: the halo carries it
-    strides = [o for o, kind in plan if kind == Kind.SKIP]
+    strides = offsets[~ring].tolist()
     for i in range(n):
         for st in strides:
             j = i + st

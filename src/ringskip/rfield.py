@@ -7,7 +7,7 @@ Two quantities per (k, skip period, L):
     every layer but the skip hop is charged only at interval-doubling layers
     (cumulative skips after layer l equal ceil(log2 l)).
 
-Hops and strides are read from `offset_plan`. The restricted extent of an
+Hops and strides are read from `slot_layout`. The restricted extent of an
 interior query equals k*L + pi*ceil(log2 L) where the plan has a SKIP slot,
 and k*L where it has none (pi <= k keeps the stride as a RING slot). The full
 BFS reach can exceed the bound (up to L*(k+pi)) and is reported as documented
@@ -23,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .neighborhood import AttentionConfig, ConfigError, Kind, build_union, offset_plan
+from .neighborhood import AttentionConfig, ConfigError, build_union, slot_layout
 
 
 @dataclass
@@ -57,18 +57,12 @@ def reach_full(config: AttentionConfig, n: int, query: int, layers: int) -> Reac
     """BFS over the actual per-layer union edges (causal)."""
     if not config.causal:
         raise ValueError("receptive-field analysis is defined for causal configs")
-    union = build_union(config, n)
-    preds = [set(union.valid_targets(i)) | {i} for i in range(n)]
-    cur = np.zeros(n, dtype=bool)
-    cur[query] = True
+    allowed, _ = build_union(config, n).dense_masks
+    cur = np.arange(n) == query
     per_layer = []
     for _ in range(layers):
-        nxt = cur.copy()
-        for i in np.flatnonzero(cur):
-            for j in preds[i]:
-                nxt[j] = True
-        cur = nxt
-        per_layer.append(cur.copy())
+        cur = cur | allowed[cur].any(axis=0)  # each reached token adds its targets
+        per_layer.append(cur)
     return ReachSet(query=query, layers=per_layer)
 
 
@@ -78,9 +72,8 @@ def reach_restricted(config: AttentionConfig, n: int, query: int, layers: int) -
     RING slot (pi <= k), or drops (no_skip), is never charged."""
     if not config.causal:
         raise ValueError("receptive-field analysis is defined for causal configs")
-    plan = offset_plan(config)
-    hop = max([-o for o, kind in plan if kind == Kind.RING], default=0)
-    stride = max([-o for o, kind in plan if kind == Kind.SKIP], default=0)
+    offsets, ring, hop = slot_layout(config)
+    stride = -int(offsets[~ring].min(initial=0))
     lo = query
     for layer in range(1, layers + 1):
         lo -= hop

@@ -4,7 +4,6 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from ringskip.attention import (
-    _bands,
     _gather,
     _scatter,
     block_backward,
@@ -28,16 +27,16 @@ from ringskip.checks import (
 )
 from ringskip.gate import clip_alpha
 from ringskip.model import flatten
+from ringskip import neighborhood
 from ringskip.neighborhood import (
     ABLATIONS,
     AttentionConfig,
     EmptyNeighborhoodError,
-    Kind,
     build_union,
     count_score_slots,
     gather_schedule,
 )
-from ringskip.numerics import GRAD_CHECK_FLOOR, NonFiniteError, Rng
+from ringskip.numerics import GRAD_CHECK_FLOOR, NonFiniteError, Rng, ShapeError
 
 
 def cfg(**kw):
@@ -65,10 +64,10 @@ def test_footprint_determines_schedule_and_union():
     for c, n in oracle_grid("full"):
         sched, union = gather_schedule(c, n), build_union(c, n)
         ref_sched, ref_union = refs.setdefault(footprint(c, n), (sched, union))
-        assert len(sched) == len(ref_sched)
-        for m, r in zip(sched, ref_sched):
-            assert (m.offset, m.kind) == (r.offset, r.kind)
-            assert np.array_equal(m.valid, r.valid)
+        for field in ("offsets", "ring", "valid"):
+            assert np.array_equal(getattr(sched, field), getattr(ref_sched, field))
+        assert (sched.bands, sched.pad, sched.skips) == (ref_sched.bands, ref_sched.pad,
+                                                         ref_sched.skips)
         assert union.entries == ref_union.entries
     assert len(refs) == 144
 
@@ -138,11 +137,9 @@ def test_masked_sparse_matches_oracle_and_gradients(data):
     # logit next to the clamp's kink would make the difference one-sided
     pre = cache.scores_raw
     if c.clamp_after_prior and cache.alpha is not None:
-        ring = np.array([m.kind == Kind.RING for m in sched])
-        pre = pre + log_prior(cache.alpha.transpose(0, 2, 1), ring)
-    valid = np.stack([m.valid for m in sched])
+        pre = pre + log_prior(cache.alpha.transpose(0, 2, 1), sched.ring)
     near = np.abs(np.abs(pre) - c.logit_clamp).transpose(1, 2, 0, 3)
-    assume(near[..., valid].min() > 1e-4)
+    assume(near[..., sched.valid].min() > 1e-4)
     d_out = rng.normal(out.shape)
     d_x, g_proj, g_gate = pi_attention_backward(proj, gate, cache, d_out)
     trees = [proj] if g_gate is None else [proj, gate]
@@ -175,7 +172,7 @@ def test_masked_sparse_matches_oracle_and_gradients(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_band_products_match_per_slot_loop(data):
-    # `_gather` and `_scatter` run each ring run as one `_band` (the scatter
+    # `_gather` and `_scatter` run each of the plan's ring runs as one `_band` (the scatter
     # after `_skew`) over buffers with zero margins, and each skip slot as one
     # shifted slice; the reference is the per-slot loop over valid rows, so
     # only the order of the sums differs and agreement is to rounding. Small n
@@ -194,18 +191,16 @@ def test_band_products_match_per_slot_loop(data):
     except EmptyNeighborhoodError:
         reject()
     rng = Rng(data.draw(st.integers(0, 2 ** 31 - 1), label="seed"))
-    bands, pad = _bands(sched, n)
-    ring = [abs(m.offset) for m in sched if m.kind == Kind.RING and abs(m.offset) < n]
-    assert pad == max(ring, default=0) <= k
-    valid = np.stack([m.valid for m in sched])
-    coef = rng.normal((len(sched), 2, 3, n)) * valid[:, None, None]  # 0 on invalid slots
+    pad = sched.pad
+    assert pad <= k
+    coef = rng.normal((len(sched), 2, 3, n)) * sched.valid[:, None, None]  # 0 on invalid slots
     x = rng.normal((2, n, 12))
     src, padded = split_heads(x, 3), split_heads(x, 3, pad)
     assert np.array_equal(padded[:, :, pad:pad + n], src)
     assert not padded[:, :, :pad].any() and not padded[:, :, pad + n:].any()
     gathered, scattered = np.zeros_like(src), np.zeros_like(src)
-    _gather(gathered, coef, padded, sched, bands, pad)
-    _scatter(scattered, coef, padded, sched, bands, pad)
+    _gather(gathered, coef, padded, sched)
+    _scatter(scattered, coef, padded, sched)
     ref_g, ref_s = np.zeros_like(src), np.zeros_like(src)
     for o, m in enumerate(sched):
         for i in np.flatnonzero(m.valid):
@@ -232,9 +227,41 @@ def test_probs_normalize_over_valid_slots():
     c = cfg()
     proj, gate, x = setup(c, 10)
     _, cache = pi_attention_forward(x, proj, gate, gather_schedule(c, 10), c)
-    valid = np.stack([m.valid for m in cache.schedule])
     assert np.allclose(cache.probs.sum(axis=0), 1.0)
-    assert (cache.probs.transpose(1, 2, 0, 3)[..., ~valid] == 0.0).all()
+    assert (cache.probs.transpose(1, 2, 0, 3)[..., ~cache.schedule.valid] == 0.0).all()
+
+
+@pytest.mark.parametrize("plan_n,n", [(1, 6), (8, 10), (10, 8)])
+def test_plan_built_for_another_length_is_refused(plan_n, n):
+    # an (O, 1) validity would broadcast to every row, and other lengths would
+    # die in a numpy broadcast
+    c = cfg()
+    proj, gate, x = setup(c, n)
+    with pytest.raises(ShapeError, match=f"input length {n} != the plan's length {plan_n}"):
+        pi_attention_forward(x, proj, gate, gather_schedule(c, plan_n), c)
+
+
+def test_forward_and_backward_read_the_plan_and_rebuild_nothing(monkeypatch):
+    c = cfg(ring_k=2, skip_period=5, causal=False, bidirectional_skip=True)
+    proj, gate, x = setup(c, 12)
+    plan = gather_schedule(c, 12)
+    calls = []
+
+    def counted(name):
+        fn = getattr(neighborhood, name)
+
+        def wrapper(*args, **kw):
+            calls.append(name)
+            return fn(*args, **kw)
+        return wrapper
+
+    for name in ("offset_plan", "slot_layout", "gather_schedule"):
+        monkeypatch.setattr(neighborhood, name, counted(name))
+    out, cache = pi_attention_forward(x, proj, gate, plan, c)
+    pi_attention_backward(proj, gate, cache, np.ones_like(out))
+    assert calls == []
+    neighborhood.gather_schedule(c, 12)  # the counters do count a rebuild
+    assert calls == ["gather_schedule", "slot_layout", "offset_plan"]
 
 
 def test_score_counter_matches_union_slots():
@@ -264,10 +291,9 @@ def test_larger_alpha_shifts_mass_onto_ring_slots():
     _, lo = pi_attention_forward(x, proj, gate, sched, c)
     c_hi = cfg(ablation="static_alpha", static_alpha_value=0.8)
     _, hi = pi_attention_forward(x, proj, gate, sched, c_hi)
-    ring = np.array([m.kind == Kind.RING for m in sched])
     # token n-1 has both ring and skip slots valid
-    ring_lo = lo.probs[ring, 0, :, n - 1].sum(axis=0)
-    ring_hi = hi.probs[ring, 0, :, n - 1].sum(axis=0)
+    ring_lo = lo.probs[sched.ring, 0, :, n - 1].sum(axis=0)
+    ring_hi = hi.probs[sched.ring, 0, :, n - 1].sum(axis=0)
     assert (ring_hi > ring_lo).all()
 
 
@@ -437,11 +463,10 @@ def test_gated_softmax_reproduces_forward_probs(clamp_after_prior):
     c = cfg(logit_clamp=0.5, clamp_after_prior=clamp_after_prior)
     proj, gate, x = setup(c, 12)
     _, cache = pi_attention_forward(x, proj, gate, gather_schedule(c, 12), c)
-    ring = np.array([m.kind == Kind.RING for m in cache.schedule])
-    valid = np.stack([m.valid for m in cache.schedule])[:, None, None]
+    plan = cache.schedule
     assert (np.abs(cache.scores_raw) > 0.5).any()
-    probs = gated_softmax(cache.scores_raw, cache.alpha.transpose(0, 2, 1), ring,
-                          valid, c)
+    probs = gated_softmax(cache.scores_raw, cache.alpha.transpose(0, 2, 1), plan.ring,
+                          plan.valid[:, None, None], c)
     assert np.array_equal(probs, cache.probs)
 
 

@@ -176,6 +176,25 @@ def test_decode_bad_input_exits_2(small_ckpt, tmp_path, capsys, prompt, steps,
     assert not (tmp_path / "dec" / "tokens.csv").exists()
 
 
+@pytest.mark.parametrize("temp", ["0", "-1", "inf", "nan"])
+def test_decode_bad_temperature_exits_2(small_ckpt, tmp_path, capsys, temp):
+    code = main(["decode", "--ckpt", str(small_ckpt), "--prompt", "1,2,3",
+                 "--steps", "4", "--temp", temp, "--out", str(tmp_path / "dec")])
+    err = capsys.readouterr().err.strip().split("\n")
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and "temperature" in err[0]
+    assert not (tmp_path / "dec" / "tokens.csv").exists()
+
+
+def test_decode_samples_at_the_given_temperature(small_ckpt, tmp_path, capsys):
+    seqs = []
+    for temp in ("0.01", "1", "100"):
+        assert main(["decode", "--ckpt", str(small_ckpt), "--prompt", "1,2,3",
+                     "--steps", "12", "--temp", temp, "--out", str(tmp_path / temp)]) == 0
+        seqs.append(capsys.readouterr().out)
+    assert len(set(seqs)) == 3
+
+
 @pytest.mark.parametrize("damage", [lambda b: b[:-12], lambda b: b + bytes(8)],
                          ids=["truncated", "trailing_bytes"])
 def test_decode_damaged_checkpoint_exits_2(small_ckpt, tmp_path, capsys, damage):

@@ -150,3 +150,14 @@ def test_generate_argument_validation():
         generate(params, cfg, [], steps=3)
     with pytest.raises(ValueError, match="rng"):
         generate(params, cfg, [1], steps=3, greedy=False)
+
+
+@pytest.mark.parametrize("temp", [0.0, -1.0, float("inf"), float("nan")])
+def test_generate_rejects_a_temperature_not_finite_and_positive(temp):
+    # at 0 the old CLI sampled at 1.0, and below 0 from the inverted distribution
+    cfg = model_cfg()
+    params = init_model(cfg, seed=0)
+    with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+        generate(params, cfg, [1], steps=3, greedy=False, temperature=temp, rng=Rng(0))
+    assert len(generate(params, cfg, [1], steps=3, greedy=False, temperature=0.5,
+                        rng=Rng(0))) == 4

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from ringskip.neighborhood import (
@@ -9,11 +9,13 @@ from ringskip.neighborhood import (
     ConfigError,
     EmptyNeighborhoodError,
     Kind,
+    NeighborEntry,
+    UnionNeighborhood,
     build_union,
     count_score_slots,
     gather_schedule,
     offset_plan,
-    union_from_schedule,
+    slot_layout,
     union_table_csv,
 )
 
@@ -86,6 +88,64 @@ def test_count_score_slots_example():
     assert count_score_slots(union) == 19
 
 
+def valid_targets(union, i):
+    return [e.target for e in union.entries[i] if e.valid]
+
+
+def union_from_schedule(plan, n):
+    """Per-token entries rebuilt from the execution plan's slot records."""
+    entries = [[] for _ in range(n)]
+    for m in plan:
+        for i in range(n):
+            entries[i].append(NeighborEntry(target=min(max(i + m.offset, 0), n - 1),
+                                            offset=m.offset, kind=m.kind,
+                                            valid=bool(m.valid[i])))
+    return UnionNeighborhood(n=n, entries=entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_plan_fields_agree_with_offset_plan_and_union(data):
+    n = data.draw(st.integers(1, 24), label="n")
+    causal = data.draw(st.booleans(), label="causal")
+    c = cfg(ring_k=data.draw(st.integers(0, 6), label="k"),
+            skip_period=data.draw(st.integers(1, 30), label="pi"),
+            causal=causal,
+            bidirectional_skip=not causal and data.draw(st.booleans(), label="bidir"),
+            include_self=data.draw(st.booleans(), label="include_self"),
+            ablation=data.draw(st.sampled_from(ABLATIONS), label="ablation"))
+    user_mask = data.draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n)
+                          .map(np.array), label="user_mask")
+    try:
+        plan = gather_schedule(c, n, user_mask)
+    except EmptyNeighborhoodError:
+        reject()
+    union = build_union(c, n, user_mask)
+    assert [(m.offset, m.kind) for m in plan] == offset_plan(c)
+    assert plan.offsets.tolist() == [o for o, _ in offset_plan(c)]
+    assert plan.ring.tolist() == [kind == Kind.RING for _, kind in offset_plan(c)]
+    assert plan.valid.shape == (len(plan), n) and plan.n == n
+    assert union_from_schedule(plan, n).entries == union.entries
+    assert all(m.valid.base is plan.valid for m in plan)
+    assert [list(range(*span)) for span in plan.spans] == [
+        [i for i in range(n) if 0 <= i + m.offset < n] for m in plan]
+    assert plan.n_valid == count_score_slots(union)
+    banded = [s for s0, s1, _ in plan.bands for s in range(s0, s1)]
+    for s0, s1, a in plan.bands:
+        assert plan.offsets[s0:s1].tolist() == list(range(a, a + s1 - s0))
+    assert banded == [s for s, m in enumerate(plan) if m.kind == Kind.RING and abs(m.offset) < n]
+    for (s0, s1, a), (t0, _, b) in zip(plan.bands, plan.bands[1:]):
+        assert (t0, b) != (s1, a + s1 - s0)  # maximal runs: no two could merge
+    assert plan.pad == max((abs(plan.offsets[s]) for s in banded), default=0)
+    assert plan.skips == tuple((s, m.offset) for s, m in enumerate(plan) if m.kind == Kind.SKIP)
+    offsets, ring, reach = slot_layout(c)
+    assert np.array_equal(offsets, plan.offsets) and np.array_equal(ring, plan.ring)
+    assert reach == max((abs(o) for o, kind in offset_plan(c) if kind == Kind.RING), default=0)
+    for arr in (offsets, ring, plan.offsets, plan.ring, plan.valid, plan.valid[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
 def test_union_matches_schedule_across_configs():
     for k, pi, causal, abl in [(0, 2, True, "full"), (2, 4, True, "full"),
                                (1, 8, False, "full"), (2, 1, True, "full"),
@@ -106,7 +166,7 @@ def test_valid_targets_in_bounds_and_causal(k, pi, n, causal):
             bidirectional_skip=not causal)
     union = build_union(c, n)
     for i in range(n):
-        for j in union.valid_targets(i):
+        for j in valid_targets(union, i):
             assert 0 <= j < n
             if causal:
                 assert j <= i
@@ -125,7 +185,7 @@ def test_user_mask_applies():
     mask[3] = False
     union = build_union(cfg(), 8, user_mask=mask)
     for i in range(8):
-        assert 3 not in union.valid_targets(i)
+        assert 3 not in valid_targets(union, i)
 
 
 @pytest.mark.parametrize("shape", [(6,), (3,), (4, 1)])
@@ -150,7 +210,7 @@ def test_dense_masks_follow_entries_and_are_read_only():
     allowed, ring_pair = union.dense_masks
     assert union.dense_masks[0] is allowed  # built once per union
     for i in range(10):
-        assert set(np.flatnonzero(allowed[i])) == set(union.valid_targets(i))
+        assert set(np.flatnonzero(allowed[i])) == set(valid_targets(union, i))
         ring = {e.target for e in union.entries[i] if e.valid and e.kind == Kind.RING}
         assert set(np.flatnonzero(ring_pair[i])) == ring
     assert not allowed[:, 4].any() and not np.triu(allowed, 1).any()

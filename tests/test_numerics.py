@@ -81,6 +81,15 @@ def test_rng_reproducible_and_spawn_distinct():
     assert not (a == c).all()
 
 
+@pytest.mark.parametrize("seed,offset", [(0, 0), (42, 1), (7, 1000)])
+def test_spawn_draws_equal_the_derived_seed_and_seeds_nothing_until_drawn(seed, offset):
+    child = Rng(seed).spawn(offset)
+    assert "_gen" not in vars(child)
+    ref = Rng(seed * 1_000_003 + offset)
+    assert np.array_equal(child.normal((5,)), ref.normal((5,)))
+    assert np.array_equal(child.integers(0, 100, (5,)), ref.integers(0, 100, (5,)))
+
+
 def test_grad_check_quadratic():
     x = Rng(4).normal((6,))
 
