@@ -24,9 +24,9 @@ from .attention import (
 )
 from .decoder import KVCache, decode_step
 from .gate import clip_alpha
-from .model import ModelConfig, ModelParams, flatten, init_model, model_forward
-from .neighborhood import (ABLATIONS, AttentionConfig, build_union, gather_schedule,
-                           offset_plan)
+from .model import ModelConfig, flatten, init_model, model_forward
+from .neighborhood import (ABLATIONS, AttentionConfig, ConfigError, build_union,
+                           gather_schedule, offset_plan)
 from .numerics import Rng, grad_check
 
 
@@ -241,6 +241,8 @@ def run_kl_random_scores(n: int = 256, k: int = 2, pi: int = 8,
     clipped gate and the clamp; the ideal one takes the raw gate and no clamp,
     so an alpha of exactly 0 or 1 gives a -inf prior and probability 0.
     """
+    if seeds < 1:
+        raise ConfigError(f"seeds: must be >= 1, got {seeds}")
     cfg = AttentionConfig(d_model=4, n_heads=1, ring_k=k, skip_period=pi,
                           causal=True, eps=eps, logit_clamp=clamp)
     ideal_cfg = dataclasses.replace(cfg, logit_clamp=np.inf)

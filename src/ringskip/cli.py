@@ -22,12 +22,11 @@ from .checks import (
     run_oracle_check,
     run_stacked_grad_check,
 )
-from .model import ModelConfig
-from .neighborhood import (AttentionConfig, ConfigError, build_union, slot_layout,
-                           union_table_csv)
+from .neighborhood import (AttentionConfig, ConfigError, build_union, from_dict,
+                           slot_layout, union_table_csv)
 from .perf import CostParams, cost_model_eval, fit_cost_constants, ring_simulate, work_report
 from .rfield import rf_report
-from .trainer import TaskSpec, TrainConfig, load_checkpoint, train
+from .trainer import CONFIG_DEFAULTS, load_checkpoint, load_config, train
 from .decoder import generate
 from .numerics import Rng
 
@@ -55,23 +54,12 @@ def _out_dir(args) -> Path:
     return Path(args.out) if args.out else Path("runs") / args.command
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     with open(path) as f:
-        return json.load(f)
-
-
-def _attention_config(d: dict) -> AttentionConfig:
-    cfg = AttentionConfig(**d)
-    cfg.validate()
-    return cfg
-
-
-def _model_config(d: dict) -> ModelConfig:
-    d = dict(d)
-    d["attention"] = _attention_config(d["attention"])
-    cfg = ModelConfig(**d)
-    cfg.validate()
-    return cfg
+        try:
+            return json.load(f)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ConfigError(f"{path}: not JSON ({exc})") from None
 
 
 def cmd_oracle_check(args) -> int:
@@ -141,20 +129,9 @@ def cmd_rf_bound(args) -> int:
 
 
 def cmd_train(args) -> int:
-    defaults = {
-        "model": {"layers": 2, "d_model": 64, "n_heads": 4, "d_ff": 128,
-                  "vocab": 16, "max_seq": 32,
-                  "attention": {"d_model": 64, "n_heads": 4, "ring_k": 2,
-                                "skip_period": 8}},
-        "task": {"vocab": 16, "seq_len": 32, "delay": 8},
-        "train": {"steps": 3000, "batch_size": 16, "eval_interval": 50,
-                  "stop_accuracy": 0.995},
-    }
-    raw = _load_json(args.config) if args.config else defaults
-    cfg = _model_config(raw["model"])
-    task = TaskSpec(kind={"copy": "copy_at_pi", "needle": "needle_retrieval",
-                          "charlm": "char_lm"}[args.task], **raw["task"])
-    tc = TrainConfig(seed=args.seed, **raw.get("train", {}))
+    kind = {"copy": "copy_at_pi", "needle": "needle_retrieval", "charlm": "char_lm"}[args.task]
+    cfg, task, tc = load_config(_load_json(args.config) if args.config else {},
+                                kind, args.seed)
     out = _out_dir(args)
     res = train(cfg, task, tc, out_dir=out)
     _write_manifest(args, out, tokens_per_sec=res.tokens_per_sec)
@@ -165,16 +142,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    try:
-        cfg, params, _ = load_checkpoint(Path(args.ckpt))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg, params, _ = load_checkpoint(Path(args.ckpt))
     try:
         prompt = [int(t) for t in args.prompt.split(",")]
     except ValueError:
         prompt = [b % cfg.vocab for b in args.prompt.encode("utf-8")]
-    try:  # generate rejects tokens outside the vocabulary, max_seq overruns, bad --temp
+    try:  # generate rejects tokens outside the vocabulary, max_seq overruns, bad --steps/--temp
         seq = generate(params, cfg, prompt, args.steps, greedy=args.temp is None,
                        temperature=1.0 if args.temp is None else args.temp,
                        rng=Rng(args.seed))
@@ -235,44 +208,44 @@ def cmd_simulate_ring(args) -> int:
 
 
 def cmd_cost_model(args) -> int:
-    out = _out_dir(args)
-    _write_manifest(args, out)
     cp = CostParams(gamma_tc=args.gamma, gamma_hbm=args.gamma,
                     gamma_net=args.gamma, gamma_act=args.gamma)
     if args.fit:
         rows = []
         with open(args.fit) as f:
             header = f.readline()
-            for line in f:
-                n, k, d_h, secs = line.strip().split(",")
-                rows.append((int(n), int(k), int(d_h), float(secs)))
+            for lineno, line in enumerate(f, start=2):
+                try:
+                    n, k, d_h, secs = line.strip().split(",")
+                    rows.append((int(n), int(k), int(d_h), float(secs)))
+                except ValueError:
+                    raise ConfigError(f"{args.fit} line {lineno}: expected 4 fields "
+                                      "n,k,d_h,seconds") from None
         c1, c2, c3, resid = fit_cost_constants(rows, cp)
-        (out / "fit.csv").write_text(
-            "c1,c2,c3,relative_residual\n"
-            f"{c1:.12g},{c2:.12g},{c3:.12g},{resid:.6e}\n")
+        name, body = "fit.csv", ("c1,c2,c3,relative_residual\n"
+                                 f"{c1:.12g},{c2:.12g},{c3:.12g},{resid:.6e}\n")
         print(f"cost-model fit: c1={c1:.6g} c2={c2:.6g} c3={c3:.6g} "
               f"residual={resid:.3e}")
     else:
         t = cost_model_eval(cp, args.n, args.k, args.d_h)
-        (out / "eval.csv").write_text(
-            "n,k,d_h,predicted_seconds\n"
-            f"{args.n},{args.k},{args.d_h},{t:.17g}\n")
+        name, body = "eval.csv", ("n,k,d_h,predicted_seconds\n"
+                                  f"{args.n},{args.k},{args.d_h},{t:.17g}\n")
         print(f"cost-model: predicted {t:.6e} s for n={args.n} k={args.k} "
               f"d_h={args.d_h}")
+    out = _out_dir(args)
+    _write_manifest(args, out)
+    (out / name).write_text(body)
     return 0
 
 
 def cmd_kl_check(args) -> int:
+    eps_list = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+    kls = [run_kl_random_scores(eps=eps, seeds=args.seeds) for eps in eps_list]
     out = _out_dir(args)
     _write_manifest(args, out)
-    eps_list = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
-    means = []
-    with open(out / "kl_check.csv", "w") as f:
-        f.write("eps,mean_kl,max_kl\n")
-        for eps in eps_list:
-            mean_kl, max_kl = run_kl_random_scores(eps=eps, seeds=args.seeds)
-            f.write(f"{eps:g},{mean_kl:.6e},{max_kl:.6e}\n")
-            means.append(mean_kl)
+    (out / "kl_check.csv").write_text("eps,mean_kl,max_kl\n" + "".join(
+        f"{eps:g},{mean_kl:.6e},{max_kl:.6e}\n" for eps, (mean_kl, max_kl) in zip(eps_list, kls)))
+    means = [mean_kl for mean_kl, _ in kls]
     monotone = all(b <= a + 1e-12 for a, b in zip(means, means[1:]))
     mean_ref = means[eps_list.index(1e-4)]
     ok = monotone and mean_ref < 2e-2
@@ -283,19 +256,11 @@ def cmd_kl_check(args) -> int:
 
 
 def cmd_validate_config(args) -> int:
-    try:
-        raw = _load_json(args.file)
-        if "model" in raw:
-            cfg = _model_config(raw["model"])
-            att = cfg.attention
-        elif "attention" in raw and "layers" in raw:
-            cfg = _model_config(raw)
-            att = cfg.attention
-        else:
-            att = _attention_config(raw.get("attention", raw))
-    except (ConfigError, ValueError, TypeError, KeyError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 2
+    raw = _load_json(args.file)
+    if isinstance(raw, dict) and raw.keys() & CONFIG_DEFAULTS.keys():
+        att = load_config(raw, "copy_at_pi", args.seed)[0].attention
+    else:
+        att = from_dict(AttentionConfig, raw, "attention")
     out = _out_dir(args)
     _write_manifest(args, out)
     union = build_union(att, args.n)

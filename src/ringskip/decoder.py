@@ -113,6 +113,8 @@ def generate(
     finite temperature > 0), within max_seq."""
     if not prompt:
         raise ValueError("prompt must be nonempty")
+    if steps < 0:
+        raise ValueError(f"steps: must be >= 0, got {steps}")
     if len(prompt) + steps > cfg.max_seq:
         raise ValueError(f"prompt length {len(prompt)} + steps {steps} exceeds "
                          f"max_seq {cfg.max_seq}")

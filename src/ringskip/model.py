@@ -17,14 +17,12 @@ import numpy as np
 from .attention import (
     BlockCache,
     BlockParams,
-    GateParams,
-    ProjectionParams,
     block_backward,
     block_forward,
     init_projection,
 )
 from .gate import init_gate
-from .neighborhood import AttentionConfig, ExecutionPlan, gather_schedule
+from .neighborhood import AttentionConfig, ConfigError, ExecutionPlan, gather_schedule
 from .numerics import Rng, layer_norm_backward, layer_norm_forward
 
 
@@ -38,13 +36,12 @@ class ModelConfig:
     max_seq: int
     attention: AttentionConfig
 
-    def validate(self) -> None:
-        self.attention.validate()
+    def __post_init__(self) -> None:
         for name in ("layers", "d_model", "n_heads", "d_ff", "vocab", "max_seq"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name}: must be >= 1")
+                raise ConfigError(f"{name}: must be >= 1")
         if self.d_model != self.attention.d_model or self.n_heads != self.attention.n_heads:
-            raise ValueError("d_model/n_heads: model and attention configs disagree")
+            raise ConfigError("d_model/n_heads: model and attention configs disagree")
 
 
 @dataclass
@@ -71,7 +68,6 @@ def init_block(rng: Rng, cfg: ModelConfig) -> BlockParams:
 
 
 def init_model(cfg: ModelConfig, seed: int) -> ModelParams:
-    cfg.validate()
     rng = Rng(seed)
     return ModelParams(
         tok_emb=rng.spawn(10).normal((cfg.vocab, cfg.d_model), scale=0.02),

@@ -18,8 +18,10 @@ built from it) still apply their own causal test, since they are the check.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import itertools
+import typing
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -31,7 +33,40 @@ ABLATIONS = ("full", "no_skip", "no_gate", "static_alpha", "no_ring")
 
 
 class ConfigError(ValueError):
-    """Invalid attention configuration; message names the offending field."""
+    """Invalid configuration or input; message names the offending field."""
+
+
+def from_dict(cls, raw, where: str, defaults: Optional[dict] = None):
+    """Config dataclass `cls` from the JSON object `raw` at the dotted path
+    `where`; a field `raw` omits takes its value from `defaults`, else from
+    the class. Raises ConfigError naming the dotted field on unknown keys,
+    missing required fields, wrong JSON types (a bool is not an int, an int
+    passes for a float, Optional takes null) and the class's own checks. A
+    dataclass field recurses, with its entry of `defaults` as its defaults."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {type(raw).__name__}")
+    defaults = defaults or {}
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(raw) - set(hints))
+    if unknown:
+        raise ConfigError(f"{where}.{unknown[0]}: unknown field")
+    values = {}
+    for f in dataclasses.fields(cls):
+        at, hint = f"{where}.{f.name}", hints[f.name]
+        value = raw.get(f.name, defaults.get(f.name, f.default))
+        if value is dataclasses.MISSING:
+            raise ConfigError(f"{at}: missing required field")
+        if dataclasses.is_dataclass(hint):
+            value = from_dict(hint, value, at, defaults.get(f.name))
+        elif not any(type(value) is t or (t is float and type(value) is int)
+                     for t in typing.get_args(hint) or (hint,)):
+            raise ConfigError(f"{at}: expected {getattr(hint, '__name__', hint)}, "
+                              f"got {value!r}")
+        values[f.name] = value
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}.{exc}") from None
 
 
 class EmptyNeighborhoodError(ValueError):
@@ -66,7 +101,9 @@ class AttentionConfig:
     def head_dim(self) -> int:
         return self.d_model // self.n_heads
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        if self.d_model < 1:
+            raise ConfigError("d_model: must be >= 1")
         if self.n_heads < 1 or self.d_model % self.n_heads != 0:
             raise ConfigError("n_heads: d_model must be divisible by n_heads")
         if self.ring_k < 0:
@@ -121,7 +158,6 @@ def offset_plan(config: AttentionConfig) -> List[tuple]:
     """Ordered (offset, kind) list after ablation, causality and overlap
     resolution. Ring offsets come first, in increasing order; a causal plan
     stops them at 0 (its skip stride is always backward)."""
-    config.validate()
     ring: List[int] = []
     if config.ablation == "no_ring":
         if config.include_self:

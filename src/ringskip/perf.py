@@ -34,18 +34,18 @@ class CostParams:
     c2: float = 1.0
     c3: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("gamma_tc", "gamma_hbm", "gamma_net", "gamma_act", "c1", "c2", "c3"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name}: must be strictly positive")
+                raise ConfigError(f"{name}: must be strictly positive")
 
 
 def cost_model_eval(cp: CostParams, n: int, k: int, d_h: int) -> float:
     """Predicted per-layer seconds:
     c1*n*k*d_h/g_tc + c2*n*d_h/min(g_hbm, g_net) + c3*n*d_h/g_act."""
-    cp.validate()
-    if min(n, d_h) < 1 or k < 0:
-        raise ValueError("n, d_h must be >= 1 and k >= 0")
+    for name, value, low in (("n", n, 1), ("k", k, 0), ("d_h", d_h, 1)):
+        if value < low:
+            raise ConfigError(f"{name}: must be >= {low}, got {value}")
     return (cp.c1 * n * k * d_h / cp.gamma_tc
             + cp.c2 * n * d_h / min(cp.gamma_hbm, cp.gamma_net)
             + cp.c3 * n * d_h / cp.gamma_act)
@@ -72,7 +72,6 @@ def fit_cost_constants(
     rows = []
     y = []
     for (n, k, d_h, seconds), c in zip(measurements, cps):
-        c.validate()
         rows.append([n * k * d_h / c.gamma_tc,
                      n * d_h / min(c.gamma_hbm, c.gamma_net),
                      n * d_h / c.gamma_act])
@@ -160,7 +159,6 @@ def ring_simulate(
     timeline: List[dict] = []
     makespan = 0.0
     if cost is not None:
-        cost.validate()
         t1 = cost.c1 * n * k * d_h / cost.gamma_tc
         skip_elems = sum(m.elements for m in messages if m.stage == "skip")
         t2 = skip_elems / cost.gamma_net

@@ -19,13 +19,13 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .model import (ModelConfig, ModelParams, flatten, init_model, model_backward,
                     model_forward, param_shapes)
-from .neighborhood import AttentionConfig, gather_schedule
+from .neighborhood import ConfigError, from_dict, gather_schedule
 from .numerics import Rng, softmax_row
 
 IGNORE_INDEX = -1
@@ -51,13 +51,13 @@ class TrainConfig:
     adam_eps: float = 1e-8
     stop_accuracy: Optional[float] = None  # early exit once eval accuracy reaches this
 
-    def validate(self) -> None:
-        if self.lr < 0 or self.weight_decay < 0:
-            raise ValueError("lr/weight_decay must be nonnegative")
+    def __post_init__(self) -> None:
+        for name, low in (("lr", 0), ("weight_decay", 0), ("batch_size", 1), ("steps", 1),
+                          ("eval_interval", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name}: must be >= {low}")
         if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be > 0")
-        if min(self.batch_size, self.steps, self.eval_interval) < 1:
-            raise ValueError("batch_size/steps/eval_interval must be >= 1")
+            raise ConfigError("clip_norm: must be > 0")
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,50 @@ class TaskSpec:
     kind: str                 # copy_at_pi | needle_retrieval | char_lm
     vocab: int
     seq_len: int
-    delay: int = 8            # copy_at_pi
+    delay: int = 8            # copy_at_pi, needle_retrieval
     corpus_path: Optional[str] = None  # char_lm
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in ("copy_at_pi", "needle_retrieval", "char_lm"):
-            raise ValueError(f"unknown task kind {self.kind!r}")
-        if self.kind == "copy_at_pi" and not 1 <= self.delay <= self.seq_len - 1:
-            raise ValueError("copy_at_pi: delay must lie in [1, seq_len - 1]")
+            raise ConfigError(f"kind: unknown task {self.kind!r}")
+        if self.kind != "char_lm" and not 1 <= self.delay <= self.seq_len - 1:
+            raise ConfigError(f"delay: must lie in [1, seq_len - 1] for {self.kind}")
+        if self.kind == "needle_retrieval" and self.vocab < 2:
+            raise ConfigError("vocab: needle_retrieval needs >= 2, one id being the marker")
+
+
+# what `ringskip train` runs: the value of each section or field a config file omits
+CONFIG_DEFAULTS = {
+    "model": {"layers": 2, "d_model": 64, "n_heads": 4, "d_ff": 128,
+              "vocab": 16, "max_seq": 32,
+              "attention": {"d_model": 64, "n_heads": 4, "ring_k": 2,
+                            "skip_period": 8}},
+    "task": {"vocab": 16, "seq_len": 32, "delay": 8},
+    "train": {"steps": 3000, "batch_size": 16, "eval_interval": 50,
+              "stop_accuracy": 0.995},
+}
+
+
+def load_config(raw, kind: str, seed: int) -> Tuple[ModelConfig, TaskSpec, TrainConfig]:
+    """(model, task, train) configs from a JSON object of optional `model`,
+    `task` and `train` sections, each omitted section or field taken from
+    CONFIG_DEFAULTS. The task kind and the seed come from the caller only."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config: expected a JSON object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - set(CONFIG_DEFAULTS))
+    if unknown:
+        raise ConfigError(f"{unknown[0]}: unknown section")
+
+    def section(cls, name: str, **owned):
+        given = raw.get(name, {})
+        clash = sorted(set(owned) & set(given)) if isinstance(given, dict) else []
+        if clash:
+            raise ConfigError(f"{name}.{clash[0]}: set by --task or --seed, "
+                              "not by the config file")
+        return from_dict(cls, given, name, {**CONFIG_DEFAULTS[name], **owned})
+
+    return (section(ModelConfig, "model"), section(TaskSpec, "task", kind=kind),
+            section(TrainConfig, "train", seed=seed))
 
 
 def cross_entropy(
@@ -194,7 +230,6 @@ def load_corpus(task: TaskSpec) -> np.ndarray:
 def make_batch(task: TaskSpec, rng: Rng, batch_size: int,
                corpus: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Seeded (inputs, targets) pair, both (B, seq_len) int64."""
-    task.validate()
     n, v = task.seq_len, task.vocab
     if task.kind == "copy_at_pi":
         inp = rng.integers(0, v, (batch_size, n))
@@ -245,7 +280,7 @@ def save_checkpoint(path: Path, cfg: ModelConfig, params: ModelParams, seed: int
 
 
 def load_checkpoint(path: Path) -> Tuple[ModelConfig, ModelParams, int]:
-    """Read a checkpoint. Every fault in the file raises ValueError naming it:
+    """Read a checkpoint. Every fault in the file raises ConfigError naming it:
     a header that is not UTF-8 JSON, lacks `seed`, `model` or `arrays`, holds
     an invalid model config, lists other arrays or shapes than the model's, or
     a file length that is not what the header's shapes need (a truncated file
@@ -255,29 +290,28 @@ def load_checkpoint(path: Path) -> Tuple[ModelConfig, ModelParams, int]:
     try:
         header = json.loads(blob[8:8 + hlen].decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
-        raise ValueError(f"checkpoint {path}: unreadable header ({exc})") from None
+        raise ConfigError(f"checkpoint {path}: unreadable header ({exc})") from None
     if not isinstance(header, dict) or header.get("format") != "ringskip-ckpt-v1":
-        raise ValueError(f"unrecognized checkpoint format in {path}")
+        raise ConfigError(f"unrecognized checkpoint format in {path}")
     missing = [key for key in ("seed", "model", "arrays") if key not in header]
     if missing:
-        raise ValueError(f"checkpoint {path}: header lacks {', '.join(missing)}")
+        raise ConfigError(f"checkpoint {path}: header lacks {', '.join(missing)}")
     try:
         seed = int(header["seed"])
         specs = [(str(a["name"]), tuple(int(s) for s in a["shape"])) for a in header["arrays"]]
-        mc = dict(header["model"])
-        mc["attention"] = AttentionConfig(**mc["attention"])
-        cfg = ModelConfig(**mc)
-        cfg.validate()
+        cfg = from_dict(ModelConfig, header["model"], "model")
+    except ConfigError as exc:
+        raise ConfigError(f"checkpoint {path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"checkpoint {path}: bad header ({exc!r})") from None
+        raise ConfigError(f"checkpoint {path}: bad header ({exc!r})") from None
     expected = 8 + hlen + 8 * sum(math.prod(shape) for _, shape in specs)
     if len(blob) != expected:
-        raise ValueError(f"checkpoint {path} is {len(blob)} bytes, its header says {expected}")
+        raise ConfigError(f"checkpoint {path} is {len(blob)} bytes, its header says {expected}")
     # shapes before arrays; every layer has arrays, so more layers than specs fail
     shapes = param_shapes(cfg) if cfg.layers <= len(specs) else {}
     odd = sorted(set(shapes.items()).symmetric_difference(specs))
     if odd:
-        raise ValueError(f"checkpoint {path}: header and model arrays differ: "
+        raise ConfigError(f"checkpoint {path}: header and model arrays differ: "
                          + ", ".join(f"{name} {shape}" for name, shape in odd))
     params = init_model(cfg, seed=0)
     flat = flatten(params)
@@ -309,11 +343,10 @@ def train(
     out_dir: Optional[Path] = None,
 ) -> TrainResult:
     """Seeded end-to-end run. Writes metrics.csv and model.ckpt under out_dir."""
-    cfg.validate()
-    tc.validate()
-    task.validate()
     if task.vocab != cfg.vocab:
-        raise ValueError("task vocab and model vocab disagree")
+        raise ConfigError(f"task.vocab: {task.vocab} differs from model.vocab {cfg.vocab}")
+    if task.seq_len > cfg.max_seq:
+        raise ConfigError(f"task.seq_len: {task.seq_len} exceeds model.max_seq {cfg.max_seq}")
     params = init_model(cfg, seed=tc.seed)
     flat = flatten(params)
     state = AdamState.for_params(flat)

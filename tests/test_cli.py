@@ -9,7 +9,7 @@ import pytest
 from ringskip.cli import main
 from ringskip.model import ModelConfig, init_model
 from ringskip.neighborhood import AttentionConfig
-from ringskip.trainer import save_checkpoint
+from ringskip.trainer import load_checkpoint, save_checkpoint
 
 
 def test_validate_config_ok(tmp_path):
@@ -165,6 +165,7 @@ def small_ckpt(tmp_path):
     ("-1", 4, "outside the vocabulary"),
     ("1,2,99", 4, "outside the vocabulary"),
     ("1,2,3", 14, "exceeds max_seq"),
+    ("1,2,3", -3, "steps: must be >= 0"),
 ])
 def test_decode_bad_input_exits_2(small_ckpt, tmp_path, capsys, prompt, steps,
                                   message):
@@ -245,9 +246,10 @@ def _model_field(name, value):
     _without("seed"), _without("model"), _without("arrays"), _rename_first_array,
     _unknown_attention_field, lambda h: b"{not json", lambda h: b'{"format": "\xff\xfe"}',
     _model_field("vocab", 2 ** 40), _model_field("layers", 10 ** 9),
+    _model_field("d_ff", 32.0), _model_field("layers", True),
 ], ids=["missing_seed", "missing_model", "missing_arrays", "unknown_array",
         "unknown_attention_field", "garbage_json", "not_utf8", "huge_vocab",
-        "huge_layers"])
+        "huge_layers", "float_d_ff", "bool_layers"])
 def test_decode_bad_checkpoint_header_exits_2(small_ckpt, tmp_path, capsys, edit):
     small_ckpt.write_bytes(_rewrite_header(small_ckpt.read_bytes(), edit))
     code = main(["decode", "--ckpt", str(small_ckpt), "--prompt", "1,2,3",
@@ -278,3 +280,110 @@ def test_grad_check_writes_passing_summary(grad_check_run):
         csv_worst = max(float(x.split(",")[2]) for x in rows[1:]
                         if x.startswith(f"{r['seed']},"))
         assert csv_worst == float(f"{r['max_rel_error']:.6e}")
+
+
+def one_error_line(capsys) -> str:
+    """The single stderr line of a command that exited 2."""
+    err = capsys.readouterr().err
+    lines = err.strip().split("\n")
+    assert "Traceback" not in err
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+def write_json(path: Path, doc) -> str:
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("task,doc,message", [
+    ("copy", {"task": {"seq_len": 64}}, "task.seq_len: 64 exceeds model.max_seq 32"),
+    ("copy", {"model": {"attention": {"ring_kk": 2}}}, "model.attention.ring_kk: unknown field"),
+    ("copy", {"train": {"bogus": 1}}, "train.bogus: unknown field"),
+    ("copy", {"trian": {"steps": 1}}, "trian: unknown section"),
+    ("copy", {"model": {"layers": "2"}}, "model.layers: expected int, got '2'"),
+    ("copy", {"model": {"layers": True}}, "model.layers: expected int, got True"),
+    ("copy", {"model": {"d_model": 64.0}}, "model.d_model: expected int, got 64.0"),
+    ("copy", {"model": {"attention": {"causal": "no"}}},
+     "model.attention.causal: expected bool, got 'no'"),
+    ("copy", {"model": 2}, "model: expected a JSON object"),
+    ("copy", [1, 2], "config: expected a JSON object"),
+    ("copy", {"task": {"vocab": 8}}, "task.vocab: 8 differs from model.vocab 16"),
+    ("copy", {"train": {"lr": -1}}, "train.lr: must be >= 0"),
+    ("copy", {"task": {"delay": 32}}, "task.delay: must lie in [1, seq_len - 1]"),
+    ("needle", {"task": {"delay": 40}}, "task.delay: must lie in [1, seq_len - 1]"),
+    ("copy", {"task": {"kind": "char_lm"}}, "task.kind: set by --task or --seed"),
+    ("copy", {"train": {"seed": 4}}, "train.seed: set by --task or --seed"),
+    ("copy", '{"model": {"layers": 2,', "not JSON"),
+], ids=["seq_len_over_max_seq", "unknown_attention_key", "unknown_train_key",
+        "unknown_section", "string_int", "bool_int", "float_int", "string_bool",
+        "section_not_object", "config_not_object", "vocab_mismatch", "negative_lr",
+        "copy_delay", "needle_delay", "kind_in_file", "seed_in_file", "not_json"])
+def test_train_bad_config_exits_2(tmp_path, capsys, task, doc, message):
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    code = main(["train", "--task", task, "--config", cfg, "--out", str(tmp_path / "run")])
+    line = one_error_line(capsys)
+    assert code == 2 and message in line
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("doc,layers", [({"train": {"steps": 1}}, 2),
+                                        ({"model": {"layers": 1}, "train": {"steps": 1}}, 1)])
+def test_train_config_omitted_sections_take_the_defaults(tmp_path, doc, layers):
+    # both files used to die with a KeyError ('model', then 'attention')
+    run = tmp_path / "run"
+    assert main(["train", "--task", "copy", "--config", write_json(tmp_path / "c.json", doc),
+                 "--out", str(run)]) == 0
+    cfg, _, seed = load_checkpoint(run / "model.ckpt")
+    assert (cfg.layers, cfg.d_model, cfg.attention.skip_period, seed) == (layers, 64, 8, 0)
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([{"d_model": 16}], "attention: expected a JSON object, got list"),
+    ({"d_model": 16, "n_heads": 2, "ring_k": 1, "skip_period": 4, "causal": "no"},
+     "attention.causal: expected bool"),
+    ({"d_model": 16.0, "n_heads": 2, "ring_k": 1, "skip_period": 4},
+     "attention.d_model: expected int"),
+    ({"layers": 1, "d_model": 16, "n_heads": 2, "d_ff": 32, "vocab": 16, "max_seq": 16,
+      "attention": {"d_model": 16, "n_heads": 2, "ring_k": 1, "skip_period": 4}},
+     "attention.attention: unknown field"),
+    ({"model": {"attention": {"ring_k": -1}}}, "model.attention.ring_k: must be >= 0"),
+    ({"task": {"seq_len": 40, "delay": 40}}, "task.delay"),
+], ids=["json_list", "string_bool", "float_int", "bare_model", "sections", "task_section"])
+def test_validate_config_bad_file_exits_2(tmp_path, capsys, doc, message):
+    code = main(["validate-config", write_json(tmp_path / "c.json", doc),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2 and message in one_error_line(capsys)
+
+
+def test_validate_config_loads_sections_like_train(tmp_path):
+    out = tmp_path / "o"
+    doc = {"model": {"attention": {"ring_k": 3}}, "train": {"steps": 5}}
+    assert main(["validate-config", write_json(tmp_path / "c.json", doc),
+                 "--out", str(out), "--n", "8"]) == 0
+    # ring_k 3 from the file, skip_period 8 and causal from the defaults
+    rows = (out / "union.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 8 * 5
+    assert {int(r.split(",")[1]) for r in rows} == {-3, -2, -1, 0, -8}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["cost-model", "--gamma", "0"], "gamma_tc: must be strictly positive"),
+    (["cost-model", "--n", "0"], "n: must be >= 1, got 0"),
+    (["cost-model", "--k", "-1"], "k: must be >= 0, got -1"),
+    (["kl-check", "--seeds", "0"], "seeds: must be >= 1, got 0"),
+    (["simulate-ring", "--shards", "2", "--d-h", "0"], "d_model: must be >= 1"),
+], ids=["gamma_0", "n_0", "k_negative", "kl_seeds_0", "sim_d_h_0"])
+def test_bad_numeric_flag_exits_2(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert message in one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("row", ["1024,4,64", "1024,4,64,0.1,9", "n,k,d_h,s", ""])
+def test_cost_model_fit_bad_row_names_file_and_line(tmp_path, capsys, row):
+    fit = tmp_path / "m.csv"
+    fit.write_text(f"n,k,d_h,seconds\n256,1,8,0.001\n{row}\n512,2,8,0.002\n")
+    assert main(["cost-model", "--fit", str(fit), "--out", str(tmp_path / "o")]) == 2
+    assert f"{fit} line 3: expected 4 fields n,k,d_h,seconds" in one_error_line(capsys)
+    assert not (tmp_path / "o").exists()

@@ -152,6 +152,15 @@ def test_generate_argument_validation():
         generate(params, cfg, [1], steps=3, greedy=False)
 
 
+def test_generate_rejects_negative_steps():
+    # range(-3) is empty, so -3 used to return the prompt as if it were 0
+    cfg = model_cfg()
+    params = init_model(cfg, seed=0)
+    with pytest.raises(ValueError, match="steps: must be >= 0, got -3"):
+        generate(params, cfg, [1, 2], steps=-3)
+    assert generate(params, cfg, [1, 2], steps=0) == [1, 2]
+
+
 @pytest.mark.parametrize("temp", [0.0, -1.0, float("inf"), float("nan")])
 def test_generate_rejects_a_temperature_not_finite_and_positive(temp):
     # at 0 the old CLI sampled at 1.0, and below 0 from the inverted distribution

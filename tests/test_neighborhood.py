@@ -36,10 +36,11 @@ def cfg(**kw):
     (dict(dropout_p=1.0), "dropout_p"),
     (dict(ablation="bogus"), "ablation"),
     (dict(ablation="static_alpha", static_alpha_value=1.0), "static_alpha_value"),
+    (dict(d_model=0), "d_model"),
 ])
 def test_validate_names_offending_field(bad, field):
     with pytest.raises(ConfigError, match=field):
-        cfg(**bad).validate()
+        cfg(**bad)
 
 
 def test_offset_plan_full():

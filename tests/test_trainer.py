@@ -1,4 +1,8 @@
+import copy
+import dataclasses
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringskip.model import ModelConfig, flatten, init_model, param_shapes
-from ringskip.neighborhood import AttentionConfig
+from ringskip.neighborhood import AttentionConfig, ConfigError
 from ringskip.numerics import Rng
 from ringskip.trainer import (
+    CONFIG_DEFAULTS,
     IGNORE_INDEX,
     AdamState,
     TaskSpec,
@@ -19,6 +24,7 @@ from ringskip.trainer import (
     cross_entropy,
     global_norm,
     load_checkpoint,
+    load_config,
     load_corpus,
     lr_at,
     make_batch,
@@ -201,3 +207,161 @@ def test_vocab_mismatch_rejected():
     task = TaskSpec(kind="copy_at_pi", vocab=8, seq_len=16, delay=4)
     with pytest.raises(ValueError, match="vocab"):
         train(cfg, task, TrainConfig(steps=1))
+
+
+def test_seq_len_over_max_seq_rejected():
+    # used to fail in model_forward, after the model and optimizer were built
+    task = TaskSpec(kind="copy_at_pi", vocab=16, seq_len=17, delay=4)
+    with pytest.raises(ConfigError, match="task.seq_len: 17 exceeds model.max_seq 16"):
+        train(model_cfg(), task, TrainConfig(steps=1))
+
+
+@pytest.mark.parametrize("kind", ["copy_at_pi", "needle_retrieval"])
+@pytest.mark.parametrize("delay", [0, 16, 17])
+def test_task_delay_must_fit_the_sequence(kind, delay):
+    # needle_retrieval at delay >= seq_len used to die in numpy (low >= high)
+    with pytest.raises(ConfigError, match="delay"):
+        TaskSpec(kind=kind, vocab=16, seq_len=16, delay=delay)
+
+
+def test_needle_task_needs_a_marker_and_a_key():
+    # at vocab 1 make_batch died in numpy (high <= 0)
+    with pytest.raises(ConfigError, match="vocab: needle_retrieval needs >= 2"):
+        TaskSpec(kind="needle_retrieval", vocab=1, seq_len=16, delay=4)
+    assert make_batch(TaskSpec(kind="needle_retrieval", vocab=2, seq_len=16, delay=4),
+                      Rng(0), 2)[0].max() == 1
+
+
+# ---------------------------------------------------------------------------
+# config loading: `load_config` and the checkpoint header, under mutation
+# ---------------------------------------------------------------------------
+
+
+def default_doc() -> dict:
+    """The default config with every field spelled out, as a JSON object."""
+    cfg, task, tc = load_config({}, "copy_at_pi", 0)
+    doc = {"model": dataclasses.asdict(cfg), "task": dataclasses.asdict(task),
+           "train": dataclasses.asdict(tc)}
+    del doc["task"]["kind"], doc["train"]["seed"]
+    return doc
+
+
+def key_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# values of another JSON type than the one given, keyed by the given value's
+# type, none of them valid where the given one was: floats get no null, since
+# `stop_accuracy` takes one
+WRONG_TYPE = {
+    int: lambda v: [float(v), True, str(v), None, [v]],
+    float: lambda v: [str(v), True, [v]],
+    bool: lambda v: [int(v), str(v).lower(), None],
+    str: lambda v: [1, None, [v]],
+    type(None): lambda v: [1, True, ["x"]],
+}
+# each value alone breaks the rule of the field it is written to
+OUT_OF_RANGE = {
+    ("model", "layers"): 0, ("model", "d_model"): -64, ("model", "d_ff"): 0,
+    ("model", "vocab"): 0, ("model", "max_seq"): -1,
+    ("model", "attention", "d_model"): 0, ("model", "attention", "n_heads"): 3,
+    ("model", "attention", "ring_k"): -1, ("model", "attention", "skip_period"): 0,
+    ("model", "attention", "bidirectional_skip"): True,
+    ("model", "attention", "eps"): 0.5, ("model", "attention", "logit_clamp"): 0,
+    ("model", "attention", "dropout_p"): 1, ("model", "attention", "ablation"): "bogus",
+    ("task", "delay"): 0, ("train", "lr"): -1, ("train", "clip_norm"): 0.0,
+    ("train", "batch_size"): 0, ("train", "steps"): -3,
+}
+MUTATIONS = ("drop", "add", "retype", "out_of_range", "non_object")
+
+
+@st.composite
+def mutated(draw, doc, droppable, objects, out_of_range=tuple(OUT_OF_RANGE)):
+    """(mutation, dotted path it names, mutated deep copy of doc)."""
+    doc = copy.deepcopy(doc)
+    kind = draw(st.sampled_from(MUTATIONS), label="mutation")
+    if kind == "drop":
+        path = draw(st.sampled_from(droppable))
+        del at(doc, path[:-1])[path[-1]]
+    elif kind == "add":
+        key = draw(st.sampled_from(["no_such_field", "ring_kk", "kind", "seed"]))
+        path = draw(st.sampled_from(objects)) + (key,)
+        at(doc, path[:-1])[key] = draw(st.sampled_from([0, "x", None, {}]))
+    elif kind == "retype":
+        path = draw(st.sampled_from([p for p in key_paths(doc)
+                                     if not isinstance(at(doc, p), dict)]))
+        old = at(doc, path)
+        at(doc, path[:-1])[path[-1]] = draw(st.sampled_from(WRONG_TYPE[type(old)](old)))
+    elif kind == "out_of_range":
+        path = draw(st.sampled_from([p for p in out_of_range if p[:-1] in objects]))
+        at(doc, path[:-1])[path[-1]] = OUT_OF_RANGE[path]
+    else:
+        path = draw(st.sampled_from(objects))
+        bad = draw(st.sampled_from([None, [], "model", 3]))
+        if path:
+            at(doc, path[:-1])[path[-1]] = bad
+        else:
+            doc = bad
+    return kind, ".".join(path) or "config", doc
+
+
+DOC = default_doc()
+SECTIONS = [()] + [p for p in key_paths(DOC) if isinstance(at(DOC, p), dict)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_load_config_builds_configs_or_names_the_fault(data):
+    kind = data.draw(st.sampled_from(["copy_at_pi", "needle_retrieval", "char_lm"]))
+    # char_lm reads no delay
+    ranged = [p for p in OUT_OF_RANGE if kind != "char_lm" or p != ("task", "delay")]
+    mutation, dotted, doc = data.draw(mutated(DOC, list(key_paths(DOC)), SECTIONS, ranged))
+    try:
+        configs = load_config(doc, kind, seed=3)
+    except ConfigError as exc:
+        assert mutation != "drop"
+        assert str(exc).startswith(f"{dotted}:")
+        return
+    # every omitted field takes its default, and every other mutation is a fault
+    assert mutation == "drop"
+    assert configs == load_config(DOC, kind, seed=3)
+    assert [type(c) for c in configs] == [ModelConfig, TaskSpec, TrainConfig]
+
+
+def test_load_config_defaults_are_the_readme_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config JSON")[1].split("```json\n")[1].split("```")[0]
+    assert json.loads(block) == CONFIG_DEFAULTS
+    # the table's, not the class defaults 1000 and None
+    tc = load_config({"train": {}}, "copy_at_pi", 0)[2]
+    assert (tc.steps, tc.stop_accuracy) == (3000, 0.995)
+
+
+CKPT_REQUIRED = ([("model", f.name) for f in dataclasses.fields(ModelConfig)]
+                 + [("model", "attention", f.name) for f in dataclasses.fields(AttentionConfig)
+                    if f.default is dataclasses.MISSING])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_checkpoint_model_is_a_config_error_naming_file(saved_ckpt, data):
+    blob = saved_ckpt.read_bytes()
+    hlen = int.from_bytes(blob[:8], "little")
+    header = json.loads(blob[8:8 + hlen])
+    doc = {"model": header["model"]}
+    objects = [p for p in key_paths(doc) if isinstance(at(doc, p), dict)]
+    _, dotted, doc = data.draw(mutated(doc, CKPT_REQUIRED, objects))
+    head = json.dumps({**header, "model": doc["model"]}).encode("utf-8")
+    path = saved_ckpt.with_name("mutated.ckpt")
+    path.write_bytes(len(head).to_bytes(8, "little") + head + blob[8 + hlen:])
+    with pytest.raises(ConfigError, match=re.escape(f"checkpoint {path}: {dotted}")):
+        load_checkpoint(path)
