@@ -16,9 +16,10 @@ past [0, n) read the zero margins. Skip slots, scores and d_probs take one
 shifted slice per slot, over the rows whose key row lies in [0, n) (its span);
 a slot with |offset| >= n takes no product. Validity lives only in the softmax
 mask, which gives invalid slots probability 0.
-`dense_oracle` recomputes the same operator with full n x n tensors built
-independently from the per-token union entries; the two must agree to ~1e-12
-arithmetic noise.
+`dense_oracle` recomputes the same operator with full n x n tensors: its masks
+are built independently from the per-token union entries, and its two n x n
+products are batched matmuls over head views of the projections (no margins,
+no copies). The two must agree to ~1e-12 arithmetic noise.
 
 Backward passes are hand-derived reverse mode; every gradient is covered by
 central-difference checks in the test suite.
@@ -26,6 +27,7 @@ central-difference checks in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -232,7 +234,7 @@ def pi_attention_forward(
     if n != schedule.n:
         raise ShapeError(f"input length {n} != the plan's length {schedule.n}")
     h_cnt, d_h = config.n_heads, config.head_dim
-    scale = 1.0 / np.sqrt(d_h)
+    scale = 1.0 / math.sqrt(d_h)
 
     pad = schedule.pad
     qh = split_heads(x @ proj.wq + proj.bq, h_cnt, pad)
@@ -292,7 +294,7 @@ def pi_attention_backward(
     cfg = cache.config
     b, n, d = cache.x.shape
     h_cnt, d_h = cfg.n_heads, cfg.head_dim
-    scale = 1.0 / np.sqrt(d_h)
+    scale = 1.0 / math.sqrt(d_h)
     plan = cache.schedule
 
     flat_fused = cache.fused.reshape(-1, d)
@@ -367,24 +369,27 @@ def dense_oracle(
 
     The masks come from the per-token union entries (`union.dense_masks`,
     built once per union), independently of the gather-based sparse path;
-    used purely for equivalence checks.
+    used purely for equivalence checks. Heads are (B, H, n, d_h) views of the
+    projections, and the scores and the value aggregation are one batched
+    matmul each.
     """
     if x.ndim == 2:
         x = x[None]
     b, n, d = x.shape
     h_cnt, d_h = config.n_heads, config.head_dim
-    scale = 1.0 / np.sqrt(d_h)
+    scale = 1.0 / math.sqrt(d_h)
 
-    qh = split_heads(x @ proj.wq + proj.bq, h_cnt)
-    kh = split_heads(x @ proj.wk, h_cnt)
-    vh = split_heads(x @ proj.wv + proj.bv, h_cnt)
+    def heads(y):
+        return y.reshape(b, n, h_cnt, d_h).transpose(0, 2, 1, 3)
 
-    gate_in = merge_heads(qh) if config.gate_on_query else x
-    alpha, _ = gate_forward(gate_params, gate_in, config)
+    q = x @ proj.wq + proj.bq
+    qh, kh, vh = heads(q), heads(x @ proj.wk), heads(x @ proj.wv + proj.bv)
+
+    alpha, _ = gate_forward(gate_params, q if config.gate_on_query else x, config)
 
     allowed, ring_pair = union.dense_masks
 
-    scores = np.einsum("bhid,bhjd->bhij", qh, kh) * scale
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
     lc = config.logit_clamp
     if alpha is not None:
         alpha_h = alpha.transpose(0, 2, 1)[..., None]       # (B, H, n, 1)
@@ -396,8 +401,7 @@ def dense_oracle(
     else:
         logits = np.clip(scores, -lc, lc) + prior
     probs = softmax_row(logits, allowed)
-    out_h = np.einsum("bhij,bhjd->bhid", probs, vh)
-    return merge_heads(out_h) @ proj.wo + proj.bo
+    return merge_heads(probs @ vh) @ proj.wo + proj.bo
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,14 @@ from .numerics import Rng, grad_check
 
 
 def random_attention_params(rng: Rng, d_model: int, n_heads: int):
-    """Projections plus a gate with a non-degenerate (non-0.5) output."""
-    proj = ProjectionParams(
-        wq=rng.glorot((d_model, d_model)), wk=rng.glorot((d_model, d_model)),
-        wv=rng.glorot((d_model, d_model)), wo=rng.glorot((d_model, d_model)),
-        bq=rng.normal((d_model,), 0.1), bv=rng.normal((d_model,), 0.1),
-        bo=rng.normal((d_model,), 0.1),
-    )
+    """Projections plus a gate with a non-degenerate (non-0.5) output.
+
+    The four weights come from one stacked draw and the three biases from
+    another; PCG64 fills a stack in the order of separate draws, so every
+    tensor equals the one a per-tensor draw sequence gives."""
+    wq, wk, wv, wo = rng.glorot((4, d_model, d_model))
+    bq, bv, bo = rng.normal((3, d_model), 0.1)
+    proj = ProjectionParams(wq=wq, wk=wk, wv=wv, wo=wo, bq=bq, bv=bv, bo=bo)
     hidden = d_model // 2
     gate = GateParams(
         w1=rng.glorot((d_model, hidden)), b1=rng.normal((hidden,), 0.1),

@@ -211,17 +211,29 @@ def cmd_cost_model(args) -> int:
     cp = CostParams(gamma_tc=args.gamma, gamma_hbm=args.gamma,
                     gamma_net=args.gamma, gamma_act=args.gamma)
     if args.fit:
-        rows = []
+        rows, cps = [], []
         with open(args.fit) as f:
             header = f.readline()
             for lineno, line in enumerate(f, start=2):
+                fields = line.strip().split(",")
                 try:
-                    n, k, d_h, secs = line.strip().split(",")
-                    rows.append((int(n), int(k), int(d_h), float(secs)))
+                    if len(fields) not in (4, 8):
+                        raise ValueError
+                    n, k, d_h = (int(v) for v in fields[:3])
+                    secs, *gammas = (float(v) for v in fields[3:])
                 except ValueError:
                     raise ConfigError(f"{args.fit} line {lineno}: expected 4 fields "
-                                      "n,k,d_h,seconds") from None
-        c1, c2, c3, resid = fit_cost_constants(rows, cp)
+                                      "n,k,d_h,seconds, or 8 with gamma_tc,gamma_hbm,"
+                                      "gamma_net,gamma_act after them") from None
+                try:
+                    cps.append(CostParams(*gammas) if gammas else cp)
+                except ConfigError as exc:
+                    raise ConfigError(f"{args.fit} line {lineno}: {exc}") from None
+                rows.append((n, k, d_h, secs))
+        try:
+            c1, c2, c3, resid = fit_cost_constants(rows, cps)
+        except ValueError as exc:  # too few rows, or rates that do not separate c2 from c3
+            raise ConfigError(f"{args.fit}: {exc}") from None
         name, body = "fit.csv", ("c1,c2,c3,relative_residual\n"
                                  f"{c1:.12g},{c2:.12g},{c3:.12g},{resid:.6e}\n")
         print(f"cost-model fit: c1={c1:.6g} c2={c2:.6g} c3={c3:.6g} "
@@ -334,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("cost-model", help="latency model evaluation or constant fitting")
     s.add_argument("--fit", type=str, default=None,
-                   help="CSV of n,k,d_h,seconds measurements")
+                   help="CSV of n,k,d_h,seconds measurements, each optionally followed "
+                        "by its own gamma_tc,gamma_hbm,gamma_net,gamma_act (else --gamma)")
     s.add_argument("--n", type=int, default=1024)
     s.add_argument("--k", type=int, default=4)
     s.add_argument("--d-h", type=int, default=64)

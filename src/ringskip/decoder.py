@@ -13,6 +13,7 @@ agree with a teacher-forced full pass to rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -75,7 +76,7 @@ def decode_step(
     pos = t + cache.offsets
     # slots with pos < 0 read an unrelated row; they get probability 0
     valid, kv_rows = pos >= 0, pos % size
-    scale = 1.0 / np.sqrt(d_h)
+    scale = 1.0 / math.sqrt(d_h)
 
     x = params.tok_emb[token] + params.pos_emb[t]  # (d,)
     for bp, lc in zip(params.blocks, cache.layers):

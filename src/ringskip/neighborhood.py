@@ -114,7 +114,7 @@ class AttentionConfig:
             raise ConfigError("bidirectional_skip: forbidden when causal")
         if not 0.0 < self.eps < 0.5:
             raise ConfigError("eps: must lie in (0, 0.5)")
-        if self.logit_clamp <= 0:
+        if not self.logit_clamp > 0:  # NaN fails; inf (no clamp) passes
             raise ConfigError("logit_clamp: must be > 0")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError("dropout_p: must lie in [0, 1)")

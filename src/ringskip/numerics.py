@@ -15,6 +15,7 @@ draws, never on golden values.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -125,8 +126,10 @@ class Rng:
         return self._gen.integers(low, high, size=shape)
 
     def glorot(self, shape) -> np.ndarray:
-        fan_in, fan_out = shape[0], shape[-1]
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        """Glorot-uniform (fan_in, fan_out) matrices; a leading axis stacks m of
+        them, drawn in the order of m consecutive (fan_in, fan_out) draws."""
+        fan_in, fan_out = shape[-2], shape[-1]
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
         return self._gen.uniform(-limit, limit, size=shape)
 
     def spawn(self, offset: int) -> "Rng":

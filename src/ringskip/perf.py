@@ -36,7 +36,7 @@ class CostParams:
 
     def __post_init__(self) -> None:
         for name in ("gamma_tc", "gamma_hbm", "gamma_net", "gamma_act", "c1", "c2", "c3"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails
                 raise ConfigError(f"{name}: must be strictly positive")
 
 
@@ -71,7 +71,10 @@ def fit_cost_constants(
         raise ValueError("one CostParams per measurement (or a single shared one)")
     rows = []
     y = []
-    for (n, k, d_h, seconds), c in zip(measurements, cps):
+    for i, ((n, k, d_h, seconds), c) in enumerate(zip(measurements, cps)):
+        if not 0.0 <= seconds < np.inf:
+            raise ValueError(f"measurement {i}: seconds must be finite and >= 0, "
+                             f"got {seconds}")
         rows.append([n * k * d_h / c.gamma_tc,
                      n * d_h / min(c.gamma_hbm, c.gamma_net),
                      n * d_h / c.gamma_act])

@@ -52,12 +52,18 @@ class TrainConfig:
     stop_accuracy: Optional[float] = None  # early exit once eval accuracy reaches this
 
     def __post_init__(self) -> None:
+        # written so that NaN fails every comparison
         for name, low in (("lr", 0), ("weight_decay", 0), ("batch_size", 1), ("steps", 1),
                           ("eval_interval", 1)):
-            if getattr(self, name) < low:
+            if not getattr(self, name) >= low:
                 raise ConfigError(f"{name}: must be >= {low}")
-        if self.clip_norm <= 0:
+        if not self.clip_norm > 0:
             raise ConfigError("clip_norm: must be > 0")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name}: must lie in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ConfigError("adam_eps: must be > 0")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from ringskip.attention import (
     dense_oracle,
     gated_softmax,
     log_prior,
+    merge_heads,
     pi_attention_backward,
     pi_attention_forward,
     split_heads,
@@ -25,7 +26,7 @@ from ringskip.checks import (
     run_stacked_grad_check,
     stacked_block_setup,
 )
-from ringskip.gate import clip_alpha
+from ringskip.gate import clip_alpha, gate_forward
 from ringskip.model import flatten
 from ringskip import neighborhood
 from ringskip.neighborhood import (
@@ -36,7 +37,7 @@ from ringskip.neighborhood import (
     count_score_slots,
     gather_schedule,
 )
-from ringskip.numerics import GRAD_CHECK_FLOOR, NonFiniteError, Rng, ShapeError
+from ringskip.numerics import GRAD_CHECK_FLOOR, NonFiniteError, Rng, ShapeError, softmax_row
 
 
 def cfg(**kw):
@@ -468,6 +469,75 @@ def test_gated_softmax_reproduces_forward_probs(clamp_after_prior):
     probs = gated_softmax(cache.scores_raw, cache.alpha.transpose(0, 2, 1), plan.ring,
                           plan.valid[:, None, None], c)
     assert np.array_equal(probs, cache.probs)
+
+
+@pytest.mark.parametrize("d_model,n_heads", [(8, 2), (64, 4)])
+def test_random_attention_params_equal_per_tensor_draws(d_model, n_heads):
+    # the stacked draws must keep every parameter, and so the inputs of the
+    # oracle, gradient and benchmark checks, bit for bit
+    proj, gate = random_attention_params(Rng(5), d_model, n_heads)
+    rng, hidden = Rng(5), d_model // 2
+    ref = [rng.glorot((d_model, d_model)) for _ in range(4)]
+    ref += [rng.normal((d_model,), 0.1) for _ in range(3)]
+    ref += [rng.glorot((d_model, hidden)), rng.normal((hidden,), 0.1),
+            rng.glorot((hidden, n_heads)), rng.normal((n_heads,), 0.5)]
+    got = [proj.wq, proj.wk, proj.wv, proj.wo, proj.bq, proj.bv, proj.bo,
+           gate.w1, gate.b1, gate.w2, gate.b2]
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+
+
+def einsum_oracle(x, proj, gate, union, c):
+    """`dense_oracle` in its textbook form: heads copied out by `split_heads`,
+    both n x n products as einsums."""
+    h_cnt, d_h = c.n_heads, c.head_dim
+    qh = split_heads(x @ proj.wq + proj.bq, h_cnt)
+    kh = split_heads(x @ proj.wk, h_cnt)
+    vh = split_heads(x @ proj.wv + proj.bv, h_cnt)
+    alpha, _ = gate_forward(gate, merge_heads(qh) if c.gate_on_query else x, c)
+    allowed, ring_pair = union.dense_masks
+    scores = np.einsum("bhid,bhjd->bhij", qh, kh) * (1.0 / np.sqrt(d_h))
+    prior = 0.0
+    if alpha is not None:
+        alpha_h = alpha.transpose(0, 2, 1)[..., None]
+        prior = np.where(ring_pair, np.log(alpha_h), np.log(1.0 - alpha_h))
+    lc = c.logit_clamp
+    if c.clamp_after_prior:
+        logits = np.clip(scores + prior, -lc, lc)
+    else:
+        logits = np.clip(scores, -lc, lc) + prior
+    out_h = np.einsum("bhij,bhjd->bhid", softmax_row(logits, allowed), vh)
+    return merge_heads(out_h) @ proj.wo + proj.bo
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_dense_oracle_matches_einsum_form(data):
+    # the oracle's matmuls over head views sum in another order than the
+    # einsums, so agreement is to rounding, far inside the oracle's 1e-10
+    n = data.draw(st.integers(1, 40), label="n")
+    causal = data.draw(st.booleans(), label="causal")
+    c = cfg(d_model=data.draw(st.sampled_from([8, 16]), label="d_model"),
+            n_heads=data.draw(st.sampled_from([1, 2, 4]), label="heads"),
+            ring_k=data.draw(st.integers(0, 4), label="k"),
+            skip_period=data.draw(st.integers(1, 20), label="pi"),
+            causal=causal,
+            bidirectional_skip=not causal and data.draw(st.booleans(), label="bidir"),
+            ablation=data.draw(st.sampled_from(ABLATIONS), label="ablation"),
+            logit_clamp=data.draw(st.sampled_from([0.5, 20.0]), label="clamp"),
+            gate_on_query=data.draw(st.booleans(), label="gate_on_query"),
+            clamp_after_prior=data.draw(st.booleans(), label="clamp_after_prior"))
+    mask = data.draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n),
+                     label="user_mask")
+    try:
+        union = build_union(c, n, None if mask is None else np.array(mask))
+    except EmptyNeighborhoodError:
+        reject()
+    rng = Rng(data.draw(st.integers(0, 2 ** 31 - 1), label="seed"))
+    proj, gate = random_attention_params(rng, c.d_model, c.n_heads)
+    x = rng.normal((data.draw(st.integers(1, 2), label="batch"), n, c.d_model))
+    ref = einsum_oracle(x, proj, gate, union, c)
+    assert np.abs(dense_oracle(x, proj, gate, union, c) - ref).max() < 1e-13
 
 
 def test_dense_oracle_respects_mask():

@@ -9,6 +9,7 @@ import pytest
 from ringskip.cli import main
 from ringskip.model import ModelConfig, init_model
 from ringskip.neighborhood import AttentionConfig
+from ringskip.perf import CostParams, cost_model_eval
 from ringskip.trainer import load_checkpoint, save_checkpoint
 
 
@@ -387,3 +388,76 @@ def test_cost_model_fit_bad_row_names_file_and_line(tmp_path, capsys, row):
     assert main(["cost-model", "--fit", str(fit), "--out", str(tmp_path / "o")]) == 2
     assert f"{fit} line 3: expected 4 fields n,k,d_h,seconds" in one_error_line(capsys)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,doc,message", [
+    (["validate-config"], '{"d_model": 16, "n_heads": 2, "ring_k": 1, "skip_period": 4, '
+                          '"logit_clamp": NaN}', "attention.logit_clamp: must be > 0"),
+    (["train", "--task", "copy", "--config"], '{"model": {"attention": {"logit_clamp": NaN}}}',
+     "model.attention.logit_clamp: must be > 0"),
+    (["train", "--task", "copy", "--config"], '{"train": {"lr": NaN}}', "train.lr: must be >= 0"),
+    (["train", "--task", "copy", "--config"], '{"train": {"weight_decay": NaN}}',
+     "train.weight_decay: must be >= 0"),
+    (["train", "--task", "copy", "--config"], '{"train": {"clip_norm": NaN}}',
+     "train.clip_norm: must be > 0"),
+    (["train", "--task", "copy", "--config"], '{"train": {"beta2": NaN}}',
+     "train.beta2: must lie in [0, 1)"),
+    (["train", "--task", "copy", "--config"], '{"train": {"adam_eps": NaN}}',
+     "train.adam_eps: must be > 0"),
+    (["cost-model", "--gamma", "nan"], None, "gamma_tc: must be strictly positive"),
+], ids=["validate_clamp", "train_clamp", "train_lr", "train_weight_decay", "train_clip_norm",
+        "train_beta2", "train_adam_eps", "cost_gamma"])
+def test_nan_fails_the_config_checks(tmp_path, capsys, argv, doc, message):
+    # NaN fails every comparison, so each check is written as `not x > 0`
+    # (or `not x >= 0`); before, NaN passed and training died in the gate
+    if doc is not None:
+        argv = argv + [write_json(tmp_path / "c.json", doc)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert message in one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_infinite_logit_clamp_stays_legal(tmp_path):
+    # the KL check's ideal distribution runs with no clamp at all
+    doc = '{"d_model": 16, "n_heads": 2, "ring_k": 1, "skip_period": 4, "logit_clamp": Infinity}'
+    assert main(["validate-config", write_json(tmp_path / "c.json", doc),
+                 "--out", str(tmp_path / "o")]) == 0
+
+
+def test_cost_model_fit_shared_gamma_exits_2(tmp_path, capsys):
+    # one --gamma for every row makes the c2 and c3 columns proportional
+    fit = tmp_path / "m.csv"
+    fit.write_text("n,k,d_h,seconds\n128,1,8,1e-6\n256,2,8,2e-6\n512,4,16,9e-6\n"
+                   "1024,1,32,3e-5\n")
+    assert main(["cost-model", "--fit", str(fit), "--out", str(tmp_path / "o")]) == 2
+    line = one_error_line(capsys)
+    assert f"{fit}: rank-deficient design matrix" in line
+    assert not (tmp_path / "o").exists()
+
+
+def test_cost_model_fit_rows_with_own_rates_recover_constants(tmp_path):
+    true = (2.0, 3.0, 5.0)
+    rate_sets = [(1e9, 1e9, 1e9, 1e9), (2e9, 4e9, 3e9, 5e8)]
+    lines = ["n,k,d_h,seconds,gamma_tc,gamma_hbm,gamma_net,gamma_act"]
+    for i, (n, k, d_h) in enumerate([(128, 1, 8), (256, 2, 8), (512, 4, 16),
+                                     (1024, 1, 32), (256, 8, 8), (640, 3, 16)]):
+        gammas = rate_sets[i % 2]
+        secs = cost_model_eval(CostParams(*gammas, *true), n, k, d_h)
+        lines.append(",".join(map(repr, (n, k, d_h, secs) + gammas)))
+    fit = tmp_path / "m.csv"
+    fit.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    assert main(["cost-model", "--fit", str(fit), "--out", str(out)]) == 0
+    header, row = (out / "fit.csv").read_text().strip().split("\n")
+    assert header == "c1,c2,c3,relative_residual"
+    c1, c2, c3, resid = map(float, row.split(","))
+    assert max(abs(c1 - 2), abs(c2 - 3), abs(c3 - 5)) < 1e-9
+    assert resid < 1e-9
+
+
+def test_cost_model_fit_bad_row_rate_names_file_and_line(tmp_path, capsys):
+    fit = tmp_path / "m.csv"
+    fit.write_text("n,k,d_h,seconds\n256,1,8,0.001\n512,2,8,0.002,1e9,1e9,0,1e9\n")
+    assert main(["cost-model", "--fit", str(fit), "--out", str(tmp_path / "o")]) == 2
+    assert (f"{fit} line 3: gamma_net: must be strictly positive"
+            in one_error_line(capsys))

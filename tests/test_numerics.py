@@ -90,6 +90,16 @@ def test_spawn_draws_equal_the_derived_seed_and_seeds_nothing_until_drawn(seed, 
     assert np.array_equal(child.integers(0, 100, (5,)), ref.integers(0, 100, (5,)))
 
 
+@pytest.mark.parametrize("m,a,b", [(1, 3, 5), (4, 8, 8), (3, 64, 32)])
+def test_glorot_stack_equals_consecutive_draws(m, a, b):
+    # the fan-in is the second-to-last axis, so a leading stack axis keeps the
+    # limit, and PCG64 fills the stack in the order of m separate draws
+    seq = Rng(9)
+    ref = np.stack([seq.glorot((a, b)) for _ in range(m)])
+    assert np.array_equal(Rng(9).glorot((m, a, b)), ref)
+    assert np.abs(ref).max() <= np.sqrt(6.0 / (a + b))
+
+
 def test_grad_check_quadratic():
     x = Rng(4).normal((6,))
 

@@ -68,6 +68,13 @@ def test_fit_shared_rates_is_rank_deficient():
         fit_cost_constants(rows, cp)
 
 
+@pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1e-6])
+def test_fit_rejects_a_time_that_is_not_finite_and_nonnegative(seconds):
+    rows = [(128, 1, 8, 1e-6), (256, 2, 8, seconds), (512, 4, 16, 9e-6)]
+    with pytest.raises(ValueError, match="measurement 1: seconds must be finite"):
+        fit_cost_constants(rows, [rates(), rates(gamma_act=2e9), rates()])
+
+
 def test_comm_volume_example():
     assert comm_volume(2, 4, 8, 16) == 2048
     assert comm_volume(1, 1, 1, 1) == 2
