@@ -1,8 +1,12 @@
 """Command-line entry point for every verification and experiment surface.
 
 All tabular output is CSV with documented headers; configs are JSON. Every
-run writes a manifest.json next to its outputs. CSV bodies are byte-identical
-across reruns with the same seed (timestamps live only in the manifest).
+run writes a manifest.json next to its outputs: command, seed, timestamp,
+numpy and scipy versions, the BLAS thread variables, and for `train` the
+thread count of its steps. CSV bodies are byte-identical across reruns with
+the same seed and BLAS thread count (timestamps live only in the manifest);
+`train` splits each batch into two fixed halves and adds their gradients in a
+fixed order, so its outputs are too, on any number of CPUs.
 Exit codes: 0 all asserted properties pass, 1 a property failed, 2 usage or
 configuration error.
 """
@@ -11,9 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .checks import (
@@ -26,13 +34,15 @@ from .neighborhood import (AttentionConfig, ConfigError, build_union, from_dict,
                            slot_layout, union_table_csv)
 from .perf import CostParams, cost_model_eval, fit_cost_constants, ring_simulate, work_report
 from .rfield import rf_report
-from .trainer import CONFIG_DEFAULTS, load_checkpoint, load_config, train
+from .trainer import CONFIG_DEFAULTS, load_checkpoint, load_config, train, train_threads
 from .decoder import generate
 from .numerics import Rng
 
 
 # `grad-check` holds the gradient gate at this many consecutive seeds
 GRAD_CHECK_SEEDS = 9
+# read by the BLAS library when numpy loads; each manifest records their values
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _write_manifest(args, out_dir: Path, **telemetry) -> None:
@@ -45,6 +55,9 @@ def _write_manifest(args, out_dir: Path, **telemetry) -> None:
         "version": __version__,
         "out_dir": str(out_dir),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        **{var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         **telemetry,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -134,7 +147,8 @@ def cmd_train(args) -> int:
                                 kind, args.seed)
     out = _out_dir(args)
     res = train(cfg, task, tc, out_dir=out)
-    _write_manifest(args, out, tokens_per_sec=res.tokens_per_sec)
+    _write_manifest(args, out, tokens_per_sec=res.tokens_per_sec,
+                    train_threads=train_threads())
     last = res.metrics[-1]
     print(f"train: task={task.kind} steps_run={last['step'] + 1} "
           f"loss={last['loss']:.4f} accuracy={res.final_accuracy:.4f}")

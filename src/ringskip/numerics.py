@@ -3,7 +3,10 @@ its backward pass, a seeded PRNG, and finite-difference gradient checking.
 
 Everything runs in float64 on numpy arrays. Accumulation order is whatever the
 linked BLAS uses, which is deterministic run-to-run for a fixed thread count;
-all determinism guarantees in this package are stated at that level.
+all determinism guarantees in this package are stated at that level. Training
+splits each batch into two fixed halves and adds their gradients in a fixed
+order, whichever thread ran each half, so its outputs are byte-identical
+across reruns with the same seed and BLAS thread count on any number of CPUs.
 
 `softmax_row`, `gelu`, `gelu_grad` and the layer norm skip redundant passes
 but equal their textbook forms bit for bit; the tests keep those forms.

@@ -9,6 +9,15 @@ Tasks:
   * needle_retrieval — a key token sits exactly one skip stride before a query
     marker; the target at the marker is the key;
   * char_lm         — next-character prediction over a plain-text corpus.
+
+Each training step splits its batch into two fixed halves, rows [0, ⌈B/2⌉)
+and the rest. The calling thread runs forward, loss and backward on the first
+while one worker thread runs the second; each half's loss divides by the whole
+batch's count of scored targets, so the step's loss and gradient are the
+first half's plus the second's, added in that order. On a host with one CPU
+both halves run on the caller, in the same order, so outputs depend on
+neither the CPU count nor thread scheduling. `evaluate` splits the rows of
+its batches the same way.
 """
 
 from __future__ import annotations
@@ -16,7 +25,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import time
+from concurrent import futures
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -121,12 +132,17 @@ def cross_entropy(
     logits: np.ndarray,
     targets: np.ndarray,
     ignore_index: int = IGNORE_INDEX,
+    count: Optional[int] = None,
 ) -> Tuple[float, np.ndarray]:
-    """Mean token NLL over non-ignored positions, plus dLoss/dlogits."""
+    """Token NLL summed over non-ignored positions and divided by `count`
+    (default: their number, the mean), plus dLoss/dlogits. A shard of a batch
+    passes the whole batch's count, so the shards' losses and gradients sum
+    to the batch's."""
     flat = logits.reshape(-1, logits.shape[-1])
     tgt = np.asarray(targets).reshape(-1)
     keep = tgt != ignore_index
-    count = int(keep.sum())
+    if count is None:
+        count = int(keep.sum())
     if count == 0:
         raise ValueError("cross_entropy: every position is ignored")
     probs = softmax_row(flat)
@@ -334,12 +350,52 @@ def load_checkpoint(path: Path) -> Tuple[ModelConfig, ModelParams, int]:
 # ---------------------------------------------------------------------------
 
 
+# runs the second half of each batch; its one thread starts on the first submit
+_WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="ringskip-half")
+
+
+def train_threads() -> int:
+    """2 when the second half of each batch runs on the worker thread, 1 when
+    the host gives this process one CPU and both halves run on the caller."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return 2 if (cpus or 1) >= 2 else 1
+
+
+def _in_halves(fn, halves: List[tuple]) -> list:
+    """[fn(*half) for half in halves] for one or two halves. A second half runs
+    on the worker thread while the caller runs the first, or after it on the
+    caller when `train_threads()` is 1. An exception in either half is raised
+    here, once both have finished."""
+    if len(halves) < 2 or train_threads() < 2:
+        return [fn(*half) for half in halves]
+    pending = _WORKER.submit(fn, *halves[1])
+    try:
+        head = fn(*halves[0])
+    finally:
+        futures.wait([pending])
+    return [head, pending.result()]
+
+
+def _halves(size: int) -> List[slice]:
+    """Rows [0, ⌈size/2⌉) and the rest; a half with no rows is left out."""
+    cut = (size + 1) // 2
+    return [slice(0, cut), slice(cut, size)][:2 if cut < size else 1]
+
+
 @dataclass
 class TrainResult:
     params: ModelParams
     metrics: List[dict]           # step, loss, accuracy
     final_accuracy: float
     tokens_per_sec: float         # over the training steps, evaluation excluded
+
+
+def _half_step(params: ModelParams, cfg: ModelConfig, schedule, inp: np.ndarray,
+               tgt: np.ndarray, count: int, rng: Rng) -> Tuple[float, Dict[str, np.ndarray]]:
+    """Loss and flat gradient of one half of a batch, both scaled by 1 / count."""
+    logits, mcache = model_forward(inp, params, cfg, schedule, train=True, rng=rng)
+    loss, d_logits = cross_entropy(logits, tgt, count=count)
+    return loss, flatten(model_backward(params, cfg, mcache, d_logits))
 
 
 def train(
@@ -367,12 +423,17 @@ def train(
     for step in range(tc.steps):
         t0 = time.perf_counter()
         inp, tgt = make_batch(task, data_rng, tc.batch_size, corpus)
-        logits, mcache = model_forward(inp, params, cfg, schedule, train=True,
-                                       rng=data_rng)
-        loss, d_logits = cross_entropy(logits, tgt)
+        count = int((tgt != IGNORE_INDEX).sum())
+        (loss, grads), *rest = _in_halves(_half_step, [
+            (params, cfg, schedule, inp[rows], tgt[rows], count,
+             data_rng.spawn(2 * step + half))
+            for half, rows in enumerate(_halves(len(inp)))])
+        for half_loss, half_grads in rest:
+            loss += half_loss
+            for name, g in grads.items():
+                g += half_grads[name]
         if not np.isfinite(loss):
             raise TrainDivergedError(f"loss diverged at step {step}: {loss}")
-        grads = flatten(model_backward(params, cfg, mcache, d_logits))
         clip_by_global_norm(grads, tc.clip_norm)
         adamw_step(flat, grads, state, tc, lr=lr_at(step, tc))
         busy += time.perf_counter() - t0
@@ -397,6 +458,19 @@ def train(
                        tokens_per_sec=tokens / busy)
 
 
+def _score(params: ModelParams, cfg: ModelConfig, schedule,
+           batches: List[Tuple[np.ndarray, np.ndarray]]) -> Tuple[int, int]:
+    """(argmax hits, counted targets) summed over `batches`."""
+    correct = total = 0
+    for inp, tgt in batches:
+        # the cache is not kept: a name bound to it would hold it through the next forward
+        logits = model_forward(inp, params, cfg, schedule)[0]
+        hits, counted = count_correct(logits, tgt)
+        correct += hits
+        total += counted
+    return correct, total
+
+
 def evaluate(
     params: ModelParams,
     cfg: ModelConfig,
@@ -407,16 +481,17 @@ def evaluate(
     n_batches: int = 4,
     corpus: Optional[np.ndarray] = None,
 ) -> float:
-    """Token accuracy on freshly sampled batches with a fixed seed."""
+    """Token accuracy on freshly sampled batches with a fixed seed. All batches
+    are drawn first; the caller scores the first half of each batch's rows
+    while the worker scores the rest, so no more rows are in flight at once
+    than in one batch."""
     rng = Rng(seed)
     if corpus is None and task.kind == "char_lm":
         corpus = load_corpus(task)
-    correct = 0
-    total = 0
-    for _ in range(n_batches):
-        inp, tgt = make_batch(task, rng, batch_size, corpus)
-        logits, _ = model_forward(inp, params, cfg, schedule)
-        hits, counted = count_correct(logits, tgt)
-        correct += hits
-        total += counted
-    return correct / total
+    if schedule is None:
+        schedule = gather_schedule(cfg.attention, task.seq_len)
+    batches = [make_batch(task, rng, batch_size, corpus) for _ in range(n_batches)]
+    scores = _in_halves(_score, [
+        (params, cfg, schedule, [(inp[rows], tgt[rows]) for inp, tgt in batches])
+        for rows in _halves(batch_size)])
+    return sum(c for c, _ in scores) / sum(t for _, t in scores)

@@ -461,3 +461,33 @@ def test_cost_model_fit_bad_row_rate_names_file_and_line(tmp_path, capsys):
     assert main(["cost-model", "--fit", str(fit), "--out", str(tmp_path / "o")]) == 2
     assert (f"{fit} line 3: gamma_net: must be strictly positive"
             in one_error_line(capsys))
+
+
+def test_manifest_records_versions_and_thread_settings(tmp_path, monkeypatch):
+    import numpy as np
+    import scipy
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    att = {"d_model": 8, "n_heads": 2, "ring_k": 1, "skip_period": 4}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "model": {"layers": 1, "d_model": 8, "n_heads": 2, "d_ff": 16, "vocab": 16,
+                  "max_seq": 16, "attention": att},
+        "task": {"vocab": 16, "seq_len": 16, "delay": 4},
+        "train": {"steps": 2, "batch_size": 2, "eval_interval": 1},
+    }))
+    train_job = ["train", "--task", "copy", "--config", str(cfg_path)]
+
+    def manifest(job, name):
+        assert main(job + ["--out", str(tmp_path / name)]) == 0
+        return json.loads((tmp_path / name / "manifest.json").read_text())
+
+    for name, job in (("rf", ["rf-bound"]), ("train", train_job)):
+        got = manifest(job, name)
+        assert got["numpy"] == np.__version__ and got["scipy"] == scipy.__version__
+        assert got["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
+        assert got["OMP_NUM_THREADS"] == "1" and got["MKL_NUM_THREADS"] is None
+    assert "train_threads" not in manifest(["rf-bound"], "rf")
+    for cpus in (2, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert manifest(train_job, f"train{cpus}")["train_threads"] == cpus

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
 import json
+import os
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -365,3 +367,156 @@ def test_mutated_checkpoint_model_is_a_config_error_naming_file(saved_ckpt, data
     path.write_bytes(len(head).to_bytes(8, "little") + head + blob[8 + hlen:])
     with pytest.raises(ConfigError, match=re.escape(f"checkpoint {path}: {dotted}")):
         load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# the two-half train step
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(k) makes the trainer see k CPUs: 1 runs both halves on the caller."""
+    return lambda k: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+def thread_spy(monkeypatch):
+    """Patch trainer.model_forward to record (thread ident, batch rows) per call."""
+    import ringskip.trainer as trainer_mod
+    calls, real = [], trainer_mod.model_forward
+
+    def spy(tokens, *args, **kwargs):
+        calls.append((threading.get_ident(), len(tokens)))
+        return real(tokens, *args, **kwargs)
+
+    monkeypatch.setattr(trainer_mod, "model_forward", spy)
+    return calls
+
+
+def test_cross_entropy_halves_with_the_batch_count_sum_to_the_batch():
+    logits = Rng(3).normal((5, 7, 11))
+    targets = Rng(4).integers(0, 11, (5, 7))
+    targets[1, :4] = IGNORE_INDEX
+    targets[3, 2] = IGNORE_INDEX
+    count = int((targets != IGNORE_INDEX).sum())
+    loss, grad = cross_entropy(logits, targets)
+    head, g_head = cross_entropy(logits[:3], targets[:3], count=count)
+    tail, g_tail = cross_entropy(logits[3:], targets[3:], count=count)
+    assert abs(head + tail - loss) <= 1e-14 * abs(loss)
+    assert np.abs(np.concatenate([g_head, g_tail]) - grad).max() <= 1e-14 * np.abs(grad).max()
+
+
+def test_half_gradients_sum_to_the_full_batch_gradient():
+    import ringskip.trainer as trainer_mod
+    from ringskip.neighborhood import gather_schedule
+    cfg, task, _ = load_config({}, "copy_at_pi", seed=0)  # the `train --task copy` model
+    params = init_model(cfg, seed=0)
+    schedule = gather_schedule(cfg.attention, task.seq_len)
+    inp, tgt = make_batch(task, Rng(5), 16)
+    count = int((tgt != IGNORE_INDEX).sum())
+    loss, full = trainer_mod._half_step(params, cfg, schedule, inp, tgt, count, Rng(0))
+    (l0, g0), (l1, g1) = (trainer_mod._half_step(params, cfg, schedule, inp[rows], tgt[rows],
+                                                 count, Rng(0))
+                          for rows in (slice(0, 8), slice(8, 16)))
+    assert abs(l0 + l1 - loss) <= 1e-13 * loss
+    for name, g in full.items():
+        assert np.abs(g0[name] + g1[name] - g).max() <= 1e-13 * np.abs(g).max(), name
+
+
+def small_run(tmp_path, name, **att):
+    cfg = model_cfg(layers=2, attention=AttentionConfig(
+        d_model=16, n_heads=2, ring_k=1, skip_period=4, causal=True, **att))
+    task = TaskSpec(kind="copy_at_pi", vocab=16, seq_len=16, delay=4)
+    tc = TrainConfig(lr=3e-3, steps=6, batch_size=5, eval_interval=2, seed=2)
+    train(cfg, task, tc, out_dir=tmp_path / name)
+    return [(tmp_path / name / f).read_bytes() for f in ("metrics.csv", "model.ckpt")]
+
+
+def test_train_outputs_do_not_depend_on_the_worker_thread(tmp_path, monkeypatch, cpus):
+    calls = thread_spy(monkeypatch)
+    cpus(2)
+    threaded = small_run(tmp_path, "worker")
+    assert len({ident for ident, _ in calls}) == 2
+    assert {rows for _, rows in calls} == {3, 2}  # rows [0, 3) and [3, 5)
+    calls.clear()
+    cpus(1)
+    inline = small_run(tmp_path, "inline")
+    assert {ident for ident, _ in calls} == {threading.get_ident()}
+    assert threaded == inline
+
+
+def test_dropout_masks_are_seeded_per_half(tmp_path, cpus):
+    cpus(2)
+    first = small_run(tmp_path, "a", dropout_p=0.1)
+    assert first == small_run(tmp_path, "b", dropout_p=0.1)
+    assert first != small_run(tmp_path, "c")
+
+
+@pytest.mark.parametrize("batch_size, rows", [(1, {1}), (3, {2, 1})])
+def test_odd_and_single_row_batches_train(monkeypatch, cpus, batch_size, rows):
+    calls = thread_spy(monkeypatch)
+    cpus(2)
+    task = TaskSpec(kind="copy_at_pi", vocab=16, seq_len=16, delay=4)
+    res = train(model_cfg(), task, TrainConfig(steps=3, batch_size=batch_size,
+                                               eval_interval=10, seed=1))
+    assert np.isfinite([m["loss"] for m in res.metrics]).all()
+    assert {n for _, n in calls} == rows  # a half with no rows is not run
+
+
+@pytest.mark.parametrize("n_batches", [1, 4])
+def test_evaluate_equals_a_serial_loop_over_the_same_batches(cpus, n_batches):
+    from ringskip.model import model_forward
+    from ringskip.trainer import evaluate
+    cpus(2)
+    cfg = model_cfg(layers=2)
+    task = TaskSpec(kind="copy_at_pi", vocab=16, seq_len=16, delay=4)
+    params = init_model(cfg, seed=4)
+    rng, hits, counted = Rng(9), 0, 0
+    for _ in range(n_batches):
+        inp, tgt = make_batch(task, rng, 5)
+        h, c = count_correct(model_forward(inp, params, cfg)[0], tgt)
+        hits, counted = hits + h, counted + c
+    assert evaluate(params, cfg, task, seed=9, batch_size=5, n_batches=n_batches) \
+        == hits / counted
+
+
+def test_evaluate_builds_one_plan_per_call(monkeypatch):
+    import ringskip.model as model_mod
+    import ringskip.trainer as trainer_mod
+    from ringskip.neighborhood import gather_schedule
+    from ringskip.trainer import evaluate
+    cfg = model_cfg(layers=2)
+    task = TaskSpec(kind="copy_at_pi", vocab=16, seq_len=16, delay=4)
+    params = init_model(cfg, seed=4)
+    given = evaluate(params, cfg, task, gather_schedule(cfg.attention, 16), seed=3)
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return gather_schedule(*args)
+
+    monkeypatch.setattr(trainer_mod, "gather_schedule", counting)
+    monkeypatch.setattr(model_mod, "gather_schedule", counting)
+    assert evaluate(params, cfg, task, seed=3) == given
+    assert len(built) == 1
+
+
+def test_an_error_in_the_worker_half_reaches_the_caller(monkeypatch, cpus):
+    import ringskip.trainer as trainer_mod
+    from ringskip.numerics import NonFiniteError
+    cpus(2)
+    real = trainer_mod.model_forward
+    caller = threading.get_ident()
+
+    def poisoned(tokens, params, *args, **kwargs):
+        if threading.get_ident() != caller:  # the gate sees NaN rows
+            params = dataclasses.replace(params, tok_emb=np.full_like(params.tok_emb, np.nan))
+        return real(tokens, params, *args, **kwargs)
+
+    monkeypatch.setattr(trainer_mod, "model_forward", poisoned)
+    task = TaskSpec(kind="copy_at_pi", vocab=16, seq_len=16, delay=4)
+    tc = TrainConfig(steps=2, batch_size=4, eval_interval=10, seed=1)
+    with pytest.raises(NonFiniteError, match="gate input"):
+        train(model_cfg(), task, tc)
+    monkeypatch.setattr(trainer_mod, "model_forward", real)
+    assert np.isfinite(train(model_cfg(), task, tc).metrics[-1]["loss"])
