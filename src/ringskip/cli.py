@@ -1,12 +1,14 @@
 """Command-line entry point for every verification and experiment surface.
 
-All tabular output is CSV with documented headers; configs are JSON. Every
-run writes a manifest.json next to its outputs: command, seed, timestamp,
+All tabular output is CSV with documented headers; configs are JSON. Each
+command computes and prints, then `_write_outputs` writes all of its files, so
+a command that exits 2 writes none: a manifest.json (command, seed, timestamp,
 numpy and scipy versions, the BLAS thread variables, and for `train` the
-thread count of its steps. CSV bodies are byte-identical across reruns with
-the same seed and BLAS thread count (timestamps live only in the manifest);
-`train` splits each batch into two fixed halves and adds their gradients in a
-fixed order, so its outputs are too, on any number of CPUs.
+thread count of its steps), the CSVs and summary.json. CSV bodies are
+byte-identical across reruns with the same seed and BLAS thread count (times
+live only in the manifest); `train` splits each batch into two fixed halves
+and adds their gradients in a fixed order, so its outputs are too, on any
+number of CPUs.
 Exit codes: 0 all asserted properties pass, 1 a property failed, 2 usage or
 configuration error.
 """
@@ -25,15 +27,16 @@ import scipy
 
 from . import __version__
 from .checks import (
+    ORACLE_TOL,
     oracle_grid,
     run_kl_random_scores,
     run_oracle_check,
     run_stacked_grad_check,
 )
-from .neighborhood import (AttentionConfig, ConfigError, build_union, from_dict,
-                           slot_layout, union_table_csv)
-from .perf import CostParams, cost_model_eval, fit_cost_constants, ring_simulate, work_report
-from .rfield import rf_report
+from .neighborhood import AttentionConfig, ConfigError, build_union, from_dict, slot_layout
+from .perf import (CostParams, WorkRow, cost_model_eval, fit_cost_constants, ring_simulate,
+                   work_report)
+from .rfield import RfRow, rf_report
 from .trainer import CONFIG_DEFAULTS, load_checkpoint, load_config, train, train_threads
 from .decoder import generate
 from .numerics import Rng
@@ -45,26 +48,36 @@ GRAD_CHECK_SEEDS = 9
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _write_manifest(args, out_dir: Path, **telemetry) -> None:
-    """Run record; wall-clock `telemetry` goes here, never into CSV bodies."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _out_dir(args) -> Path:
+    return Path(args.out) if args.out else Path("runs") / args.command
+
+
+def _write_outputs(args, code: int, csvs: dict, summary: dict | None = None,
+                   **telemetry) -> int:
+    """Write manifest.json with the wall-clock `telemetry`, each CSV of `csvs`
+    (name -> (header line, rows), each row's values joined by commas) and then
+    summary.json when given. Returns the exit code `code`."""
+    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": args.command,
         "config": getattr(args, "config", None),
         "seed": args.seed,
         "version": __version__,
-        "out_dir": str(out_dir),
+        "out_dir": str(out),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         **{var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         **telemetry,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def _out_dir(args) -> Path:
-    return Path(args.out) if args.out else Path("runs") / args.command
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    for name, (header, rows) in csvs.items():
+        (out / name).write_text(header + "\n" + "".join(",".join(map(str, row)) + "\n"
+                                                        for row in rows))
+    if summary is not None:
+        (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    return code
 
 
 def _load_json(path: str):
@@ -79,24 +92,22 @@ def cmd_oracle_check(args) -> int:
     grid = oracle_grid(args.grid)
     t0 = time.perf_counter()
     res = run_oracle_check(grid, seed=args.seed)
-    out = _out_dir(args)
-    _write_manifest(args, out, footprints_built=res.footprints,
-                    sweep_seconds=time.perf_counter() - t0)
-    with open(out / "oracle_check.csv", "w") as f:
-        f.write("n,k,pi,heads,causal,ablation,max_delta,ok\n")
-        for r in res.rows:
-            f.write(f"{r['n']},{r['k']},{r['pi']},{r['heads']},{r['causal']},"
-                    f"{r['ablation']},{r['max_delta']:.3e},{r['ok']}\n")
-    ok = res.max_delta < 1e-10
-    summary = {"checked": res.checked, "max_delta": res.max_delta, "pass": ok}
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    print(f"oracle-check: {res.checked} configs, max |delta| = {res.max_delta:.3e}"
+    sweep_seconds = time.perf_counter() - t0
+    ok = res.max_delta < ORACLE_TOL
+    print(f"oracle-check: {len(grid)} configs, max |delta| = {res.max_delta:.3e}"
           f" -> {'PASS' if ok else 'FAIL'}")
     if not ok:
         cfg, n = res.worst
         print(f"first failing case: n={n} k={cfg.ring_k} pi={cfg.skip_period} "
               f"H={cfg.n_heads} causal={cfg.causal} ablation={cfg.ablation}")
-    return 0 if ok else 1
+    rows = [(n, cfg.ring_k, cfg.skip_period, cfg.n_heads, int(cfg.causal), cfg.ablation,
+             f"{delta:.3e}", int(delta < ORACLE_TOL))
+            for (cfg, n), delta in zip(grid, res.deltas)]
+    return _write_outputs(
+        args, 0 if ok else 1,
+        {"oracle_check.csv": ("n,k,pi,heads,causal,ablation,max_delta,ok", rows)},
+        {"checked": len(grid), "max_delta": res.max_delta, "pass": ok},
+        footprints_built=res.footprints, sweep_seconds=sweep_seconds)
 
 
 def cmd_grad_check(args) -> int:
@@ -105,54 +116,43 @@ def cmd_grad_check(args) -> int:
     per_seed = [{"seed": seed, "worst_tensor": max(e, key=e.get),
                  "max_rel_error": max(e.values())} for seed, e in errors.items()]
     worst = max(per_seed, key=lambda r: r["max_rel_error"])
-    out = _out_dir(args)
-    _write_manifest(args, out)
-    with open(out / "grad_check.csv", "w") as f:
-        f.write("seed,tensor,max_rel_error\n")
-        for seed, e in errors.items():
-            for name in sorted(e):
-                f.write(f"{seed},{name},{e[name]:.6e}\n")
     ok = bool(worst["max_rel_error"] < 1e-6)
-    (out / "summary.json").write_text(json.dumps(
-        {"worst_seed": worst["seed"], "worst_tensor": worst["worst_tensor"],
-         "max_rel_error": worst["max_rel_error"], "pass": ok, "per_seed": per_seed},
-        indent=2) + "\n")
     print(f"grad-check: {len(errors[args.seed])} tensors at {len(seeds)} seeds, worst "
           f"{worst['worst_tensor']} = {worst['max_rel_error']:.3e} at seed {worst['seed']}"
           f" -> {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    rows = [(seed, name, f"{e[name]:.6e}") for seed, e in errors.items() for name in sorted(e)]
+    return _write_outputs(
+        args, 0 if ok else 1,
+        {"grad_check.csv": ("seed,tensor,max_rel_error", rows)},
+        {"worst_seed": worst["seed"], "worst_tensor": worst["worst_tensor"],
+         "max_rel_error": worst["max_rel_error"], "pass": ok, "per_seed": per_seed})
 
 
 def cmd_rf_bound(args) -> int:
     if args.k is not None:
-        csv = rf_report([args.k], [args.pi], [args.layers])
-        _, _, _, full, restricted, bound, holds, _ = csv.split("\n")[1].split(",")
-        print(f"restricted={restricted}, bound={bound}, full={full}")
-        ok = holds == "1"
+        rows = rf_report([args.k], [args.pi], [args.layers])
+        r = rows[0]
+        print(f"restricted={r.restricted_reach}, bound={r.bound}, full={r.full_reach}")
+        ok = bool(r.bound_holds_restricted)
     else:
-        csv = rf_report(range(1, 5), (2, 4, 8, 16), range(1, 11))
-        rows = [r.split(",") for r in csv.strip().split("\n")[1:]]
-        ok = all(r[6] == "1" for r in rows)
+        rows = rf_report(range(1, 5), (2, 4, 8, 16), range(1, 11))
+        ok = all(r.bound_holds_restricted for r in rows)
         print(f"rf-bound: {len(rows)} grid points, restricted bound holds at "
               f"{'100%' if ok else 'SOME FAILED'}")
-    out = _out_dir(args)
-    _write_manifest(args, out)
-    (out / "rf_bound.csv").write_text(csv)
-    return 0 if ok else 1
+    return _write_outputs(args, 0 if ok else 1, {"rf_bound.csv": (",".join(RfRow._fields), rows)})
 
 
 def cmd_train(args) -> int:
     kind = {"copy": "copy_at_pi", "needle": "needle_retrieval", "charlm": "char_lm"}[args.task]
     cfg, task, tc = load_config(_load_json(args.config) if args.config else {},
                                 kind, args.seed)
-    out = _out_dir(args)
-    res = train(cfg, task, tc, out_dir=out)
-    _write_manifest(args, out, tokens_per_sec=res.tokens_per_sec,
-                    train_threads=train_threads())
+    # `train` itself writes metrics.csv and model.ckpt, once its last step has run
+    res = train(cfg, task, tc, out_dir=_out_dir(args))
     last = res.metrics[-1]
     print(f"train: task={task.kind} steps_run={last['step'] + 1} "
           f"loss={last['loss']:.4f} accuracy={res.final_accuracy:.4f}")
-    return 0
+    return _write_outputs(args, 0, {}, tokens_per_sec=res.tokens_per_sec,
+                          train_threads=train_threads())
 
 
 def cmd_decode(args) -> int:
@@ -161,19 +161,11 @@ def cmd_decode(args) -> int:
         prompt = [int(t) for t in args.prompt.split(",")]
     except ValueError:
         prompt = [b % cfg.vocab for b in args.prompt.encode("utf-8")]
-    try:  # generate rejects tokens outside the vocabulary, max_seq overruns, bad --steps/--temp
-        seq = generate(params, cfg, prompt, args.steps, greedy=args.temp is None,
-                       temperature=1.0 if args.temp is None else args.temp,
-                       rng=Rng(args.seed))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = _out_dir(args)
-    _write_manifest(args, out)
-    (out / "tokens.csv").write_text(
-        "position,token\n" + "".join(f"{i},{t}\n" for i, t in enumerate(seq)))
+    # generate rejects tokens outside the vocabulary, max_seq overruns, bad --steps/--temp
+    seq = generate(params, cfg, prompt, args.steps, greedy=args.temp is None,
+                   temperature=1.0 if args.temp is None else args.temp, rng=Rng(args.seed))
     print("decode:", ",".join(map(str, seq)))
-    return 0
+    return _write_outputs(args, 0, {"tokens.csv": ("position,token", enumerate(seq))})
 
 
 def cmd_bench(args) -> int:
@@ -183,17 +175,15 @@ def cmd_bench(args) -> int:
             configs.append((AttentionConfig(d_model=16, n_heads=2, ring_k=args.k,
                                             skip_period=args.pi, causal=True,
                                             ablation=abl), n))
-    csv = work_report(configs)
-    out = _out_dir(args)
-    _write_manifest(args, out)
-    (out / "bench.csv").write_text(csv)
-    rows = [r.split(",") for r in csv.strip().split("\n")[1:]]
-    ratios = [float(r[10]) for r in rows if r[10]]
-    ok = all(1.9 <= x <= 2.1 for x in ratios)
-    ok &= all(int(r[8]) <= int(r[9]) for r in rows)
+    rows = work_report(configs)
+    ratios = [r.doubling_ratio for r in rows if r.doubling_ratio is not None]
+    ok = (all(1.9 <= x <= 2.1 for x in ratios)
+          and all(r.stored_activation_elements <= r.activation_bound for r in rows))
     print(f"bench: {len(rows)} configs, doubling ratios "
           f"{['%.3f' % x for x in ratios]} -> {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    body = [r._replace(doubling_ratio="" if r.doubling_ratio is None
+                       else f"{r.doubling_ratio:.6f}") for r in rows]
+    return _write_outputs(args, 0 if ok else 1, {"bench.csv": (",".join(WorkRow._fields), body)})
 
 
 def cmd_simulate_ring(args) -> int:
@@ -203,22 +193,19 @@ def cmd_simulate_ring(args) -> int:
     cost = CostParams(gamma_tc=1e9, gamma_hbm=1e9, gamma_net=1e9, gamma_act=1e9)
     rep = ring_simulate(args.shards, args.n, cfg, args.batch, args.heads,
                         args.d_h, cost=cost)
-    out = _out_dir(args)
-    _write_manifest(args, out)
-    with open(out / "messages.csv", "w") as f:
-        f.write("stage,src,dst,elements\n")
-        for m in rep.tallied_messages:
-            f.write(f"{m.stage},{m.src},{m.dst},{m.elements}\n")
-    summary = {"formula_elements": rep.formula_elements,
-               "tallied_elements": rep.tallied_elements,
-               "received_elements": rep.received_elements,
-               "conserved": rep.tallied_elements == rep.received_elements,
-               "makespan_seconds": rep.makespan}
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    conserved = rep.tallied_elements == rep.received_elements
     print(f"simulate-ring: shards={args.shards} tallied={rep.tallied_elements} "
           f"elements (closed-form figure {rep.formula_elements}; the two count "
           f"different things and are reported side by side)")
-    return 0 if summary["conserved"] else 1
+    rows = [(m.stage, m.src, m.dst, m.elements) for m in rep.tallied_messages]
+    return _write_outputs(
+        args, 0 if conserved else 1,
+        {"messages.csv": ("stage,src,dst,elements", rows)},
+        {"formula_elements": rep.formula_elements,
+         "tallied_elements": rep.tallied_elements,
+         "received_elements": rep.received_elements,
+         "conserved": conserved,
+         "makespan_seconds": rep.makespan})
 
 
 def cmd_cost_model(args) -> int:
@@ -248,29 +235,22 @@ def cmd_cost_model(args) -> int:
             c1, c2, c3, resid = fit_cost_constants(rows, cps)
         except ValueError as exc:  # too few rows, or rates that do not separate c2 from c3
             raise ConfigError(f"{args.fit}: {exc}") from None
-        name, body = "fit.csv", ("c1,c2,c3,relative_residual\n"
-                                 f"{c1:.12g},{c2:.12g},{c3:.12g},{resid:.6e}\n")
         print(f"cost-model fit: c1={c1:.6g} c2={c2:.6g} c3={c3:.6g} "
               f"residual={resid:.3e}")
+        csvs = {"fit.csv": ("c1,c2,c3,relative_residual",
+                            [(f"{c1:.12g}", f"{c2:.12g}", f"{c3:.12g}", f"{resid:.6e}")])}
     else:
         t = cost_model_eval(cp, args.n, args.k, args.d_h)
-        name, body = "eval.csv", ("n,k,d_h,predicted_seconds\n"
-                                  f"{args.n},{args.k},{args.d_h},{t:.17g}\n")
         print(f"cost-model: predicted {t:.6e} s for n={args.n} k={args.k} "
               f"d_h={args.d_h}")
-    out = _out_dir(args)
-    _write_manifest(args, out)
-    (out / name).write_text(body)
-    return 0
+        csvs = {"eval.csv": ("n,k,d_h,predicted_seconds",
+                             [(args.n, args.k, args.d_h, f"{t:.17g}")])}
+    return _write_outputs(args, 0, csvs)
 
 
 def cmd_kl_check(args) -> int:
     eps_list = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
     kls = [run_kl_random_scores(eps=eps, seeds=args.seeds) for eps in eps_list]
-    out = _out_dir(args)
-    _write_manifest(args, out)
-    (out / "kl_check.csv").write_text("eps,mean_kl,max_kl\n" + "".join(
-        f"{eps:g},{mean_kl:.6e},{max_kl:.6e}\n" for eps, (mean_kl, max_kl) in zip(eps_list, kls)))
     means = [mean_kl for mean_kl, _ in kls]
     monotone = all(b <= a + 1e-12 for a, b in zip(means, means[1:]))
     mean_ref = means[eps_list.index(1e-4)]
@@ -278,7 +258,10 @@ def cmd_kl_check(args) -> int:
     print(f"kl-check: mean KL at eps=1e-4 is {mean_ref:.3e} (< 2e-2), "
           f"nonincreasing as eps shrinks: {monotone} -> "
           f"{'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    rows = [(f"{eps:g}", f"{mean_kl:.6e}", f"{max_kl:.6e}")
+            for eps, (mean_kl, max_kl) in zip(eps_list, kls)]
+    return _write_outputs(args, 0 if ok else 1,
+                          {"kl_check.csv": ("eps,mean_kl,max_kl", rows)})
 
 
 def cmd_validate_config(args) -> int:
@@ -287,16 +270,15 @@ def cmd_validate_config(args) -> int:
         att = load_config(raw, "copy_at_pi", args.seed)[0].attention
     else:
         att = from_dict(AttentionConfig, raw, "attention")
-    out = _out_dir(args)
-    _write_manifest(args, out)
     union = build_union(att, args.n)
-    (out / "union.csv").write_text(union_table_csv(union))
     _, ring, _ = slot_layout(att)
     if att.ablation != "no_skip" and ring.all():
         print("note: skip stride falls inside the ring window; the overlapping "
               "slot is kept once as a RING member")
     print(f"validate-config: OK (union table for n={args.n} written)")
-    return 0
+    rows = [(i, e.offset, e.kind.value, int(e.valid))
+            for i, row in enumerate(union.entries) for e in row]
+    return _write_outputs(args, 0, {"union.csv": ("token,offset,kind,valid", rows)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,6 +368,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.seed < 0:  # PCG64 takes no negative seed
+            raise ConfigError(f"seed: must be >= 0, got {args.seed}")
         return args.func(args)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

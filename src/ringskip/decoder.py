@@ -22,7 +22,7 @@ import numpy as np
 from .attention import gated_softmax
 from .gate import gate_forward
 from .model import ModelConfig, ModelParams
-from .neighborhood import slot_layout
+from .neighborhood import ConfigError, slot_layout
 from .numerics import Rng, gelu, layer_norm_forward, softmax_row
 
 
@@ -60,13 +60,13 @@ def decode_step(
     """Process one token at absolute position t; returns vocab logits (V,)."""
     att = cfg.attention
     if not att.causal:
-        raise ValueError("incremental decoding requires a causal config")
+        raise ConfigError("incremental decoding requires a causal config")
     if t != cache.next_pos:
         raise CacheGapError(f"cache is consistent through {cache.next_pos - 1}, got t={t}")
     if t >= cfg.max_seq:
-        raise ValueError(f"position {t} exceeds max_seq {cfg.max_seq}")
+        raise ConfigError(f"position {t} exceeds max_seq {cfg.max_seq}")
     if not 0 <= token < cfg.vocab:
-        raise ValueError(f"token {token} outside the vocabulary [0, {cfg.vocab})")
+        raise ConfigError(f"token {token} outside the vocabulary [0, {cfg.vocab})")
     h_cnt, d_h = att.n_heads, att.head_dim
     if t == 0:
         cache.offsets, cache.ring_mask, _ = slot_layout(att)
@@ -113,16 +113,16 @@ def generate(
     """Extend a nonempty prompt by `steps` tokens (greedy, or sampled at a
     finite temperature > 0), within max_seq."""
     if not prompt:
-        raise ValueError("prompt must be nonempty")
+        raise ConfigError("prompt must be nonempty")
     if steps < 0:
-        raise ValueError(f"steps: must be >= 0, got {steps}")
+        raise ConfigError(f"steps: must be >= 0, got {steps}")
     if len(prompt) + steps > cfg.max_seq:
-        raise ValueError(f"prompt length {len(prompt)} + steps {steps} exceeds "
-                         f"max_seq {cfg.max_seq}")
+        raise ConfigError(f"prompt length {len(prompt)} + steps {steps} exceeds "
+                          f"max_seq {cfg.max_seq}")
     if not greedy and rng is None:
-        raise ValueError("temperature sampling requires an rng")
+        raise ConfigError("temperature sampling requires an rng")
     if not greedy and not 0.0 < temperature < np.inf:
-        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
+        raise ConfigError(f"temperature must be finite and > 0, got {temperature}")
     cache = KVCache.empty(cfg.layers)
     for t, tok in enumerate(prompt):
         logits = decode_step(params, cfg, cache, tok, t)

@@ -4,7 +4,7 @@ union neighborhood each token's single softmax runs over.
 `offset_plan` holds the rules; `slot_layout` is its n-independent array form
 (offsets, RING flags, ring reach), read by decoding, `rfield` and `perf`.
   * `build_union` — per-token lists of (target, offset, kind, valid) entries,
-    the ground truth the dense oracle and the CSV dump consume;
+    the ground truth the dense oracle and `validate-config`'s union table read;
   * `gather_schedule` — the `ExecutionPlan` of one (config, n, user_mask),
     built once and read by the kernel and the KL check.
 
@@ -19,7 +19,6 @@ built from it) still apply their own causal test, since they are the check.
 from __future__ import annotations
 
 import dataclasses
-import io
 import itertools
 import typing
 from dataclasses import dataclass
@@ -69,7 +68,7 @@ def from_dict(cls, raw, where: str, defaults: Optional[dict] = None):
         raise ConfigError(f"{where}.{exc}") from None
 
 
-class EmptyNeighborhoodError(ValueError):
+class EmptyNeighborhoodError(ConfigError):
     """A token ended up with zero valid attention targets."""
 
 
@@ -290,12 +289,3 @@ def count_score_slots(union: UnionNeighborhood) -> int:
     """Total valid union slots; the attention path scores exactly this many."""
     return sum(sum(e.valid for e in row) for row in union.entries)
 
-
-def union_table_csv(union: UnionNeighborhood) -> str:
-    """CSV dump: token,offset,kind,valid."""
-    buf = io.StringIO()
-    buf.write("token,offset,kind,valid\n")
-    for i, row in enumerate(union.entries):
-        for e in row:
-            buf.write(f"{i},{e.offset},{e.kind.value},{int(e.valid)}\n")
-    return buf.getvalue()

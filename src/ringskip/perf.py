@@ -11,9 +11,8 @@ equal.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,16 +183,26 @@ def ring_simulate(
     )
 
 
-@dataclass
-class WorkLedger:
+class WorkRow(NamedTuple):
+    """The work counters of one (config, n), as `measure_work` and
+    `work_report` return them; the field names are the bench.csv header."""
+
     n: int
+    k: int
+    pi: int
+    heads: int
+    causal: int
+    ablation: str
     score_evals: int
     multiply_adds: int
     stored_activation_elements: int
+    activation_bound: int  # n*(2k+3)*d_h*H + n*H
+    doubling_ratio: Optional[float]  # None where n does not double
 
 
-def measure_work(config: AttentionConfig, n: int, seed: int = 0) -> WorkLedger:
-    """Run the instrumented sparse path once and collect its counters."""
+def measure_work(config: AttentionConfig, n: int, seed: int = 0) -> WorkRow:
+    """Run the instrumented sparse path once and collect its counters; the
+    row's `doubling_ratio` is None."""
     rng = Rng(seed)
     x = rng.normal((1, n, config.d_model), scale=0.5)
     proj = init_projection(rng.spawn(1), config.d_model)
@@ -205,29 +214,23 @@ def measure_work(config: AttentionConfig, n: int, seed: int = 0) -> WorkLedger:
     if cache.score_evals != slots:
         raise RuntimeError(f"work ledger: the sparse path scored {cache.score_evals} "
                            f"slots, the union holds {slots}")
-    return WorkLedger(n=n, score_evals=cache.score_evals,
-                      multiply_adds=cache.multiply_adds,
-                      stored_activation_elements=cache.stored_activation_elements)
+    bound = (n * (2 * config.ring_k + 3) * config.head_dim * config.n_heads
+             + n * config.n_heads)
+    return WorkRow(n, config.ring_k, config.skip_period, config.n_heads, int(config.causal),
+                   config.ablation, cache.score_evals, cache.multiply_adds,
+                   cache.stored_activation_elements, bound, None)
 
 
-def work_report(configs: Sequence[Tuple[AttentionConfig, int]]) -> str:
-    """CSV of per-config ledgers plus the doubling ratio where n doubles."""
-    buf = io.StringIO()
-    buf.write("n,k,pi,heads,causal,ablation,score_evals,multiply_adds,"
-              "stored_activation_elements,activation_bound,doubling_ratio\n")
+def work_report(configs: Sequence[Tuple[AttentionConfig, int]]) -> List[WorkRow]:
+    """Per-config ledgers plus the score-count ratio where n doubles."""
+    rows = []
     prev = {}
     for config, n in configs:
-        led = measure_work(config, n)
-        bound = (n * (2 * config.ring_k + 3) * config.head_dim * config.n_heads
-                 + n * config.n_heads)
+        row = measure_work(config, n)
         key = (config.ring_k, config.skip_period, config.n_heads,
                config.causal, config.ablation)
-        ratio = ""
-        if key in prev and n == 2 * prev[key][0]:
-            ratio = f"{led.score_evals / prev[key][1]:.6f}"
-        prev[key] = (n, led.score_evals)
-        buf.write(f"{n},{config.ring_k},{config.skip_period},{config.n_heads},"
-                  f"{int(config.causal)},{config.ablation},{led.score_evals},"
-                  f"{led.multiply_adds},{led.stored_activation_elements},"
-                  f"{bound},{ratio}\n")
-    return buf.getvalue()
+        if key in prev and n == 2 * prev[key].n:
+            row = row._replace(doubling_ratio=row.score_evals / prev[key].score_evals)
+        prev[key] = row
+        rows.append(row)
+    return rows

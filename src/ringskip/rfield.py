@@ -16,10 +16,9 @@ behavior.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -83,8 +82,22 @@ def reach_restricted(config: AttentionConfig, n: int, query: int, layers: int) -
     return query - lo
 
 
-def rf_report(k_values, pi_values, layer_values) -> str:
-    """CSV of full vs restricted reach against the analytic bound.
+class RfRow(NamedTuple):
+    """One row of `rf_report`; the field names are the rf_bound.csv header."""
+
+    k: int
+    pi: int
+    layers: int
+    full_reach: int
+    restricted_reach: int
+    bound: int
+    bound_holds_restricted: int
+    bound_holds_full: int
+
+
+def rf_report(k_values, pi_values, layer_values) -> List[RfRow]:
+    """Full vs restricted reach against the analytic bound, one row per
+    (k, pi, layers).
 
     One BFS per (k, pi) runs to the largest layer count, and each row reads
     the reach after its own layer count. n is beyond any possible reach
@@ -93,9 +106,7 @@ def rf_report(k_values, pi_values, layer_values) -> str:
     """
     if min(layer_values) < 1:
         raise ConfigError("layers: must be >= 1")
-    buf = io.StringIO()
-    buf.write("k,pi,layers,full_reach,restricted_reach,bound,"
-              "bound_holds_restricted,bound_holds_full\n")
+    rows = []
     top = max(layer_values)
     for k in k_values:
         for pi in pi_values:
@@ -108,6 +119,6 @@ def rf_report(k_values, pi_values, layer_values) -> str:
                 bound = restricted_bound(k, pi, layers)
                 full = reach.leftward_extent(layers)
                 restricted = reach_restricted(cfg, n, query, layers)
-                buf.write(f"{k},{pi},{layers},{full},{restricted},{bound},"
-                          f"{int(restricted <= bound)},{int(full <= bound)}\n")
-    return buf.getvalue()
+                rows.append(RfRow(k, pi, layers, full, restricted, bound,
+                                  int(restricted <= bound), int(full <= bound)))
+    return rows

@@ -242,11 +242,16 @@ DEFAULT_CORPUS = Path(__file__).parent / "data" / "corpus.txt"
 
 
 def load_corpus(task: TaskSpec) -> np.ndarray:
+    """The char_lm corpus as token ids. It must hold at least seq_len + 2
+    bytes, so that `make_batch` has a start to draw and a target after it."""
     path = Path(task.corpus_path) if task.corpus_path else DEFAULT_CORPUS
     if not path.exists():
         raise FileNotFoundError(f"char_lm corpus not found: {path}")
-    text = path.read_text(encoding="utf-8")
-    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8) % task.vocab
+    data = path.read_text(encoding="utf-8").encode("utf-8")
+    if len(data) < task.seq_len + 2:
+        raise ConfigError(f"task.corpus_path: {path} holds {len(data)} bytes, "
+                          f"char_lm needs at least seq_len + 2 = {task.seq_len + 2}")
+    return np.frombuffer(data, dtype=np.uint8) % task.vocab
 
 
 def make_batch(task: TaskSpec, rng: Rng, batch_size: int,
@@ -272,8 +277,6 @@ def make_batch(task: TaskSpec, rng: Rng, batch_size: int,
     # char_lm
     if corpus is None:
         corpus = load_corpus(task)
-    if corpus.size <= n:
-        raise ValueError("char_lm corpus shorter than sequence length")
     starts = rng.integers(0, corpus.size - n - 1, (batch_size,))
     inp = np.stack([corpus[s:s + n] for s in starts]).astype(np.int64)
     tgt = np.stack([corpus[s + 1:s + n + 1] for s in starts]).astype(np.int64)

@@ -73,7 +73,9 @@ def test_footprint_determines_schedule_and_union():
     assert len(refs) == 144
 
 
-def test_oracle_check_flags_the_one_wrong_config(monkeypatch):
+def oracle_with_one_wrong_config(monkeypatch, error):
+    """run_oracle_check on the small grid with `error` added to the sparse
+    output of one config that shares its footprint with an earlier one."""
     grid = oracle_grid("small")
     first = {}
     for idx, (c, n) in enumerate(grid):
@@ -86,14 +88,26 @@ def test_oracle_check_flags_the_one_wrong_config(monkeypatch):
     def perturbed(x, proj, gate, sched, c, **kw):
         out, cache = forward(x, proj, gate, sched, c, **kw)
         if c == bad_cfg and x.shape[1] == bad_n:
-            out = out + 1e-6
+            out = out + error
         return out, cache
 
     monkeypatch.setattr(checks, "pi_attention_forward", perturbed)
     res = run_oracle_check(grid)
-    assert [i for i, r in enumerate(res.rows) if not r["ok"]] == [target]
+    assert [i for i, d in enumerate(res.deltas) if not d < 1e-10] == [target]
     assert res.worst == (bad_cfg, bad_n)
+    return res
+
+
+def test_oracle_check_flags_the_one_wrong_config(monkeypatch):
+    res = oracle_with_one_wrong_config(monkeypatch, 1e-6)
     assert abs(res.max_delta - 1e-6) < 1e-9
+
+
+def test_oracle_check_nan_delta_is_the_worst(monkeypatch):
+    # NaN fails every comparison: skipped by `>`, it let the sweep pass
+    # while its own row said ok = 0
+    res = oracle_with_one_wrong_config(monkeypatch, np.nan)
+    assert np.isnan(res.max_delta)
 
 
 @settings(max_examples=200, deadline=None)

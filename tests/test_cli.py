@@ -8,7 +8,7 @@ import pytest
 
 from ringskip.cli import main
 from ringskip.model import ModelConfig, init_model
-from ringskip.neighborhood import AttentionConfig
+from ringskip.neighborhood import AttentionConfig, offset_plan
 from ringskip.perf import CostParams, cost_model_eval
 from ringskip.trainer import load_checkpoint, save_checkpoint
 
@@ -18,8 +18,11 @@ def test_validate_config_ok(tmp_path):
     p.write_text(json.dumps({"d_model": 16, "n_heads": 2, "ring_k": 1,
                              "skip_period": 4}))
     out = tmp_path / "out"
-    assert main(["validate-config", str(p), "--out", str(out)]) == 0
-    assert (out / "union.csv").exists()
+    assert main(["validate-config", str(p), "--n", "6", "--out", str(out)]) == 0
+    lines = (out / "union.csv").read_text().splitlines()
+    assert lines[0] == "token,offset,kind,valid"
+    att = AttentionConfig(d_model=16, n_heads=2, ring_k=1, skip_period=4)
+    assert len(lines) == 1 + 6 * len(offset_plan(att))
     assert (out / "manifest.json").exists()
 
 
@@ -366,6 +369,47 @@ def test_validate_config_loads_sections_like_train(tmp_path):
     rows = (out / "union.csv").read_text().strip().split("\n")[1:]
     assert len(rows) == 8 * 5
     assert {int(r.split(",")[1]) for r in rows} == {-3, -2, -1, 0, -8}
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["validate-config"], {"d_model": 16, "n_heads": 2, "ring_k": 0, "skip_period": 4,
+                           "include_self": False}),
+    (["train", "--task", "copy", "--config"],
+     {"model": {"attention": {"ring_k": 0, "include_self": False}}}),
+], ids=["validate_config", "train"])
+def test_empty_neighborhood_exits_2(tmp_path, capsys, argv, doc):
+    # causal, no ring and no self slot: token 0 has nothing to attend to
+    code = main(argv + [write_json(tmp_path / "c.json", doc), "--out", str(tmp_path / "o")])
+    assert code == 2 and "empty neighborhood at token 0" in one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--task", "copy"], ["grad-check"], ["oracle-check", "--grid", "small"],
+    ["rf-bound"], ["decode", "--ckpt", "model.ckpt", "--prompt", "1"],
+], ids=["train", "grad_check", "oracle_check", "rf_bound", "decode"])
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    assert main(argv + ["--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+    assert "seed: must be >= 0, got -1" in one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("extra,code", [(1, 2), (2, 0)])
+def test_charlm_corpus_needs_seq_len_plus_two_bytes(tmp_path, capsys, extra, code):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("abcdefghijklmnopqrstuvwxyz"[:16 + extra])
+    doc = {"model": {"layers": 1, "d_model": 8, "n_heads": 2, "d_ff": 16, "max_seq": 16,
+                     "attention": {"d_model": 8, "n_heads": 2, "ring_k": 1, "skip_period": 4}},
+           "task": {"seq_len": 16, "corpus_path": str(corpus)},
+           "train": {"steps": 1, "batch_size": 2, "eval_interval": 1}}
+    run = tmp_path / "run"
+    assert main(["train", "--task", "charlm", "--config",
+                 write_json(tmp_path / "c.json", doc), "--out", str(run)]) == code
+    if code == 2:
+        assert "task.corpus_path" in one_error_line(capsys)
+        assert not run.exists()
+    else:
+        assert (run / "model.ckpt").exists()
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from ringskip.cli import main
 from ringskip.neighborhood import (
     ABLATIONS,
     AttentionConfig,
@@ -16,7 +19,6 @@ from ringskip.neighborhood import (
     gather_schedule,
     offset_plan,
     slot_layout,
-    union_table_csv,
 )
 
 
@@ -197,11 +199,17 @@ def test_user_mask_wrong_shape_rejected(shape):
             build(cfg(), 4, user_mask=mask)
 
 
-def test_union_table_csv_shape():
-    union = build_union(cfg(), 6)
-    lines = union_table_csv(union).strip().split("\n")
+def test_union_table_csv_shape(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"d_model": 8, "n_heads": 2, "ring_k": 1,
+                             "skip_period": 4, "causal": True}))
+    assert main(["validate-config", str(p), "--n", "6", "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "union.csv").read_text().strip().split("\n")
     assert lines[0] == "token,offset,kind,valid"
     assert len(lines) == 1 + 6 * len(offset_plan(cfg()))
+    union = build_union(cfg(), 6)
+    assert lines[1:] == [f"{i},{e.offset},{e.kind.value},{int(e.valid)}"
+                         for i, row in enumerate(union.entries) for e in row]
 
 
 def test_dense_masks_follow_entries_and_are_read_only():

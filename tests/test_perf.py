@@ -138,12 +138,11 @@ def test_measure_work_counts_scale_linearly():
     assert a.stored_activation_elements <= bound
 
 
-def test_work_report_csv():
-    csv = work_report([(att(), 128), (att(), 256)])
-    rows = [r.split(",") for r in csv.strip().split("\n")[1:]]
+def test_work_report_rows():
+    rows = work_report([(att(), 128), (att(), 256)])
     assert len(rows) == 2
-    assert rows[0][10] == "" and rows[1][10] != ""
-    assert 1.9 <= float(rows[1][10]) <= 2.1
+    assert rows[0].doubling_ratio is None and rows[1].doubling_ratio is not None
+    assert 1.9 <= rows[1].doubling_ratio <= 2.1
 
 
 def test_measure_work_ledger_mismatch_raises(monkeypatch):

@@ -68,29 +68,24 @@ def test_non_causal_rejected():
 
 
 def test_report_grid_bound_holds_with_equality():
-    csv = rf_report(range(1, 5), (2, 4, 8, 16), range(1, 11))
-    rows = [r.split(",") for r in csv.strip().split("\n")[1:]]
+    rows = rf_report(range(1, 5), (2, 4, 8, 16), range(1, 11))
     assert len(rows) == 4 * 4 * 10
     for r in rows:
-        k, pi, layers = map(int, r[:3])
-        restricted, bound = int(r[4]), int(r[5])
-        has_skip = any(kind == Kind.SKIP for _, kind in offset_plan(cfg(k, pi)))
+        has_skip = any(kind == Kind.SKIP for _, kind in offset_plan(cfg(r.k, r.pi)))
         # interior queries: equality, not just <=; pi <= k charges no skip hop
-        assert restricted == (bound if has_skip else k * layers)
-        assert r[6] == "1"
+        assert r.restricted_reach == (r.bound if has_skip else r.k * r.layers)
+        assert r.bound_holds_restricted == 1
         # no relation is asserted between full BFS reach and the restricted
         # figure: the accounting can over- or under-shoot the true reach
-        assert int(r[3]) <= int(r[0]) * int(r[2]) + int(r[1]) * int(r[2])
+        assert r.full_reach <= r.k * r.layers + r.pi * r.layers
 
 
 def test_report_matches_one_bfs_per_row():
     # rf_report reads every row from one BFS per (k, pi) at the largest layer
     # count; the reference runs a BFS per row at that row's own n
-    csv = rf_report(range(1, 5), (2, 4, 8, 16), range(1, 11))
-    for r in csv.strip().split("\n")[1:]:
-        k, pi, layers, full = map(int, r.split(",")[:4])
-        n = layers * (k + pi) + 2
-        assert reach_full(cfg(k, pi), n, n - 1, layers).leftward_extent() == full
+    for r in rf_report(range(1, 5), (2, 4, 8, 16), range(1, 11)):
+        n = r.layers * (r.k + r.pi) + 2
+        assert reach_full(cfg(r.k, r.pi), n, n - 1, r.layers).leftward_extent() == r.full_reach
 
 
 def test_report_rejects_layer_counts_below_one():
