@@ -1,6 +1,12 @@
 """Fused union-neighborhood attention: one softmax per token over ring plus
 skip slots, with the gate entering as a log-prior on the logits.
 
+The fusion is one rule, `gated_softmax`: the scores are clamped to
+[-logit_clamp, logit_clamp], the log-prior of the gate is added after the
+clamp (log alpha on RING slots, log(1 - alpha) on SKIP), and one masked
+softmax runs over the slots. The gate reads the attention input x, the same
+rows the projections read.
+
 The sparse path executes one `ExecutionPlan`, built for the input's n, and
 rebuilds none of its offsets, RING flags, validity, band runs or margin P.
 Scores, probabilities and their gradients are slot-major (O, B, H, n) arrays,
@@ -108,8 +114,7 @@ class AttnCache:
     kh: np.ndarray               # likewise
     vh: np.ndarray               # likewise
     scores_raw: np.ndarray       # (O, B, H, n) slot-major, pre-clamp
-    probs: np.ndarray            # (O, B, H, n) slot-major, post-softmax, pre-dropout
-    drop_mask: Optional[np.ndarray]  # (O, B, H, n), keep / (1 - dropout_p)
+    probs: np.ndarray            # (O, B, H, n) slot-major, post-softmax
     alpha: Optional[np.ndarray]  # (B, n, H), stabilized
     gate_cache: Optional[GateCache]
     fused: np.ndarray            # (B, n, d) pre-output-projection
@@ -119,16 +124,6 @@ class AttnCache:
     score_evals: int = 0
     stored_activation_elements: int = 0
     multiply_adds: int = 0
-
-
-def log_prior(alpha_h: np.ndarray, ring_mask: np.ndarray) -> np.ndarray:
-    """Gate log-prior per slot: log(alpha) on RING slots, log(1 - alpha) on SKIP.
-
-    alpha_h (...), ring_mask (O,) bool -> (O, ...). One log per gate value and
-    branch, broadcast over the slots.
-    """
-    ring = ring_mask.reshape(ring_mask.shape + (1,) * np.ndim(alpha_h))
-    return np.where(ring, np.log(alpha_h), np.log(1.0 - alpha_h))
 
 
 def gated_softmax(
@@ -141,19 +136,16 @@ def gated_softmax(
     """The single fused softmax over the slot (first) axis of `scores`.
 
     scores (O, ...); alpha_h (...) or None (the no_gate ablation, no prior);
-    ring_mask (O,); valid broadcasts against scores. Adds the gate log-prior,
-    clamps to [-logit_clamp, logit_clamp] before or after the prior as
-    configured, and normalises over the valid slots. The batched forward,
-    stepwise decoding and the KL check all go through here.
+    ring_mask (O,); valid broadcasts against scores. The logits are the scores
+    clamped to [-logit_clamp, logit_clamp] plus the gate log-prior, log(alpha)
+    on RING slots and log(1 - alpha) on SKIP (one log per gate value and
+    branch, broadcast over the slots), normalised over the valid slots. The
+    batched forward, stepwise decoding and the KL check all go through here.
     """
-    prior = None if alpha_h is None else log_prior(alpha_h, ring_mask)
-    lc = config.logit_clamp
-    if config.clamp_after_prior:
-        logits = np.clip(scores if prior is None else scores + prior, -lc, lc)
-    else:
-        logits = np.clip(scores, -lc, lc)
-        if prior is not None:
-            logits = logits + prior
+    logits = np.clip(scores, -config.logit_clamp, config.logit_clamp)
+    if alpha_h is not None:
+        ring = ring_mask.reshape(ring_mask.shape + (1,) * np.ndim(alpha_h))
+        logits = logits + np.where(ring, np.log(alpha_h), np.log(1.0 - alpha_h))
     return softmax_row(logits, valid, axis=0)
 
 
@@ -218,8 +210,6 @@ def pi_attention_forward(
     gate_params: GateParams,
     schedule: ExecutionPlan,
     config: AttentionConfig,
-    train: bool = False,
-    rng: Optional[Rng] = None,
 ) -> Tuple[np.ndarray, AttnCache]:
     """Sparse fused attention over an execution plan built for x's length.
 
@@ -241,8 +231,7 @@ def pi_attention_forward(
     kh = split_heads(x @ proj.wk, h_cnt, pad)
     vh = split_heads(x @ proj.wv + proj.bv, h_cnt, pad)
 
-    gate_in = merge_heads(qh[:, :, pad:pad + n]) if config.gate_on_query else x
-    alpha, gate_cache = gate_forward(gate_params, gate_in, config)
+    alpha, gate_cache = gate_forward(gate_params, x, config)
     alpha_h = None if alpha is None else alpha.transpose(0, 2, 1)  # (B, H, n)
 
     scores = np.zeros((len(schedule), b, h_cnt, n))
@@ -251,26 +240,16 @@ def pi_attention_forward(
 
     probs = gated_softmax(scores, alpha_h, schedule.ring, schedule.valid[:, None, None], config)
 
-    drop_mask = None
-    probs_used = probs
-    if train and config.dropout_p > 0.0:
-        if rng is None:
-            raise ValueError("dropout requires an rng in training mode")
-        keep = rng.uniform(probs.shape) >= config.dropout_p
-        drop_mask = keep / (1.0 - config.dropout_p)
-        probs_used = probs * drop_mask
-
     out_h = np.zeros((b, h_cnt, n, d_h))
-    _gather(out_h, probs_used, vh, schedule)
+    _gather(out_h, probs, vh, schedule)
 
     fused = merge_heads(out_h)
     out = fused @ proj.wo + proj.bo
 
     n_valid = schedule.n_valid
     cache = AttnCache(
-        x=x, qh=qh, kh=kh, vh=vh, scores_raw=scores, probs=probs,
-        drop_mask=drop_mask, alpha=alpha, gate_cache=gate_cache, fused=fused,
-        schedule=schedule, config=config,
+        x=x, qh=qh, kh=kh, vh=vh, scores_raw=scores, probs=probs, alpha=alpha,
+        gate_cache=gate_cache, fused=fused, schedule=schedule, config=config,
         score_evals=n_valid,
         stored_activation_elements=n_valid * h_cnt * d_h + n * h_cnt,
         multiply_adds=(4 * b * n * d * d
@@ -303,29 +282,23 @@ def pi_attention_backward(
     d_bo = flat_dout.sum(axis=0)
     d_out_h = split_heads(d_out @ proj.wo.T, h_cnt, plan.pad)
 
-    probs_used = cache.probs if cache.drop_mask is None else cache.probs * cache.drop_mask
-    d_probs_used = np.zeros_like(cache.probs)
-    _slot_dots(d_probs_used, d_out_h, cache.vh, plan)
+    d_probs = np.zeros_like(cache.probs)
+    _slot_dots(d_probs, d_out_h, cache.vh, plan)
     d_vh = np.zeros((b, h_cnt, n, d_h))
-    _scatter(d_vh, probs_used, d_out_h, plan)
+    _scatter(d_vh, cache.probs, d_out_h, plan)
 
-    d_probs = d_probs_used if cache.drop_mask is None else d_probs_used * cache.drop_mask
     # softmax backward; invalid slots have probs == 0 so they drop out
     inner = (cache.probs * d_probs).sum(axis=0)
     d_logits = cache.probs * (d_probs - inner)
-
-    pre = cache.scores_raw
-    if cfg.clamp_after_prior and cache.alpha is not None:
-        pre = pre + log_prior(cache.alpha.transpose(0, 2, 1), plan.ring)
-    d_scores = d_logits * (np.abs(pre) <= cfg.logit_clamp)
-    d_prior = d_scores if cfg.clamp_after_prior else d_logits
+    # the clamp passes the gradient where it did not bind; the prior sits after it
+    d_scores = d_logits * (np.abs(cache.scores_raw) <= cfg.logit_clamp)
 
     gate_grads: Optional[GateParams] = None
     d_gate_in = None
     if cache.gate_cache is not None:
         alpha_h = cache.alpha.transpose(0, 2, 1)  # (B, H, n)
-        d_alpha_h = (d_prior[plan.ring].sum(axis=0) / alpha_h
-                     - d_prior[~plan.ring].sum(axis=0) / (1.0 - alpha_h))
+        d_alpha_h = (d_logits[plan.ring].sum(axis=0) / alpha_h
+                     - d_logits[~plan.ring].sum(axis=0) / (1.0 - alpha_h))
         d_gate_in, gate_grads = gate_backward(gate_params, cache.gate_cache,
                                               d_alpha_h.transpose(0, 2, 1))
 
@@ -335,10 +308,8 @@ def pi_attention_backward(
     _scatter(d_kh, d_scores, cache.qh, plan)
 
     # merge_heads copies; free the dead intermediates first to keep the peak down
-    del d_out_h, d_probs_used, d_probs, d_logits, d_scores, d_prior
+    del d_out_h, d_probs, d_logits, d_scores
     d_q_flat = merge_heads(d_qh)
-    if d_gate_in is not None and cfg.gate_on_query:
-        d_q_flat = d_q_flat + d_gate_in
     d_k_flat = merge_heads(d_kh)
     d_v_flat = merge_heads(d_vh)
 
@@ -353,7 +324,7 @@ def pi_attention_backward(
         bo=d_bo,
     )
     d_x = d_q_flat @ proj.wq.T + d_k_flat @ proj.wk.T + d_v_flat @ proj.wv.T
-    if d_gate_in is not None and not cfg.gate_on_query:
+    if d_gate_in is not None:
         d_x = d_x + d_gate_in
     return d_x, proj_grads, gate_grads
 
@@ -382,24 +353,18 @@ def dense_oracle(
     def heads(y):
         return y.reshape(b, n, h_cnt, d_h).transpose(0, 2, 1, 3)
 
-    q = x @ proj.wq + proj.bq
-    qh, kh, vh = heads(q), heads(x @ proj.wk), heads(x @ proj.wv + proj.bv)
+    qh = heads(x @ proj.wq + proj.bq)
+    kh, vh = heads(x @ proj.wk), heads(x @ proj.wv + proj.bv)
 
-    alpha, _ = gate_forward(gate_params, q if config.gate_on_query else x, config)
+    alpha, _ = gate_forward(gate_params, x, config)
 
     allowed, ring_pair = union.dense_masks
 
     scores = (qh @ kh.swapaxes(-1, -2)) * scale
-    lc = config.logit_clamp
+    logits = np.clip(scores, -config.logit_clamp, config.logit_clamp)
     if alpha is not None:
         alpha_h = alpha.transpose(0, 2, 1)[..., None]       # (B, H, n, 1)
-        prior = np.where(ring_pair, np.log(alpha_h), np.log(1.0 - alpha_h))
-    else:
-        prior = 0.0
-    if config.clamp_after_prior:
-        logits = np.clip(scores + prior, -lc, lc)
-    else:
-        logits = np.clip(scores, -lc, lc) + prior
+        logits = logits + np.where(ring_pair, np.log(alpha_h), np.log(1.0 - alpha_h))
     probs = softmax_row(logits, allowed)
     return merge_heads(probs @ vh) @ proj.wo + proj.bo
 
@@ -425,13 +390,10 @@ def block_forward(
     params: BlockParams,
     schedule: ExecutionPlan,
     config: AttentionConfig,
-    train: bool = False,
-    rng: Optional[Rng] = None,
 ) -> Tuple[np.ndarray, BlockCache]:
     """y = x + Attn(LN1(x)); out = y + FFN(LN2(y))."""
     h1, ln1c = layer_norm_forward(x, params.ln1_g, params.ln1_b)
-    a, attn_cache = pi_attention_forward(h1, params.proj, params.gate, schedule,
-                                         config, train=train, rng=rng)
+    a, attn_cache = pi_attention_forward(h1, params.proj, params.gate, schedule, config)
     y1 = x + a
     h2, ln2c = layer_norm_forward(y1, params.ln2_g, params.ln2_b)
     ff_pre = h2 @ params.w_ff1 + params.b_ff1

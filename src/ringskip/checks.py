@@ -24,7 +24,7 @@ from .attention import (
 )
 from .decoder import KVCache, decode_step
 from .gate import clip_alpha
-from .model import ModelConfig, flatten, init_model, model_forward
+from .model import ModelConfig, ModelParams, flatten, init_model, model_forward
 from .neighborhood import (ABLATIONS, AttentionConfig, ConfigError, build_union,
                            gather_schedule, offset_plan)
 from .numerics import Rng, grad_check
@@ -210,10 +210,12 @@ def run_stacked_grad_check(seed: int = 0, h: float = 1e-3, **kw) -> Dict[str, fl
     return errors
 
 
-def run_decode_check(cfg: ModelConfig, seq_len: int = 40,
-                     seed: int = 0) -> float:
-    """Max |stepwise logits - teacher-forced full-forward logits|."""
-    params = init_model(cfg, seed=seed)
+def run_decode_check(cfg: ModelConfig, seq_len: int = 40, seed: int = 0,
+                     params: Optional[ModelParams] = None) -> float:
+    """Max |stepwise logits - teacher-forced full-forward logits| for `params`,
+    by default `init_model(cfg, seed)`."""
+    if params is None:
+        params = init_model(cfg, seed=seed)
     rng = Rng(seed).spawn(7)
     tokens = rng.integers(0, cfg.vocab, (seq_len,))
     full_logits, _ = model_forward(tokens[None], params, cfg)

@@ -9,8 +9,8 @@ byte-identical across reruns with the same seed and BLAS thread count (times
 live only in the manifest); `train` splits each batch into two fixed halves
 and adds their gradients in a fixed order, so its outputs are too, on any
 number of CPUs.
-Exit codes: 0 all asserted properties pass, 1 a property failed, 2 usage or
-configuration error.
+Exit codes: 0 all asserted properties pass, 1 a property failed, 2 usage,
+configuration or file error (one `error:` line on stderr).
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ from .numerics import Rng
 GRAD_CHECK_SEEDS = 9
 # read by the BLAS library when numpy loads; each manifest records their values
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the columns of a `cost-model --fit` file; its first line names them
+FIT_HEADER = "n,k,d_h,seconds"
+FIT_RATES = "gamma_tc,gamma_hbm,gamma_net,gamma_act"
 
 
 def _out_dir(args) -> Path:
@@ -212,25 +215,30 @@ def cmd_cost_model(args) -> int:
     cp = CostParams(gamma_tc=args.gamma, gamma_hbm=args.gamma,
                     gamma_net=args.gamma, gamma_act=args.gamma)
     if args.fit:
+        try:
+            with open(args.fit, encoding="utf-8") as f:
+                lines = f.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.fit}: not UTF-8 text ({exc})") from None
+        if not lines or lines[0].strip() not in (FIT_HEADER, f"{FIT_HEADER},{FIT_RATES}"):
+            raise ConfigError(f"{args.fit} line 1: expected the header {FIT_HEADER}, "
+                              f"optionally followed by ,{FIT_RATES}")
         rows, cps = [], []
-        with open(args.fit) as f:
-            header = f.readline()
-            for lineno, line in enumerate(f, start=2):
-                fields = line.strip().split(",")
-                try:
-                    if len(fields) not in (4, 8):
-                        raise ValueError
-                    n, k, d_h = (int(v) for v in fields[:3])
-                    secs, *gammas = (float(v) for v in fields[3:])
-                except ValueError:
-                    raise ConfigError(f"{args.fit} line {lineno}: expected 4 fields "
-                                      "n,k,d_h,seconds, or 8 with gamma_tc,gamma_hbm,"
-                                      "gamma_net,gamma_act after them") from None
-                try:
-                    cps.append(CostParams(*gammas) if gammas else cp)
-                except ConfigError as exc:
-                    raise ConfigError(f"{args.fit} line {lineno}: {exc}") from None
-                rows.append((n, k, d_h, secs))
+        for lineno, line in enumerate(lines[1:], start=2):
+            fields = line.strip().split(",")
+            try:
+                if len(fields) not in (4, 8):
+                    raise ValueError
+                n, k, d_h = (int(v) for v in fields[:3])
+                secs, *gammas = (float(v) for v in fields[3:])
+            except ValueError:
+                raise ConfigError(f"{args.fit} line {lineno}: expected 4 fields "
+                                  f"{FIT_HEADER}, or 8 with {FIT_RATES} after them") from None
+            try:
+                cps.append(CostParams(*gammas) if gammas else cp)
+            except ConfigError as exc:
+                raise ConfigError(f"{args.fit} line {lineno}: {exc}") from None
+            rows.append((n, k, d_h, secs))
         try:
             c1, c2, c3, resid = fit_cost_constants(rows, cps)
         except ValueError as exc:  # too few rows, or rates that do not separate c2 from c3
@@ -342,8 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("cost-model", help="latency model evaluation or constant fitting")
     s.add_argument("--fit", type=str, default=None,
-                   help="CSV of n,k,d_h,seconds measurements, each optionally followed "
-                        "by its own gamma_tc,gamma_hbm,gamma_net,gamma_act (else --gamma)")
+                   help=f"CSV of measurements: the header line {FIT_HEADER}[,{FIT_RATES}], "
+                        f"then one {FIT_HEADER} row each, optionally followed by its own "
+                        f"{FIT_RATES} (else --gamma)")
     s.add_argument("--n", type=int, default=1024)
     s.add_argument("--k", type=int, default=4)
     s.add_argument("--d-h", type=int, default=64)
@@ -371,7 +380,9 @@ def main(argv=None) -> int:
         if args.seed < 0:  # PCG64 takes no negative seed
             raise ConfigError(f"seed: must be >= 0, got {args.seed}")
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    # OSError: a path that cannot be read or written, such as a missing file, a
+    # directory given as a file, or an --out that names an existing file
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

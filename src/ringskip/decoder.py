@@ -3,12 +3,13 @@ attention, reading keys and values from a fixed per-layer ring buffer.
 
 Each step projects only the new token and attends over the slots of
 `slot_layout` (a causal plan, so every offset is <= 0), in the forward's slot
-order, through the same `gated_softmax` the batched forward uses. Slot offset
-o is valid when t + o >= 0. Each layer keeps a buffer of 1 + the plan's
-largest |offset| rows, and position t lives in row t mod size, so the
-newest row overwrites the one no slot can reach any more: nothing is evicted,
-memory is fixed, and per-step work is independent of t. Stepwise logits
-agree with a teacher-forced full pass to rounding.
+order, through the same `gated_softmax` the batched forward uses; the gate
+reads the new token's normalised block input h1, as the forward's gate reads
+its attention input. Slot offset o is valid when t + o >= 0. Each layer keeps
+a buffer of 1 + the plan's largest |offset| rows, and position t lives in row
+t mod size, so the newest row overwrites the one no slot can reach any more:
+nothing is evicted, memory is fixed, and per-step work is independent of t.
+Stepwise logits agree with a teacher-forced full pass to rounding.
 """
 
 from __future__ import annotations
@@ -85,8 +86,7 @@ def decode_step(
         lc.rows[t % size, 0] = (h1 @ bp.proj.wk).reshape(h_cnt, d_h)
         lc.rows[t % size, 1] = (h1 @ bp.proj.wv + bp.proj.bv).reshape(h_cnt, d_h)
 
-        gate_in = q.reshape(-1) if att.gate_on_query else h1
-        alpha, _ = gate_forward(bp.gate, gate_in, att)  # (H,) or None
+        alpha, _ = gate_forward(bp.gate, h1, att)  # (H,) or None
 
         kv = lc.rows[kv_rows]  # (S, 2, H, d_h)
         scores = np.einsum("hd,shd->sh", q, kv[:, 0]) * scale

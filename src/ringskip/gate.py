@@ -5,7 +5,8 @@ token; `clip_alpha` then maps the raw gate alpha affinely onto [eps, 1-eps] so
 the log-priors built from it stay finite.
 
 Ablations:
-  * static_alpha  — constant alpha, MLP bypassed, no gate gradients;
+  * static_alpha  — alpha fixed at STATIC_ALPHA = 0.5, MLP bypassed, no gate
+    gradients;
   * no_gate       — the log-prior term is dropped entirely downstream; this
     module returns None so callers cannot accidentally use a gate value.
 """
@@ -19,6 +20,9 @@ import numpy as np
 
 from .neighborhood import AttentionConfig
 from .numerics import NonFiniteError, Rng, gelu_cdf, gelu_grad, sigmoid
+
+# the static_alpha ablation's gate value, which weighs ring and skip slots equally
+STATIC_ALPHA = 0.5
 
 
 @dataclass
@@ -67,7 +71,7 @@ def gate_forward(
         return None, None
     if config.ablation == "static_alpha":
         shape = inp.shape[:-1] + (config.n_heads,)
-        return np.full(shape, config.static_alpha_value), None
+        return np.full(shape, STATIC_ALPHA), None
     if not np.isfinite(inp).all():
         raise NonFiniteError("gate input contains non-finite values")
     h_pre = inp @ params.w1 + params.b1

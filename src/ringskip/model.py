@@ -122,8 +122,6 @@ def model_forward(
     params: ModelParams,
     cfg: ModelConfig,
     schedule: Optional[ExecutionPlan] = None,
-    train: bool = False,
-    rng: Optional[Rng] = None,
 ) -> Tuple[np.ndarray, ModelCache]:
     """tokens (B, n) int -> logits (B, n, V)."""
     tokens = np.asarray(tokens)
@@ -138,7 +136,7 @@ def model_forward(
     x0 = x
     caches: List[BlockCache] = []
     for bp in params.blocks:
-        x, c = block_forward(x, bp, schedule, cfg.attention, train=train, rng=rng)
+        x, c = block_forward(x, bp, schedule, cfg.attention)
         caches.append(c)
     hf, lnf_c = layer_norm_forward(x, params.lnf_g, params.lnf_b)
     logits = hf @ params.w_out + params.b_out

@@ -90,11 +90,7 @@ class AttentionConfig:
     include_self: bool = True
     eps: float = 1e-4            # gate clip: alpha -> (1-2*eps)*alpha + eps
     logit_clamp: float = 20.0    # scores bounded to [-logit_clamp, logit_clamp]
-    dropout_p: float = 0.0
     ablation: str = "full"
-    static_alpha_value: float = 0.5   # used when ablation == "static_alpha"
-    gate_on_query: bool = False       # feed Q rows (not x rows) to the gate MLP
-    clamp_after_prior: bool = False   # clamp(score + log prior) instead of clamp(score)
 
     @property
     def head_dim(self) -> int:
@@ -115,12 +111,8 @@ class AttentionConfig:
             raise ConfigError("eps: must lie in (0, 0.5)")
         if not self.logit_clamp > 0:  # NaN fails; inf (no clamp) passes
             raise ConfigError("logit_clamp: must be > 0")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError("dropout_p: must lie in [0, 1)")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"ablation: unknown value {self.ablation!r}")
-        if self.ablation == "static_alpha" and not 0.0 < self.static_alpha_value < 1.0:
-            raise ConfigError("static_alpha_value: must lie in (0, 1)")
 
 
 class NeighborEntry(NamedTuple):

@@ -65,7 +65,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         # written so that NaN fails every comparison
         for name, low in (("lr", 0), ("weight_decay", 0), ("batch_size", 1), ("steps", 1),
-                          ("eval_interval", 1)):
+                          ("warmup_steps", 0), ("eval_interval", 1)):
             if not getattr(self, name) >= low:
                 raise ConfigError(f"{name}: must be >= {low}")
         if not self.clip_norm > 0:
@@ -304,12 +304,36 @@ def save_checkpoint(path: Path, cfg: ModelConfig, params: ModelParams, seed: int
             f.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
 
 
+# attention options that no longer exist, each with the one value a checkpoint
+# header may still carry for it: the value that made the model the one this
+# code runs. Any other value is an unknown field.
+REMOVED_ATTENTION_FIELDS = {"dropout_p": 0.0, "static_alpha_value": 0.5,
+                            "gate_on_query": False, "clamp_after_prior": False}
+
+
+def _without_removed_fields(model):
+    """The header's model config without the removed attention fields that
+    hold their one accepted value; anything else is returned as it is."""
+    att = model.get("attention") if isinstance(model, dict) else None
+    if not isinstance(att, dict):
+        return model
+    kept = dict(att)
+    for key, old in REMOVED_ATTENTION_FIELDS.items():
+        # 0 == False, so a bool must meet a bool
+        if (key in kept and kept[key] == old
+                and isinstance(kept[key], bool) == isinstance(old, bool)):
+            del kept[key]
+    return {**model, "attention": kept}
+
+
 def load_checkpoint(path: Path) -> Tuple[ModelConfig, ModelParams, int]:
     """Read a checkpoint. Every fault in the file raises ConfigError naming it:
     a header that is not UTF-8 JSON, lacks `seed`, `model` or `arrays`, holds
     an invalid model config, lists other arrays or shapes than the model's, or
     a file length that is not what the header's shapes need (a truncated file
-    or trailing bytes). All of it is checked before any model array is made."""
+    or trailing bytes). All of it is checked before any model array is made.
+    A header may still list the attention fields of REMOVED_ATTENTION_FIELDS,
+    each at its accepted value."""
     blob = Path(path).read_bytes()
     hlen = int.from_bytes(blob[:8], "little")
     try:
@@ -324,7 +348,7 @@ def load_checkpoint(path: Path) -> Tuple[ModelConfig, ModelParams, int]:
     try:
         seed = int(header["seed"])
         specs = [(str(a["name"]), tuple(int(s) for s in a["shape"])) for a in header["arrays"]]
-        cfg = from_dict(ModelConfig, header["model"], "model")
+        cfg = from_dict(ModelConfig, _without_removed_fields(header["model"]), "model")
     except ConfigError as exc:
         raise ConfigError(f"checkpoint {path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
@@ -394,9 +418,9 @@ class TrainResult:
 
 
 def _half_step(params: ModelParams, cfg: ModelConfig, schedule, inp: np.ndarray,
-               tgt: np.ndarray, count: int, rng: Rng) -> Tuple[float, Dict[str, np.ndarray]]:
+               tgt: np.ndarray, count: int) -> Tuple[float, Dict[str, np.ndarray]]:
     """Loss and flat gradient of one half of a batch, both scaled by 1 / count."""
-    logits, mcache = model_forward(inp, params, cfg, schedule, train=True, rng=rng)
+    logits, mcache = model_forward(inp, params, cfg, schedule)
     loss, d_logits = cross_entropy(logits, tgt, count=count)
     return loss, flatten(model_backward(params, cfg, mcache, d_logits))
 
@@ -428,9 +452,8 @@ def train(
         inp, tgt = make_batch(task, data_rng, tc.batch_size, corpus)
         count = int((tgt != IGNORE_INDEX).sum())
         (loss, grads), *rest = _in_halves(_half_step, [
-            (params, cfg, schedule, inp[rows], tgt[rows], count,
-             data_rng.spawn(2 * step + half))
-            for half, rows in enumerate(_halves(len(inp)))])
+            (params, cfg, schedule, inp[rows], tgt[rows], count)
+            for rows in _halves(len(inp))])
         for half_loss, half_grads in rest:
             loss += half_loss
             for name, g in grads.items():

@@ -10,7 +10,6 @@ from ringskip.attention import (
     block_forward,
     dense_oracle,
     gated_softmax,
-    log_prior,
     merge_heads,
     pi_attention_backward,
     pi_attention_forward,
@@ -131,9 +130,7 @@ def test_masked_sparse_matches_oracle_and_gradients(data):
             causal=causal,
             bidirectional_skip=not causal and data.draw(st.booleans(), label="bidir"),
             ablation=data.draw(st.sampled_from(ABLATIONS), label="ablation"),
-            logit_clamp=data.draw(st.sampled_from([0.5, 20.0]), label="clamp"),
-            gate_on_query=data.draw(st.booleans(), label="gate_on_query"),
-            clamp_after_prior=data.draw(st.booleans(), label="clamp_after_prior"))
+            logit_clamp=data.draw(st.sampled_from([0.5, 20.0]), label="clamp"))
     user_mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n),
                                    label="user_mask"))
     try:
@@ -150,10 +147,7 @@ def test_masked_sparse_matches_oracle_and_gradients(data):
     # central difference of sum(out * d_out) along one joint direction over x,
     # the projections and (when it has a trainable path) the gate; a valid
     # logit next to the clamp's kink would make the difference one-sided
-    pre = cache.scores_raw
-    if c.clamp_after_prior and cache.alpha is not None:
-        pre = pre + log_prior(cache.alpha.transpose(0, 2, 1), sched.ring)
-    near = np.abs(np.abs(pre) - c.logit_clamp).transpose(1, 2, 0, 3)
+    near = np.abs(np.abs(cache.scores_raw) - c.logit_clamp).transpose(1, 2, 0, 3)
     assume(near[..., sched.valid].min() > 1e-4)
     d_out = rng.normal(out.shape)
     d_x, g_proj, g_gate = pi_attention_backward(proj, gate, cache, d_out)
@@ -299,17 +293,20 @@ def test_causality_future_perturbation_has_no_effect():
 
 
 def test_larger_alpha_shifts_mass_onto_ring_slots():
-    c = cfg(ablation="static_alpha", static_alpha_value=0.2)
+    c = cfg()
     n = 10
     proj, gate, x = setup(c, n)
     sched = gather_schedule(c, n)
-    _, lo = pi_attention_forward(x, proj, gate, sched, c)
-    c_hi = cfg(ablation="static_alpha", static_alpha_value=0.8)
-    _, hi = pi_attention_forward(x, proj, gate, sched, c_hi)
-    # token n-1 has both ring and skip slots valid
-    ring_lo = lo.probs[sched.ring, 0, :, n - 1].sum(axis=0)
-    ring_hi = hi.probs[sched.ring, 0, :, n - 1].sum(axis=0)
-    assert (ring_hi > ring_lo).all()
+    _, cache = pi_attention_forward(x, proj, gate, sched, c)
+    valid = sched.valid[:, None, None]
+
+    def ring_mass(alpha):
+        # the forward's scores under a gate fixed at alpha for every token and head
+        probs = gated_softmax(cache.scores_raw, np.full((1, c.n_heads, n), alpha),
+                              sched.ring, valid, c)
+        return probs[sched.ring, 0, :, n - 1].sum(axis=0)  # token n-1 has both kinds
+
+    assert (ring_mass(0.8) > ring_mass(0.2)).all()
 
 
 def test_logit_clamp_keeps_extreme_scores_finite():
@@ -320,21 +317,6 @@ def test_logit_clamp_keeps_extreme_scores_finite():
     assert np.isfinite(out).all()
     clamped = np.clip(cache.scores_raw, -c.logit_clamp, c.logit_clamp)
     assert np.abs(clamped).max() <= c.logit_clamp
-
-
-def test_dropout_scales_and_needs_rng():
-    c = cfg(dropout_p=0.3)
-    proj, gate, x = setup(c, 8)
-    sched = gather_schedule(c, 8)
-    with pytest.raises(ValueError, match="rng"):
-        pi_attention_forward(x, proj, gate, sched, c, train=True)
-    out1, _ = pi_attention_forward(x, proj, gate, sched, c, train=True,
-                                   rng=Rng(3))
-    out2, _ = pi_attention_forward(x, proj, gate, sched, c, train=True,
-                                   rng=Rng(3))
-    assert (out1 == out2).all()  # seeded mask
-    eval_out, _ = pi_attention_forward(x, proj, gate, sched, c)
-    assert not np.allclose(out1, eval_out)
 
 
 def test_stacked_gradients_quick():
@@ -472,14 +454,14 @@ def test_clip_alpha_reproduces_forward_alpha():
     assert np.array_equal(clip_alpha(cache.gate_cache.alpha_raw, c.eps), cache.alpha)
 
 
-@pytest.mark.parametrize("clamp_after_prior", [False, True])
-def test_gated_softmax_reproduces_forward_probs(clamp_after_prior):
-    # a clamp of 0.5 binds on many slots, so the clamp order matters
-    c = cfg(logit_clamp=0.5, clamp_after_prior=clamp_after_prior)
+@pytest.mark.parametrize("clamp_binds", [False, True])
+def test_gated_softmax_reproduces_forward_probs(clamp_binds):
+    # a clamp of 0.5 binds on many slots, one of 20 on none
+    c = cfg(logit_clamp=0.5 if clamp_binds else 20.0)
     proj, gate, x = setup(c, 12)
     _, cache = pi_attention_forward(x, proj, gate, gather_schedule(c, 12), c)
     plan = cache.schedule
-    assert (np.abs(cache.scores_raw) > 0.5).any()
+    assert (np.abs(cache.scores_raw) > c.logit_clamp).any() == clamp_binds
     probs = gated_softmax(cache.scores_raw, cache.alpha.transpose(0, 2, 1), plan.ring,
                           plan.valid[:, None, None], c)
     assert np.array_equal(probs, cache.probs)
@@ -508,18 +490,14 @@ def einsum_oracle(x, proj, gate, union, c):
     qh = split_heads(x @ proj.wq + proj.bq, h_cnt)
     kh = split_heads(x @ proj.wk, h_cnt)
     vh = split_heads(x @ proj.wv + proj.bv, h_cnt)
-    alpha, _ = gate_forward(gate, merge_heads(qh) if c.gate_on_query else x, c)
+    alpha, _ = gate_forward(gate, x, c)
     allowed, ring_pair = union.dense_masks
     scores = np.einsum("bhid,bhjd->bhij", qh, kh) * (1.0 / np.sqrt(d_h))
     prior = 0.0
     if alpha is not None:
         alpha_h = alpha.transpose(0, 2, 1)[..., None]
         prior = np.where(ring_pair, np.log(alpha_h), np.log(1.0 - alpha_h))
-    lc = c.logit_clamp
-    if c.clamp_after_prior:
-        logits = np.clip(scores + prior, -lc, lc)
-    else:
-        logits = np.clip(scores, -lc, lc) + prior
+    logits = np.clip(scores, -c.logit_clamp, c.logit_clamp) + prior
     out_h = np.einsum("bhij,bhjd->bhid", softmax_row(logits, allowed), vh)
     return merge_heads(out_h) @ proj.wo + proj.bo
 
@@ -538,9 +516,7 @@ def test_dense_oracle_matches_einsum_form(data):
             causal=causal,
             bidirectional_skip=not causal and data.draw(st.booleans(), label="bidir"),
             ablation=data.draw(st.sampled_from(ABLATIONS), label="ablation"),
-            logit_clamp=data.draw(st.sampled_from([0.5, 20.0]), label="clamp"),
-            gate_on_query=data.draw(st.booleans(), label="gate_on_query"),
-            clamp_after_prior=data.draw(st.booleans(), label="clamp_after_prior"))
+            logit_clamp=data.draw(st.sampled_from([0.5, 20.0]), label="clamp"))
     mask = data.draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n),
                      label="user_mask")
     try:

@@ -264,6 +264,46 @@ def test_decode_bad_checkpoint_header_exits_2(small_ckpt, tmp_path, capsys, edit
     assert not (tmp_path / "dec" / "tokens.csv").exists()
 
 
+def _with_removed_fields(**fields):
+    """A header edit that writes the attention options this version no longer
+    has, as a checkpoint written before their removal carries them."""
+    def edit(h):
+        h["model"]["attention"].update(fields)
+        return h
+    return edit
+
+
+REMOVED_AT_OLD_DEFAULTS = dict(dropout_p=0.0, static_alpha_value=0.5,
+                               gate_on_query=False, clamp_after_prior=False)
+
+
+def test_decode_reads_a_header_with_the_removed_fields_at_their_defaults(small_ckpt, tmp_path):
+    argv = ["decode", "--prompt", "1,2,3", "--steps", "8"]
+    assert main(argv + ["--ckpt", str(small_ckpt), "--out", str(tmp_path / "new")]) == 0
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(_rewrite_header(small_ckpt.read_bytes(),
+                                    _with_removed_fields(**REMOVED_AT_OLD_DEFAULTS)))
+    assert main(argv + ["--ckpt", str(old), "--out", str(tmp_path / "old")]) == 0
+    tokens = [(tmp_path / d / "tokens.csv").read_bytes() for d in ("new", "old")]
+    assert tokens[0] == tokens[1]
+
+
+@pytest.mark.parametrize("field,value", [("gate_on_query", True), ("gate_on_query", 0),
+                                         ("clamp_after_prior", True), ("dropout_p", 0.1),
+                                         ("static_alpha_value", 0.3)])
+def test_decode_rejects_a_removed_field_off_its_default(small_ckpt, tmp_path, capsys,
+                                                        field, value):
+    fields = {**REMOVED_AT_OLD_DEFAULTS, field: value}
+    small_ckpt.write_bytes(_rewrite_header(small_ckpt.read_bytes(),
+                                           _with_removed_fields(**fields)))
+    code = main(["decode", "--ckpt", str(small_ckpt), "--prompt", "1,2,3",
+                 "--out", str(tmp_path / "dec")])
+    assert code == 2
+    assert one_error_line(capsys) == (f"error: checkpoint {small_ckpt}: "
+                                      f"model.attention.{field}: unknown field")
+    assert not (tmp_path / "dec").exists()
+
+
 def test_decode_fills_max_seq_exactly(small_ckpt, tmp_path):
     dec = tmp_path / "dec"
     assert main(["decode", "--ckpt", str(small_ckpt), "--prompt", "1,2,3",
@@ -314,6 +354,7 @@ def write_json(path: Path, doc) -> str:
     ("copy", [1, 2], "config: expected a JSON object"),
     ("copy", {"task": {"vocab": 8}}, "task.vocab: 8 differs from model.vocab 16"),
     ("copy", {"train": {"lr": -1}}, "train.lr: must be >= 0"),
+    ("copy", {"train": {"warmup_steps": -5}}, "train.warmup_steps: must be >= 0"),
     ("copy", {"task": {"delay": 32}}, "task.delay: must lie in [1, seq_len - 1]"),
     ("needle", {"task": {"delay": 40}}, "task.delay: must lie in [1, seq_len - 1]"),
     ("copy", {"task": {"kind": "char_lm"}}, "task.kind: set by --task or --seed"),
@@ -322,7 +363,7 @@ def write_json(path: Path, doc) -> str:
 ], ids=["seq_len_over_max_seq", "unknown_attention_key", "unknown_train_key",
         "unknown_section", "string_int", "bool_int", "float_int", "string_bool",
         "section_not_object", "config_not_object", "vocab_mismatch", "negative_lr",
-        "copy_delay", "needle_delay", "kind_in_file", "seed_in_file", "not_json"])
+        "negative_warmup", "copy_delay", "needle_delay", "kind_in_file", "seed_in_file", "not_json"])
 def test_train_bad_config_exits_2(tmp_path, capsys, task, doc, message):
     cfg = write_json(tmp_path / "cfg.json", doc)
     code = main(["train", "--task", task, "--config", cfg, "--out", str(tmp_path / "run")])
@@ -466,6 +507,48 @@ def test_infinite_logit_clamp_stays_legal(tmp_path):
     doc = '{"d_model": 16, "n_heads": 2, "ring_k": 1, "skip_period": 4, "logit_clamp": Infinity}'
     assert main(["validate-config", write_json(tmp_path / "c.json", doc),
                  "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("body", ["256,1,8,0.001\n512,2,8,0.002\n1024,4,8,0.005\n",
+                                  "n,k,d_h\n256,1,8,0.001\n", "", "seconds,n,k,d_h\n"],
+                         ids=["headerless", "short_header", "empty", "reordered_header"])
+def test_cost_model_fit_needs_its_header_line(tmp_path, capsys, body):
+    # before, line 1 was dropped unread: three headerless rows lost the first
+    # and failed with "need at least 3 measurements"
+    fit = tmp_path / "m.csv"
+    fit.write_text(body)
+    assert main(["cost-model", "--fit", str(fit), "--out", str(tmp_path / "o")]) == 2
+    assert f"{fit} line 1: expected the header n,k,d_h,seconds" in one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_cost_model_fit_non_utf8_exits_2(tmp_path, capsys):
+    fit = tmp_path / "m.csv"
+    fit.write_bytes(b"n,k,d_h,seconds\n\xff\xfe,1,8,0.001\n")
+    assert main(["cost-model", "--fit", str(fit), "--out", str(tmp_path / "o")]) == 2
+    assert f"{fit}: not UTF-8 text" in one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--config", "{dir}", "train", "--task", "copy"],
+    ["cost-model", "--fit", "{dir}"],
+    ["decode", "--ckpt", "{dir}", "--prompt", "1"],
+    ["validate-config", "{dir}"],
+    ["--out", "{file}", "rf-bound", "--k", "1"],
+    ["--out", "{file}/sub", "rf-bound", "--k", "1"],
+], ids=["config_dir", "fit_dir", "ckpt_dir", "validate_dir", "out_is_file", "out_under_file"])
+def test_unusable_path_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # each was an OSError traceback with exit 1 (IsADirectoryError,
+    # FileExistsError, NotADirectoryError)
+    monkeypatch.chdir(tmp_path)  # a command without --out writes under ./runs
+    (tmp_path / "file").write_text("x")
+    (tmp_path / "dir").mkdir()
+    argv = [a.format(dir=tmp_path / "dir", file=tmp_path / "file") for a in argv]
+    assert main(argv) == 2
+    one_error_line(capsys)
+    assert not (tmp_path / "runs").exists()
+    assert (tmp_path / "file").read_text() == "x"
 
 
 def test_cost_model_fit_shared_gamma_exits_2(tmp_path, capsys):

@@ -46,10 +46,10 @@ def test_no_gate_returns_none():
 
 
 def test_static_alpha_constant_no_cache():
-    c = cfg(ablation="static_alpha", static_alpha_value=0.3)
+    c = cfg(ablation="static_alpha")
     alpha, cache = gate_forward(random_gate(0), np.zeros((1, 3, 8)), c)
     assert alpha.shape == (1, 3, 2)
-    assert (alpha == 0.3).all() and cache is None
+    assert (alpha == 0.5).all() and cache is None
 
 
 def test_backward_without_cache_rejected():

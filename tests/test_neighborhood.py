@@ -35,9 +35,9 @@ def cfg(**kw):
     (dict(bidirectional_skip=True), "bidirectional_skip"),
     (dict(eps=0.6), "eps"),
     (dict(logit_clamp=0.0), "logit_clamp"),
-    (dict(dropout_p=1.0), "dropout_p"),
+    (dict(eps=0.0), "eps"),
     (dict(ablation="bogus"), "ablation"),
-    (dict(ablation="static_alpha", static_alpha_value=1.0), "static_alpha_value"),
+    (dict(logit_clamp=float("nan")), "logit_clamp"),
     (dict(d_model=0), "d_model"),
 ])
 def test_validate_names_offending_field(bad, field):
