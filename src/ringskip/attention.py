@@ -29,13 +29,30 @@ no copies). The two must agree to ~1e-12 arithmetic noise.
 
 Backward passes are hand-derived reverse mode; every gradient is covered by
 central-difference checks in the test suite.
+
+A large call uses both CPUs by the rule of `split`: batch rows [0, ⌈B/2⌉) run
+on the caller and the rest on the one worker thread, each half writing its
+rows of whole-batch arrays allocated before the split. Per half run every
+row-local step: in the forward the Q/K/V and output projections, the head
+split and merge, `gate_forward`, `_slot_dots`, `gated_softmax` and `_gather`
+(the gate's cache is joined from its two halves after both have run); in the
+backward d_out @ wo.T, `_slot_dots`, `_scatter`, `_gather`, the softmax
+backward, d_alpha, and the d_q/d_k/d_v merges with their products into d_x.
+What sums over rows stays whole and runs once on the caller after the
+halves: every weight and bias gradient and `gate_backward`. So each sum keeps
+the unsplit call's order, and forward and backward are bit-identical to the
+call run inline. A replica-stacked parameter (a leading axis of one replica
+per batch row, as `checks.run_stacked_grad_check` builds) is cut with its
+rows. A call whose B * H * n is below SPLIT_MIN_ROWS, or that is made inside
+a half of another split (a train step or `evaluate`), runs inline.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -50,6 +67,7 @@ from .numerics import (
     layer_norm_forward,
     softmax_row,
 )
+from .split import halves, in_halves
 
 
 @dataclass
@@ -88,11 +106,14 @@ def init_projection(rng: Rng, d_model: int) -> ProjectionParams:
     )
 
 
-def split_heads(x: np.ndarray, n_heads: int, pad: int = 0) -> np.ndarray:
+def split_heads(x: np.ndarray, n_heads: int, pad: int = 0,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
     """(B, n, d) -> (B, H, pad + n + pad, d_h), contiguous so that row slices are
-    whole blocks; the pad rows at each end are zero"""
+    whole blocks; the pad rows at each end are zero. Written into `out` when
+    given."""
     b, n, d = x.shape
-    out = np.empty((b, n_heads, pad + n + pad, d // n_heads))
+    if out is None:
+        out = np.empty((b, n_heads, pad + n + pad, d // n_heads))
     out[:, :, :pad] = out[:, :, pad + n:] = 0.0
     out[:, :, pad:pad + n] = x.reshape(b, n, n_heads, -1).transpose(0, 2, 1, 3)
     return out
@@ -102,6 +123,13 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
     """(B, H, n, d_h) -> (B, n, d)"""
     b, h, n, dh = x.shape
     return x.transpose(0, 2, 1, 3).reshape(b, n, h * dh)
+
+
+def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """The (B, H, n, d_h) head view of a C-contiguous (B, n, d) array, no copy;
+    writing to it writes x."""
+    b, n, d = x.shape
+    return x.reshape(b, n, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
 @dataclass
@@ -204,6 +232,43 @@ def _slot_dots(out, a, b, plan: ExecutionPlan) -> None:
                   b[:, :, pad + lo + o:pad + hi + o], out=out[s, :, :, lo:hi])
 
 
+# A call with fewer (batch row, head, token) triples than this, B*H*n, runs
+# its halves inline: below it, handing half the rows to the worker thread
+# costs more than it saves.
+SPLIT_MIN_ROWS = 8192
+
+
+def _cut(params, rows: slice):
+    """`params` with each replica-stacked tensor (3-D: a leading replica axis)
+    cut to the replicas of `rows`."""
+    cut = {name: a[rows] for name, a in vars(params).items() if a.ndim == 3}
+    return dataclasses.replace(params, **cut) if cut else params
+
+
+def _parts(b: int, rows_per_item: int, *params) -> List[tuple]:
+    """The arguments (rows, *params) of each half of a call over b batch rows:
+    the rows of `split.halves` and the params `_cut` to them. All b rows are
+    one part when b * rows_per_item is below SPLIT_MIN_ROWS, or when a
+    replica-stacked tensor holds other than b replicas."""
+    if b * rows_per_item >= SPLIT_MIN_ROWS and all(
+            a.shape[0] == b for p in params for a in vars(p).values() if a.ndim == 3):
+        return [(rows, *(_cut(p, rows) for p in params)) for rows in halves(b)]
+    return [(slice(0, b), *params)]
+
+
+def _joined(x: np.ndarray, head: tuple, tail: tuple):
+    """`gate_forward`'s (alpha, cache) over all rows of x, from its results on
+    the two halves joined in row order."""
+    (alpha, cache), (alpha_tail, cache_tail) = head, tail
+    if alpha is not None:
+        alpha = np.concatenate([alpha, alpha_tail])
+    if cache is not None:
+        cache = dataclasses.replace(cache, inp=x, **{
+            name: np.concatenate([getattr(cache, name), getattr(cache_tail, name)])
+            for name in ("h_pre", "h_cdf", "alpha_raw")})
+    return alpha, cache
+
+
 def pi_attention_forward(
     x: np.ndarray,
     proj: ProjectionParams,
@@ -227,24 +292,32 @@ def pi_attention_forward(
     scale = 1.0 / math.sqrt(d_h)
 
     pad = schedule.pad
-    qh = split_heads(x @ proj.wq + proj.bq, h_cnt, pad)
-    kh = split_heads(x @ proj.wk, h_cnt, pad)
-    vh = split_heads(x @ proj.wv + proj.bv, h_cnt, pad)
-
-    alpha, gate_cache = gate_forward(gate_params, x, config)
-    alpha_h = None if alpha is None else alpha.transpose(0, 2, 1)  # (B, H, n)
-
+    qh, kh, vh = (np.empty((b, h_cnt, pad + n + pad, d_h)) for _ in range(3))
     scores = np.zeros((len(schedule), b, h_cnt, n))
-    _slot_dots(scores, qh, kh, schedule)
-    scores *= scale
+    probs = np.empty_like(scores)
+    fused = np.empty((b, n, d))
+    out = np.empty((b, n, d))
 
-    probs = gated_softmax(scores, alpha_h, schedule.ring, schedule.valid[:, None, None], config)
+    def rows_forward(rows: slice, proj: ProjectionParams, gate_params: GateParams):
+        xr = x[rows]
+        split_heads(xr @ proj.wq + proj.bq, h_cnt, pad, out=qh[rows])
+        split_heads(xr @ proj.wk, h_cnt, pad, out=kh[rows])
+        split_heads(xr @ proj.wv + proj.bv, h_cnt, pad, out=vh[rows])
+        alpha, gate_cache = gate_forward(gate_params, xr, config)
+        alpha_h = None if alpha is None else alpha.transpose(0, 2, 1)  # (B, H, n)
+        s = scores[:, rows]
+        _slot_dots(s, qh[rows], kh[rows], schedule)
+        s *= scale
+        p = probs[:, rows]
+        p[...] = gated_softmax(s, alpha_h, schedule.ring, schedule.valid[:, None, None], config)
+        out_h = np.zeros(qh[rows].shape[:2] + (n, d_h))
+        _gather(out_h, p, vh[rows], schedule)
+        _heads(fused[rows], h_cnt)[...] = out_h
+        np.add(fused[rows] @ proj.wo, proj.bo, out=out[rows])
+        return alpha, gate_cache
 
-    out_h = np.zeros((b, h_cnt, n, d_h))
-    _gather(out_h, probs, vh, schedule)
-
-    fused = merge_heads(out_h)
-    out = fused @ proj.wo + proj.bo
+    gates = in_halves(rows_forward, _parts(b, h_cnt * n, proj, gate_params))
+    alpha, gate_cache = gates[0] if len(gates) == 1 else _joined(x, *gates)
 
     n_valid = schedule.n_valid
     cache = AttnCache(
@@ -280,52 +353,52 @@ def pi_attention_backward(
     flat_dout = d_out.reshape(-1, d)
     d_wo = flat_fused.T @ flat_dout
     d_bo = flat_dout.sum(axis=0)
-    d_out_h = split_heads(d_out @ proj.wo.T, h_cnt, plan.pad)
 
-    d_probs = np.zeros_like(cache.probs)
-    _slot_dots(d_probs, d_out_h, cache.vh, plan)
-    d_vh = np.zeros((b, h_cnt, n, d_h))
-    _scatter(d_vh, cache.probs, d_out_h, plan)
+    d_q, d_k, d_v = np.empty((3, b, n, d))
+    d_x = np.empty((b, n, d))
+    d_alpha_h = None if cache.gate_cache is None else np.empty((b, h_cnt, n))
 
-    # softmax backward; invalid slots have probs == 0 so they drop out
-    inner = (cache.probs * d_probs).sum(axis=0)
-    d_logits = cache.probs * (d_probs - inner)
-    # the clamp passes the gradient where it did not bind; the prior sits after it
-    d_scores = d_logits * (np.abs(cache.scores_raw) <= cfg.logit_clamp)
+    def rows_backward(rows: slice, proj: ProjectionParams) -> None:
+        d_out_h = split_heads(d_out[rows] @ proj.wo.T, h_cnt, plan.pad)
+        probs = cache.probs[:, rows]
+        d_probs = np.zeros(probs.shape)
+        _slot_dots(d_probs, d_out_h, cache.vh[rows], plan)
+        d_vh = np.zeros(d_out_h.shape[:2] + (n, d_h))
+        _scatter(d_vh, probs, d_out_h, plan)
 
+        # softmax backward; invalid slots have probs == 0 so they drop out
+        inner = (probs * d_probs).sum(axis=0)
+        d_logits = probs * (d_probs - inner)
+        # the clamp passes the gradient where it did not bind; the prior sits after it
+        d_scores = d_logits * (np.abs(cache.scores_raw[:, rows]) <= cfg.logit_clamp)
+        if d_alpha_h is not None:
+            alpha_h = cache.alpha[rows].transpose(0, 2, 1)  # (B, H, n)
+            d_alpha_h[rows] = (d_logits[plan.ring].sum(axis=0) / alpha_h
+                               - d_logits[~plan.ring].sum(axis=0) / (1.0 - alpha_h))
+        del d_out_h, d_probs, d_logits
+
+        d_scores *= scale
+        d_qh, d_kh = np.zeros((2,) + d_vh.shape)
+        _gather(d_qh, d_scores, cache.kh[rows], plan)
+        _scatter(d_kh, d_scores, cache.qh[rows], plan)
+        for whole, part in ((d_q, d_qh), (d_k, d_kh), (d_v, d_vh)):
+            _heads(whole[rows], h_cnt)[...] = part
+        d_x[rows] = d_q[rows] @ proj.wq.T + d_k[rows] @ proj.wk.T + d_v[rows] @ proj.wv.T
+
+    in_halves(rows_backward, _parts(b, h_cnt * n, proj))
+
+    # the weight gradients sum over every row, once, in the order of the unsplit call
     gate_grads: Optional[GateParams] = None
-    d_gate_in = None
-    if cache.gate_cache is not None:
-        alpha_h = cache.alpha.transpose(0, 2, 1)  # (B, H, n)
-        d_alpha_h = (d_logits[plan.ring].sum(axis=0) / alpha_h
-                     - d_logits[~plan.ring].sum(axis=0) / (1.0 - alpha_h))
+    if d_alpha_h is not None:
         d_gate_in, gate_grads = gate_backward(gate_params, cache.gate_cache,
                                               d_alpha_h.transpose(0, 2, 1))
-
-    d_scores *= scale
-    d_qh, d_kh = np.zeros((2, b, h_cnt, n, d_h))
-    _gather(d_qh, d_scores, cache.kh, plan)
-    _scatter(d_kh, d_scores, cache.qh, plan)
-
-    # merge_heads copies; free the dead intermediates first to keep the peak down
-    del d_out_h, d_probs, d_logits, d_scores
-    d_q_flat = merge_heads(d_qh)
-    d_k_flat = merge_heads(d_kh)
-    d_v_flat = merge_heads(d_vh)
-
+        d_x += d_gate_in
     flat_x = cache.x.reshape(-1, d)
+    d_q, d_k, d_v = (g.reshape(-1, d) for g in (d_q, d_k, d_v))
     proj_grads = ProjectionParams(
-        wq=flat_x.T @ d_q_flat.reshape(-1, d),
-        wk=flat_x.T @ d_k_flat.reshape(-1, d),
-        wv=flat_x.T @ d_v_flat.reshape(-1, d),
-        wo=d_wo,
-        bq=d_q_flat.reshape(-1, d).sum(axis=0),
-        bv=d_v_flat.reshape(-1, d).sum(axis=0),
-        bo=d_bo,
+        wq=flat_x.T @ d_q, wk=flat_x.T @ d_k, wv=flat_x.T @ d_v, wo=d_wo,
+        bq=d_q.sum(axis=0), bv=d_v.sum(axis=0), bo=d_bo,
     )
-    d_x = d_q_flat @ proj.wq.T + d_k_flat @ proj.wk.T + d_v_flat @ proj.wv.T
-    if d_gate_in is not None:
-        d_x = d_x + d_gate_in
     return d_x, proj_grads, gate_grads
 
 
@@ -350,11 +423,8 @@ def dense_oracle(
     h_cnt, d_h = config.n_heads, config.head_dim
     scale = 1.0 / math.sqrt(d_h)
 
-    def heads(y):
-        return y.reshape(b, n, h_cnt, d_h).transpose(0, 2, 1, 3)
-
-    qh = heads(x @ proj.wq + proj.bq)
-    kh, vh = heads(x @ proj.wk), heads(x @ proj.wv + proj.bv)
+    qh = _heads(x @ proj.wq + proj.bq, h_cnt)
+    kh, vh = _heads(x @ proj.wk, h_cnt), _heads(x @ proj.wv + proj.bv, h_cnt)
 
     alpha, _ = gate_forward(gate_params, x, config)
 

@@ -3,12 +3,13 @@
 All tabular output is CSV with documented headers; configs are JSON. Each
 command computes and prints, then `_write_outputs` writes all of its files, so
 a command that exits 2 writes none: a manifest.json (command, seed, timestamp,
-numpy and scipy versions, the BLAS thread variables, and for `train` the
-thread count of its steps), the CSVs and summary.json. CSV bodies are
-byte-identical across reruns with the same seed and BLAS thread count (times
-live only in the manifest); `train` splits each batch into two fixed halves
-and adds their gradients in a fixed order, so its outputs are too, on any
-number of CPUs.
+numpy and scipy versions, the BLAS thread variables and `threads`, the thread
+count of the `split` rule: 2, or 1 on a one-CPU host), the CSVs and
+summary.json. CSV bodies are byte-identical across reruns with the same seed
+and BLAS thread count (times live only in the manifest); `train` splits each
+batch into two fixed halves and adds their gradients in a fixed order, and
+attention splits only row-local steps, so its outputs are too, on any number
+of CPUs.
 Exit codes: 0 all asserted properties pass, 1 a property failed, 2 usage,
 configuration or file error (one `error:` line on stderr).
 """
@@ -37,7 +38,8 @@ from .neighborhood import AttentionConfig, ConfigError, build_union, from_dict, 
 from .perf import (CostParams, WorkRow, cost_model_eval, fit_cost_constants, ring_simulate,
                    work_report)
 from .rfield import RfRow, rf_report
-from .trainer import CONFIG_DEFAULTS, load_checkpoint, load_config, train, train_threads
+from .split import threads
+from .trainer import CONFIG_DEFAULTS, load_checkpoint, load_config, train
 from .decoder import generate
 from .numerics import Rng
 
@@ -72,6 +74,7 @@ def _write_outputs(args, code: int, csvs: dict, summary: dict | None = None,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         **{var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "threads": threads(),
         **telemetry,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -154,8 +157,7 @@ def cmd_train(args) -> int:
     last = res.metrics[-1]
     print(f"train: task={task.kind} steps_run={last['step'] + 1} "
           f"loss={last['loss']:.4f} accuracy={res.final_accuracy:.4f}")
-    return _write_outputs(args, 0, {}, tokens_per_sec=res.tokens_per_sec,
-                          train_threads=train_threads())
+    return _write_outputs(args, 0, {}, tokens_per_sec=res.tokens_per_sec)
 
 
 def cmd_decode(args) -> int:

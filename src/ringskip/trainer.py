@@ -10,14 +10,15 @@ Tasks:
     marker; the target at the marker is the key;
   * char_lm         — next-character prediction over a plain-text corpus.
 
-Each training step splits its batch into two fixed halves, rows [0, ⌈B/2⌉)
-and the rest. The calling thread runs forward, loss and backward on the first
-while one worker thread runs the second; each half's loss divides by the whole
-batch's count of scored targets, so the step's loss and gradient are the
-first half's plus the second's, added in that order. On a host with one CPU
-both halves run on the caller, in the same order, so outputs depend on
-neither the CPU count nor thread scheduling. `evaluate` splits the rows of
-its batches the same way.
+Each training step splits its batch into two fixed halves by the rule of
+`split`, rows [0, ⌈B/2⌉) and the rest. The calling thread runs forward, loss
+and backward on the first while one worker thread runs the second; each
+half's loss divides by the whole batch's count of scored targets, so the
+step's loss and gradient are the first half's plus the second's, added in
+that order. On a host with one CPU both halves run on the caller, in the same
+order, so outputs depend on neither the CPU count nor thread scheduling.
+`evaluate` splits the rows of its batches the same way. The attention calls
+inside either half run inline.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 import time
-from concurrent import futures
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -38,6 +37,7 @@ from .model import (ModelConfig, ModelParams, flatten, init_model, model_backwar
                     model_forward, param_shapes)
 from .neighborhood import ConfigError, from_dict, gather_schedule
 from .numerics import Rng, softmax_row
+from .split import halves, in_halves
 
 IGNORE_INDEX = -1
 
@@ -377,38 +377,6 @@ def load_checkpoint(path: Path) -> Tuple[ModelConfig, ModelParams, int]:
 # ---------------------------------------------------------------------------
 
 
-# runs the second half of each batch; its one thread starts on the first submit
-_WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="ringskip-half")
-
-
-def train_threads() -> int:
-    """2 when the second half of each batch runs on the worker thread, 1 when
-    the host gives this process one CPU and both halves run on the caller."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return 2 if (cpus or 1) >= 2 else 1
-
-
-def _in_halves(fn, halves: List[tuple]) -> list:
-    """[fn(*half) for half in halves] for one or two halves. A second half runs
-    on the worker thread while the caller runs the first, or after it on the
-    caller when `train_threads()` is 1. An exception in either half is raised
-    here, once both have finished."""
-    if len(halves) < 2 or train_threads() < 2:
-        return [fn(*half) for half in halves]
-    pending = _WORKER.submit(fn, *halves[1])
-    try:
-        head = fn(*halves[0])
-    finally:
-        futures.wait([pending])
-    return [head, pending.result()]
-
-
-def _halves(size: int) -> List[slice]:
-    """Rows [0, ⌈size/2⌉) and the rest; a half with no rows is left out."""
-    cut = (size + 1) // 2
-    return [slice(0, cut), slice(cut, size)][:2 if cut < size else 1]
-
-
 @dataclass
 class TrainResult:
     params: ModelParams
@@ -451,9 +419,9 @@ def train(
         t0 = time.perf_counter()
         inp, tgt = make_batch(task, data_rng, tc.batch_size, corpus)
         count = int((tgt != IGNORE_INDEX).sum())
-        (loss, grads), *rest = _in_halves(_half_step, [
+        (loss, grads), *rest = in_halves(_half_step, [
             (params, cfg, schedule, inp[rows], tgt[rows], count)
-            for rows in _halves(len(inp))])
+            for rows in halves(len(inp))])
         for half_loss, half_grads in rest:
             loss += half_loss
             for name, g in grads.items():
@@ -517,7 +485,7 @@ def evaluate(
     if schedule is None:
         schedule = gather_schedule(cfg.attention, task.seq_len)
     batches = [make_batch(task, rng, batch_size, corpus) for _ in range(n_batches)]
-    scores = _in_halves(_score, [
+    scores = in_halves(_score, [
         (params, cfg, schedule, [(inp[rows], tgt[rows]) for inp, tgt in batches])
-        for rows in _halves(batch_size)])
+        for rows in halves(batch_size)])
     return sum(c for c, _ in scores) / sum(t for _, t in scores)

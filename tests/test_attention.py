@@ -537,3 +537,160 @@ def test_dense_oracle_respects_mask():
     out = dense_oracle(x, proj, gate, build_union(c, n), c)
     assert out.shape == (1, n, c.d_model)
     assert np.isfinite(out).all()
+
+
+# ---------------------------------------------------------------------------
+# a large call runs its batch rows as two halves, the second on the worker
+# thread; every array it yields equals the inline call's bit for bit
+# ---------------------------------------------------------------------------
+
+
+def spy_threads(monkeypatch):
+    """Record the thread of each `_slot_dots` call, which every half makes."""
+    import threading
+    from ringskip import attention
+    seen, real = [], attention._slot_dots
+
+    def spy(*args):
+        seen.append(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(attention, "_slot_dots", spy)
+    return seen
+
+
+def forward_backward_arrays(x, proj, gate, c, d_out=None):
+    """name -> array for the output and every AttnCache array of one forward
+    and, given d_out, d_x and every projection and gate gradient."""
+    out, cache = pi_attention_forward(x, proj, gate, gather_schedule(c, x.shape[1]), c)
+    arrays = {"out": out}
+    for name, value in vars(cache).items():
+        if isinstance(value, np.ndarray):
+            arrays[f"cache.{name}"] = value
+    if cache.gate_cache is not None:
+        for name, value in vars(cache.gate_cache).items():
+            if isinstance(value, np.ndarray):
+                arrays[f"cache.gate_cache.{name}"] = value
+    if d_out is not None:
+        d_x, g_proj, g_gate = pi_attention_backward(proj, gate, cache, d_out)
+        arrays["d_x"] = d_x
+        arrays.update({f"d_proj.{k}": v for k, v in vars(g_proj).items()})
+        if g_gate is not None:
+            arrays.update({f"d_gate.{k}": v for k, v in vars(g_gate).items()})
+    return arrays
+
+
+def split_inline_one_cpu(monkeypatch, run):
+    """run() three ways: split over two threads, inline below a raised cut,
+    and on a host that gives the process one CPU; with the threads each used."""
+    import os
+    from ringskip import attention
+    seen = spy_threads(monkeypatch)
+    results = {}
+    for mode, cpus, cut in (("split", 2, attention.SPLIT_MIN_ROWS),
+                            ("inline", 2, 10 ** 12),
+                            ("one_cpu", 1, attention.SPLIT_MIN_ROWS)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(attention, "SPLIT_MIN_ROWS", cut)
+        seen.clear()
+        results[mode] = (run(), set(seen))
+    return results
+
+
+def assert_all_equal(results):
+    ref, _ = results["inline"]
+    for mode, (arrays, _) in results.items():
+        assert arrays.keys() == ref.keys()
+        for name, a in arrays.items():
+            assert np.array_equal(a, ref[name]), (mode, name)
+
+
+@pytest.mark.parametrize("batch", [2, 3])
+@pytest.mark.parametrize("causal", [True, False])
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_split_call_equals_inline_bit_for_bit(monkeypatch, ablation, causal, batch):
+    from ringskip import attention
+    n = 1400
+    c = cfg(n_heads=4, ring_k=2, skip_period=8, causal=causal,
+            bidirectional_skip=not causal, ablation=ablation, logit_clamp=0.5)
+    assert batch * c.n_heads * n >= attention.SPLIT_MIN_ROWS
+    rng = Rng(batch)
+    proj, gate = random_attention_params(rng, c.d_model, c.n_heads)
+    x, d_out = rng.normal((2, batch, n, c.d_model))
+    results = split_inline_one_cpu(
+        monkeypatch, lambda: forward_backward_arrays(x, proj, gate, c, d_out))
+    assert len(results["split"][1]) == 2
+    assert len(results["inline"][1]) == len(results["one_cpu"][1]) == 1
+    assert_all_equal(results)
+
+
+def test_replica_stacked_call_splits_its_parameters_with_its_rows(monkeypatch):
+    import dataclasses
+    from ringskip import attention
+    c, m, n = cfg(n_heads=4, ring_k=2, skip_period=8), 4, 700
+    assert m * c.n_heads * n >= attention.SPLIT_MIN_ROWS
+    rng = Rng(11)
+    proj, gate = random_attention_params(rng, c.d_model, c.n_heads)
+    jitter = 0.01 * rng.normal((m, 1, 1))
+    # one replica per batch row: matrices (m, a, b), vectors (m, 1, d)
+    proj = dataclasses.replace(proj, wq=proj.wq + jitter, bv=proj.bv + jitter)
+    gate = dataclasses.replace(gate, w1=gate.w1 + jitter, b2=gate.b2 + jitter)
+    x = rng.normal((m, n, c.d_model))
+    results = split_inline_one_cpu(monkeypatch, lambda: forward_backward_arrays(x, proj, gate, c))
+    assert len(results["split"][1]) == 2
+    assert_all_equal(results)
+    # each row is its own replica's call
+    for r in range(m):
+        row = forward_backward_arrays(
+            x[r:r + 1], dataclasses.replace(proj, wq=proj.wq[r], bv=proj.bv[r]),
+            dataclasses.replace(gate, w1=gate.w1[r], b2=gate.b2[r]), c)["out"]
+        assert np.abs(results["split"][0]["out"][r:r + 1] - row).max() < 1e-13
+    # a stack of one replica broadcast over the rows is not cut: the call runs inline
+    one = dataclasses.replace(proj, wq=proj.wq[:1])
+    assert attention._parts(m, c.n_heads * n, one, gate) == [(slice(0, m), one, gate)]
+
+
+@pytest.mark.parametrize("where", ["forward", "backward"])
+def test_an_error_in_the_worker_half_of_an_attention_call_reaches_the_caller(
+        monkeypatch, where):
+    import os
+    import threading
+    from ringskip import attention
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    c, n = cfg(n_heads=4), 1100
+    rng = Rng(5)
+    proj, gate = random_attention_params(rng, c.d_model, c.n_heads)
+    x = rng.normal((2, n, c.d_model))
+    plan = gather_schedule(c, n)
+    out, cache = pi_attention_forward(x, proj, gate, plan, c)
+    caller, real = threading.get_ident(), attention._slot_dots
+
+    def poisoned(*args):
+        if threading.get_ident() != caller:
+            raise RuntimeError("worker half failed")
+        return real(*args)
+
+    monkeypatch.setattr(attention, "_slot_dots", poisoned)
+    with pytest.raises(RuntimeError, match="worker half failed"):
+        if where == "forward":
+            pi_attention_forward(x, proj, gate, plan, c)
+        else:
+            pi_attention_backward(proj, gate, cache, np.ones_like(out))
+    monkeypatch.setattr(attention, "_slot_dots", real)
+    assert np.array_equal(pi_attention_forward(x, proj, gate, plan, c)[0], out)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_static_alpha_is_the_no_gate_model(seed):
+    # at alpha = 0.5 the log-prior log(alpha) = log(1 - alpha) is one constant
+    # on every slot and cancels in the softmax: the two ablations are one model
+    rng = Rng(seed)
+    n = int(rng.integers(2, 60, ()))
+    causal = bool(seed % 2)
+    outs = []
+    for ablation in ("static_alpha", "no_gate"):
+        c = cfg(d_model=16, n_heads=2, ring_k=2, skip_period=8, causal=causal,
+                bidirectional_skip=not causal, ablation=ablation)
+        proj, gate, x = setup(c, n, seed)
+        outs.append(pi_attention_forward(x, proj, gate, gather_schedule(c, n), c)[0])
+    assert np.abs(outs[0] - outs[1]).max() <= 1e-14

@@ -614,7 +614,8 @@ def test_manifest_records_versions_and_thread_settings(tmp_path, monkeypatch):
         assert got["numpy"] == np.__version__ and got["scipy"] == scipy.__version__
         assert got["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
         assert got["OMP_NUM_THREADS"] == "1" and got["MKL_NUM_THREADS"] is None
-    assert "train_threads" not in manifest(["rf-bound"], "rf")
     for cpus in (2, 1):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        assert manifest(train_job, f"train{cpus}")["train_threads"] == cpus
+        for name, job in (("rf", ["rf-bound"]), ("train", train_job)):
+            got = manifest(job, f"{name}{cpus}")
+            assert got["threads"] == cpus and "train_threads" not in got

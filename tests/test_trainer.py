@@ -513,3 +513,45 @@ def test_an_error_in_the_worker_half_reaches_the_caller(monkeypatch, cpus):
         train(model_cfg(), task, tc)
     monkeypatch.setattr(trainer_mod, "model_forward", real)
     assert np.isfinite(train(model_cfg(), task, tc).metrics[-1]["loss"])
+
+
+def test_attention_inside_a_train_half_runs_inline(tmp_path, monkeypatch, cpus):
+    """Half-batches above the attention cut: the attention calls inside either
+    half run inline, so each step and each evaluate hands the worker one half,
+    never more than one worker thread exists, and the outputs are the one-CPU
+    run's bytes."""
+    import ringskip.attention as attention_mod
+    from ringskip import split
+    task = TaskSpec(kind="copy_at_pi", vocab=16, seq_len=1024, delay=4)
+    cfg = model_cfg(max_seq=1024)
+    tc = TrainConfig(lr=3e-3, steps=2, batch_size=8, eval_interval=1, seed=3)
+    assert 4 * cfg.n_heads * task.seq_len >= attention_mod.SPLIT_MIN_ROWS
+    submits, workers = [], []
+    real_submit, real_dots = split._WORKER.submit, attention_mod._slot_dots
+
+    def counting_submit(*args):
+        submits.append(threading.get_ident())
+        return real_submit(*args)
+
+    def watching_dots(*args):
+        workers.append(sum(t.name.startswith("ringskip-half") for t in threading.enumerate()))
+        return real_dots(*args)
+
+    monkeypatch.setattr(split._WORKER, "submit", counting_submit)
+    monkeypatch.setattr(attention_mod, "_slot_dots", watching_dots)
+
+    def run(name):
+        done = threading.Thread(target=train, args=(cfg, task, tc, tmp_path / name), daemon=True)
+        done.start()
+        done.join(timeout=300)
+        assert not done.is_alive(), "train did not finish"
+        return [(tmp_path / name / f).read_bytes() for f in ("metrics.csv", "model.ckpt")]
+
+    cpus(2)
+    threaded = run("worker")
+    assert len(submits) == 4  # two steps and two evaluations, one half each
+    assert workers and max(workers) <= 1
+    submits.clear()
+    cpus(1)
+    assert run("inline") == threaded
+    assert submits == []
