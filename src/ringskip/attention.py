@@ -160,8 +160,10 @@ def gated_softmax(
     ring_mask: np.ndarray,
     valid: np.ndarray,
     config: AttentionConfig,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """The single fused softmax over the slot (first) axis of `scores`.
+    """The single fused softmax over the slot (first) axis of `scores`,
+    written into `out` when given.
 
     scores (O, ...); alpha_h (...) or None (the no_gate ablation, no prior);
     ring_mask (O,); valid broadcasts against scores. The logits are the scores
@@ -174,7 +176,7 @@ def gated_softmax(
     if alpha_h is not None:
         ring = ring_mask.reshape(ring_mask.shape + (1,) * np.ndim(alpha_h))
         logits = logits + np.where(ring, np.log(alpha_h), np.log(1.0 - alpha_h))
-    return softmax_row(logits, valid, axis=0)
+    return softmax_row(logits, valid, axis=0, out=out)
 
 
 def _band(out, src, coef, start) -> None:
@@ -233,8 +235,11 @@ def _slot_dots(out, a, b, plan: ExecutionPlan) -> None:
 
 
 # A call with fewer (batch row, head, token) triples than this, B*H*n, runs
-# its halves inline: below it, handing half the rows to the worker thread
-# costs more than it saves.
+# its halves inline. Forward plus backward on a 2-CPU host, one BLAS thread:
+# the split first paid at B*H*n 2,048-4,096 for d = 64 shapes, but the
+# gradient check's d = 16, n = 6 replica stacks ran 2-4% slower split up to
+# 6,144 (and a third slower at their 1,536); from 8,192 on every measured
+# shape ran 18-39% faster split.
 SPLIT_MIN_ROWS = 8192
 
 
@@ -292,7 +297,7 @@ def pi_attention_forward(
     scale = 1.0 / math.sqrt(d_h)
 
     pad = schedule.pad
-    qh, kh, vh = (np.empty((b, h_cnt, pad + n + pad, d_h)) for _ in range(3))
+    qh, kh, vh = np.empty((3, b, h_cnt, pad + n + pad, d_h))
     scores = np.zeros((len(schedule), b, h_cnt, n))
     probs = np.empty_like(scores)
     fused = np.empty((b, n, d))
@@ -308,8 +313,8 @@ def pi_attention_forward(
         s = scores[:, rows]
         _slot_dots(s, qh[rows], kh[rows], schedule)
         s *= scale
-        p = probs[:, rows]
-        p[...] = gated_softmax(s, alpha_h, schedule.ring, schedule.valid[:, None, None], config)
+        p = gated_softmax(s, alpha_h, schedule.ring, schedule.valid[:, None, None], config,
+                          out=probs[:, rows])
         out_h = np.zeros(qh[rows].shape[:2] + (n, d_h))
         _gather(out_h, p, vh[rows], schedule)
         _heads(fused[rows], h_cnt)[...] = out_h
@@ -383,7 +388,8 @@ def pi_attention_backward(
         _scatter(d_kh, d_scores, cache.qh[rows], plan)
         for whole, part in ((d_q, d_qh), (d_k, d_kh), (d_v, d_vh)):
             _heads(whole[rows], h_cnt)[...] = part
-        d_x[rows] = d_q[rows] @ proj.wq.T + d_k[rows] @ proj.wk.T + d_v[rows] @ proj.wv.T
+        np.add(d_q[rows] @ proj.wq.T + d_k[rows] @ proj.wk.T, d_v[rows] @ proj.wv.T,
+               out=d_x[rows])
 
     in_halves(rows_backward, _parts(b, h_cnt * n, proj))
 

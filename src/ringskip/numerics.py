@@ -42,8 +42,9 @@ class NonFiniteError(FloatingPointError):
 
 
 def softmax_row(logits: np.ndarray, valid: Optional[np.ndarray] = None,
-                axis: int = -1) -> np.ndarray:
-    """Masked, max-subtracted softmax over `axis` (the last by default).
+                axis: int = -1, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Masked, max-subtracted softmax over `axis` (the last by default),
+    written into `out` when given.
 
     `valid` broadcasts against `logits` and is checked for empty rows at its
     own shape. Invalid entries become -inf, so exp gives them exactly 0.
@@ -56,7 +57,7 @@ def softmax_row(logits: np.ndarray, valid: Optional[np.ndarray] = None,
             raise ValueError("empty neighborhood: softmax row has no valid entry")
         logits = np.where(valid, logits, -np.inf)
     expv = np.exp(logits - logits.max(axis=axis, keepdims=True))
-    return expv / expv.sum(axis=axis, keepdims=True)
+    return np.divide(expv, expv.sum(axis=axis, keepdims=True), out=out)
 
 
 def gelu_cdf(x: np.ndarray) -> np.ndarray:
