@@ -43,8 +43,9 @@ halves: every weight and bias gradient and `gate_backward`. So each sum keeps
 the unsplit call's order, and forward and backward are bit-identical to the
 call run inline. A replica-stacked parameter (a leading axis of one replica
 per batch row, as `checks.run_stacked_grad_check` builds) is cut with its
-rows. A call whose B * H * n is below SPLIT_MIN_ROWS, or that is made inside
-a half of another split (a train step or `evaluate`), runs inline.
+rows. A call runs whole, inline, when its B * H * n is below SPLIT_MIN_ROWS,
+on a host that gives the process one CPU, or inside a half of another split
+(a train step or `evaluate`).
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from .numerics import (
     layer_norm_forward,
     softmax_row,
 )
-from .split import halves, in_halves
+from .split import can_split, halves, in_halves
 
 
 @dataclass
@@ -253,9 +254,10 @@ def _cut(params, rows: slice):
 def _parts(b: int, rows_per_item: int, *params) -> List[tuple]:
     """The arguments (rows, *params) of each half of a call over b batch rows:
     the rows of `split.halves` and the params `_cut` to them. All b rows are
-    one part when b * rows_per_item is below SPLIT_MIN_ROWS, or when a
+    one part when b * rows_per_item is below SPLIT_MIN_ROWS, when the call
+    cannot split (one CPU, or inside a half of another split), or when a
     replica-stacked tensor holds other than b replicas."""
-    if b * rows_per_item >= SPLIT_MIN_ROWS and all(
+    if b * rows_per_item >= SPLIT_MIN_ROWS and can_split() and all(
             a.shape[0] == b for p in params for a in vars(p).values() if a.ndim == 3):
         return [(rows, *(_cut(p, rows) for p in params)) for rows in halves(b)]
     return [(slice(0, b), *params)]
@@ -304,21 +306,21 @@ def pi_attention_forward(
     out = np.empty((b, n, d))
 
     def rows_forward(rows: slice, proj: ProjectionParams, gate_params: GateParams):
-        xr = x[rows]
-        split_heads(xr @ proj.wq + proj.bq, h_cnt, pad, out=qh[rows])
-        split_heads(xr @ proj.wk, h_cnt, pad, out=kh[rows])
-        split_heads(xr @ proj.wv + proj.bv, h_cnt, pad, out=vh[rows])
+        xr, q, k, v, f = x[rows], qh[rows], kh[rows], vh[rows], fused[rows]
+        split_heads(xr @ proj.wq + proj.bq, h_cnt, pad, out=q)
+        split_heads(xr @ proj.wk, h_cnt, pad, out=k)
+        split_heads(xr @ proj.wv + proj.bv, h_cnt, pad, out=v)
         alpha, gate_cache = gate_forward(gate_params, xr, config)
         alpha_h = None if alpha is None else alpha.transpose(0, 2, 1)  # (B, H, n)
         s = scores[:, rows]
-        _slot_dots(s, qh[rows], kh[rows], schedule)
+        _slot_dots(s, q, k, schedule)
         s *= scale
         p = gated_softmax(s, alpha_h, schedule.ring, schedule.valid[:, None, None], config,
                           out=probs[:, rows])
-        out_h = np.zeros(qh[rows].shape[:2] + (n, d_h))
-        _gather(out_h, p, vh[rows], schedule)
-        _heads(fused[rows], h_cnt)[...] = out_h
-        np.add(fused[rows] @ proj.wo, proj.bo, out=out[rows])
+        out_h = np.zeros(q.shape[:2] + (n, d_h))
+        _gather(out_h, p, v, schedule)
+        _heads(f, h_cnt)[...] = out_h
+        np.add(f @ proj.wo, proj.bo, out=out[rows])
         return alpha, gate_cache
 
     gates = in_halves(rows_forward, _parts(b, h_cnt * n, proj, gate_params))

@@ -9,7 +9,8 @@ Splits do not nest: a call to `in_halves` made while either half of another
 runs (on the caller or on the worker) runs its halves inline. So there is
 never more than one worker thread, and the worker never waits on itself.
 `trainer` splits each batch of a train step and of `evaluate`; `attention`
-splits the row-local steps of each large forward and backward.
+splits the row-local steps of each large forward and backward, and runs a
+call whole where `can_split` is False.
 """
 
 from __future__ import annotations
@@ -32,6 +33,12 @@ def threads() -> int:
     return 2 if (cpus or 1) >= 2 else 1
 
 
+def can_split() -> bool:
+    """True when `in_halves` called here would run a second half on the worker
+    thread: the process may use two CPUs and this thread runs no half."""
+    return threads() >= 2 and not getattr(_STATE, "busy", False)
+
+
 def halves(size: int) -> List[slice]:
     """Rows [0, ⌈size/2⌉) and the rest; a half with no rows is left out."""
     cut = (size + 1) // 2
@@ -51,7 +58,7 @@ def in_halves(fn: Callable, parts: List[tuple]) -> list:
     on the worker thread while the caller runs the first, or after it on the
     caller when `threads()` is 1 or this call is made inside a half. An
     exception in either half is raised here, once both have finished."""
-    if len(parts) < 2 or threads() < 2 or getattr(_STATE, "busy", False):
+    if len(parts) < 2 or not can_split():
         return [fn(*part) for part in parts]
     pending = _WORKER.submit(_as_half, fn, *parts[1])
     try:
