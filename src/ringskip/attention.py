@@ -236,7 +236,7 @@ def _slot_dots(out, a, b, plan: ExecutionPlan) -> None:
 
 
 # A call with fewer (batch row, head, token) triples than this, B*H*n, runs
-# its halves inline. Forward plus backward on a 2-CPU host, one BLAS thread:
+# whole. Forward plus backward on a 2-CPU host, one BLAS thread:
 # the split first paid at B*H*n 2,048-4,096 for d = 64 shapes, but the
 # gradient check's d = 16, n = 6 replica stacks ran 2-4% slower split up to
 # 6,144 (and a third slower at their 1,536); from 8,192 on every measured

@@ -6,10 +6,10 @@ a command that exits 2 writes none: a manifest.json (command, seed, timestamp,
 numpy and scipy versions, the BLAS thread variables and `threads`, the thread
 count of the `split` rule: 2, or 1 on a one-CPU host), the CSVs and
 summary.json. CSV bodies are byte-identical across reruns with the same seed
-and BLAS thread count (times live only in the manifest); `train` splits each
-batch into two fixed halves and adds their gradients in a fixed order, and
-attention splits only row-local steps, so its outputs are too, on any number
-of CPUs.
+and BLAS thread count (times live only in the manifest), on any number of
+CPUs: `train` splits each batch into two fixed halves and adds their
+gradients in a fixed order, and attention splits only steps that never sum
+over rows.
 Exit codes: 0 all asserted properties pass, 1 a property failed, 2 usage,
 configuration or file error (one `error:` line on stderr).
 """

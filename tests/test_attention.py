@@ -694,3 +694,27 @@ def test_static_alpha_is_the_no_gate_model(seed):
         proj, gate, x = setup(c, n, seed)
         outs.append(pi_attention_forward(x, proj, gate, gather_schedule(c, n), c)[0])
     assert np.abs(outs[0] - outs[1]).max() <= 1e-14
+
+
+def test_split_call_is_stable_under_frequent_thread_switches(monkeypatch):
+    # the halves write disjoint rows of shared arrays; switching threads every
+    # microsecond must not change a bit
+    import os
+    import sys
+    from ringskip import attention
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    c, n = cfg(n_heads=4, ring_k=2, skip_period=8), 1100
+    rng = Rng(9)
+    proj, gate = random_attention_params(rng, c.d_model, c.n_heads)
+    x, d_out = rng.normal((2, 3, n, c.d_model))
+    monkeypatch.setattr(attention, "SPLIT_MIN_ROWS", 10 ** 12)
+    ref = forward_backward_arrays(x, proj, gate, c, d_out)
+    monkeypatch.setattr(attention, "SPLIT_MIN_ROWS", 3 * c.n_heads * n)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [forward_backward_arrays(x, proj, gate, c, d_out) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    for arrays in runs:
+        assert all(np.array_equal(a, ref[name]) for name, a in arrays.items())
