@@ -41,11 +41,11 @@ backward, d_alpha, and the d_q/d_k/d_v merges with their products into d_x.
 What sums over rows stays whole and runs once on the caller after the
 halves: every weight and bias gradient and `gate_backward`. So each sum keeps
 the unsplit call's order, and forward and backward are bit-identical to the
-call run inline. A replica-stacked parameter (a leading axis of one replica
-per batch row, as `checks.run_stacked_grad_check` builds) is cut with its
-rows. A call runs whole, inline, when its B * H * n is below SPLIT_MIN_ROWS,
-on a host that gives the process one CPU, or inside a half of another split
-(a train step or `evaluate`).
+call run inline. A call runs whole, inline, when its B * H * n is below
+SPLIT_MIN_ROWS, on a host that gives the process one CPU, inside a half of
+another split (a train step or `evaluate`), or when a parameter is
+replica-stacked (a leading axis of one replica per batch row, as
+`checks.run_stacked_grad_check` builds).
 """
 
 from __future__ import annotations
@@ -244,36 +244,26 @@ def _slot_dots(out, a, b, plan: ExecutionPlan) -> None:
 SPLIT_MIN_ROWS = 8192
 
 
-def _cut(params, rows: slice):
-    """`params` with each replica-stacked tensor (3-D: a leading replica axis)
-    cut to the replicas of `rows`."""
-    cut = {name: a[rows] for name, a in vars(params).items() if a.ndim == 3}
-    return dataclasses.replace(params, **cut) if cut else params
-
-
-def _parts(b: int, rows_per_item: int, *params) -> List[tuple]:
-    """The arguments (rows, *params) of each half of a call over b batch rows:
-    the rows of `split.halves` and the params `_cut` to them. All b rows are
-    one part when b * rows_per_item is below SPLIT_MIN_ROWS, when the call
-    cannot split (one CPU, or inside a half of another split), or when a
-    replica-stacked tensor holds other than b replicas."""
-    if b * rows_per_item >= SPLIT_MIN_ROWS and can_split() and all(
-            a.shape[0] == b for p in params for a in vars(p).values() if a.ndim == 3):
-        return [(rows, *(_cut(p, rows) for p in params)) for rows in halves(b)]
-    return [(slice(0, b), *params)]
+def _parts(b: int, rows_per_item: int, *params) -> List[Tuple[slice]]:
+    """The argument (rows,) of each half of a call over b batch rows, by
+    `split.halves`. All b rows are one part when b * rows_per_item is below
+    SPLIT_MIN_ROWS, when the call cannot split (one CPU, or inside a half of
+    another split), or when a tensor of `params` is replica-stacked (3-D)."""
+    if (b * rows_per_item >= SPLIT_MIN_ROWS and can_split()
+            and all(a.ndim < 3 for p in params for a in vars(p).values())):
+        return [(rows,) for rows in halves(b)]
+    return [(slice(0, b),)]
 
 
 def _joined(x: np.ndarray, head: tuple, tail: tuple):
     """`gate_forward`'s (alpha, cache) over all rows of x, from its results on
     the two halves joined in row order."""
     (alpha, cache), (alpha_tail, cache_tail) = head, tail
-    if alpha is not None:
-        alpha = np.concatenate([alpha, alpha_tail])
-    if cache is not None:
-        cache = dataclasses.replace(cache, inp=x, **{
-            name: np.concatenate([getattr(cache, name), getattr(cache_tail, name)])
-            for name in ("h_pre", "h_cdf", "alpha_raw")})
-    return alpha, cache
+    if alpha is None:
+        return head
+    return np.concatenate([alpha, alpha_tail]), dataclasses.replace(cache, inp=x, **{
+        name: np.concatenate([getattr(cache, name), getattr(cache_tail, name)])
+        for name in ("h_pre", "h_cdf", "alpha_raw")})
 
 
 def pi_attention_forward(
@@ -305,7 +295,7 @@ def pi_attention_forward(
     fused = np.empty((b, n, d))
     out = np.empty((b, n, d))
 
-    def rows_forward(rows: slice, proj: ProjectionParams, gate_params: GateParams):
+    def rows_forward(rows: slice):
         xr, q, k, v, f = x[rows], qh[rows], kh[rows], vh[rows], fused[rows]
         split_heads(xr @ proj.wq + proj.bq, h_cnt, pad, out=q)
         split_heads(xr @ proj.wk, h_cnt, pad, out=k)
@@ -347,8 +337,8 @@ def pi_attention_backward(
 ) -> Tuple[np.ndarray, ProjectionParams, Optional[GateParams]]:
     """Exact reverse-mode gradients for the sparse fused attention.
 
-    Returns (d_x, projection grads, gate grads or None when the gate carries
-    no trainable path).
+    Returns (d_x, projection grads, gate grads or None under the no_gate
+    ablation).
     """
     cfg = cache.config
     b, n, d = cache.x.shape
@@ -365,7 +355,7 @@ def pi_attention_backward(
     d_x = np.empty((b, n, d))
     d_alpha_h = None if cache.gate_cache is None else np.empty((b, h_cnt, n))
 
-    def rows_backward(rows: slice, proj: ProjectionParams) -> None:
+    def rows_backward(rows: slice) -> None:
         d_out_h = split_heads(d_out[rows] @ proj.wo.T, h_cnt, plan.pad)
         probs = cache.probs[:, rows]
         d_probs = np.zeros(probs.shape)
@@ -393,7 +383,7 @@ def pi_attention_backward(
         np.add(d_q[rows] @ proj.wq.T + d_k[rows] @ proj.wk.T, d_v[rows] @ proj.wv.T,
                out=d_x[rows])
 
-    in_halves(rows_backward, _parts(b, h_cnt * n, proj))
+    in_halves(rows_backward, _parts(b, h_cnt * n, proj, gate_params))
 
     # the weight gradients sum over every row, once, in the order of the unsplit call
     gate_grads: Optional[GateParams] = None

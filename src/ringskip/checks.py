@@ -1,7 +1,7 @@
 """Verification drivers shared by the CLI and the acceptance suite: the
 sparse-vs-dense oracle sweep, finite-difference gradient checks through
-stacked blocks, stepwise decode-vs-full-forward equivalence, and the KL
-stabilization sweep."""
+stacked blocks, stepwise decode-vs-full-forward equivalence with a live gate,
+and the KL stabilization sweep."""
 
 from __future__ import annotations
 
@@ -210,12 +210,23 @@ def run_stacked_grad_check(seed: int = 0, h: float = 1e-3, **kw) -> Dict[str, fl
     return errors
 
 
+def random_gate_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
+    """init_model(cfg, seed) with a random gate output layer, so alpha varies per
+    token and head; at init_model's zero layer every alpha is 0.5."""
+    params = init_model(cfg, seed=seed)
+    for i, bp in enumerate(params.blocks):
+        rng = Rng(seed).spawn(200 + i)
+        bp.gate.w2[...] = rng.glorot(bp.gate.w2.shape)
+        bp.gate.b2[...] = rng.normal(bp.gate.b2.shape, 0.5)
+    return params
+
+
 def run_decode_check(cfg: ModelConfig, seq_len: int = 40, seed: int = 0,
                      params: Optional[ModelParams] = None) -> float:
     """Max |stepwise logits - teacher-forced full-forward logits| for `params`,
-    by default `init_model(cfg, seed)`."""
+    by default `random_gate_params(cfg, seed)`, whose gate reads its input."""
     if params is None:
-        params = init_model(cfg, seed=seed)
+        params = random_gate_params(cfg, seed)
     rng = Rng(seed).spawn(7)
     tokens = rng.integers(0, cfg.vocab, (seq_len,))
     full_logits, _ = model_forward(tokens[None], params, cfg)

@@ -4,11 +4,9 @@ A shared two-layer trunk (width d_model/2, GELU) emits H sigmoid outputs per
 token; `clip_alpha` then maps the raw gate alpha affinely onto [eps, 1-eps] so
 the log-priors built from it stay finite.
 
-Ablations:
-  * static_alpha  — alpha fixed at STATIC_ALPHA = 0.5, MLP bypassed, no gate
-    gradients;
-  * no_gate       — the log-prior term is dropped entirely downstream; this
-    module returns None so callers cannot accidentally use a gate value.
+Under the no_gate ablation `gate_forward` returns (None, None), the one form
+of "no log-prior": the term is dropped downstream, and callers cannot
+accidentally use a gate value.
 """
 
 from __future__ import annotations
@@ -20,9 +18,6 @@ import numpy as np
 
 from .neighborhood import AttentionConfig
 from .numerics import NonFiniteError, Rng, gelu_cdf, gelu_grad, sigmoid
-
-# the static_alpha ablation's gate value, which weighs ring and skip slots equally
-STATIC_ALPHA = 0.5
 
 
 @dataclass
@@ -63,15 +58,13 @@ def gate_forward(
     inp: np.ndarray,
     config: AttentionConfig,
 ) -> Tuple[Optional[np.ndarray], Optional[GateCache]]:
-    """Stabilized gate values, shape (..., n, H); None under the no_gate ablation.
+    """Stabilized gate values, shape (..., n, H), and the cache for
+    `gate_backward`; both None under the no_gate ablation.
 
     alpha = clip_alpha(sigmoid(w2 . gelu(w1 . inp + b1) + b2), eps).
     """
     if config.ablation == "no_gate":
         return None, None
-    if config.ablation == "static_alpha":
-        shape = inp.shape[:-1] + (config.n_heads,)
-        return np.full(shape, STATIC_ALPHA), None
     if not np.isfinite(inp).all():
         raise NonFiniteError("gate input contains non-finite values")
     h_pre = inp @ params.w1 + params.b1

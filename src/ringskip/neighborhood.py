@@ -28,7 +28,7 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-ABLATIONS = ("full", "no_skip", "no_gate", "static_alpha", "no_ring")
+ABLATIONS = ("full", "no_skip", "no_gate", "no_ring")
 
 
 class ConfigError(ValueError):

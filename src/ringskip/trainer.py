@@ -309,11 +309,14 @@ def save_checkpoint(path: Path, cfg: ModelConfig, params: ModelParams, seed: int
 # code runs. Any other value is an unknown field.
 REMOVED_ATTENTION_FIELDS = {"dropout_p": 0.0, "static_alpha_value": 0.5,
                             "gate_on_query": False, "clamp_after_prior": False}
+# ablations that no longer exist, each with the ablation that is the same model
+REMOVED_ABLATIONS = {"static_alpha": "no_gate"}
 
 
-def _without_removed_fields(model):
+def _without_removed_options(model):
     """The header's model config without the removed attention fields that
-    hold their one accepted value; anything else is returned as it is."""
+    hold their one accepted value and with a removed ablation renamed to the
+    one it equals; anything else is returned as it is."""
     att = model.get("attention") if isinstance(model, dict) else None
     if not isinstance(att, dict):
         return model
@@ -323,6 +326,8 @@ def _without_removed_fields(model):
         if (key in kept and kept[key] == old
                 and isinstance(kept[key], bool) == isinstance(old, bool)):
             del kept[key]
+    if isinstance(kept.get("ablation"), str):
+        kept["ablation"] = REMOVED_ABLATIONS.get(kept["ablation"], kept["ablation"])
     return {**model, "attention": kept}
 
 
@@ -333,7 +338,7 @@ def load_checkpoint(path: Path) -> Tuple[ModelConfig, ModelParams, int]:
     a file length that is not what the header's shapes need (a truncated file
     or trailing bytes). All of it is checked before any model array is made.
     A header may still list the attention fields of REMOVED_ATTENTION_FIELDS,
-    each at its accepted value."""
+    each at its accepted value, and an ablation of REMOVED_ABLATIONS."""
     blob = Path(path).read_bytes()
     hlen = int.from_bytes(blob[:8], "little")
     try:
@@ -348,7 +353,7 @@ def load_checkpoint(path: Path) -> Tuple[ModelConfig, ModelParams, int]:
     try:
         seed = int(header["seed"])
         specs = [(str(a["name"]), tuple(int(s) for s in a["shape"])) for a in header["arrays"]]
-        cfg = from_dict(ModelConfig, _without_removed_fields(header["model"]), "model")
+        cfg = from_dict(ModelConfig, _without_removed_options(header["model"]), "model")
     except ConfigError as exc:
         raise ConfigError(f"checkpoint {path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:

@@ -624,8 +624,9 @@ def test_split_call_equals_inline_bit_for_bit(monkeypatch, ablation, causal, bat
     assert_all_equal(results)
 
 
-def test_replica_stacked_call_splits_its_parameters_with_its_rows(monkeypatch):
+def test_replica_stacked_call_runs_whole_above_the_cut(monkeypatch):
     import dataclasses
+    import os
     from ringskip import attention
     c, m, n = cfg(n_heads=4, ring_k=2, skip_period=8), 4, 700
     assert m * c.n_heads * n >= attention.SPLIT_MIN_ROWS
@@ -637,7 +638,7 @@ def test_replica_stacked_call_splits_its_parameters_with_its_rows(monkeypatch):
     gate = dataclasses.replace(gate, w1=gate.w1 + jitter, b2=gate.b2 + jitter)
     x = rng.normal((m, n, c.d_model))
     results = split_inline_one_cpu(monkeypatch, lambda: forward_backward_arrays(x, proj, gate, c))
-    assert len(results["split"][1]) == 2
+    assert len(results["split"][1]) == 1
     assert_all_equal(results)
     # each row is its own replica's call
     for r in range(m):
@@ -645,9 +646,13 @@ def test_replica_stacked_call_splits_its_parameters_with_its_rows(monkeypatch):
             x[r:r + 1], dataclasses.replace(proj, wq=proj.wq[r], bv=proj.bv[r]),
             dataclasses.replace(gate, w1=gate.w1[r], b2=gate.b2[r]), c)["out"]
         assert np.abs(results["split"][0]["out"][r:r + 1] - row).max() < 1e-13
-    # a stack of one replica broadcast over the rows is not cut: the call runs inline
-    one = dataclasses.replace(proj, wq=proj.wq[:1])
-    assert attention._parts(m, c.n_heads * n, one, gate) == [(slice(0, m), one, gate)]
+    # one stacked tensor in either parameter set keeps the call whole
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    flat_proj = dataclasses.replace(proj, wq=proj.wq[0], bv=proj.bv[0])
+    flat_gate = dataclasses.replace(gate, w1=gate.w1[0], b2=gate.b2[0])
+    for p, g in ((proj, flat_gate), (flat_proj, gate)):
+        assert attention._parts(m, c.n_heads * n, p, g) == [(slice(0, m),)]
+    assert len(attention._parts(m, c.n_heads * n, flat_proj, flat_gate)) == 2
 
 
 @pytest.mark.parametrize("where", ["forward", "backward"])
@@ -678,22 +683,6 @@ def test_an_error_in_the_worker_half_of_an_attention_call_reaches_the_caller(
             pi_attention_backward(proj, gate, cache, np.ones_like(out))
     monkeypatch.setattr(attention, "_slot_dots", real)
     assert np.array_equal(pi_attention_forward(x, proj, gate, plan, c)[0], out)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_static_alpha_is_the_no_gate_model(seed):
-    # at alpha = 0.5 the log-prior log(alpha) = log(1 - alpha) is one constant
-    # on every slot and cancels in the softmax: the two ablations are one model
-    rng = Rng(seed)
-    n = int(rng.integers(2, 60, ()))
-    causal = bool(seed % 2)
-    outs = []
-    for ablation in ("static_alpha", "no_gate"):
-        c = cfg(d_model=16, n_heads=2, ring_k=2, skip_period=8, causal=causal,
-                bidirectional_skip=not causal, ablation=ablation)
-        proj, gate, x = setup(c, n, seed)
-        outs.append(pi_attention_forward(x, proj, gate, gather_schedule(c, n), c)[0])
-    assert np.abs(outs[0] - outs[1]).max() <= 1e-14
 
 
 def test_split_call_is_stable_under_frequent_thread_switches(monkeypatch):

@@ -1,13 +1,15 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ringskip.cli import main
-from ringskip.model import ModelConfig, init_model
+from ringskip.model import ModelConfig, flatten, init_model
 from ringskip.neighborhood import AttentionConfig, offset_plan
 from ringskip.perf import CostParams, cost_model_eval
 from ringskip.trainer import load_checkpoint, save_checkpoint
@@ -59,6 +61,7 @@ def test_oracle_check_cost_goes_to_manifest(tmp_path):
     assert manifest["sweep_seconds"] > 0
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary) == {"checked", "max_delta", "pass"}
+    assert summary["checked"] == 1920  # 4 ablations x 480 (n, k, pi, heads, causal)
     assert (out / "oracle_check.csv").read_text().startswith(
         "n,k,pi,heads,causal,ablation,max_delta,ok\n")
 
@@ -288,6 +291,23 @@ def test_decode_reads_a_header_with_the_removed_fields_at_their_defaults(small_c
     assert tokens[0] == tokens[1]
 
 
+def test_a_checkpoint_of_the_removed_fixed_alpha_ablation_loads_as_no_gate(small_ckpt, tmp_path):
+    # alpha fixed at 0.5 puts one constant log-prior on every slot, which cancels
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(_rewrite_header(small_ckpt.read_bytes(),
+                                    _with_removed_fields(ablation="static_alpha")))
+    cfg, params, seed = load_checkpoint(old)
+    ref_cfg, ref, ref_seed = load_checkpoint(small_ckpt)
+    assert cfg.attention.ablation == "no_gate" and seed == ref_seed
+    assert dataclasses.replace(cfg.attention, ablation="full") == ref_cfg.attention
+    flat, ref_flat = flatten(params), flatten(ref)
+    assert flat.keys() == ref_flat.keys()
+    assert all(np.array_equal(flat[name], ref_flat[name]) for name in flat)
+    assert main(["decode", "--ckpt", str(old), "--prompt", "1,2,3", "--steps", "8",
+                 "--out", str(tmp_path / "dec")]) == 0
+    assert len((tmp_path / "dec" / "tokens.csv").read_text().splitlines()) == 1 + 3 + 8
+
+
 @pytest.mark.parametrize("field,value", [("gate_on_query", True), ("gate_on_query", 0),
                                          ("clamp_after_prior", True), ("dropout_p", 0.1),
                                          ("static_alpha_value", 0.3)])
@@ -360,10 +380,13 @@ def write_json(path: Path, doc) -> str:
     ("copy", {"task": {"kind": "char_lm"}}, "task.kind: set by --task or --seed"),
     ("copy", {"train": {"seed": 4}}, "train.seed: set by --task or --seed"),
     ("copy", '{"model": {"layers": 2,', "not JSON"),
+    ("copy", {"model": {"attention": {"ablation": "static_alpha"}}},
+     "model.attention.ablation: unknown value 'static_alpha'"),
 ], ids=["seq_len_over_max_seq", "unknown_attention_key", "unknown_train_key",
         "unknown_section", "string_int", "bool_int", "float_int", "string_bool",
         "section_not_object", "config_not_object", "vocab_mismatch", "negative_lr",
-        "negative_warmup", "copy_delay", "needle_delay", "kind_in_file", "seed_in_file", "not_json"])
+        "negative_warmup", "copy_delay", "needle_delay", "kind_in_file", "seed_in_file", "not_json",
+        "removed_ablation"])
 def test_train_bad_config_exits_2(tmp_path, capsys, task, doc, message):
     cfg = write_json(tmp_path / "cfg.json", doc)
     code = main(["train", "--task", task, "--config", cfg, "--out", str(tmp_path / "run")])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringskip.checks import run_decode_check
+from ringskip.checks import random_gate_params, run_decode_check
 from ringskip.decoder import CacheGapError, KVCache, decode_step, generate
 from ringskip.model import ModelConfig, init_model, model_forward
 from ringskip.neighborhood import ABLATIONS, AttentionConfig
@@ -18,20 +18,17 @@ def model_cfg(layers=1, k=2, pi=8, **kw):
                        vocab=11, max_seq=64, attention=att)
 
 
-def random_gate_params(cfg, seed=0):
-    """init_model(cfg, seed) with a random gate output layer. init_model's is
-    zero, so every alpha is 0.5 and the gate's input never reaches the logits;
-    these weights make alpha vary per token and head."""
-    params = init_model(cfg, seed=seed)
-    for i, bp in enumerate(params.blocks):
-        rng = Rng(seed).spawn(200 + i)
-        bp.gate.w2[...] = rng.glorot(bp.gate.w2.shape)
-        bp.gate.b2[...] = rng.normal(bp.gate.b2.shape, 0.5)
-    return params
-
-
 def test_stepwise_matches_full_forward():
     assert run_decode_check(model_cfg(), seq_len=24) < 1e-10
+
+
+def test_decode_check_runs_a_live_gate():
+    # init_model's zero gate output puts every alpha at 0.5, where the gate's
+    # input cannot reach the logits; the check's default output layer is random
+    cfg = model_cfg()
+    params = random_gate_params(cfg)
+    assert (params.blocks[0].gate.w2 != 0).all()
+    assert run_decode_check(cfg, seq_len=24) == run_decode_check(cfg, seq_len=24, params=params)
 
 
 # (0, 3) and (0, 1) have ring_k = 0; (3, 1), (0, 1) and (2, 2) put the skip
@@ -46,24 +43,23 @@ def test_stepwise_matches_full_forward_every_config(ablation, random_gate,
     # logit_clamp 0.5 clips most scores of a freshly initialised model, 20 none
     cfg = model_cfg(layers=2, k=k, pi=pi, ablation=ablation,
                     logit_clamp=0.5 if clamp_binds else 20.0)
-    params = random_gate_params(cfg) if random_gate else None
+    # the check's default gate is random; init_model's is the fresh model at alpha 0.5
+    params = None if random_gate else init_model(cfg, seed=0)
     assert run_decode_check(cfg, seq_len=20, params=params) < 1e-8
 
 
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(0, 4), pi=st.integers(1, 20), heads=st.sampled_from([1, 2, 4]),
-       ablation=st.sampled_from(ABLATIONS), random_gate=st.booleans(),
-       layers=st.integers(1, 2), logit_clamp=st.sampled_from([0.5, 20.0]),
-       seed=st.integers(0, 2 ** 16))
-def test_stepwise_matches_full_forward_random_config(k, pi, heads, ablation, random_gate,
-                                                     layers, logit_clamp, seed):
+       ablation=st.sampled_from(ABLATIONS), layers=st.integers(1, 2),
+       logit_clamp=st.sampled_from([0.5, 20.0]), seed=st.integers(0, 2 ** 16))
+def test_stepwise_matches_full_forward_random_config(k, pi, heads, ablation, layers,
+                                                     logit_clamp, seed):
     att = AttentionConfig(d_model=16, n_heads=heads, ring_k=k, skip_period=pi,
                           causal=True, ablation=ablation, logit_clamp=logit_clamp)
     cfg = ModelConfig(layers=layers, d_model=16, n_heads=heads, d_ff=32, vocab=11,
                       max_seq=64, attention=att)
-    params = random_gate_params(cfg, seed) if random_gate else None
     # 24 steps pass the largest skip stride, so the skip slot becomes valid
-    assert run_decode_check(cfg, seq_len=24, seed=seed, params=params) < 1e-8
+    assert run_decode_check(cfg, seq_len=24, seed=seed) < 1e-8
 
 
 def test_interleaved_sequences_keep_their_own_slot_plan():

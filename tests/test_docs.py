@@ -1,6 +1,7 @@
 """README.md names every config field, and the attention options that were
 removed are named nowhere in `src/` or README.md but in the checkpoint reader's
-table of them (`trainer.REMOVED_ATTENTION_FIELDS`)."""
+tables of them (`trainer.REMOVED_ATTENTION_FIELDS` and
+`trainer.REMOVED_ABLATIONS`)."""
 
 import ast
 import dataclasses
@@ -11,7 +12,7 @@ import pytest
 
 from ringskip.model import ModelConfig
 from ringskip.neighborhood import AttentionConfig
-from ringskip.trainer import REMOVED_ATTENTION_FIELDS, TaskSpec, TrainConfig
+from ringskip.trainer import REMOVED_ABLATIONS, REMOVED_ATTENTION_FIELDS, TaskSpec, TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -34,12 +35,15 @@ def test_readme_names_every_config_field(cls):
     assert [f.name for f in dataclasses.fields(cls) if f.name not in words] == []
 
 
+TABLES = ("REMOVED_ATTENTION_FIELDS", "REMOVED_ABLATIONS")
+
+
 def without_removed_fields_table(source: str) -> str:
-    """`source` with the assignment of REMOVED_ATTENTION_FIELDS blanked out."""
+    """`source` with the assignments of the TABLES blanked out."""
     lines = source.splitlines()
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "REMOVED_ATTENTION_FIELDS" for t in node.targets)):
+                and any(getattr(t, "id", None) in TABLES for t in node.targets)):
             lines[node.lineno - 1:node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
     return "\n".join(lines)
 
@@ -47,6 +51,8 @@ def without_removed_fields_table(source: str) -> str:
 def test_removed_fields_table_is_blanked():
     source = 'X = 1\nREMOVED_ATTENTION_FIELDS = {"a": 0,\n  "b": 1}\nY = "a"\n'
     assert without_removed_fields_table(source) == 'X = 1\n\n\nY = "a"'
+    source = 'REMOVED_ABLATIONS = {"c": "d"}\nZ = 2\n'
+    assert without_removed_fields_table(source) == '\nZ = 2'
 
 
 @pytest.mark.parametrize("path", [ROOT / "README.md"] + sorted(SRC.glob("*.py")),
@@ -55,4 +61,5 @@ def test_removed_attention_options_are_not_named(path):
     text = path.read_text()
     if path.suffix == ".py":
         text = without_removed_fields_table(text)
-    assert [name for name in REMOVED_ATTENTION_FIELDS if name in text] == []
+    removed = list(REMOVED_ATTENTION_FIELDS) + list(REMOVED_ABLATIONS)
+    assert [name for name in removed if name in text] == []

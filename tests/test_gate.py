@@ -45,13 +45,6 @@ def test_no_gate_returns_none():
     assert alpha is None and cache is None
 
 
-def test_static_alpha_constant_no_cache():
-    c = cfg(ablation="static_alpha")
-    alpha, cache = gate_forward(random_gate(0), np.zeros((1, 3, 8)), c)
-    assert alpha.shape == (1, 3, 2)
-    assert (alpha == 0.5).all() and cache is None
-
-
 def test_backward_without_cache_rejected():
     with pytest.raises(ValueError, match="no cache"):
         gate_backward(random_gate(0), None, np.zeros((1, 3, 2)))

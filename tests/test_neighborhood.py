@@ -39,6 +39,7 @@ def cfg(**kw):
     (dict(ablation="bogus"), "ablation"),
     (dict(logit_clamp=float("nan")), "logit_clamp"),
     (dict(d_model=0), "d_model"),
+    (dict(ablation="static_alpha"), "ablation"),  # removed: it was the no_gate model
 ])
 def test_validate_names_offending_field(bad, field):
     with pytest.raises(ConfigError, match=field):
