@@ -159,25 +159,34 @@ def gated_softmax(
     scores: np.ndarray,
     alpha_h: Optional[np.ndarray],
     ring_mask: np.ndarray,
-    valid: np.ndarray,
+    valid: Optional[np.ndarray],
     config: AttentionConfig,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """The single fused softmax over the slot (first) axis of `scores`,
-    written into `out` when given.
+    """The single fused softmax over the slot (first) axis of float64
+    `scores`, written into `out` when given.
 
     scores (O, ...); alpha_h (...) or None (the no_gate ablation, no prior);
-    ring_mask (O,); valid broadcasts against scores. The logits are the scores
-    clamped to [-logit_clamp, logit_clamp] plus the gate log-prior, log(alpha)
-    on RING slots and log(1 - alpha) on SKIP (one log per gate value and
-    branch, broadcast over the slots), normalised over the valid slots. The
+    ring_mask (O,); valid broadcasts against scores, or None when every slot
+    counts. The logits are the scores clamped to [-logit_clamp, logit_clamp]
+    plus the gate log-prior, log(alpha) on RING slots and log(1 - alpha) on
+    SKIP (one log per gate value and branch, broadcast over the slots),
+    normalised over the valid slots: invalid slots get -inf, so exp gives them
+    exactly 0, and a column with no valid slot raises. The clamp and the
+    max-subtracted softmax equal `np.clip` and `softmax_row` bit for bit. The
     batched forward, stepwise decoding and the KL check all go through here.
     """
-    logits = np.clip(scores, -config.logit_clamp, config.logit_clamp)
+    logits = np.minimum(np.maximum(scores, -config.logit_clamp), config.logit_clamp)
     if alpha_h is not None:
-        ring = ring_mask.reshape(ring_mask.shape + (1,) * np.ndim(alpha_h))
-        logits = logits + np.where(ring, np.log(alpha_h), np.log(1.0 - alpha_h))
-    return softmax_row(logits, valid, axis=0, out=out)
+        ring = ring_mask.reshape(ring_mask.shape + (1,) * alpha_h.ndim)
+        logits += np.where(ring, np.log(alpha_h), np.log(1.0 - alpha_h))
+    if valid is not None:
+        if not valid.any(axis=0).all():
+            raise ValueError("empty neighborhood: softmax row has no valid entry")
+        logits = np.where(valid, logits, -np.inf)
+    logits -= np.maximum.reduce(logits, 0)
+    np.exp(logits, out=logits)
+    return np.divide(logits, np.add.reduce(logits, 0), out=out)
 
 
 def _band(out, src, coef, start) -> None:

@@ -210,23 +210,31 @@ def run_stacked_grad_check(seed: int = 0, h: float = 1e-3, **kw) -> Dict[str, fl
     return errors
 
 
-def random_gate_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
-    """init_model(cfg, seed) with a random gate output layer, so alpha varies per
-    token and head; at init_model's zero layer every alpha is 0.5."""
+def random_model_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
+    """init_model(cfg, seed) with every bias, layer-norm gain and layer-norm bias
+    and the gate output layer drawn at random. At init_model's zero biases,
+    unit gains and zero gate output layer (alpha 0.5 everywhere), a decoder
+    that drops one of them, or folds it into the wrong product, still matches
+    the forward."""
     params = init_model(cfg, seed=seed)
-    for i, bp in enumerate(params.blocks):
-        rng = Rng(seed).spawn(200 + i)
-        bp.gate.w2[...] = rng.glorot(bp.gate.w2.shape)
-        bp.gate.b2[...] = rng.normal(bp.gate.b2.shape, 0.5)
+    rng = Rng(seed).spawn(200)
+    for name, arr in flatten(params).items():
+        if name.endswith("gate.w2"):
+            arr[...] = rng.glorot(arr.shape)
+        elif name.endswith("_g"):
+            arr[...] = 1.0 + rng.normal(arr.shape, 0.2)
+        elif arr.ndim == 1:
+            arr[...] = rng.normal(arr.shape, 0.5 if name.endswith("gate.b2") else 0.2)
     return params
 
 
 def run_decode_check(cfg: ModelConfig, seq_len: int = 40, seed: int = 0,
                      params: Optional[ModelParams] = None) -> float:
     """Max |stepwise logits - teacher-forced full-forward logits| for `params`,
-    by default `random_gate_params(cfg, seed)`, whose gate reads its input."""
+    by default `random_model_params(cfg, seed)`, whose every parameter, and so
+    the gate's input, reaches the logits."""
     if params is None:
-        params = random_gate_params(cfg, seed)
+        params = random_model_params(cfg, seed)
     rng = Rng(seed).spawn(7)
     tokens = rng.integers(0, cfg.vocab, (seq_len,))
     full_logits, _ = model_forward(tokens[None], params, cfg)

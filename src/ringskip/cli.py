@@ -167,10 +167,14 @@ def cmd_decode(args) -> int:
     except ValueError:
         prompt = [b % cfg.vocab for b in args.prompt.encode("utf-8")]
     # generate rejects tokens outside the vocabulary, max_seq overruns, bad --steps/--temp
+    t0 = time.perf_counter()
     seq = generate(params, cfg, prompt, args.steps, greedy=args.temp is None,
                    temperature=1.0 if args.temp is None else args.temp, rng=Rng(args.seed))
+    # one decode step per position of seq
+    tokens_per_sec = len(seq) / (time.perf_counter() - t0)
     print("decode:", ",".join(map(str, seq)))
-    return _write_outputs(args, 0, {"tokens.csv": ("position,token", enumerate(seq))})
+    return _write_outputs(args, 0, {"tokens.csv": ("position,token", enumerate(seq))},
+                          tokens_per_sec=tokens_per_sec)
 
 
 def cmd_bench(args) -> int:

@@ -2,7 +2,9 @@
 
 A shared two-layer trunk (width d_model/2, GELU) emits H sigmoid outputs per
 token; `clip_alpha` then maps the raw gate alpha affinely onto [eps, 1-eps] so
-the log-priors built from it stay finite.
+the log-priors built from it stay finite. Everything after the trunk's first
+product is `gate_head`, which stepwise decoding calls on the trunk columns of
+its packed product.
 
 Under the no_gate ablation `gate_forward` returns (None, None), the one form
 of "no log-prior": the term is dropped downstream, and callers cannot
@@ -15,9 +17,10 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.special import erf, expit
 
 from .neighborhood import AttentionConfig
-from .numerics import NonFiniteError, Rng, gelu_cdf, gelu_grad, sigmoid
+from .numerics import SQRT2, NonFiniteError, Rng, gelu_grad
 
 
 @dataclass
@@ -68,11 +71,21 @@ def gate_forward(
     if not np.isfinite(inp).all():
         raise NonFiniteError("gate input contains non-finite values")
     h_pre = inp @ params.w1 + params.b1
-    h_cdf = gelu_cdf(h_pre)
-    alpha_raw = sigmoid((h_pre * h_cdf) @ params.w2 + params.b2)
-    alpha = clip_alpha(alpha_raw, config.eps)
+    alpha, h_cdf, alpha_raw = gate_head(h_pre, params, config.eps)
     return alpha, GateCache(inp=inp, h_pre=h_pre, h_cdf=h_cdf,
                             alpha_raw=alpha_raw, eps=config.eps)
+
+
+def gate_head(h_pre: np.ndarray, params: GateParams, eps: float):
+    """The gate after its trunk product: (alpha, h_cdf, alpha_raw) from the
+    pre-GELU hidden h_pre (float64, (..., d_model/2)), where
+    h_cdf = gelu_cdf(h_pre), alpha_raw = sigmoid(w2 . (h_pre * h_cdf) + b2) and
+    alpha = clip_alpha(alpha_raw, eps), each bit for bit. Shared by
+    `gate_forward` and stepwise decoding, which packs the trunk product with
+    the attention projections."""
+    h_cdf = 0.5 * (1.0 + erf(h_pre / SQRT2))
+    alpha_raw = expit((h_pre * h_cdf) @ params.w2 + params.b2)
+    return (1.0 - 2.0 * eps) * alpha_raw + eps, h_cdf, alpha_raw
 
 
 def gate_backward(

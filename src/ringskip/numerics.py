@@ -10,6 +10,9 @@ across reruns with the same seed and BLAS thread count on any number of CPUs.
 
 `softmax_row`, `gelu`, `gelu_grad` and the layer norm skip redundant passes
 but equal their textbook forms bit for bit; the tests keep those forms.
+`normalize` (the layer norm before its affine) and `gelu` are also the rules
+stepwise decoding runs on one row at a time, so their bodies are plain numpy
+on float64 arrays, with no conversions and no nested helpers.
 
 The PRNG is numpy's PCG64 behind a thin seeded wrapper. The algorithm is
 stable across numpy versions for a fixed seed; tests rely on properties of the
@@ -61,14 +64,14 @@ def softmax_row(logits: np.ndarray, valid: Optional[np.ndarray] = None,
 
 
 def gelu_cdf(x: np.ndarray) -> np.ndarray:
-    """Phi(x) = 0.5 (1 + erf(x / sqrt 2)); x * Phi(x) is the GELU bit for bit."""
-    return 0.5 * (1.0 + erf(np.asarray(x, dtype=np.float64) / SQRT2))
+    """Phi(x) = 0.5 (1 + erf(x / sqrt 2)) of a float64 array; x * Phi(x) is
+    the GELU bit for bit."""
+    return 0.5 * (1.0 + erf(x / SQRT2))
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact (erf-based) GELU."""
-    x = np.asarray(x, dtype=np.float64)
-    return x * gelu_cdf(x)
+    """Exact (erf-based) GELU of a float64 array, x * gelu_cdf(x) bit for bit."""
+    return x * (0.5 * (1.0 + erf(x / SQRT2)))
 
 
 def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
@@ -84,17 +87,26 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 LN_EPS = 1e-5
 
 
-def layer_norm_forward(x, gain, bias):
-    """Layer norm over the last axis with variance epsilon 1e-5; centres once
-    and takes the variance from the centred copy.
-
-    Returns (output, cache for `layer_norm_backward`).
-    """
+def normalize(x: np.ndarray):
+    """The layer norm without its affine, over the last axis of a float64
+    array: (xhat, inv) with inv = 1 / sqrt(var + 1e-5) of shape x.shape[:-1].
+    Centres once and takes the variance from the centred copy. The statistics
+    carry no length-1 axis, so those of one (d,) row are numpy scalars, and
+    xhat broadcasts inv through the transposes."""
     d = x.shape[-1]
-    xc = x - x.sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + LN_EPS)
-    xhat = xc * inv
-    return xhat * gain + bias, (xhat, inv, gain)
+    xc = x - (np.add.reduce(x, -1) / d)[..., None]
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, -1) / d + LN_EPS)
+    return (xc.T * inv.T).T, inv
+
+
+def layer_norm_forward(x, gain, bias):
+    """Layer norm over the last axis: `normalize`, then gain and bias.
+
+    Returns (output, cache for `layer_norm_backward`); the cache's inv keeps
+    a length-1 last axis.
+    """
+    xhat, inv = normalize(x)
+    return xhat * gain + bias, (xhat, inv[..., None], gain)
 
 
 def layer_norm_backward(cache, dy):

@@ -467,6 +467,38 @@ def test_gated_softmax_reproduces_forward_probs(clamp_binds):
     assert np.array_equal(probs, cache.probs)
 
 
+def gated_softmax_textbook(scores, alpha_h, ring, valid, c):
+    """np.clip, the log-prior by np.where and `softmax_row` over the slot axis."""
+    logits = np.clip(scores, -c.logit_clamp, c.logit_clamp)
+    ring = ring.reshape(ring.shape + (1,) * alpha_h.ndim)
+    logits = logits + np.where(ring, np.log(alpha_h), np.log(1.0 - alpha_h))
+    return softmax_row(logits, valid, axis=0)
+
+
+@pytest.mark.parametrize("clamp", [0.5, 20.0, np.inf])
+def test_gated_softmax_clamp_is_np_clip_bit_for_bit(clamp):
+    # finite scores on both sides of the clamp, +-inf and NaN; a NaN score
+    # makes its whole column NaN, as np.clip's NaN did
+    c = cfg(logit_clamp=clamp)
+    rng = Rng(11)
+    scores = rng.normal((5, 2, 3, 7), 10.0)
+    scores[0, 0, 0, :3] = np.inf, -np.inf, np.nan
+    scores[2, 1, 2, 4] = -np.inf
+    ring = np.array([True, True, True, False, False])
+    alpha = rng.uniform((2, 3, 7), 0.1, 0.9)
+    valid = rng.uniform((5, 1, 1, 7)) < 0.7
+    valid[1] = True
+    with np.errstate(invalid="ignore"):  # inf - inf under an infinite clamp
+        for v in (valid, None):
+            got = gated_softmax(scores, alpha, ring, v, c)
+            want = gated_softmax_textbook(scores, alpha, ring, True if v is None else v, c)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        # valid=None is the all-valid mask
+        all_valid = gated_softmax(scores, alpha, ring, np.ones((5, 1, 1, 7), bool), c)
+    assert np.array_equal(got, all_valid, equal_nan=True)
+    assert np.isnan(got[:, 0, 0, 2]).all() and np.isfinite(got[:, 0, 0, 3:]).all()
+
+
 @pytest.mark.parametrize("d_model,n_heads", [(8, 2), (64, 4)])
 def test_random_attention_params_equal_per_tensor_draws(d_model, n_heads):
     # the stacked draws must keep every parameter, and so the inputs of the

@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringskip.checks import random_gate_params, run_decode_check
+from ringskip.checks import random_model_params, run_decode_check
 from ringskip.decoder import CacheGapError, KVCache, decode_step, generate
-from ringskip.model import ModelConfig, init_model, model_forward
-from ringskip.neighborhood import ABLATIONS, AttentionConfig
-from ringskip.numerics import Rng
+from ringskip.model import ModelConfig, flatten, init_model, model_forward
+from ringskip.neighborhood import ABLATIONS, AttentionConfig, ConfigError
+from ringskip.numerics import NonFiniteError, Rng
 
 
 def model_cfg(layers=1, k=2, pi=8, **kw):
@@ -24,10 +26,16 @@ def test_stepwise_matches_full_forward():
 
 def test_decode_check_runs_a_live_gate():
     # init_model's zero gate output puts every alpha at 0.5, where the gate's
-    # input cannot reach the logits; the check's default output layer is random
-    cfg = model_cfg()
-    params = random_gate_params(cfg)
-    assert (params.blocks[0].gate.w2 != 0).all()
+    # input cannot reach the logits, and its zero biases and unit gains hide a
+    # decoder that drops or misfolds one; the check's default draws them all
+    cfg = model_cfg(layers=2)
+    params = random_model_params(cfg)
+    fresh = flatten(init_model(cfg, seed=0))
+    for name, arr in flatten(params).items():
+        if arr.ndim == 1 or name.endswith("gate.w2"):
+            assert (arr != fresh[name]).all(), name
+        else:
+            assert np.array_equal(arr, fresh[name]), name
     assert run_decode_check(cfg, seq_len=24) == run_decode_check(cfg, seq_len=24, params=params)
 
 
@@ -43,7 +51,8 @@ def test_stepwise_matches_full_forward_every_config(ablation, random_gate,
     # logit_clamp 0.5 clips most scores of a freshly initialised model, 20 none
     cfg = model_cfg(layers=2, k=k, pi=pi, ablation=ablation,
                     logit_clamp=0.5 if clamp_binds else 20.0)
-    # the check's default gate is random; init_model's is the fresh model at alpha 0.5
+    # the check's default draws every bias, gain and the gate output layer;
+    # init_model's is the fresh model at alpha 0.5
     params = None if random_gate else init_model(cfg, seed=0)
     assert run_decode_check(cfg, seq_len=20, params=params) < 1e-8
 
@@ -83,6 +92,51 @@ def test_interleaved_sequences_keep_their_own_slot_plan():
         full, _ = model_forward(tokens[i][None], params[i], cfgs[i])
         assert np.array_equal(np.array(steps[i]), alone(i))
         assert np.abs(np.array(steps[i]) - full[0]).max() < 1e-8
+
+
+def test_a_sequence_keeps_the_params_object_it_started_with():
+    # the plan packed at t == 0 copies the params, so a step that passes
+    # another object (even an equal one) would decode with stale weights
+    cfg = model_cfg(layers=2)
+    params = random_model_params(cfg)
+    cache = KVCache.empty(cfg.layers)
+    decode_step(params, cfg, cache, 1, 0)
+    for other in (random_model_params(cfg), dataclasses.replace(params)):
+        with pytest.raises(ConfigError, match="params object it started with"):
+            decode_step(other, cfg, cache, 2, 1)
+    assert cache.next_pos == 1
+    decode_step(params, cfg, cache, 2, 1)
+    # a new sequence packs whichever params it starts with
+    decode_step(random_model_params(cfg, seed=1), cfg, KVCache.empty(cfg.layers), 1, 0)
+
+
+@pytest.mark.parametrize("ablation", ["full", "no_gate"])
+@pytest.mark.parametrize("where", ["tok_emb", "blocks.0.w_ff2", "blocks.1.ln1_g",
+                                   "blocks.1.w_ff2", "lnf_b"])
+def test_decode_raises_non_finite_where_the_forward_gate_does(ablation, where):
+    # the forward's gate raises on a non-finite input row in any layer; a NaN
+    # after the last layer's gate (its FFN or the final norm) reaches only the
+    # logits, and under no_gate there is no gate to raise
+    cfg = model_cfg(layers=2, ablation=ablation)
+    params = random_model_params(cfg)
+    flatten(params)[where][..., 3] = np.nan
+    tokens = np.arange(8) % cfg.vocab
+    try:
+        model_forward(tokens[None], params, cfg)
+        forward_raises = False
+    except NonFiniteError:
+        forward_raises = True
+    assert forward_raises == (ablation == "full" and where in ("tok_emb", "blocks.0.w_ff2",
+                                                               "blocks.1.ln1_g"))
+    cache = KVCache.empty(cfg.layers)
+    if forward_raises:
+        with pytest.raises(NonFiniteError, match="gate input"):
+            for t, tok in enumerate(tokens):
+                decode_step(params, cfg, cache, int(tok), t)
+    else:
+        for t, tok in enumerate(tokens):
+            logits = decode_step(params, cfg, cache, int(tok), t)
+        assert not np.isfinite(logits).all()
 
 
 def test_cache_retention_window():

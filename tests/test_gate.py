@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringskip.gate import GateParams, gate_backward, gate_forward, init_gate
+from ringskip.gate import GateParams, clip_alpha, gate_backward, gate_forward, init_gate
 from ringskip.neighborhood import AttentionConfig
-from ringskip.numerics import Rng, grad_check
+from ringskip.numerics import Rng, gelu_cdf, grad_check, sigmoid
 
 
 def cfg(**kw):
@@ -37,6 +37,21 @@ def test_alpha_stays_inside_clip_band(seed, scale):
     alpha, _ = gate_forward(params, x, cfg())
     eps = cfg().eps
     assert (alpha >= eps).all() and (alpha <= 1.0 - eps).all()
+
+
+@settings(max_examples=50, deadline=None)
+@given(shape=st.sampled_from([(8,), (3, 8), (2, 5, 8)]), seed=st.integers(0, 2 ** 31 - 1),
+       eps=st.sampled_from([1e-4, 1e-2]), scale=st.sampled_from([0.1, 1.0, 30.0]))
+def test_gate_forward_is_the_textbook_chain_bit_for_bit(shape, seed, eps, scale):
+    params = random_gate(seed)
+    x = Rng(seed + 1).normal(shape, scale)
+    alpha, cache = gate_forward(params, x, cfg(eps=eps))
+    h_pre = x @ params.w1 + params.b1
+    h_cdf = gelu_cdf(h_pre)
+    alpha_raw = sigmoid((h_pre * h_cdf) @ params.w2 + params.b2)
+    for got, want in [(alpha, clip_alpha(alpha_raw, eps)), (cache.h_pre, h_pre),
+                      (cache.h_cdf, h_cdf), (cache.alpha_raw, alpha_raw)]:
+        assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_no_gate_returns_none():

@@ -15,6 +15,7 @@ from ringskip.numerics import (
     grad_check,
     layer_norm_backward,
     layer_norm_forward,
+    normalize,
     sigmoid,
     softmax_row,
 )
@@ -204,6 +205,18 @@ def test_layer_norm_bit_identical_to_mean_var_form(shape, seed, scale, shift):
     assert bits_equal(dx, layer_norm_backward_textbook(xhat, inv, gain, dy))
     assert bits_equal(d_gain, (dy * xhat).reshape(-1, shape[-1]).sum(axis=0))
     assert bits_equal(d_bias, dy.reshape(-1, shape[-1]).sum(axis=0))
+
+
+def test_layer_norm_of_one_row_keeps_its_cache_shapes():
+    # decode normalises one (d,) row, whose statistics `normalize` keeps as
+    # scalars; the layer norm's cache of such a row is unchanged
+    rng = Rng(4)
+    x, gain, bias = rng.normal((8,)), rng.normal((8,)), rng.normal((8,))
+    y, (xhat, inv, g) = layer_norm_forward(x, gain, bias)
+    assert y.shape == xhat.shape == (8,) and inv.shape == (1,) and g is gain
+    n_xhat, n_inv = normalize(x)
+    assert np.shape(n_inv) == () and bits_equal(n_xhat, xhat) and bits_equal(n_inv, inv[0])
+    assert bits_equal(y, xhat * gain + bias)
 
 
 @settings(max_examples=200, deadline=None)
