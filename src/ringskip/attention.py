@@ -30,34 +30,42 @@ no copies). The two must agree to ~1e-12 arithmetic noise.
 Backward passes are hand-derived reverse mode; every gradient is covered by
 central-difference checks in the test suite.
 
-A large call uses both CPUs by the rule of `split`: batch rows [0, ⌈B/2⌉) run
-on the caller and the rest on the one worker thread, each half writing its
-rows of whole-batch arrays allocated before the split. Per half run every
-row-local step: in the forward the Q/K/V and output projections, the head
-split and merge, `gate_forward`, `_slot_dots`, `gated_softmax` and `_gather`
-(the gate's cache is joined from its two halves after both have run); in the
-backward d_out @ wo.T, `_slot_dots`, `_scatter`, `_gather`, the softmax
-backward, d_alpha, and the d_q/d_k/d_v merges with their products into d_x.
-What sums over rows stays whole and runs once on the caller after the
-halves: every weight and bias gradient and `gate_backward`. So each sum keeps
-the unsplit call's order, and forward and backward are bit-identical to the
-call run inline. A call runs whole, inline, when its B * H * n is below
-SPLIT_MIN_ROWS, on a host that gives the process one CPU, inside a half of
-another split (a train step or `evaluate`), or when a parameter is
+A large call, one with B * H * n >= SPLIT_MIN_ROWS, uses both CPUs by the
+rule of `split`: batch rows [0, ⌈B/2⌉) run on the caller and the rest on the
+one worker thread, each half writing its rows of whole-batch arrays allocated
+before the split. Per half run every row-local step: in the forward the
+Q/K/V and output projections, the head split and merge, `gate_forward` (into
+the rows of one `empty_gate` cache), `_slot_dots`, `gated_softmax` and
+`_gather`; in the backward d_out @ wo.T, `_slot_dots`, `_scatter`, `_gather`,
+the softmax backward, d_alpha, the gate's row-local chain
+`gate_rows_backward`, and the d_q/d_k/d_v merges with their products into
+d_x. What sums over rows runs after the halves as two concurrent jobs, each
+sum whole: the caller takes the wq and wk gradients, bq and the gate's first
+layer (`gate_sums` of w1, b1); the worker takes wv, wo, bv, bo and the gate's
+second layer (w2, b2). So each sum keeps the unsplit call's order, and
+forward and backward are bit-identical to the call run inline. A call runs
+whole, inline, with its two jobs in order on the caller, when its B * H * n
+is below SPLIT_MIN_ROWS, on a host that gives the process one CPU, inside a
+half of another split (a train step or `evaluate`), or when a parameter is
 replica-stacked (a leading axis of one replica per batch row, as
 `checks.run_stacked_grad_check` builds).
+
+Every large call, split or not, calls `split.keep_heap`, so from the first
+one on glibc keeps freed memory in the heap: the next call reuses its arrays
+instead of faulting tens of MB of fresh pages in again. Small calls never
+switch it on.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .gate import GateCache, GateParams, gate_backward, gate_forward
+from .gate import (GateCache, GateParams, empty_gate, gate_forward, gate_rows_backward,
+                   gate_sums)
 from .neighborhood import AttentionConfig, ExecutionPlan, UnionNeighborhood
 from .numerics import (
     Rng,
@@ -68,7 +76,7 @@ from .numerics import (
     layer_norm_forward,
     softmax_row,
 )
-from .split import can_split, halves, in_halves
+from .split import can_split, halves, in_halves, keep_heap
 
 
 @dataclass
@@ -257,22 +265,23 @@ def _parts(b: int, rows_per_item: int, *params) -> List[Tuple[slice]]:
     """The argument (rows,) of each half of a call over b batch rows, by
     `split.halves`. All b rows are one part when b * rows_per_item is below
     SPLIT_MIN_ROWS, when the call cannot split (one CPU, or inside a half of
-    another split), or when a tensor of `params` is replica-stacked (3-D)."""
-    if (b * rows_per_item >= SPLIT_MIN_ROWS and can_split()
-            and all(a.ndim < 3 for p in params for a in vars(p).values())):
+    another split), or when a tensor of `params` is replica-stacked (3-D).
+    A call at or above the cut switches on `split.keep_heap`."""
+    if b * rows_per_item < SPLIT_MIN_ROWS:
+        return [(slice(0, b),)]
+    keep_heap()
+    if can_split() and all(a.ndim < 3 for p in params for a in vars(p).values()):
         return [(rows,) for rows in halves(b)]
     return [(slice(0, b),)]
 
 
-def _joined(x: np.ndarray, head: tuple, tail: tuple):
-    """`gate_forward`'s (alpha, cache) over all rows of x, from its results on
-    the two halves joined in row order."""
-    (alpha, cache), (alpha_tail, cache_tail) = head, tail
-    if alpha is None:
-        return head
-    return np.concatenate([alpha, alpha_tail]), dataclasses.replace(cache, inp=x, **{
-        name: np.concatenate([getattr(cache, name), getattr(cache_tail, name)])
-        for name in ("h_pre", "h_cdf", "alpha_raw")})
+def _in_jobs(jobs: List, split: bool) -> list:
+    """[job() for job in jobs] for two zero-argument callables: at once through
+    `split.in_halves` when `split` (the first on the caller, the second on the
+    worker), else in order here."""
+    if not split:
+        return [job() for job in jobs]
+    return in_halves(lambda job: job(), [(job,) for job in jobs])
 
 
 def pi_attention_forward(
@@ -303,14 +312,17 @@ def pi_attention_forward(
     probs = np.empty_like(scores)
     fused = np.empty((b, n, d))
     out = np.empty((b, n, d))
+    alpha, gate_cache = empty_gate(gate_params, x, config)
 
-    def rows_forward(rows: slice):
+    def rows_forward(rows: slice) -> None:
         xr, q, k, v, f = x[rows], qh[rows], kh[rows], vh[rows], fused[rows]
         split_heads(xr @ proj.wq + proj.bq, h_cnt, pad, out=q)
         split_heads(xr @ proj.wk, h_cnt, pad, out=k)
         split_heads(xr @ proj.wv + proj.bv, h_cnt, pad, out=v)
-        alpha, gate_cache = gate_forward(gate_params, xr, config)
-        alpha_h = None if alpha is None else alpha.transpose(0, 2, 1)  # (B, H, n)
+        alpha_h = None
+        if alpha is not None:
+            gate_forward(gate_params, xr, config, out=(alpha[rows], gate_cache.rows(rows)))
+            alpha_h = alpha[rows].transpose(0, 2, 1)  # (B, H, n)
         s = scores[:, rows]
         _slot_dots(s, q, k, schedule)
         s *= scale
@@ -320,10 +332,8 @@ def pi_attention_forward(
         _gather(out_h, p, v, schedule)
         _heads(f, h_cnt)[...] = out_h
         np.add(f @ proj.wo, proj.bo, out=out[rows])
-        return alpha, gate_cache
 
-    gates = in_halves(rows_forward, _parts(b, h_cnt * n, proj, gate_params))
-    alpha, gate_cache = gates[0] if len(gates) == 1 else _joined(x, *gates)
+    in_halves(rows_forward, _parts(b, h_cnt * n, proj, gate_params))
 
     n_valid = schedule.n_valid
     cache = AttnCache(
@@ -354,15 +364,12 @@ def pi_attention_backward(
     h_cnt, d_h = cfg.n_heads, cfg.head_dim
     scale = 1.0 / math.sqrt(d_h)
     plan = cache.schedule
-
-    flat_fused = cache.fused.reshape(-1, d)
-    flat_dout = d_out.reshape(-1, d)
-    d_wo = flat_fused.T @ flat_dout
-    d_bo = flat_dout.sum(axis=0)
+    gate_cache = cache.gate_cache
 
     d_q, d_k, d_v = np.empty((3, b, n, d))
     d_x = np.empty((b, n, d))
-    d_alpha_h = None if cache.gate_cache is None else np.empty((b, h_cnt, n))
+    if gate_cache is not None:
+        dz, dh = np.empty(gate_cache.alpha_raw.shape), np.empty(gate_cache.h_pre.shape)
 
     def rows_backward(rows: slice) -> None:
         d_out_h = split_heads(d_out[rows] @ proj.wo.T, h_cnt, plan.pad)
@@ -377,10 +384,10 @@ def pi_attention_backward(
         d_logits = probs * (d_probs - inner)
         # the clamp passes the gradient where it did not bind; the prior sits after it
         d_scores = d_logits * (np.abs(cache.scores_raw[:, rows]) <= cfg.logit_clamp)
-        if d_alpha_h is not None:
+        if gate_cache is not None:
             alpha_h = cache.alpha[rows].transpose(0, 2, 1)  # (B, H, n)
-            d_alpha_h[rows] = (d_logits[plan.ring].sum(axis=0) / alpha_h
-                               - d_logits[~plan.ring].sum(axis=0) / (1.0 - alpha_h))
+            d_alpha_h = (d_logits[plan.ring].sum(axis=0) / alpha_h
+                         - d_logits[~plan.ring].sum(axis=0) / (1.0 - alpha_h))
         del d_out_h, d_probs, d_logits
 
         d_scores *= scale
@@ -391,21 +398,33 @@ def pi_attention_backward(
             _heads(whole[rows], h_cnt)[...] = part
         np.add(d_q[rows] @ proj.wq.T + d_k[rows] @ proj.wk.T, d_v[rows] @ proj.wv.T,
                out=d_x[rows])
+        if gate_cache is not None:
+            d_x[rows] += gate_rows_backward(gate_params, gate_cache.rows(rows),
+                                            d_alpha_h.transpose(0, 2, 1),
+                                            out=(dz[rows], dh[rows]))[2]
 
-    in_halves(rows_backward, _parts(b, h_cnt * n, proj, gate_params))
+    parts = _parts(b, h_cnt * n, proj, gate_params)
+    in_halves(rows_backward, parts)
 
-    # the weight gradients sum over every row, once, in the order of the unsplit call
-    gate_grads: Optional[GateParams] = None
-    if d_alpha_h is not None:
-        d_gate_in, gate_grads = gate_backward(gate_params, cache.gate_cache,
-                                              d_alpha_h.transpose(0, 2, 1))
-        d_x += d_gate_in
+    # each weight gradient sums over every row, whole, in the order of the
+    # unsplit call; the two jobs hold disjoint sums
     flat_x = cache.x.reshape(-1, d)
+    flat_dout = d_out.reshape(-1, d)
     d_q, d_k, d_v = (g.reshape(-1, d) for g in (d_q, d_k, d_v))
-    proj_grads = ProjectionParams(
-        wq=flat_x.T @ d_q, wk=flat_x.T @ d_k, wv=flat_x.T @ d_v, wo=d_wo,
-        bq=d_q.sum(axis=0), bv=d_v.sum(axis=0), bo=d_bo,
-    )
+
+    def caller_sums() -> tuple:
+        return (flat_x.T @ d_q, flat_x.T @ d_k, d_q.sum(axis=0),
+                None if gate_cache is None else gate_sums(gate_cache.inp, dh))
+
+    def worker_sums() -> tuple:
+        return (flat_x.T @ d_v, cache.fused.reshape(-1, d).T @ flat_dout, d_v.sum(axis=0),
+                flat_dout.sum(axis=0),
+                None if gate_cache is None else gate_sums(gate_cache.h_pre * gate_cache.h_cdf, dz))
+
+    (wq, wk, bq, layer1), (wv, wo, bv, bo, layer2) = _in_jobs([caller_sums, worker_sums],
+                                                              len(parts) == 2)
+    proj_grads = ProjectionParams(wq=wq, wk=wk, wv=wv, wo=wo, bq=bq, bv=bv, bo=bo)
+    gate_grads = None if layer1 is None else GateParams(*layer1, *layer2)
     return d_x, proj_grads, gate_grads
 
 

@@ -4,8 +4,10 @@ All tabular output is CSV with documented headers; configs are JSON. Each
 command computes and prints, then `_write_outputs` writes all of its files, so
 a command that exits 2 writes none: a manifest.json (command, seed, timestamp,
 numpy and scipy versions, the BLAS thread variables and `threads`, the thread
-count of the `split` rule: 2, or 1 on a one-CPU host), the CSVs and
-summary.json. CSV bodies are byte-identical across reruns with the same seed
+count of the `split` rule: 2, or 1 on a one-CPU host; `heap_kept`, whether a
+large attention call has switched on `split.keep_heap`, and `minor_faults`,
+the process's minor page faults over the command, None where the platform
+does not count them), the CSVs and summary.json. CSV bodies are byte-identical across reruns with the same seed
 and BLAS thread count (times live only in the manifest), on any number of
 CPUs: `train` splits each batch into two fixed halves and adds their
 gradients in a fixed order, and attention splits only steps that never sum
@@ -26,6 +28,11 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 from . import __version__
 from .checks import (
     ORACLE_TOL,
@@ -38,7 +45,7 @@ from .neighborhood import AttentionConfig, ConfigError, build_union, from_dict, 
 from .perf import (CostParams, WorkRow, cost_model_eval, fit_cost_constants, ring_simulate,
                    work_report)
 from .rfield import RfRow, rf_report
-from .split import threads
+from .split import heap_kept, threads
 from .trainer import CONFIG_DEFAULTS, load_checkpoint, load_config, train
 from .decoder import generate
 from .numerics import Rng
@@ -75,6 +82,8 @@ def _write_outputs(args, code: int, csvs: dict, summary: dict | None = None,
         "scipy": scipy.__version__,
         **{var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "threads": threads(),
+        "heap_kept": heap_kept(),
+        "minor_faults": None if resource is None else _minor_faults() - args.start_faults,
         **telemetry,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -84,6 +93,10 @@ def _write_outputs(args, code: int, csvs: dict, summary: dict | None = None,
     if summary is not None:
         (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return code
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def _load_json(path: str):
@@ -382,6 +395,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    args.start_faults = None if resource is None else _minor_faults()
     try:
         if args.seed < 0:  # PCG64 takes no negative seed
             raise ConfigError(f"seed: must be >= 0, got {args.seed}")

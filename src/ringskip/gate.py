@@ -9,6 +9,13 @@ its packed product.
 Under the no_gate ablation `gate_forward` returns (None, None), the one form
 of "no log-prior": the term is dropped downstream, and callers cannot
 accidentally use a gate value.
+
+A split attention call runs the gate per half of its batch rows. In the
+forward each half writes its rows of one whole-batch cache (`empty_gate`,
+`GateCache.rows`, `gate_forward`'s `out`). `gate_backward` is two parts: the
+row-local chain `gate_rows_backward` (dz, dh, the input gradient), which runs
+per half, and `gate_sums`, each weight and bias gradient one reduction over
+all rows, which runs whole after the halves.
 """
 
 from __future__ import annotations
@@ -55,37 +62,92 @@ class GateCache:
     alpha_raw: np.ndarray
     eps: float
 
+    def rows(self, rows: slice) -> "GateCache":
+        """The cache of batch rows `rows`, as views: writing it writes this one."""
+        return GateCache(inp=self.inp[rows], h_pre=self.h_pre[rows], h_cdf=self.h_cdf[rows],
+                         alpha_raw=self.alpha_raw[rows], eps=self.eps)
+
+
+# the `out` of `gate_forward` that writes nothing given: every array is fresh
+_FRESH = (None, GateCache(inp=None, h_pre=None, h_cdf=None, alpha_raw=None, eps=0.0))
+
+
+def empty_gate(
+    params: GateParams,
+    inp: np.ndarray,
+    config: AttentionConfig,
+) -> Tuple[Optional[np.ndarray], Optional[GateCache]]:
+    """`gate_forward`'s (alpha, cache) over inp (B, n, d_model) with its arrays
+    allocated and not yet written; (None, None) under the no_gate ablation."""
+    if config.ablation == "no_gate":
+        return None, None
+    lead, hidden, heads = inp.shape[:-1], params.w1.shape[-1:], params.w2.shape[-1:]
+    return np.empty(lead + heads), GateCache(
+        inp=inp, h_pre=np.empty(lead + hidden), h_cdf=np.empty(lead + hidden),
+        alpha_raw=np.empty(lead + heads), eps=config.eps)
+
 
 def gate_forward(
     params: GateParams,
     inp: np.ndarray,
     config: AttentionConfig,
+    out: Optional[Tuple[np.ndarray, GateCache]] = None,
 ) -> Tuple[Optional[np.ndarray], Optional[GateCache]]:
     """Stabilized gate values, shape (..., n, H), and the cache for
     `gate_backward`; both None under the no_gate ablation.
 
     alpha = clip_alpha(sigmoid(w2 . gelu(w1 . inp + b1) + b2), eps).
+    Given `out`, an (alpha, cache) of the result's shapes (rows of
+    `empty_gate`'s), the values are written into its arrays.
     """
     if config.ablation == "no_gate":
         return None, None
     if not np.isfinite(inp).all():
         raise NonFiniteError("gate input contains non-finite values")
-    h_pre = inp @ params.w1 + params.b1
-    alpha, h_cdf, alpha_raw = gate_head(h_pre, params, config.eps)
+    alpha, cache = out or _FRESH
+    h_pre = np.add(inp @ params.w1, params.b1, out=cache.h_pre)
+    alpha, h_cdf, alpha_raw = gate_head(h_pre, params, config.eps,
+                                        (alpha, cache.h_cdf, cache.alpha_raw))
     return alpha, GateCache(inp=inp, h_pre=h_pre, h_cdf=h_cdf,
                             alpha_raw=alpha_raw, eps=config.eps)
 
 
-def gate_head(h_pre: np.ndarray, params: GateParams, eps: float):
+def gate_head(h_pre: np.ndarray, params: GateParams, eps: float, out=(None, None, None)):
     """The gate after its trunk product: (alpha, h_cdf, alpha_raw) from the
     pre-GELU hidden h_pre (float64, (..., d_model/2)), where
     h_cdf = gelu_cdf(h_pre), alpha_raw = sigmoid(w2 . (h_pre * h_cdf) + b2) and
-    alpha = clip_alpha(alpha_raw, eps), each bit for bit. Shared by
+    alpha = clip_alpha(alpha_raw, eps), each bit for bit; written into the
+    arrays of `out` (alpha, h_cdf, alpha_raw) that are not None. Shared by
     `gate_forward` and stepwise decoding, which packs the trunk product with
     the attention projections."""
-    h_cdf = 0.5 * (1.0 + erf(h_pre / SQRT2))
-    alpha_raw = expit((h_pre * h_cdf) @ params.w2 + params.b2)
-    return (1.0 - 2.0 * eps) * alpha_raw + eps, h_cdf, alpha_raw
+    alpha, h_cdf, alpha_raw = out
+    h_cdf = np.multiply(0.5, 1.0 + erf(h_pre / SQRT2), out=h_cdf)
+    alpha_raw = expit((h_pre * h_cdf) @ params.w2 + params.b2, out=alpha_raw)
+    return np.add((1.0 - 2.0 * eps) * alpha_raw, eps, out=alpha), h_cdf, alpha_raw
+
+
+def gate_rows_backward(
+    params: GateParams,
+    cache: GateCache,
+    d_alpha: np.ndarray,
+    out=(None, None),
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row-local chain through clip, sigmoid and the trunk: (dz, dh, d_inp),
+    the gradients at the output layer's pre-activation, the hidden
+    pre-activation and the gate input, row for row of `cache`; dz and dh are
+    written into the arrays of `out` (dz, dh) that are not None."""
+    dz = np.multiply((1.0 - 2.0 * cache.eps) * d_alpha * cache.alpha_raw,
+                     1.0 - cache.alpha_raw, out=out[0])
+    dh = np.multiply(dz @ params.w2.T, gelu_grad(cache.h_pre, cache.h_cdf), out=out[1])
+    return dz, dh, dh @ params.w1.T
+
+
+def gate_sums(inp: np.ndarray, d_pre: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The weight and bias gradients of one gate layer, inp @ w + b, given its
+    input (..., a) and the gradient at its output (..., c): (a, c) and (c,),
+    each one reduction over all rows."""
+    flat_d = d_pre.reshape(-1, d_pre.shape[-1])
+    return inp.reshape(-1, inp.shape[-1]).T @ flat_d, flat_d.sum(axis=0)
 
 
 def gate_backward(
@@ -93,21 +155,14 @@ def gate_backward(
     cache: Optional[GateCache],
     d_alpha: np.ndarray,
 ) -> Tuple[np.ndarray, GateParams]:
-    """Chain rule through clip, sigmoid, and the trunk.
+    """Chain rule through clip, sigmoid, and the trunk: `gate_rows_backward`,
+    then `gate_sums` of each layer.
 
     Returns (gradient w.r.t. the gate input, gradient tree for the params).
     """
     if cache is None:
         raise ValueError("gate_backward: no cache (ablated gate has no gradients)")
-    dz = (1.0 - 2.0 * cache.eps) * d_alpha * cache.alpha_raw * (1.0 - cache.alpha_raw)
-    flat_h = (cache.h_pre * cache.h_cdf).reshape(-1, cache.h_pre.shape[-1])
-    flat_dz = dz.reshape(-1, dz.shape[-1])
-    d_w2 = flat_h.T @ flat_dz
-    d_b2 = flat_dz.sum(axis=0)
-    dh = (dz @ params.w2.T) * gelu_grad(cache.h_pre, cache.h_cdf)
-    flat_in = cache.inp.reshape(-1, cache.inp.shape[-1])
-    flat_dh = dh.reshape(-1, dh.shape[-1])
-    d_w1 = flat_in.T @ flat_dh
-    d_b1 = flat_dh.sum(axis=0)
-    d_inp = dh @ params.w1.T
+    dz, dh, d_inp = gate_rows_backward(params, cache, d_alpha)
+    d_w1, d_b1 = gate_sums(cache.inp, dh)
+    d_w2, d_b2 = gate_sums(cache.h_pre * cache.h_cdf, dz)
     return d_inp, GateParams(w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2)

@@ -9,12 +9,22 @@ Splits do not nest: a call to `in_halves` made while either half of another
 runs (on the caller or on the worker) runs its halves inline. So there is
 never more than one worker thread, and the worker never waits on itself.
 `trainer` splits each batch of a train step and of `evaluate`; `attention`
-splits the row-local steps of each large forward and backward, and runs a
-call whole where `can_split` is False.
+splits the row-local steps of each large forward and backward, runs the
+backward's whole-row sums as two concurrent jobs, and runs a call whole where
+`can_split` is False.
+
+A large attention call frees and reallocates tens of MB of arrays per call.
+glibc hands blocks above its mmap threshold, and a heap top above its trim
+threshold, back to the kernel, so each call would fault its memory in again.
+`keep_heap`, called by every large attention call, makes the first one set
+both thresholds so that freed memory stays in the process: the process then
+stays at its high-water mark of resident memory, and `heap_kept` says whether
+that happened. Small calls never call it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 from concurrent import futures
@@ -24,6 +34,10 @@ from typing import Callable, List
 _WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="ringskip-half")
 # `busy` is True on a thread while it runs a half
 _STATE = threading.local()
+# None until the first `keep_heap` call, then whether retention is on; it
+# mirrors the C library's allocator settings, which are process-wide
+_HEAP_KEPT = None
+_HEAP_LOCK = threading.Lock()
 
 
 def threads() -> int:
@@ -66,3 +80,26 @@ def in_halves(fn: Callable, parts: List[tuple]) -> list:
     finally:
         futures.wait([pending])
     return [head, pending.result()]
+
+
+def keep_heap() -> None:
+    """From the first call on, glibc keeps freed memory in the heap for reuse:
+    M_MMAP_THRESHOLD (-3) goes to its largest value, 32 MiB, so blocks below it
+    come from the heap, and M_TRIM_THRESHOLD (-1) to -1, never trim. Later
+    calls do nothing. Where the C library has no `mallopt`, nothing changes."""
+    global _HEAP_KEPT
+    with _HEAP_LOCK:
+        if _HEAP_KEPT is not None:
+            return
+        _HEAP_KEPT = False
+        try:
+            mallopt = ctypes.CDLL(None).mallopt
+        except (AttributeError, OSError, TypeError):
+            return
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        _HEAP_KEPT = bool(mallopt(-3, 32 << 20)) & bool(mallopt(-1, -1))
+
+
+def heap_kept() -> bool:
+    """True once `keep_heap` has switched retention on in this process."""
+    return bool(_HEAP_KEPT)

@@ -116,10 +116,9 @@ def test_masked_sparse_matches_oracle_and_gradients(data):
     # k up to 4 draws ring bands wider than n; the random user_mask punches
     # holes inside the spans of the other offsets. Dropping the self slot
     # splits the ring into two runs. A causal token 0 would have no slot left,
-    # and at k = 1 the mask empties the neighborhood of an end token half the
-    # time, so it is drawn only when not causal and k >= 2, and as
-    # `drop_self`, so that Hypothesis's simplest examples keep the slot; more
-    # rejections early on trip `filter_too_much`
+    # and at k = 1 an end token has one slot, so it is drawn only when not
+    # causal and k >= 2, and as `drop_self`, so that Hypothesis's simplest
+    # examples keep the slot; more rejections early on trip `filter_too_much`
     n = data.draw(st.integers(1, 24), label="n")
     causal = data.draw(st.booleans(), label="causal")
     k = data.draw(st.integers(0, 4), label="k")
@@ -134,6 +133,13 @@ def test_masked_sparse_matches_oracle_and_gradients(data):
     user_mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n),
                                    label="user_mask"))
     try:
+        # a row whose every key the draw masks keeps its first one, so the
+        # mask never empties a neighborhood the unmasked config fills
+        plan = gather_schedule(c, n)
+        for i in range(n):
+            keys = plan.offsets[plan.valid[:, i]] + i
+            if not user_mask[keys].any():
+                user_mask[keys[0]] = True
         sched = gather_schedule(c, n, user_mask)
         union = build_union(c, n, user_mask)
     except EmptyNeighborhoodError:
@@ -578,16 +584,34 @@ def test_dense_oracle_respects_mask():
 
 
 def spy_threads(monkeypatch):
-    """Record the thread of each `_slot_dots` call, which every half makes."""
+    """Record the thread of each call of the attention steps a split call
+    runs per half (`_slot_dots`, the gate's forward and row-local backward)
+    or per tail job (`gate_sums`), and the index and thread of each tail job
+    in the order the jobs start: name -> [thread], and "jobs" -> [(index, thread)]."""
     import threading
     from ringskip import attention
-    seen, real = [], attention._slot_dots
+    seen = {"jobs": []}
 
-    def spy(*args):
-        seen.append(threading.get_ident())
-        return real(*args)
+    def spy(name):
+        real, calls = getattr(attention, name), seen.setdefault(name, [])
 
-    monkeypatch.setattr(attention, "_slot_dots", spy)
+        def wrapped(*args, **kwargs):
+            calls.append(threading.get_ident())
+            return real(*args, **kwargs)
+        monkeypatch.setattr(attention, name, wrapped)
+
+    for name in ("_slot_dots", "gate_forward", "gate_rows_backward", "gate_sums"):
+        spy(name)
+    real_jobs = attention._in_jobs
+
+    def tagged(index, job):
+        def run():
+            seen["jobs"].append((index, threading.get_ident()))
+            return job()
+        return run
+
+    monkeypatch.setattr(attention, "_in_jobs", lambda jobs, split: real_jobs(
+        [tagged(i, job) for i, job in enumerate(jobs)], split))
     return seen
 
 
@@ -624,8 +648,10 @@ def split_inline_one_cpu(monkeypatch, run):
                             ("one_cpu", 1, attention.SPLIT_MIN_ROWS)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(attention, "SPLIT_MIN_ROWS", cut)
-        seen.clear()
-        results[mode] = (run(), set(seen))
+        for calls in seen.values():
+            calls.clear()
+        arrays = run()
+        results[mode] = (arrays, {name: list(calls) for name, calls in seen.items()})
     return results
 
 
@@ -641,6 +667,7 @@ def assert_all_equal(results):
 @pytest.mark.parametrize("causal", [True, False])
 @pytest.mark.parametrize("ablation", ABLATIONS)
 def test_split_call_equals_inline_bit_for_bit(monkeypatch, ablation, causal, batch):
+    import threading
     from ringskip import attention
     n = 1400
     c = cfg(n_heads=4, ring_k=2, skip_period=8, causal=causal,
@@ -651,8 +678,26 @@ def test_split_call_equals_inline_bit_for_bit(monkeypatch, ablation, causal, bat
     x, d_out = rng.normal((2, batch, n, c.d_model))
     results = split_inline_one_cpu(
         monkeypatch, lambda: forward_backward_arrays(x, proj, gate, c, d_out))
-    assert len(results["split"][1]) == 2
-    assert len(results["inline"][1]) == len(results["one_cpu"][1]) == 1
+    caller = threading.get_ident()
+    gated = ablation != "no_gate"
+    for mode, (_, seen) in results.items():
+        split = mode == "split"
+        # the row-local steps, the gate's among them, run once per half
+        for name in ("_slot_dots", "gate_forward", "gate_rows_backward"):
+            if name != "_slot_dots" and not gated:
+                assert seen[name] == [], (mode, name)
+            else:
+                assert len(set(seen[name])) == (2 if split else 1), (mode, name)
+        # the two tail jobs: the first on the caller, the second on the worker,
+        # or both in order on the caller; each job takes one gate layer's sums
+        jobs = seen["jobs"]
+        assert sorted(index for index, _ in jobs) == [0, 1], mode
+        assert dict(jobs)[0] == caller
+        if split:
+            assert dict(jobs)[1] != caller
+        else:
+            assert jobs == [(0, caller), (1, caller)], mode
+        assert sorted(seen["gate_sums"]) == (sorted(t for _, t in jobs) if gated else []), mode
     assert_all_equal(results)
 
 
@@ -670,7 +715,7 @@ def test_replica_stacked_call_runs_whole_above_the_cut(monkeypatch):
     gate = dataclasses.replace(gate, w1=gate.w1 + jitter, b2=gate.b2 + jitter)
     x = rng.normal((m, n, c.d_model))
     results = split_inline_one_cpu(monkeypatch, lambda: forward_backward_arrays(x, proj, gate, c))
-    assert len(results["split"][1]) == 1
+    assert len(set(results["split"][1]["_slot_dots"])) == 1
     assert_all_equal(results)
     # each row is its own replica's call
     for r in range(m):
@@ -715,6 +760,69 @@ def test_an_error_in_the_worker_half_of_an_attention_call_reaches_the_caller(
             pi_attention_backward(proj, gate, cache, np.ones_like(out))
     monkeypatch.setattr(attention, "_slot_dots", real)
     assert np.array_equal(pi_attention_forward(x, proj, gate, plan, c)[0], out)
+
+
+@pytest.mark.parametrize("job", ["caller", "worker"])
+def test_an_error_in_either_tail_job_reaches_the_caller(monkeypatch, job):
+    import os
+    import threading
+    from ringskip import attention
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    c, n = cfg(n_heads=4), 1100
+    rng = Rng(6)
+    proj, gate = random_attention_params(rng, c.d_model, c.n_heads)
+    x, d_out = rng.normal((2, 2, n, c.d_model))
+    out, cache = pi_attention_forward(x, proj, gate, gather_schedule(c, n), c)
+    ref = pi_attention_backward(proj, gate, cache, d_out)
+    caller, real = threading.get_ident(), attention.gate_sums
+
+    def poisoned(*args):
+        # the caller's job sums the gate's first layer, the worker's its second
+        if (threading.get_ident() == caller) == (job == "caller"):
+            raise RuntimeError(f"{job} job failed")
+        return real(*args)
+
+    monkeypatch.setattr(attention, "gate_sums", poisoned)
+    with pytest.raises(RuntimeError, match=f"{job} job failed"):
+        pi_attention_backward(proj, gate, cache, d_out)
+    monkeypatch.setattr(attention, "gate_sums", real)
+    again = pi_attention_backward(proj, gate, cache, d_out)
+    assert np.array_equal(again[0], ref[0]) and np.array_equal(again[2].w2, ref[2].w2)
+
+
+@pytest.mark.skipif(__import__("platform").libc_ver()[0] != "glibc",
+                    reason="heap retention uses glibc's mallopt")
+def test_a_second_call_at_the_cut_reuses_its_memory():
+    import resource
+    import tracemalloc
+    from ringskip import attention, split
+    c = cfg(d_model=16, n_heads=4, ring_k=2, skip_period=8)
+    b, n = 2, attention.SPLIT_MIN_ROWS // (2 * c.n_heads)
+    rng = Rng(3)
+    proj, gate = random_attention_params(rng, c.d_model, c.n_heads)
+    x, d_out = rng.normal((2, b, n, c.d_model))
+    plan = gather_schedule(c, n)
+
+    def call():
+        out, cache = pi_attention_forward(x, proj, gate, plan, c)
+        pi_attention_backward(proj, gate, cache, d_out)
+
+    # the first call switches retention on; the second grows the heap to the
+    # call's high-water mark, since the first one's blocks were mapped
+    call()
+    call()
+    assert split.heap_kept()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    call()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    tracemalloc.start()
+    try:
+        call()
+        peak_pages = tracemalloc.get_traced_memory()[1] / resource.getpagesize()
+    finally:
+        tracemalloc.stop()
+    # without retention a call faults in about as many pages as it holds at its peak
+    assert faults < peak_pages / 10, (faults, peak_pages)
 
 
 def test_split_call_is_stable_under_frequent_thread_switches(monkeypatch):

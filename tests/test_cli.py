@@ -92,6 +92,43 @@ def test_python_m_ringskip_from_checkout(tmp_path):
     assert "restricted=12, bound=12, full=16" in proc.stdout
 
 
+HEAP_SCRIPT = """
+import sys
+from ringskip.attention import SPLIT_MIN_ROWS, pi_attention_forward
+from ringskip.checks import random_attention_params
+from ringskip.cli import main
+from ringskip.neighborhood import AttentionConfig, gather_schedule
+from ringskip.numerics import Rng
+out = sys.argv[1]
+assert main(["train", "--task", "copy", "--out", out + "/train"]) == 0
+c = AttentionConfig(d_model=8, n_heads=2, ring_k=1, skip_period=4)
+n = SPLIT_MIN_ROWS // c.n_heads
+proj, gate = random_attention_params(Rng(0), c.d_model, c.n_heads)
+pi_attention_forward(Rng(1).normal((1, n, c.d_model)), proj, gate, gather_schedule(c, n), c)
+assert main(["rf-bound", "--out", out + "/rf"]) == 0
+"""
+
+
+def test_manifest_records_heap_retention_and_page_faults(tmp_path):
+    # a fresh process: `train --task copy` makes no call at the cut, so the heap
+    # is not kept; one attention call at the cut keeps it, where glibc can
+    import platform
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", HEAP_SCRIPT, str(tmp_path)], cwd=root,
+                          env=dict(os.environ, PYTHONPATH="src"), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    train, rf = (json.loads((tmp_path / name / "manifest.json").read_text())
+                 for name in ("train", "rf"))
+    assert train["heap_kept"] is False
+    assert rf["heap_kept"] is (platform.libc_ver()[0] == "glibc")
+    for got in (train, rf):
+        assert isinstance(got["minor_faults"], int) and got["minor_faults"] >= 0
+    assert train["minor_faults"] > 0
+    bodies = "".join(csv.read_text() for csv in tmp_path.glob("*/*.csv"))
+    assert bodies and "heap_kept" not in bodies and "minor_faults" not in bodies
+
+
 def test_cost_model_eval_value(tmp_path):
     out = tmp_path / "cm"
     assert main(["cost-model", "--n", "1024", "--k", "4", "--d-h", "64",

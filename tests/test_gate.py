@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringskip.gate import GateParams, clip_alpha, gate_backward, gate_forward, init_gate
+from ringskip.gate import (GateParams, clip_alpha, empty_gate, gate_backward, gate_forward,
+                           gate_rows_backward, gate_sums, init_gate)
 from ringskip.neighborhood import AttentionConfig
-from ringskip.numerics import Rng, gelu_cdf, grad_check, sigmoid
+from ringskip.numerics import Rng, gelu_cdf, gelu_grad, grad_check, sigmoid
+from ringskip.split import halves
 
 
 def cfg(**kw):
@@ -89,3 +91,63 @@ def test_gate_gradients_match_finite_differences():
                             ("w2", params.w2, g.w2), ("b2", params.b2, g.b2),
                             ("x", x, d_inp)]:
         assert grad_check(losses(name), arr, grad) < 1e-6, name
+
+
+def one_piece_gate_backward(params, cache, d_alpha):
+    """The gate backward as one function over all rows, the form the row-local
+    chain and the whole sums were split from."""
+    dz = (1.0 - 2.0 * cache.eps) * d_alpha * cache.alpha_raw * (1.0 - cache.alpha_raw)
+    flat_h = (cache.h_pre * cache.h_cdf).reshape(-1, cache.h_pre.shape[-1])
+    flat_dz = dz.reshape(-1, dz.shape[-1])
+    d_w2 = flat_h.T @ flat_dz
+    d_b2 = flat_dz.sum(axis=0)
+    dh = (dz @ params.w2.T) * gelu_grad(cache.h_pre, cache.h_cdf)
+    flat_in = cache.inp.reshape(-1, cache.inp.shape[-1])
+    flat_dh = dh.reshape(-1, dh.shape[-1])
+    d_w1 = flat_in.T @ flat_dh
+    d_b1 = flat_dh.sum(axis=0)
+    return dh @ params.w1.T, GateParams(w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2)
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from([(1, 5, 8), (2, 6, 8), (3, 40, 8)]),
+       seed=st.integers(0, 2 ** 31 - 1), head_major=st.booleans())
+def test_halves_of_the_gate_equal_the_one_piece_gate_bit_for_bit(shape, seed, head_major):
+    """Forward: halves written into `empty_gate` arrays equal one whole call.
+    Backward: the row-local chain per half into whole arrays, then the whole
+    sums, equal `gate_backward` and the one-piece backward. d_alpha is either
+    C-ordered or the (B, H, n) transposed view attention passes."""
+    params, c = random_gate(seed), cfg()
+    x = Rng(seed + 1).normal(shape)
+    b, n, _ = shape
+    alpha, cache = gate_forward(params, x, c)
+    alpha_split, cache_split = empty_gate(params, x, c)
+    for rows in halves(b):
+        gate_forward(params, x[rows], c, out=(alpha_split[rows], cache_split.rows(rows)))
+    for name in ("h_pre", "h_cdf", "alpha_raw"):
+        assert same_bits(getattr(cache_split, name), getattr(cache, name)), name
+    assert same_bits(alpha_split, alpha)
+
+    d_alpha = Rng(seed + 2).normal((b, 2, n) if head_major else (b, n, 2))
+    if head_major:
+        d_alpha = d_alpha.transpose(0, 2, 1)
+    want_inp, want = one_piece_gate_backward(params, cache, d_alpha)
+    got_inp, got = gate_backward(params, cache, d_alpha)
+    dz, dh, split_inp = np.empty(alpha.shape), np.empty(cache.h_pre.shape), np.empty(x.shape)
+    for rows in halves(b):
+        split_inp[rows] = gate_rows_backward(params, cache.rows(rows), d_alpha[rows],
+                                             out=(dz[rows], dh[rows]))[2]
+    (w1, b1), (w2, b2) = gate_sums(cache.inp, dh), gate_sums(cache.h_pre * cache.h_cdf, dz)
+    split = GateParams(w1=w1, b1=b1, w2=w2, b2=b2)
+    for d_inp, grads in ((got_inp, got), (split_inp, split)):
+        assert same_bits(d_inp, want_inp)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert same_bits(getattr(grads, name), getattr(want, name)), name
+
+
+def test_empty_gate_is_none_without_a_gate():
+    assert empty_gate(random_gate(0), np.zeros((1, 3, 8)), cfg(ablation="no_gate")) == (None, None)
