@@ -7,11 +7,11 @@ numpy and scipy versions, the BLAS thread variables and `threads`, the thread
 count of the `split` rule: 2, or 1 on a one-CPU host; `heap_kept`, whether a
 large attention call has switched on `split.keep_heap`, and `minor_faults`,
 the process's minor page faults over the command, None where the platform
-does not count them), the CSVs and summary.json. CSV bodies are byte-identical across reruns with the same seed
-and BLAS thread count (times live only in the manifest), on any number of
-CPUs: `train` splits each batch into two fixed halves and adds their
-gradients in a fixed order, and attention splits only steps that never sum
-over rows.
+does not count them), the CSVs and summary.json. CSV bodies are
+byte-identical across reruns with the same seed and BLAS thread count (times
+live only in the manifest), on any number of CPUs: `train` splits each batch
+into two fixed halves and adds their gradients in a fixed order, and
+attention splits only steps that never sum over rows.
 Exit codes: 0 all asserted properties pass, 1 a property failed, 2 usage,
 configuration or file error (one `error:` line on stderr).
 """
