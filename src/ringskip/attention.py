@@ -8,13 +8,13 @@ softmax runs over the slots. The gate reads the attention input x, the same
 rows the projections read.
 
 The sparse path executes one `ExecutionPlan`, built for the input's n, and
-rebuilds none of its offsets, RING flags, validity, band runs or margin P.
+rebuilds none of its offsets, RING flags, validity, ring band or margin P.
 Scores, probabilities and their gradients are slot-major (O, B, H, n) arrays,
 one contiguous (B, H, n) plane per offset slot, so per-slot writes are whole
 planes and the softmax reductions combine planes. The head buffers
 (B, H, P + n + P, d_h) carry P zero rows at each end, P being the reach of the
-live ring slots (P <= k). Each of the plan's runs of consecutive ring offsets
-is one `_band` over all n rows: a batched matmul of every row's window of
+live ring slots (P <= k). The ring's live offsets, -P ... 0 or -P ... P, are
+one `_band` over all n rows: a batched matmul of every row's window of
 buffer rows (a strided view, no copy) with its vector of slot weights. That
 covers the value aggregation and d_q; for d_v and d_k, `_skew` first moves each
 slot plane to the key rows it reads, in reverse slot order. Windows reaching
@@ -41,7 +41,7 @@ the softmax backward, d_alpha, the gate's row-local chain
 `gate_rows_backward`, and the d_q/d_k/d_v merges with their products into
 d_x. What sums over rows runs after the halves as two concurrent jobs, each
 sum whole: the caller takes the wq and wk gradients, bq and the gate's first
-layer (`gate_sums` of w1, b1); the worker takes wv, wo, bv, bo and the gate's
+layer (`linear_grads` of w1, b1); the worker takes wv, wo, bv, bo and the gate's
 second layer (w2, b2). So each sum keeps the unsplit call's order, and
 forward and backward are bit-identical to the call run inline. A call runs
 whole, inline, with its two jobs in order on the caller, when its B * H * n
@@ -64,8 +64,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .gate import (GateCache, GateParams, empty_gate, gate_forward, gate_rows_backward,
-                   gate_sums)
+from .gate import GateCache, GateParams, empty_gate, gate_forward, gate_rows_backward
 from .neighborhood import AttentionConfig, ExecutionPlan, UnionNeighborhood
 from .numerics import (
     Rng,
@@ -74,6 +73,7 @@ from .numerics import (
     gelu_grad,
     layer_norm_backward,
     layer_norm_forward,
+    linear_grads,
     softmax_row,
 )
 from .split import can_split, halves, in_halves, keep_heap
@@ -210,8 +210,8 @@ def _band(out, src, coef, start) -> None:
 
 
 def _skew(coef, top, spans) -> np.ndarray:
-    """The planes coef (w, B, H, n) of a run whose last offset is `top`, moved to
-    the key rows they read (the run's `spans`), in reverse slot order: (B, H, n, w)
+    """The planes coef (w, B, H, n) of a band whose last offset is `top`, moved to
+    the key rows they read (the band's `spans`), in reverse slot order: (B, H, n, w)
     with [..., j, u] = coef[w-1-u, ..., j - top + u], zero where that row leaves [0, n)."""
     out = np.zeros(coef.shape[1:] + coef.shape[:1])
     for u in range(len(coef)):
@@ -223,9 +223,9 @@ def _skew(coef, top, spans) -> np.ndarray:
 def _gather(out, coef, src, plan: ExecutionPlan) -> None:
     """out[:, :, i] += sum over slots s of coef[s, :, :, i] * src[:, :, P + i + o_s], where
     coef (O, B, H, n) is zero on invalid slots and src has the plan's P margin rows."""
+    s0, s1 = plan.band
+    _band(out, src, coef[s0:s1].transpose(1, 2, 3, 0), 0)
     pad = plan.pad
-    for s0, s1, a in plan.bands:
-        _band(out, src, coef[s0:s1].transpose(1, 2, 3, 0), pad + a)
     for s, o in plan.skips:
         lo, hi = plan.spans[s]
         out[:, :, lo:hi] += coef[s, :, :, lo:hi, None] * src[:, :, pad + lo + o:pad + hi + o]
@@ -233,11 +233,11 @@ def _gather(out, coef, src, plan: ExecutionPlan) -> None:
 
 def _scatter(out, coef, src, plan: ExecutionPlan) -> None:
     """The transpose of `_gather`: out[:, :, i + o_s] += coef[s, :, :, i] *
-    src[:, :, P + i]. Key j's window is src rows j - top + u, for slot s1 - 1 - u."""
-    pad = plan.pad
-    for s0, s1, a in plan.bands:
-        top = a + s1 - s0 - 1
-        _band(out, src, _skew(coef[s0:s1], top, plan.spans[s0:s1]), pad - top)
+    src[:, :, P + i]. Key j's window is src rows j - top + u, for slot s1 - 1 - u,
+    top being the band's last offset."""
+    s0, s1 = plan.band
+    pad, top = plan.pad, int(plan.offsets[s1 - 1])
+    _band(out, src, _skew(coef[s0:s1], top, plan.spans[s0:s1]), pad - top)
     for s, o in plan.skips:
         lo, hi = plan.spans[s]
         out[:, :, lo + o:hi + o] += coef[s, :, :, lo:hi, None] * src[:, :, pad + lo:pad + hi]
@@ -407,22 +407,18 @@ def pi_attention_backward(
     in_halves(rows_backward, parts)
 
     # each weight gradient sums over every row, whole, in the order of the
-    # unsplit call; the two jobs hold disjoint sums
-    flat_x = cache.x.reshape(-1, d)
-    flat_dout = d_out.reshape(-1, d)
-    d_q, d_k, d_v = (g.reshape(-1, d) for g in (d_q, d_k, d_v))
-
+    # unsplit call; the two jobs hold disjoint sums (wk has no bias)
     def caller_sums() -> tuple:
-        return (flat_x.T @ d_q, flat_x.T @ d_k, d_q.sum(axis=0),
-                None if gate_cache is None else gate_sums(gate_cache.inp, dh))
+        return (linear_grads(cache.x, d_q), cache.x.reshape(-1, d).T @ d_k.reshape(-1, d),
+                None if gate_cache is None else linear_grads(gate_cache.inp, dh))
 
     def worker_sums() -> tuple:
-        return (flat_x.T @ d_v, cache.fused.reshape(-1, d).T @ flat_dout, d_v.sum(axis=0),
-                flat_dout.sum(axis=0),
-                None if gate_cache is None else gate_sums(gate_cache.h_pre * gate_cache.h_cdf, dz))
+        return (linear_grads(cache.x, d_v), linear_grads(cache.fused, d_out),
+                None if gate_cache is None
+                else linear_grads(gate_cache.h_pre * gate_cache.h_cdf, dz))
 
-    (wq, wk, bq, layer1), (wv, wo, bv, bo, layer2) = _in_jobs([caller_sums, worker_sums],
-                                                              len(parts) == 2)
+    ((wq, bq), wk, layer1), ((wv, bv), (wo, bo), layer2) = _in_jobs(
+        [caller_sums, worker_sums], len(parts) == 2)
     proj_grads = ProjectionParams(wq=wq, wk=wk, wv=wv, wo=wo, bq=bq, bv=bv, bo=bo)
     gate_grads = None if layer1 is None else GateParams(*layer1, *layer2)
     return d_x, proj_grads, gate_grads
@@ -505,15 +501,9 @@ def block_backward(
     d_out: np.ndarray,
 ) -> Tuple[np.ndarray, BlockParams]:
     d_ff_act = d_out @ params.w_ff2.T
-    flat_act = (cache.ff_pre * cache.ff_cdf).reshape(-1, cache.ff_pre.shape[-1])
-    flat_dout = d_out.reshape(-1, d_out.shape[-1])
-    d_w_ff2 = flat_act.T @ flat_dout
-    d_b_ff2 = flat_dout.sum(axis=0)
+    d_w_ff2, d_b_ff2 = linear_grads(cache.ff_pre * cache.ff_cdf, d_out)
     d_ff_pre = d_ff_act * gelu_grad(cache.ff_pre, cache.ff_cdf)
-    flat_h2 = cache.h2.reshape(-1, cache.h2.shape[-1])
-    flat_dpre = d_ff_pre.reshape(-1, d_ff_pre.shape[-1])
-    d_w_ff1 = flat_h2.T @ flat_dpre
-    d_b_ff1 = flat_dpre.sum(axis=0)
+    d_w_ff1, d_b_ff1 = linear_grads(cache.h2, d_ff_pre)
     d_h2 = d_ff_pre @ params.w_ff1.T
     d_y1_ln, d_ln2_g, d_ln2_b = layer_norm_backward(cache.ln2, d_h2)
     d_y1 = d_out + d_y1_ln

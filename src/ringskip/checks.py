@@ -51,14 +51,12 @@ def oracle_grid(size: str = "full") -> List[Tuple[AttentionConfig, int]]:
     """(config, n) combinations for the equivalence sweep."""
     if size == "small":
         ns, ks, pis, hs = [4, 12], [1, 2], [2, 4], [1, 2]
-        ablations = ("full", "no_skip", "no_gate")
     else:
         ns, ks, pis, hs = [4, 12, 33, 64], [0, 1, 2, 4], [1, 2, 4, 8, 16], [1, 2, 4]
-        ablations = ABLATIONS
     d_model = 8
     grid = []
     for n, k, pi, h, causal, abl in itertools.product(
-            ns, ks, pis, hs, (True, False), ablations):
+            ns, ks, pis, hs, (True, False), ABLATIONS):
         cfg = AttentionConfig(d_model=d_model, n_heads=h, ring_k=k, skip_period=pi,
                               causal=causal, bidirectional_skip=not causal,
                               ablation=abl)

@@ -298,7 +298,7 @@ def cmd_validate_config(args) -> int:
     else:
         att = from_dict(AttentionConfig, raw, "attention")
     union = build_union(att, args.n)
-    _, ring, _ = slot_layout(att)
+    _, ring = slot_layout(att)
     if att.ablation != "no_skip" and ring.all():
         print("note: skip stride falls inside the ring window; the overlapping "
               "slot is kept once as a RING member")

@@ -91,7 +91,7 @@ def _pack(params: ModelParams, att: AttentionConfig, gated: bool, cache: KVCache
                          for a in (bp.ln1_g, bp.ln1_b)):
         # every gate input of the forward would be non-finite
         raise NonFiniteError("gate input contains non-finite values")
-    cache.offsets, cache.ring_mask, _ = slot_layout(att)
+    cache.offsets, cache.ring_mask = slot_layout(att)
     size = 1 - cache.offsets.min()
     cache.slot_rows = (np.arange(size)[:, None] + cache.offsets) % size
     cache.params = params

@@ -14,8 +14,8 @@ A split attention call runs the gate per half of its batch rows. In the
 forward each half writes its rows of one whole-batch cache (`empty_gate`,
 `GateCache.rows`, `gate_forward`'s `out`). `gate_backward` is two parts: the
 row-local chain `gate_rows_backward` (dz, dh, the input gradient), which runs
-per half, and `gate_sums`, each weight and bias gradient one reduction over
-all rows, which runs whole after the halves.
+per half, and `numerics.linear_grads` of each layer, each weight and bias
+gradient one reduction over all rows, which runs whole after the halves.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.special import expit
 
 from .neighborhood import AttentionConfig
-from .numerics import SQRT2, NonFiniteError, Rng, gelu_grad
+from .numerics import NonFiniteError, Rng, gelu_cdf, gelu_grad, linear_grads
 
 
 @dataclass
@@ -49,9 +49,11 @@ def init_gate(rng: Rng, d_model: int, n_heads: int) -> GateParams:
     )
 
 
-def clip_alpha(alpha_raw: np.ndarray, eps: float) -> np.ndarray:
-    """The eps clip (1-2*eps)*alpha + eps, mapping [0, 1] onto [eps, 1-eps]."""
-    return (1.0 - 2.0 * eps) * alpha_raw + eps
+def clip_alpha(alpha_raw: np.ndarray, eps: float,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The eps clip (1-2*eps)*alpha + eps, mapping [0, 1] onto [eps, 1-eps],
+    written into `out` when given."""
+    return np.add((1.0 - 2.0 * eps) * alpha_raw, eps, out=out)
 
 
 @dataclass
@@ -121,9 +123,9 @@ def gate_head(h_pre: np.ndarray, params: GateParams, eps: float, out=(None, None
     `gate_forward` and stepwise decoding, which packs the trunk product with
     the attention projections."""
     alpha, h_cdf, alpha_raw = out
-    h_cdf = np.multiply(0.5, 1.0 + erf(h_pre / SQRT2), out=h_cdf)
+    h_cdf = gelu_cdf(h_pre, out=h_cdf)
     alpha_raw = expit((h_pre * h_cdf) @ params.w2 + params.b2, out=alpha_raw)
-    return np.add((1.0 - 2.0 * eps) * alpha_raw, eps, out=alpha), h_cdf, alpha_raw
+    return clip_alpha(alpha_raw, eps, out=alpha), h_cdf, alpha_raw
 
 
 def gate_rows_backward(
@@ -142,27 +144,19 @@ def gate_rows_backward(
     return dz, dh, dh @ params.w1.T
 
 
-def gate_sums(inp: np.ndarray, d_pre: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The weight and bias gradients of one gate layer, inp @ w + b, given its
-    input (..., a) and the gradient at its output (..., c): (a, c) and (c,),
-    each one reduction over all rows."""
-    flat_d = d_pre.reshape(-1, d_pre.shape[-1])
-    return inp.reshape(-1, inp.shape[-1]).T @ flat_d, flat_d.sum(axis=0)
-
-
 def gate_backward(
     params: GateParams,
     cache: Optional[GateCache],
     d_alpha: np.ndarray,
 ) -> Tuple[np.ndarray, GateParams]:
     """Chain rule through clip, sigmoid, and the trunk: `gate_rows_backward`,
-    then `gate_sums` of each layer.
+    then `linear_grads` of each layer.
 
     Returns (gradient w.r.t. the gate input, gradient tree for the params).
     """
     if cache is None:
         raise ValueError("gate_backward: no cache (ablated gate has no gradients)")
     dz, dh, d_inp = gate_rows_backward(params, cache, d_alpha)
-    d_w1, d_b1 = gate_sums(cache.inp, dh)
-    d_w2, d_b2 = gate_sums(cache.h_pre * cache.h_cdf, dz)
+    d_w1, d_b1 = linear_grads(cache.inp, dh)
+    d_w2, d_b2 = linear_grads(cache.h_pre * cache.h_cdf, dz)
     return d_inp, GateParams(w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2)

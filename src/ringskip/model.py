@@ -23,7 +23,7 @@ from .attention import (
 )
 from .gate import init_gate
 from .neighborhood import AttentionConfig, ConfigError, ExecutionPlan, gather_schedule
-from .numerics import Rng, layer_norm_backward, layer_norm_forward
+from .numerics import Rng, layer_norm_backward, layer_norm_forward, linear_grads
 
 
 @dataclass(frozen=True)
@@ -151,10 +151,7 @@ def model_backward(
 ) -> ModelParams:
     """Gradient tree matching the parameter tree."""
     d = cfg.d_model
-    flat_hf = cache.hf.reshape(-1, d)
-    flat_dl = d_logits.reshape(-1, cfg.vocab)
-    d_w_out = flat_hf.T @ flat_dl
-    d_b_out = flat_dl.sum(axis=0)
+    d_w_out, d_b_out = linear_grads(cache.hf, d_logits)
     d_hf = d_logits @ params.w_out.T
     d_x, d_lnf_g, d_lnf_b = layer_norm_backward(cache.lnf, d_hf)
 

@@ -2,11 +2,14 @@
 union neighborhood each token's single softmax runs over.
 
 `offset_plan` holds the rules; `slot_layout` is its n-independent array form
-(offsets, RING flags, ring reach), read by decoding, `rfield` and `perf`.
+(offsets and RING flags), read by decoding, `rfield` and `perf`.
   * `build_union` — per-token lists of (target, offset, kind, valid) entries,
     the ground truth the dense oracle and `validate-config`'s union table read;
   * `gather_schedule` — the `ExecutionPlan` of one (config, n, user_mask),
     built once and read by the kernel and the KL check.
+
+Ring rule: the ring is one window of consecutive offsets that holds the
+token's own slot, -k ... 0 when causal and -k ... k otherwise.
 
 Overlap rule: if the skip stride lands inside the ring window the duplicate
 slot is kept once as a RING member (the ring log-prior applies).
@@ -19,7 +22,6 @@ built from it) still apply their own causal test, since they are the check.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import typing
 from dataclasses import dataclass
 from enum import Enum
@@ -28,7 +30,7 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-ABLATIONS = ("full", "no_skip", "no_gate", "no_ring")
+ABLATIONS = ("full", "no_skip", "no_gate")
 
 
 class ConfigError(ValueError):
@@ -87,7 +89,6 @@ class AttentionConfig:
     skip_period: int
     causal: bool = True
     bidirectional_skip: bool = False
-    include_self: bool = True
     eps: float = 1e-4            # gate clip: alpha -> (1-2*eps)*alpha + eps
     logit_clamp: float = 20.0    # scores bounded to [-logit_clamp, logit_clamp]
     ablation: str = "full"
@@ -147,35 +148,27 @@ class UnionNeighborhood:
 
 def offset_plan(config: AttentionConfig) -> List[tuple]:
     """Ordered (offset, kind) list after ablation, causality and overlap
-    resolution. Ring offsets come first, in increasing order; a causal plan
-    stops them at 0 (its skip stride is always backward)."""
-    ring: List[int] = []
-    if config.ablation == "no_ring":
-        if config.include_self:
-            ring = [0]
-    else:
-        top = 0 if config.causal else config.ring_k
-        ring = [o for o in range(-config.ring_k, top + 1)
-                if o != 0 or config.include_self]
+    resolution. The ring comes first, its offsets in increasing order from -k
+    to 0 (causal) or k; a causal plan's skip stride is always backward."""
+    ring = range(-config.ring_k, (0 if config.causal else config.ring_k) + 1)
     plan = [(o, Kind.RING) for o in ring]
     if config.ablation != "no_skip":
         skips = [-config.skip_period]
         if config.bidirectional_skip:
             skips.append(config.skip_period)
-        ring_set = set(ring)
         # skip stride inside the ring window: keep the slot once, as RING
-        plan += [(o, Kind.SKIP) for o in skips if o not in ring_set]
+        plan += [(o, Kind.SKIP) for o in skips if o not in ring]
     return plan
 
 
-def slot_layout(config: AttentionConfig) -> Tuple[np.ndarray, np.ndarray, int]:
+def slot_layout(config: AttentionConfig) -> Tuple[np.ndarray, np.ndarray]:
     """The n-independent part of the plan: `offset_plan`'s offsets and RING
-    flags, read-only (O,) arrays, and the ring reach, the largest RING |offset|."""
+    flags, read-only (O,) arrays. The ring's reach is always `config.ring_k`."""
     plan = offset_plan(config)
     offsets = np.array([o for o, _ in plan], dtype=np.int64)
     ring = np.array([kind == Kind.RING for _, kind in plan], dtype=bool)
     offsets.flags.writeable = ring.flags.writeable = False
-    return offsets, ring, int(np.abs(offsets[ring]).max(initial=0))
+    return offsets, ring
 
 
 class Slot(NamedTuple):
@@ -194,9 +187,9 @@ class ExecutionPlan:
     ring: np.ndarray     # (O,) bool, read-only
     valid: np.ndarray    # (O, n) bool, read-only
     spans: Tuple[Tuple[int, int], ...]  # per slot, the rows [lo, hi) whose key row lies in [0, n)
-    # runs (s0, s1, first offset) of consecutive RING offsets with |offset| < n,
-    # each one `_band`, and the margin P they reach (P <= k)
-    bands: Tuple[Tuple[int, int, int], ...]
+    # the slots [s0, s1) of the RING offsets with |offset| < n, -P ... 0 (causal)
+    # or -P ... P, run as one `_band`, and that margin P = min(k, n - 1)
+    band: Tuple[int, int]
     pad: int
     skips: Tuple[Tuple[int, int], ...]  # (slot, offset) of each SKIP slot
     n: int
@@ -252,7 +245,7 @@ def gather_schedule(
 ) -> ExecutionPlan:
     """The execution plan of (config, n, user_mask)."""
     user_mask = _checked_mask(n, user_mask)
-    offsets, ring, reach = slot_layout(config)
+    offsets, ring = slot_layout(config)
     lo = np.clip(-offsets, 0, n)
     hi = np.maximum(lo, np.clip(n - offsets, 0, n))
     rows = np.arange(n)
@@ -263,17 +256,12 @@ def gather_schedule(
     if not covered.all():
         raise EmptyNeighborhoodError(f"empty neighborhood at token {int(np.argmin(covered))}")
     valid.flags.writeable = False
-    offs = offsets.tolist()
-    # ring offsets increase, so slot and offset step together within a run:
-    # o - s is constant along it and changes at the gap of a dropped self slot
-    live = [(s, o) for s, o in enumerate(offs) if ring[s] and abs(o) < n]
-    runs = [list(run) for _, run in itertools.groupby(live, lambda so: so[1] - so[0])]
-    # the ring holds every |offset| from 1 to its reach on one side at least,
-    # so the banded runs reach min(reach, n - 1)
+    # ring slot s holds offset s - k; the band is the ring slots with |offset| < n
+    k = config.ring_k
+    pad = min(k, n - 1)
     return ExecutionPlan(offsets, ring, valid, tuple(zip(lo.tolist(), hi.tolist())),
-                         tuple((r[0][0], r[-1][0] + 1, r[0][1]) for r in runs),
-                         min(reach, n - 1),
-                         tuple((s, o) for s, o in enumerate(offs) if not ring[s]),
+                         (k - pad, k + 1 + (0 if config.causal else pad)), pad,
+                         tuple((s, o) for s, o in enumerate(offsets.tolist()) if not ring[s]),
                          n, int(valid.sum()))
 
 

@@ -63,10 +63,10 @@ def softmax_row(logits: np.ndarray, valid: Optional[np.ndarray] = None,
     return np.divide(expv, expv.sum(axis=axis, keepdims=True), out=out)
 
 
-def gelu_cdf(x: np.ndarray) -> np.ndarray:
-    """Phi(x) = 0.5 (1 + erf(x / sqrt 2)) of a float64 array; x * Phi(x) is
-    the GELU bit for bit."""
-    return 0.5 * (1.0 + erf(x / SQRT2))
+def gelu_cdf(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Phi(x) = 0.5 (1 + erf(x / sqrt 2)) of a float64 array, written into
+    `out` when given; x * Phi(x) is the GELU bit for bit."""
+    return np.multiply(0.5, 1.0 + erf(x / SQRT2), out=out)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -78,6 +78,14 @@ def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     """d/dx of the erf-form GELU, given cdf = gelu_cdf(x) (no second erf)."""
     x = np.asarray(x, dtype=np.float64)
     return cdf + x * (np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi))
+
+
+def linear_grads(inp: np.ndarray, d_out: np.ndarray) -> tuple:
+    """The weight and bias gradients of a linear layer, inp @ w + b, given its
+    input (..., a) and the gradient at its output (..., c): (a, c) and (c,),
+    each one reduction over all rows."""
+    flat_d = d_out.reshape(-1, d_out.shape[-1])
+    return inp.reshape(-1, inp.shape[-1]).T @ flat_d, flat_d.sum(axis=0)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -130,7 +130,8 @@ def ring_simulate(
     microbatch's stage 2 with the current one's stage 3:
     makespan = M*t1 + t2 + (M-1)*max(t2, t3) + t3.
     """
-    offsets, ring, k = slot_layout(config)
+    offsets, ring = slot_layout(config)
+    k = config.ring_k
     if shards < 1 or shards > n:
         raise ConfigError(f"shards: must lie in [1, n], got {shards} for n={n}")
     per = -(-n // shards)  # ceil; last shard padded

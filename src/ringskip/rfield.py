@@ -7,11 +7,11 @@ Two quantities per (k, skip period, L):
     every layer but the skip hop is charged only at interval-doubling layers
     (cumulative skips after layer l equal ceil(log2 l)).
 
-Hops and strides are read from `slot_layout`. The restricted extent of an
-interior query equals k*L + pi*ceil(log2 L) where the plan has a SKIP slot,
-and k*L where it has none (pi <= k keeps the stride as a RING slot). The full
-BFS reach can exceed the bound (up to L*(k+pi)) and is reported as documented
-behavior.
+The ring hop is k; the skip stride is read from `slot_layout`. The restricted
+extent of an interior query equals k*L + pi*ceil(log2 L) where the plan has a
+SKIP slot, and k*L where it has none (pi <= k keeps the stride as a RING
+slot). The full BFS reach can exceed the bound (up to L*(k+pi)) and is
+reported as documented behavior.
 """
 
 from __future__ import annotations
@@ -67,15 +67,15 @@ def reach_full(config: AttentionConfig, n: int, query: int, layers: int) -> Reac
 
 def reach_restricted(config: AttentionConfig, n: int, query: int, layers: int) -> int:
     """Leftward extent under the doubling-charged skip rule (causal). The ring
-    hop and the skip stride are the plan's own: a stride the plan keeps as a
-    RING slot (pi <= k), or drops (no_skip), is never charged."""
+    hop is k and the skip stride is the plan's own: a stride the plan keeps as
+    a RING slot (pi <= k), or drops (no_skip), is never charged."""
     if not config.causal:
         raise ValueError("receptive-field analysis is defined for causal configs")
-    offsets, ring, hop = slot_layout(config)
+    offsets, ring = slot_layout(config)
     stride = -int(offsets[~ring].min(initial=0))
     lo = query
     for layer in range(1, layers + 1):
-        lo -= hop
+        lo -= config.ring_k
         if skip_budget(layer) > skip_budget(layer - 1):
             lo -= stride
         lo = max(lo, 0)

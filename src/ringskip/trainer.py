@@ -308,15 +308,18 @@ def save_checkpoint(path: Path, cfg: ModelConfig, params: ModelParams, seed: int
 # header may still carry for it: the value that made the model the one this
 # code runs. Any other value is an unknown field.
 REMOVED_ATTENTION_FIELDS = {"dropout_p": 0.0, "static_alpha_value": 0.5,
-                            "gate_on_query": False, "clamp_after_prior": False}
-# ablations that no longer exist, each with the ablation that is the same model
-REMOVED_ABLATIONS = {"static_alpha": "no_gate"}
+                            "gate_on_query": False, "clamp_after_prior": False,
+                            "include_self": True}
+# ablations that no longer exist, each with the attention fields that give the
+# same model
+REMOVED_ABLATIONS = {"static_alpha": {"ablation": "no_gate"},
+                     "no_ring": {"ablation": "full", "ring_k": 0}}
 
 
 def _without_removed_options(model):
     """The header's model config without the removed attention fields that
-    hold their one accepted value and with a removed ablation renamed to the
-    one it equals; anything else is returned as it is."""
+    hold their one accepted value and with a removed ablation replaced by the
+    fields of the model it equals; anything else is returned as it is."""
     att = model.get("attention") if isinstance(model, dict) else None
     if not isinstance(att, dict):
         return model
@@ -327,7 +330,7 @@ def _without_removed_options(model):
                 and isinstance(kept[key], bool) == isinstance(old, bool)):
             del kept[key]
     if isinstance(kept.get("ablation"), str):
-        kept["ablation"] = REMOVED_ABLATIONS.get(kept["ablation"], kept["ablation"])
+        kept.update(REMOVED_ABLATIONS.get(kept["ablation"], {}))
     return {**model, "attention": kept}
 
 

@@ -66,8 +66,8 @@ def test_footprint_determines_schedule_and_union():
         ref_sched, ref_union = refs.setdefault(footprint(c, n), (sched, union))
         for field in ("offsets", "ring", "valid"):
             assert np.array_equal(getattr(sched, field), getattr(ref_sched, field))
-        assert (sched.bands, sched.pad, sched.skips) == (ref_sched.bands, ref_sched.pad,
-                                                         ref_sched.skips)
+        assert (sched.band, sched.pad, sched.skips) == (ref_sched.band, ref_sched.pad,
+                                                        ref_sched.skips)
         assert union.entries == ref_union.entries
     assert len(refs) == 144
 
@@ -114,17 +114,11 @@ def test_oracle_check_nan_delta_is_the_worst(monkeypatch):
 def test_masked_sparse_matches_oracle_and_gradients(data):
     # n up to 24 with strides up to 30 draws empty skip spans (pi >= n), and
     # k up to 4 draws ring bands wider than n; the random user_mask punches
-    # holes inside the spans of the other offsets. Dropping the self slot
-    # splits the ring into two runs. A causal token 0 would have no slot left,
-    # and at k = 1 an end token has one slot, so it is drawn only when not
-    # causal and k >= 2, and as `drop_self`, so that Hypothesis's simplest
-    # examples keep the slot; more rejections early on trip `filter_too_much`
+    # holes inside the spans of the other offsets
     n = data.draw(st.integers(1, 24), label="n")
     causal = data.draw(st.booleans(), label="causal")
-    k = data.draw(st.integers(0, 4), label="k")
-    drop_self = not causal and k >= 2 and data.draw(st.booleans(), label="drop_self")
     c = cfg(n_heads=data.draw(st.sampled_from([1, 2]), label="heads"),
-            ring_k=k, include_self=not drop_self,
+            ring_k=data.draw(st.integers(0, 4), label="k"),
             skip_period=data.draw(st.integers(1, 30), label="pi"),
             causal=causal,
             bidirectional_skip=not causal and data.draw(st.booleans(), label="bidir"),
@@ -187,7 +181,7 @@ def test_masked_sparse_matches_oracle_and_gradients(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_band_products_match_per_slot_loop(data):
-    # `_gather` and `_scatter` run each of the plan's ring runs as one `_band` (the scatter
+    # `_gather` and `_scatter` run the plan's ring band as one `_band` (the scatter
     # after `_skew`) over buffers with zero margins, and each skip slot as one
     # shifted slice; the reference is the per-slot loop over valid rows, so
     # only the order of the sums differs and agreement is to rounding. Small n
@@ -196,10 +190,8 @@ def test_band_products_match_per_slot_loop(data):
     n = data.draw(st.integers(1, 20), label="n")
     causal = data.draw(st.booleans(), label="causal")
     k = data.draw(st.integers(0, 5), label="k")
-    drop_self = not causal and k >= 1 and data.draw(st.booleans(), label="drop_self")
     c = cfg(ring_k=k, skip_period=data.draw(st.integers(1, 24), label="pi"),
-            causal=causal, bidirectional_skip=not causal and data.draw(st.booleans()),
-            include_self=not drop_self)
+            causal=causal, bidirectional_skip=not causal and data.draw(st.booleans()))
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     try:
         sched = gather_schedule(c, n, mask)
@@ -586,7 +578,7 @@ def test_dense_oracle_respects_mask():
 def spy_threads(monkeypatch):
     """Record the thread of each call of the attention steps a split call
     runs per half (`_slot_dots`, the gate's forward and row-local backward)
-    or per tail job (`gate_sums`), and the index and thread of each tail job
+    or in its tail jobs (`linear_grads`), and the index and thread of each tail job
     in the order the jobs start: name -> [thread], and "jobs" -> [(index, thread)]."""
     import threading
     from ringskip import attention
@@ -600,7 +592,7 @@ def spy_threads(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(attention, name, wrapped)
 
-    for name in ("_slot_dots", "gate_forward", "gate_rows_backward", "gate_sums"):
+    for name in ("_slot_dots", "gate_forward", "gate_rows_backward", "linear_grads"):
         spy(name)
     real_jobs = attention._in_jobs
 
@@ -689,7 +681,8 @@ def test_split_call_equals_inline_bit_for_bit(monkeypatch, ablation, causal, bat
             else:
                 assert len(set(seen[name])) == (2 if split else 1), (mode, name)
         # the two tail jobs: the first on the caller, the second on the worker,
-        # or both in order on the caller; each job takes one gate layer's sums
+        # or both in order on the caller; the first sums wq, bq and the gate's
+        # first layer, the second wv, bv, wo, bo and its second layer
         jobs = seen["jobs"]
         assert sorted(index for index, _ in jobs) == [0, 1], mode
         assert dict(jobs)[0] == caller
@@ -697,7 +690,9 @@ def test_split_call_equals_inline_bit_for_bit(monkeypatch, ablation, causal, bat
             assert dict(jobs)[1] != caller
         else:
             assert jobs == [(0, caller), (1, caller)], mode
-        assert sorted(seen["gate_sums"]) == (sorted(t for _, t in jobs) if gated else []), mode
+        threads = dict(jobs)
+        assert sorted(seen["linear_grads"]) == sorted(
+            [threads[0]] * (1 + gated) + [threads[1]] * (2 + gated)), mode
     assert_all_equal(results)
 
 
@@ -774,18 +769,18 @@ def test_an_error_in_either_tail_job_reaches_the_caller(monkeypatch, job):
     x, d_out = rng.normal((2, 2, n, c.d_model))
     out, cache = pi_attention_forward(x, proj, gate, gather_schedule(c, n), c)
     ref = pi_attention_backward(proj, gate, cache, d_out)
-    caller, real = threading.get_ident(), attention.gate_sums
+    caller, real = threading.get_ident(), attention.linear_grads
 
     def poisoned(*args):
-        # the caller's job sums the gate's first layer, the worker's its second
+        # each job sums its own layers, the gate's among them
         if (threading.get_ident() == caller) == (job == "caller"):
             raise RuntimeError(f"{job} job failed")
         return real(*args)
 
-    monkeypatch.setattr(attention, "gate_sums", poisoned)
+    monkeypatch.setattr(attention, "linear_grads", poisoned)
     with pytest.raises(RuntimeError, match=f"{job} job failed"):
         pi_attention_backward(proj, gate, cache, d_out)
-    monkeypatch.setattr(attention, "gate_sums", real)
+    monkeypatch.setattr(attention, "linear_grads", real)
     again = pi_attention_backward(proj, gate, cache, d_out)
     assert np.array_equal(again[0], ref[0]) and np.array_equal(again[2].w2, ref[2].w2)
 

@@ -61,7 +61,7 @@ def test_oracle_check_cost_goes_to_manifest(tmp_path):
     assert manifest["sweep_seconds"] > 0
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary) == {"checked", "max_delta", "pass"}
-    assert summary["checked"] == 1920  # 4 ablations x 480 (n, k, pi, heads, causal)
+    assert summary["checked"] == 1440  # 3 ablations x 480 (n, k, pi, heads, causal)
     assert (out / "oracle_check.csv").read_text().startswith(
         "n,k,pi,heads,causal,ablation,max_delta,ok\n")
 
@@ -314,7 +314,8 @@ def _with_removed_fields(**fields):
 
 
 REMOVED_AT_OLD_DEFAULTS = dict(dropout_p=0.0, static_alpha_value=0.5,
-                               gate_on_query=False, clamp_after_prior=False)
+                               gate_on_query=False, clamp_after_prior=False,
+                               include_self=True)
 
 
 def test_decode_reads_a_header_with_the_removed_fields_at_their_defaults(small_ckpt, tmp_path):
@@ -345,9 +346,23 @@ def test_a_checkpoint_of_the_removed_fixed_alpha_ablation_loads_as_no_gate(small
     assert len((tmp_path / "dec" / "tokens.csv").read_text().splitlines()) == 1 + 3 + 8
 
 
+def test_a_checkpoint_of_the_removed_ring_free_ablation_loads_as_ring_k_0(small_ckpt, tmp_path):
+    # that ablation kept only the token's own ring slot at any ring_k: the plan of ring_k 0
+    blob = small_ckpt.read_bytes()
+    old, ref = tmp_path / "old.ckpt", tmp_path / "ref.ckpt"
+    old.write_bytes(_rewrite_header(blob, _with_removed_fields(ablation="no_ring", ring_k=3)))
+    ref.write_bytes(_rewrite_header(blob, _with_removed_fields(ablation="full", ring_k=0)))
+    assert load_checkpoint(old)[0] == load_checkpoint(ref)[0]
+    argv = ["decode", "--prompt", "1,2,3", "--steps", "8"]
+    for path in (old, ref):
+        assert main(argv + ["--ckpt", str(path), "--out", str(tmp_path / path.stem)]) == 0
+    tokens = [(tmp_path / d / "tokens.csv").read_bytes() for d in ("old", "ref")]
+    assert tokens[0] == tokens[1]
+
+
 @pytest.mark.parametrize("field,value", [("gate_on_query", True), ("gate_on_query", 0),
                                          ("clamp_after_prior", True), ("dropout_p", 0.1),
-                                         ("static_alpha_value", 0.3)])
+                                         ("static_alpha_value", 0.3), ("include_self", False)])
 def test_decode_rejects_a_removed_field_off_its_default(small_ckpt, tmp_path, capsys,
                                                         field, value):
     fields = {**REMOVED_AT_OLD_DEFAULTS, field: value}
@@ -472,16 +487,22 @@ def test_validate_config_loads_sections_like_train(tmp_path):
     assert {int(r.split(",")[1]) for r in rows} == {-3, -2, -1, 0, -8}
 
 
-@pytest.mark.parametrize("argv,doc", [
-    (["validate-config"], {"d_model": 16, "n_heads": 2, "ring_k": 0, "skip_period": 4,
-                           "include_self": False}),
-    (["train", "--task", "copy", "--config"],
-     {"model": {"attention": {"ring_k": 0, "include_self": False}}}),
-], ids=["validate_config", "train"])
-def test_empty_neighborhood_exits_2(tmp_path, capsys, argv, doc):
-    # causal, no ring and no self slot: token 0 has nothing to attend to
+@pytest.mark.parametrize("option,message", [
+    ({"include_self": True}, "attention.include_self: unknown field"),
+    ({"ablation": "no_ring"}, "attention.ablation: unknown value 'no_ring'"),
+], ids=["include_self", "no_ring"])
+@pytest.mark.parametrize("command", ["validate_config", "train"])
+def test_a_config_naming_a_removed_ring_option_exits_2(tmp_path, capsys, command, option,
+                                                       message):
+    # every ring holds the token's own slot, and the plan without a ring is ring_k 0;
+    # a checkpoint header may still name either option, a config may not
+    if command == "validate_config":
+        argv = ["validate-config"]
+        doc = {"d_model": 16, "n_heads": 2, "ring_k": 1, "skip_period": 4, **option}
+    else:
+        argv, doc = ["train", "--task", "copy", "--config"], {"model": {"attention": option}}
     code = main(argv + [write_json(tmp_path / "c.json", doc), "--out", str(tmp_path / "o")])
-    assert code == 2 and "empty neighborhood at token 0" in one_error_line(capsys)
+    assert code == 2 and one_error_line(capsys).endswith(message)
     assert not (tmp_path / "o").exists()
 
 

@@ -1,7 +1,7 @@
-"""README.md names every config field, and the attention options that were
-removed are named nowhere in `src/` or README.md but in the checkpoint reader's
-tables of them (`trainer.REMOVED_ATTENTION_FIELDS` and
-`trainer.REMOVED_ABLATIONS`)."""
+"""README.md names every config field and lists exactly the ablations, and
+the attention options that were removed are named nowhere in `src/` or
+README.md but in the checkpoint reader's tables of them
+(`trainer.REMOVED_ATTENTION_FIELDS` and `trainer.REMOVED_ABLATIONS`)."""
 
 import ast
 import dataclasses
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from ringskip.model import ModelConfig
-from ringskip.neighborhood import AttentionConfig
+from ringskip.neighborhood import ABLATIONS, AttentionConfig
 from ringskip.trainer import REMOVED_ABLATIONS, REMOVED_ATTENTION_FIELDS, TaskSpec, TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,6 +33,12 @@ def test_code_span_words():
 def test_readme_names_every_config_field(cls):
     words = code_span_words(README)
     assert [f.name for f in dataclasses.fields(cls) if f.name not in words] == []
+
+
+def test_readme_lists_exactly_the_ablations():
+    # the config section's one list: `ablation` (`full | no_skip | ...`
+    listed = re.findall(r"`ablation`\s+\(`([^`]*)`", README)
+    assert [[a.strip() for a in span.split("|")] for span in listed] == [list(ABLATIONS)]
 
 
 TABLES = ("REMOVED_ATTENTION_FIELDS", "REMOVED_ABLATIONS")

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from ringskip.gate import (GateParams, clip_alpha, empty_gate, gate_backward, gate_forward,
-                           gate_rows_backward, gate_sums, init_gate)
+                           gate_rows_backward, init_gate)
 from ringskip.neighborhood import AttentionConfig
-from ringskip.numerics import Rng, gelu_cdf, gelu_grad, grad_check, sigmoid
+from ringskip.numerics import Rng, gelu_cdf, gelu_grad, grad_check, linear_grads, sigmoid
 from ringskip.split import halves
 
 
@@ -49,11 +50,19 @@ def test_gate_forward_is_the_textbook_chain_bit_for_bit(shape, seed, eps, scale)
     x = Rng(seed + 1).normal(shape, scale)
     alpha, cache = gate_forward(params, x, cfg(eps=eps))
     h_pre = x @ params.w1 + params.b1
-    h_cdf = gelu_cdf(h_pre)
+    h_cdf = 0.5 * (1.0 + erf(h_pre / np.sqrt(2.0)))
     alpha_raw = sigmoid((h_pre * h_cdf) @ params.w2 + params.b2)
-    for got, want in [(alpha, clip_alpha(alpha_raw, eps)), (cache.h_pre, h_pre),
+    for got, want in [(alpha, (1.0 - 2.0 * eps) * alpha_raw + eps), (cache.h_pre, h_pre),
                       (cache.h_cdf, h_cdf), (cache.alpha_raw, alpha_raw)]:
         assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_gelu_cdf_and_clip_alpha_write_into_out():
+    # gate_head writes through these into the arrays of a split call's cache
+    x = Rng(4).normal((3, 5))
+    for rule in (gelu_cdf, lambda a, out=None: clip_alpha(a, 1e-2, out=out)):
+        buf = np.empty_like(x)
+        assert rule(x, out=buf) is buf and np.array_equal(buf, rule(x))
 
 
 def test_no_gate_returns_none():
@@ -141,7 +150,7 @@ def test_halves_of_the_gate_equal_the_one_piece_gate_bit_for_bit(shape, seed, he
     for rows in halves(b):
         split_inp[rows] = gate_rows_backward(params, cache.rows(rows), d_alpha[rows],
                                              out=(dz[rows], dh[rows]))[2]
-    (w1, b1), (w2, b2) = gate_sums(cache.inp, dh), gate_sums(cache.h_pre * cache.h_cdf, dz)
+    (w1, b1), (w2, b2) = linear_grads(cache.inp, dh), linear_grads(cache.h_pre * cache.h_cdf, dz)
     split = GateParams(w1=w1, b1=b1, w2=w2, b2=b2)
     for d_inp, grads in ((got_inp, got), (split_inp, split)):
         assert same_bits(d_inp, want_inp)

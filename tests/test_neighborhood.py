@@ -40,6 +40,7 @@ def cfg(**kw):
     (dict(logit_clamp=float("nan")), "logit_clamp"),
     (dict(d_model=0), "d_model"),
     (dict(ablation="static_alpha"), "ablation"),  # removed: it was the no_gate model
+    (dict(ablation="no_ring"), "ablation"),  # removed: it was the plan of ring_k = 0
 ])
 def test_validate_names_offending_field(bad, field):
     with pytest.raises(ConfigError, match=field):
@@ -64,10 +65,8 @@ def test_offset_plan_overlap_keeps_slot_once_as_ring():
 
 def test_offset_plan_ablations():
     assert all(k == Kind.RING for _, k in offset_plan(cfg(ablation="no_skip")))
-    assert offset_plan(cfg(ablation="no_ring")) == [(0, Kind.RING),
-                                                   (-4, Kind.SKIP)]
-    no_self = offset_plan(cfg(include_self=False))
-    assert (0, Kind.RING) not in no_self
+    # the ring always holds the token's own slot: at k = 0 it is all of it
+    assert offset_plan(cfg(ring_k=0)) == [(0, Kind.RING), (-4, Kind.SKIP)]
 
 
 def test_gather_map_clamp_and_mask():
@@ -80,9 +79,7 @@ def test_causal_masks_positive_offsets():
     # a causal plan holds no positive offset, for every ablation and ring
     for abl in ABLATIONS:
         for k in (0, 1, 3):
-            for include_self in (True, False):
-                c = cfg(ring_k=k, ablation=abl, include_self=include_self)
-                assert all(o <= 0 for o, _ in offset_plan(c))
+            assert all(o <= 0 for o, _ in offset_plan(cfg(ring_k=k, ablation=abl)))
     maps = gather_schedule(cfg(ring_k=3), 8)
     assert [m.offset for m in maps] == [-3, -2, -1, 0, -4]
 
@@ -116,7 +113,6 @@ def test_plan_fields_agree_with_offset_plan_and_union(data):
             skip_period=data.draw(st.integers(1, 30), label="pi"),
             causal=causal,
             bidirectional_skip=not causal and data.draw(st.booleans(), label="bidir"),
-            include_self=data.draw(st.booleans(), label="include_self"),
             ablation=data.draw(st.sampled_from(ABLATIONS), label="ablation"))
     user_mask = data.draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n)
                           .map(np.array), label="user_mask")
@@ -134,17 +130,16 @@ def test_plan_fields_agree_with_offset_plan_and_union(data):
     assert [list(range(*span)) for span in plan.spans] == [
         [i for i in range(n) if 0 <= i + m.offset < n] for m in plan]
     assert plan.n_valid == count_score_slots(union)
-    banded = [s for s0, s1, _ in plan.bands for s in range(s0, s1)]
-    for s0, s1, a in plan.bands:
-        assert plan.offsets[s0:s1].tolist() == list(range(a, a + s1 - s0))
-    assert banded == [s for s, m in enumerate(plan) if m.kind == Kind.RING and abs(m.offset) < n]
-    for (s0, s1, a), (t0, _, b) in zip(plan.bands, plan.bands[1:]):
-        assert (t0, b) != (s1, a + s1 - s0)  # maximal runs: no two could merge
-    assert plan.pad == max((abs(plan.offsets[s]) for s in banded), default=0)
+    # one band: exactly the RING slots with |offset| < n, at offsets -P ... 0 or -P ... P
+    s0, s1 = plan.band
+    assert list(range(s0, s1)) == [s for s, m in enumerate(plan)
+                                   if m.kind == Kind.RING and abs(m.offset) < n]
+    assert plan.pad == min(c.ring_k, n - 1)
+    assert plan.offsets[s0:s1].tolist() == list(range(-plan.pad, (0 if causal else plan.pad) + 1))
     assert plan.skips == tuple((s, m.offset) for s, m in enumerate(plan) if m.kind == Kind.SKIP)
-    offsets, ring, reach = slot_layout(c)
+    offsets, ring = slot_layout(c)
     assert np.array_equal(offsets, plan.offsets) and np.array_equal(ring, plan.ring)
-    assert reach == max((abs(o) for o, kind in offset_plan(c) if kind == Kind.RING), default=0)
+    assert c.ring_k == max(abs(o) for o, kind in offset_plan(c) if kind == Kind.RING)
     for arr in (offsets, ring, plan.offsets, plan.ring, plan.valid, plan.valid[0]):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
@@ -153,7 +148,7 @@ def test_plan_fields_agree_with_offset_plan_and_union(data):
 def test_union_matches_schedule_across_configs():
     for k, pi, causal, abl in [(0, 2, True, "full"), (2, 4, True, "full"),
                                (1, 8, False, "full"), (2, 1, True, "full"),
-                               (1, 4, True, "no_skip"), (1, 4, True, "no_ring")]:
+                               (1, 4, True, "no_skip"), (1, 4, True, "no_gate")]:
         c = cfg(ring_k=k, skip_period=pi, causal=causal,
                 bidirectional_skip=not causal, ablation=abl)
         for n in (3, 9, 17):
@@ -177,11 +172,13 @@ def test_valid_targets_in_bounds_and_causal(k, pi, n, causal):
 
 
 def test_empty_neighborhood_raises():
-    c = cfg(include_self=False)  # token 0 has no causal in-bounds target
-    with pytest.raises(EmptyNeighborhoodError, match="token 0"):
-        build_union(c, 8)
-    with pytest.raises(EmptyNeighborhoodError):
-        gather_schedule(c, 8)
+    # every row holds its own slot, so only a user_mask can empty one: token 3
+    # reads keys 3 and 2 (its skip key, -1, is out of bounds)
+    mask = np.ones(8, dtype=bool)
+    mask[[2, 3]] = False
+    for build in (build_union, gather_schedule):
+        with pytest.raises(EmptyNeighborhoodError, match="empty neighborhood at token 3$"):
+            build(cfg(), 8, user_mask=mask)
 
 
 def test_user_mask_applies():
