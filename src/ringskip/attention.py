@@ -198,15 +198,15 @@ def gated_softmax(
 
 
 def _band(out, src, coef, start) -> None:
-    """out[:, :, i] += sum over u < w of coef[:, :, i, u] * src[:, :, start + i + u]
-    for all n rows: coef is (B, H, n, w), and src (C-contiguous) has the margin
-    rows for every window, so the windows are a strided view (no copy) and the
-    band is one batched matmul."""
+    """out[:, :, i] = sum over u < w of coef[:, :, i, u] * src[:, :, start + i + u]
+    for all n rows, written over whatever `out` held: coef is (B, H, n, w), and
+    src (C-contiguous) has the margin rows for every window, so the windows are
+    a strided view (no copy) and the band is one batched matmul into `out`."""
     b, h, n, w = coef.shape
     sb, sh, si, sd = src.strides
     win = np.ndarray((b, h, n, src.shape[3], w), src.dtype, src, start * si,
                      (sb, sh, si, sd, si))
-    out += (win @ coef[..., None])[..., 0]
+    np.matmul(win, coef[..., None], out=out[..., None])
 
 
 def _skew(coef, top, spans) -> np.ndarray:
@@ -221,8 +221,10 @@ def _skew(coef, top, spans) -> np.ndarray:
 
 
 def _gather(out, coef, src, plan: ExecutionPlan) -> None:
-    """out[:, :, i] += sum over slots s of coef[s, :, :, i] * src[:, :, P + i + o_s], where
-    coef (O, B, H, n) is zero on invalid slots and src has the plan's P margin rows."""
+    """out[:, :, i] = sum over slots s of coef[s, :, :, i] * src[:, :, P + i + o_s], where
+    coef (O, B, H, n) is zero on invalid slots and src has the plan's P margin rows.
+    The ring band writes every row of `out` (every plan's band holds offset 0),
+    so `out` need not be zeroed; the skip slots then add to it."""
     s0, s1 = plan.band
     _band(out, src, coef[s0:s1].transpose(1, 2, 3, 0), 0)
     pad = plan.pad
@@ -232,9 +234,11 @@ def _gather(out, coef, src, plan: ExecutionPlan) -> None:
 
 
 def _scatter(out, coef, src, plan: ExecutionPlan) -> None:
-    """The transpose of `_gather`: out[:, :, i + o_s] += coef[s, :, :, i] *
-    src[:, :, P + i]. Key j's window is src rows j - top + u, for slot s1 - 1 - u,
-    top being the band's last offset."""
+    """The transpose of `_gather`: out[:, :, j] = sum over slots s of
+    coef[s, :, :, j - o_s] * src[:, :, P + j - o_s], over the slots whose row
+    j - o_s lies in [0, n). Key j's window is src rows j - top + u, for slot
+    s1 - 1 - u, top being the band's last offset. As in `_gather`, the band
+    writes every row of `out` and the skip slots add."""
     s0, s1 = plan.band
     pad, top = plan.pad, int(plan.offsets[s1 - 1])
     _band(out, src, _skew(coef[s0:s1], top, plan.spans[s0:s1]), pad - top)
@@ -328,7 +332,7 @@ def pi_attention_forward(
         s *= scale
         p = gated_softmax(s, alpha_h, schedule.ring, schedule.valid[:, None, None], config,
                           out=probs[:, rows])
-        out_h = np.zeros(q.shape[:2] + (n, d_h))
+        out_h = np.empty(q.shape[:2] + (n, d_h))
         _gather(out_h, p, v, schedule)
         _heads(f, h_cnt)[...] = out_h
         np.add(f @ proj.wo, proj.bo, out=out[rows])
@@ -376,7 +380,7 @@ def pi_attention_backward(
         probs = cache.probs[:, rows]
         d_probs = np.zeros(probs.shape)
         _slot_dots(d_probs, d_out_h, cache.vh[rows], plan)
-        d_vh = np.zeros(d_out_h.shape[:2] + (n, d_h))
+        d_vh = np.empty(d_out_h.shape[:2] + (n, d_h))
         _scatter(d_vh, probs, d_out_h, plan)
 
         # softmax backward; invalid slots have probs == 0 so they drop out
@@ -391,7 +395,7 @@ def pi_attention_backward(
         del d_out_h, d_probs, d_logits
 
         d_scores *= scale
-        d_qh, d_kh = np.zeros((2,) + d_vh.shape)
+        d_qh, d_kh = np.empty((2,) + d_vh.shape)
         _gather(d_qh, d_scores, cache.kh[rows], plan)
         _scatter(d_kh, d_scores, cache.qh[rows], plan)
         for whole, part in ((d_q, d_qh), (d_k, d_kh), (d_v, d_vh)):

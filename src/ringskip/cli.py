@@ -3,15 +3,18 @@
 All tabular output is CSV with documented headers; configs are JSON. Each
 command computes and prints, then `_write_outputs` writes all of its files, so
 a command that exits 2 writes none: a manifest.json (command, seed, timestamp,
-numpy and scipy versions, the BLAS thread variables and `threads`, the thread
+numpy and scipy versions, the BLAS thread variables and `threads`, the CPU
 count of the `split` rule: 2, or 1 on a one-CPU host; `heap_kept`, whether a
 large attention call has switched on `split.keep_heap`, and `minor_faults`,
-the process's minor page faults over the command, None where the platform
-does not count them), the CSVs and summary.json. CSV bodies are
-byte-identical across reruns with the same seed and BLAS thread count (times
-live only in the manifest), on any number of CPUs: `train` splits each batch
-into two fixed halves and adds their gradients in a fixed order, and
-attention splits only steps that never sum over rows.
+this process's minor page faults over the command, None where the platform
+does not count them; `train` adds `sibling_peak_rss_mb`, the peak resident
+memory of the process that ran its second halves, None when they ran in
+this process, whose `minor_faults` do not count that process's), the CSVs
+and summary.json. CSV bodies are byte-identical across reruns with the same
+seed and BLAS thread count (times live only in the manifest), on any number
+of CPUs: `train` splits each batch into two fixed halves, runs the second in
+a forked sibling process on two CPUs, and adds their gradients in a fixed
+order, and attention splits only steps that never sum over rows.
 Exit codes: 0 all asserted properties pass, 1 a property failed, 2 usage,
 configuration or file error (one `error:` line on stderr).
 """
@@ -170,7 +173,8 @@ def cmd_train(args) -> int:
     last = res.metrics[-1]
     print(f"train: task={task.kind} steps_run={last['step'] + 1} "
           f"loss={last['loss']:.4f} accuracy={res.final_accuracy:.4f}")
-    return _write_outputs(args, 0, {}, tokens_per_sec=res.tokens_per_sec)
+    return _write_outputs(args, 0, {}, tokens_per_sec=res.tokens_per_sec,
+                          sibling_peak_rss_mb=res.sibling_peak_rss_mb)
 
 
 def cmd_decode(args) -> int:

@@ -3,12 +3,15 @@ and position embeddings, L blocks, final layer norm, vocab head. Everything is
 float64 numpy with hand-written backward passes.
 
 Parameters and gradients share the same dataclass tree; `flatten` gives the
-ordered name -> array view the optimizer and checkpoints operate on.
+ordered name -> array view checkpoints operate on, and `bind_params` builds a
+tree whose arrays are views of one flat vector in that order, the layout the
+optimizer works on.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -17,11 +20,12 @@ import numpy as np
 from .attention import (
     BlockCache,
     BlockParams,
+    ProjectionParams,
     block_backward,
     block_forward,
     init_projection,
 )
-from .gate import init_gate
+from .gate import GateParams, init_gate
 from .neighborhood import AttentionConfig, ConfigError, ExecutionPlan, gather_schedule
 from .numerics import Rng, layer_norm_backward, layer_norm_forward, linear_grads
 
@@ -90,6 +94,28 @@ def param_shapes(cfg: ModelConfig) -> Dict[str, Tuple[int, ...]]:
     return {"tok_emb": (v, d), "pos_emb": (cfg.max_seq, d),
             **{f"blocks.{i}.{k}": s for i in range(cfg.layers) for k, s in block.items()},
             "lnf_g": (d,), "lnf_b": (d,), "w_out": (d, v), "b_out": (v,)}
+
+
+def bind_params(cfg: ModelConfig, vec: np.ndarray) -> ModelParams:
+    """A parameter tree whose arrays are views of the 1-D vector `vec`, one
+    after another in `flatten` order with the shapes of `param_shapes(cfg)`:
+    a write to either is a write to the other."""
+    shapes = param_shapes(cfg)
+    ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+    if vec.shape != (int(ends[-1]),):
+        raise ValueError(f"bind_params: vector of shape {vec.shape}, the model has "
+                         f"{int(ends[-1])} parameters")
+    views = {name: part.reshape(shape) for (name, shape), part
+             in zip(shapes.items(), np.split(vec, ends[:-1]))}
+
+    def node(cls, prefix: str, **given):
+        return cls(**{f.name: given[f.name] if f.name in given else views[prefix + f.name]
+                      for f in dataclasses.fields(cls)})
+
+    return node(ModelParams, "", blocks=[
+        node(BlockParams, f"blocks.{i}.", proj=node(ProjectionParams, f"blocks.{i}.proj."),
+             gate=node(GateParams, f"blocks.{i}.gate."))
+        for i in range(cfg.layers)])
 
 
 def flatten(obj, prefix: str = "") -> Dict[str, np.ndarray]:

@@ -1,17 +1,20 @@
 """The one split rule for running a batch on both CPUs: its rows as two fixed
-halves, rows [0, ⌈B/2⌉) on the calling thread and the rest on one worker
-thread, results returned in half order for the caller to combine in a fixed
-order. On a host that gives this process one CPU both halves run on the
-caller, in the same order, so results depend on neither the CPU count nor
-thread scheduling.
+halves, rows [0, ⌈B/2⌉) and the rest, results combined by the caller in a
+fixed order. `in_halves` runs the first half on the calling thread and the
+second on one worker thread; on a host that gives this process one CPU both
+halves run on the caller, in the same order, so results depend on neither
+the CPU count nor thread scheduling.
 
-Splits do not nest: a call to `in_halves` made while either half of another
-runs (on the caller or on the worker) runs its halves inline. So there is
-never more than one worker thread, and the worker never waits on itself.
-`trainer` splits each batch of a train step and of `evaluate`; `attention`
+Splits do not nest: a call to `in_halves` made while a half of another split
+runs (marked by `one_half`) runs its halves inline. So there is never more
+than one worker thread, and the worker never waits on itself. `attention`
 splits the row-local steps of each large forward and backward, runs the
 backward's whole-row sums as two concurrent jobs, and runs a call whole where
-`can_split` is False.
+`can_split` is False. `trainer` cuts each train step and evaluation batch by
+`halves` too, but runs its second half in a forked process, not on the
+worker thread: at train sizes the two threads would spend the step handing
+the interpreter lock back and forth. Both of its halves run inside
+`one_half`, so the attention calls they make run inline.
 
 A large attention call frees and reallocates tens of MB of arrays per call.
 glibc hands blocks above its mmap threshold, and a heap top above its trim
@@ -24,6 +27,7 @@ that happened. Small calls never call it.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 import threading
@@ -41,8 +45,8 @@ _HEAP_LOCK = threading.Lock()
 
 
 def threads() -> int:
-    """2 when a second half runs on the worker thread, 1 when the host gives
-    this process one CPU and both halves run on the caller."""
+    """2 when a second half runs beside the first, 1 when the host gives this
+    process one CPU and both halves run on the caller."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return 2 if (cpus or 1) >= 2 else 1
 
@@ -59,12 +63,21 @@ def halves(size: int) -> List[slice]:
     return [slice(0, cut), slice(cut, size)][:2 if cut < size else 1]
 
 
-def _as_half(fn: Callable, *args):
+@contextlib.contextmanager
+def one_half():
+    """Marks the calling thread as running one half of a split for the body of
+    the `with`: a call to `in_halves` made inside runs its halves inline."""
+    was = getattr(_STATE, "busy", False)
     _STATE.busy = True
     try:
-        return fn(*args)
+        yield
     finally:
-        _STATE.busy = False
+        _STATE.busy = was
+
+
+def _as_half(fn: Callable, *args):
+    with one_half():
+        return fn(*args)
 
 
 def in_halves(fn: Callable, parts: List[tuple]) -> list:

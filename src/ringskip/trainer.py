@@ -10,15 +10,26 @@ Tasks:
     marker; the target at the marker is the key;
   * char_lm         — next-character prediction over a plain-text corpus.
 
-Each training step splits its batch into two fixed halves by the rule of
-`split`, rows [0, ⌈B/2⌉) and the rest. The calling thread runs forward, loss
-and backward on the first while one worker thread runs the second; each
-half's loss divides by the whole batch's count of scored targets, so the
-step's loss and gradient are the first half's plus the second's, added in
-that order. On a host with one CPU both halves run on the caller, in the same
-order, so outputs depend on neither the CPU count nor thread scheduling.
-`evaluate` splits the rows of its batches the same way. The attention calls
-inside either half run inline.
+Each training step splits its batch into two fixed halves by `split.halves`,
+rows [0, ⌈B/2⌉) and the rest. The caller runs forward, loss and backward on
+the first while a sibling process, forked once at the start of `train`, runs
+the second; each half's loss divides by the whole batch's count of scored
+targets, so the step's loss and gradient are the first half's plus the
+second's, added in that order. Two processes, not two threads: at these
+sizes two threads of one process spend the step handing the interpreter lock
+back and forth. The parameters are views of one flat vector in anonymous
+shared memory (`model.bind_params`), so the sibling reads each step's
+parameters, updated in place by the caller's AdamW, without a copy; the rows
+it runs and the flat gradient it returns pass through shared buffers too,
+and one pipe each way carries the commands and the losses. Clipping, AdamW,
+the half-sum and the finiteness check work on the flat vectors.
+
+Where `split.threads()` is 1 or the platform has no `os.fork`, both halves
+run on the caller, in the same order, so outputs depend on neither the CPU
+count nor process scheduling. The sibling exits before `train` returns or
+raises, and an exception in its half is raised in the caller. `evaluate`
+splits the rows of its batches the same way, its second half in the sibling
+when `train` calls it. The attention calls inside either half run inline.
 """
 
 from __future__ import annotations
@@ -26,18 +37,22 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import mmap
+import os
+import pickle
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import (ModelConfig, ModelParams, flatten, init_model, model_backward,
-                    model_forward, param_shapes)
+from .model import (ModelConfig, ModelParams, bind_params, flatten, init_model,
+                    model_backward, model_forward, param_shapes)
 from .neighborhood import ConfigError, from_dict, gather_schedule
 from .numerics import Rng, softmax_row
-from .split import halves, in_halves
+from .split import halves, one_half, threads
 
 IGNORE_INDEX = -1
 
@@ -167,29 +182,38 @@ def count_correct(logits: np.ndarray, targets: np.ndarray) -> Tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def global_norm(grads: Dict[str, np.ndarray]) -> float:
-    return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+def global_norm(grads: np.ndarray, cuts: Sequence[int] = ()) -> float:
+    """Euclidean norm of the flat vector `grads`, whose arrays meet at the
+    offsets `cuts`. Each array's squares are summed on their own and those
+    sums added in order, so the norm is, bit for bit, the one taken array by
+    array: numpy sums each run pairwise, and one run over the whole vector
+    would group the terms differently."""
+    squares = grads * grads
+    return float(np.sqrt(sum(float(part.sum()) for part in np.split(squares, cuts))))
 
 
-def clip_by_global_norm(grads: Dict[str, np.ndarray], max_norm: float) -> float:
-    norm = global_norm(grads)
+def clip_by_global_norm(grads: np.ndarray, max_norm: float, cuts: Sequence[int] = ()) -> float:
+    """Scales the flat vector `grads` in place to norm `max_norm` when its
+    `global_norm` is larger; returns that norm."""
+    norm = global_norm(grads, cuts)
     if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
+        grads *= max_norm / norm
     return norm
 
 
 @dataclass
 class AdamState:
-    m: Dict[str, np.ndarray]
-    v: Dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
+    def __post_init__(self) -> None:
+        # two vectors of working space, so that a step allocates nothing
+        self.work = np.empty((2,) + self.m.shape)
+
     @classmethod
-    def for_params(cls, params: Dict[str, np.ndarray]) -> "AdamState":
-        return cls(m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()})
+    def for_params(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def lr_at(step: int, tc: TrainConfig) -> float:
@@ -204,34 +228,36 @@ def lr_at(step: int, tc: TrainConfig) -> float:
 
 
 def adamw_step(
-    params: Dict[str, np.ndarray],
-    grads: Dict[str, np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     tc: TrainConfig,
     lr: Optional[float] = None,
 ) -> None:
-    """In-place AdamW update with decoupled weight decay; grads must already
-    be clipped. Rejects non-finite gradients."""
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise TrainDivergedError(f"non-finite gradient in {name}")
+    """In-place AdamW update of the flat vector `params` with decoupled weight
+    decay; `grads` must already be clipped. Rejects a non-finite gradient."""
+    finite = np.isfinite(grads)
+    if not finite.all():
+        raise TrainDivergedError(f"non-finite gradient at index {int(np.argmin(finite))}")
     if lr is None:
         lr = tc.lr
     state.t += 1
     b1, b2 = tc.beta1, tc.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + tc.adam_eps)
-        if tc.weight_decay > 0:
-            p -= lr * tc.weight_decay * p
+    m, v, (a, b) = state.m, state.v, state.work
+    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), then p -= lr * wd * p, one
+    # operation at a time in that order
+    m *= b1
+    m += np.multiply(grads, 1 - b1, out=a)
+    v *= b2
+    np.multiply(grads, 1 - b2, out=a)
+    v += np.multiply(a, grads, out=a)
+    np.multiply(np.divide(m, bc1, out=a), lr, out=a)
+    np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), tc.adam_eps, out=b)
+    params -= np.divide(a, b, out=a)
+    if tc.weight_decay > 0:
+        params -= np.multiply(params, lr * tc.weight_decay, out=a)
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +396,11 @@ def load_checkpoint(path: Path) -> Tuple[ModelConfig, ModelParams, int]:
     if odd:
         raise ConfigError(f"checkpoint {path}: header and model arrays differ: "
                          + ", ".join(f"{name} {shape}" for name, shape in odd))
-    params = init_model(cfg, seed=0)
-    flat = flatten(params)
-    data = np.frombuffer(blob, dtype="<f8", offset=8 + hlen)
-    for name, shape in specs:
-        arr = flat[name]
-        arr[...] = data[:arr.size].reshape(shape)
-        data = data[arr.size:]
-    return cfg, params, seed
+    stored = dict(zip((name for name, _ in specs), np.split(
+        np.frombuffer(blob, dtype="<f8", offset=8 + hlen),
+        np.cumsum([math.prod(shape) for _, shape in specs])[:-1])))
+    vec = np.concatenate([stored[name] for name in shapes], dtype=np.float64)
+    return cfg, bind_params(cfg, vec), seed
 
 
 # ---------------------------------------------------------------------------
@@ -391,73 +414,30 @@ class TrainResult:
     metrics: List[dict]           # step, loss, accuracy
     final_accuracy: float
     tokens_per_sec: float         # over the training steps, evaluation excluded
+    sibling_peak_rss_mb: Optional[float] = None  # None when both halves ran on the caller
+
+
+# the batches `evaluate` draws unless told otherwise, and what `train` runs
+EVAL_BATCHES = 4
+
+
+def _shared(shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """A zeroed array in anonymous shared memory: a process forked after it is
+    made reads and writes the same pages."""
+    size = math.prod(shape)
+    buf = mmap.mmap(-1, max(size * np.dtype(dtype).itemsize, 1))
+    return np.frombuffer(buf, dtype, size).reshape(shape)
 
 
 def _half_step(params: ModelParams, cfg: ModelConfig, schedule, inp: np.ndarray,
-               tgt: np.ndarray, count: int) -> Tuple[float, Dict[str, np.ndarray]]:
-    """Loss and flat gradient of one half of a batch, both scaled by 1 / count."""
+               tgt: np.ndarray, count: int, grad: np.ndarray) -> Tuple[float, ModelParams]:
+    """Loss of one half of a batch, its flat gradient written into `grad`,
+    both scaled by 1 / count, and the gradient tree it was copied from."""
     logits, mcache = model_forward(inp, params, cfg, schedule)
     loss, d_logits = cross_entropy(logits, tgt, count=count)
-    return loss, flatten(model_backward(params, cfg, mcache, d_logits))
-
-
-def train(
-    cfg: ModelConfig,
-    task: TaskSpec,
-    tc: TrainConfig,
-    out_dir: Optional[Path] = None,
-) -> TrainResult:
-    """Seeded end-to-end run. Writes metrics.csv and model.ckpt under out_dir."""
-    if task.vocab != cfg.vocab:
-        raise ConfigError(f"task.vocab: {task.vocab} differs from model.vocab {cfg.vocab}")
-    if task.seq_len > cfg.max_seq:
-        raise ConfigError(f"task.seq_len: {task.seq_len} exceeds model.max_seq {cfg.max_seq}")
-    params = init_model(cfg, seed=tc.seed)
-    flat = flatten(params)
-    state = AdamState.for_params(flat)
-    data_rng = Rng(tc.seed).spawn(1)
-    eval_rng_seed = Rng(tc.seed).spawn(2).seed
-    schedule = gather_schedule(cfg.attention, task.seq_len)
-    corpus = load_corpus(task) if task.kind == "char_lm" else None
-
-    metrics: List[dict] = []
-    acc = float("nan")
-    tokens, busy = 0, 0.0
-    for step in range(tc.steps):
-        t0 = time.perf_counter()
-        inp, tgt = make_batch(task, data_rng, tc.batch_size, corpus)
-        count = int((tgt != IGNORE_INDEX).sum())
-        (loss, grads), *rest = in_halves(_half_step, [
-            (params, cfg, schedule, inp[rows], tgt[rows], count)
-            for rows in halves(len(inp))])
-        for half_loss, half_grads in rest:
-            loss += half_loss
-            for name, g in grads.items():
-                g += half_grads[name]
-        if not np.isfinite(loss):
-            raise TrainDivergedError(f"loss diverged at step {step}: {loss}")
-        clip_by_global_norm(grads, tc.clip_norm)
-        adamw_step(flat, grads, state, tc, lr=lr_at(step, tc))
-        busy += time.perf_counter() - t0
-        tokens += inp.size
-
-        if step % tc.eval_interval == 0 or step == tc.steps - 1:
-            acc = evaluate(params, cfg, task, schedule, seed=eval_rng_seed,
-                           batch_size=tc.batch_size, corpus=corpus)
-            metrics.append({"step": step, "loss": loss, "accuracy": acc})
-            if tc.stop_accuracy is not None and acc >= tc.stop_accuracy:
-                break
-
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "metrics.csv", "w") as f:
-            f.write("step,loss,accuracy\n")
-            for m in metrics:
-                f.write(f"{m['step']},{m['loss']:.17g},{m['accuracy']:.17g}\n")
-        save_checkpoint(out_dir / "model.ckpt", cfg, params, tc.seed)
-    return TrainResult(params=params, metrics=metrics, final_accuracy=acc,
-                       tokens_per_sec=tokens / busy)
+    tree = model_backward(params, cfg, mcache, d_logits)
+    np.concatenate([g.ravel() for g in flatten(tree).values()], out=grad)
+    return loss, tree
 
 
 def _score(params: ModelParams, cfg: ModelConfig, schedule,
@@ -473,6 +453,210 @@ def _score(params: ModelParams, cfg: ModelConfig, schedule,
     return correct, total
 
 
+class _Halves:
+    """The two halves of each batch of one `train` call: rows [0, ⌈B/2⌉) run
+    on the caller, the rest in a sibling process forked here when `fork`,
+    else on the caller after the first.
+
+    `params` must be views of shared memory: the sibling reads the caller's
+    in-place updates through them. It writes its flat gradient into `grad`
+    and reads its rows from `inp` and `tgt`, all in shared memory too. A
+    pipe each way carries the commands and the results; an exception raised
+    in its half is sent back and raised in the caller. The sibling starts no
+    thread and exits when it reads the end of its command pipe: `close`
+    closes it and reaps the sibling.
+
+    Each half's last gradient tree is held until its next step. Freed at
+    once, above the step's other freed arrays, it would leave the heap's top
+    free, and glibc would hand those pages back and fault them in again on
+    every step: on `train --task copy`, 2 CPUs, about ten times the minor
+    faults and 8.6 against 7.3 ms a step."""
+
+    def __init__(self, params: ModelParams, cfg: ModelConfig, schedule, batch_size: int,
+                 seq_len: int, fork: bool):
+        self.params, self.cfg, self.schedule = params, cfg, schedule
+        self.grad = _shared((sum(a.size for a in flatten(params).values()),), np.float64)
+        self.inp, self.tgt = (_shared((EVAL_BATCHES, batch_size // 2, seq_len), np.int64)
+                              for _ in range(2))
+        self.pid = None
+        self._pending = None
+        self._trees = [None, None]  # each half's last
+        if fork:
+            self._fork()
+
+    def _fork(self) -> None:
+        commands, commands_w = os.pipe()
+        replies_r, replies = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (commands, commands_w, replies_r, replies):
+                os.close(fd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                os.close(commands_w)
+                os.close(replies_r)
+                with open(commands, "rb") as cmd, open(replies, "wb") as out, one_half():
+                    self._serve(cmd, out)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(commands)
+        os.close(replies)
+        self.pid = pid
+        self._commands, self._replies = open(commands_w, "wb"), open(replies_r, "rb")
+
+    def _serve(self, commands, replies) -> None:
+        """The sibling's loop until EOF: per command, (result, None), or the
+        exception the half raised and its formatted traceback."""
+        while True:
+            try:
+                command = pickle.load(commands)
+            except EOFError:
+                return
+            try:
+                blob = pickle.dumps((self._run(*command), None))
+            except Exception as exc:
+                trace = traceback.format_exc()
+                try:
+                    blob = pickle.dumps((exc, trace))
+                    pickle.loads(blob)
+                except Exception:  # an exception that does not survive pickling
+                    blob = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), trace))
+            replies.write(blob)
+            replies.flush()
+
+    def _run(self, kind: str, n_batches: int, count: int):
+        """The second half: a step's loss, or an evaluation's (hits, counted)."""
+        batches = list(zip(self.inp[:n_batches], self.tgt[:n_batches]))
+        if kind == "score":
+            return _score(self.params, self.cfg, self.schedule, batches)
+        (inp, tgt), = batches
+        loss, self._trees[1] = _half_step(self.params, self.cfg, self.schedule, inp, tgt,
+                                          count, self.grad)
+        return loss
+
+    def _submit(self, kind: str, batches: List[Tuple[np.ndarray, np.ndarray]],
+                count: int = 0) -> None:
+        for i, (inp, tgt) in enumerate(batches):
+            self.inp[i], self.tgt[i] = inp, tgt
+        command = (kind, len(batches), count)
+        if self.pid is None:
+            self._pending = command
+            return
+        pickle.dump(command, self._commands)
+        self._commands.flush()
+
+    def _result(self):
+        if self.pid is None:
+            return self._run(*self._pending)
+        try:
+            reply, trace = pickle.load(self._replies)
+        except EOFError:
+            raise RuntimeError("the sibling process running the second half ended") from None
+        if trace is not None:
+            raise reply from RuntimeError(f"raised in the sibling process:\n{trace}")
+        return reply
+
+    def step(self, inp: np.ndarray, tgt: np.ndarray, grad: np.ndarray) -> float:
+        """A batch's loss, its flat gradient written into `grad`: the first
+        half's plus the second's, added in that order."""
+        count = int((tgt != IGNORE_INDEX).sum())
+        first, *rest = halves(len(inp))
+        for rows in rest:
+            self._submit("step", [(inp[rows], tgt[rows])], count)
+        loss, self._trees[0] = _half_step(self.params, self.cfg, self.schedule, inp[first],
+                                          tgt[first], count, grad)
+        for _ in rest:
+            loss += self._result()
+            grad += self.grad
+        return loss
+
+    def score(self, parts: List[List[Tuple[np.ndarray, np.ndarray]]]) -> List[Tuple[int, int]]:
+        """`_score` of each half's (inputs, targets) pairs, in half order."""
+        first, *rest = parts
+        for part in rest:
+            self._submit("score", part)
+        return [_score(self.params, self.cfg, self.schedule, first)] + [
+            self._result() for _ in rest]
+
+    def close(self) -> Optional[float]:
+        """Ends and reaps the sibling; returns its peak resident memory in MB,
+        None when there was none."""
+        if self.pid is None:
+            return None
+        self._commands.close()
+        self._replies.close()
+        pid, self.pid = self.pid, None
+        return os.wait4(pid, 0)[2].ru_maxrss / 1024.0
+
+
+def train(
+    cfg: ModelConfig,
+    task: TaskSpec,
+    tc: TrainConfig,
+    out_dir: Optional[Path] = None,
+) -> TrainResult:
+    """Seeded end-to-end run. Writes metrics.csv and model.ckpt under out_dir."""
+    if task.vocab != cfg.vocab:
+        raise ConfigError(f"task.vocab: {task.vocab} differs from model.vocab {cfg.vocab}")
+    if task.seq_len > cfg.max_seq:
+        raise ConfigError(f"task.seq_len: {task.seq_len} exceeds model.max_seq {cfg.max_seq}")
+    start = flatten(init_model(cfg, seed=tc.seed))
+    vec = _shared((sum(a.size for a in start.values()),), np.float64)
+    np.concatenate([a.ravel() for a in start.values()], out=vec)
+    cuts = np.cumsum([a.size for a in start.values()])[:-1]
+    del start
+    params = bind_params(cfg, vec)
+    grad = np.empty_like(vec)
+    state = AdamState.for_params(vec)
+    data_rng = Rng(tc.seed).spawn(1)
+    eval_rng_seed = Rng(tc.seed).spawn(2).seed
+    schedule = gather_schedule(cfg.attention, task.seq_len)
+    corpus = load_corpus(task) if task.kind == "char_lm" else None
+
+    metrics: List[dict] = []
+    acc = float("nan")
+    tokens, busy = 0, 0.0
+    with one_half():
+        runner = _Halves(params, cfg, schedule, tc.batch_size, task.seq_len,
+                         fork=len(halves(tc.batch_size)) == 2 and threads() == 2
+                         and hasattr(os, "fork"))
+        try:
+            for step in range(tc.steps):
+                t0 = time.perf_counter()
+                inp, tgt = make_batch(task, data_rng, tc.batch_size, corpus)
+                loss = runner.step(inp, tgt, grad)
+                if not np.isfinite(loss):
+                    raise TrainDivergedError(f"loss diverged at step {step}: {loss}")
+                clip_by_global_norm(grad, tc.clip_norm, cuts)
+                adamw_step(vec, grad, state, tc, lr=lr_at(step, tc))
+                busy += time.perf_counter() - t0
+                tokens += inp.size
+
+                if step % tc.eval_interval == 0 or step == tc.steps - 1:
+                    acc = evaluate(params, cfg, task, schedule, seed=eval_rng_seed,
+                                   batch_size=tc.batch_size, corpus=corpus, runner=runner)
+                    metrics.append({"step": step, "loss": loss, "accuracy": acc})
+                    if tc.stop_accuracy is not None and acc >= tc.stop_accuracy:
+                        break
+        finally:
+            sibling_peak = runner.close()
+
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(out_dir / "metrics.csv", "w") as f:
+            f.write("step,loss,accuracy\n")
+            for m in metrics:
+                f.write(f"{m['step']},{m['loss']:.17g},{m['accuracy']:.17g}\n")
+        save_checkpoint(out_dir / "model.ckpt", cfg, params, tc.seed)
+    return TrainResult(params=params, metrics=metrics, final_accuracy=acc,
+                       tokens_per_sec=tokens / busy, sibling_peak_rss_mb=sibling_peak)
+
+
 def evaluate(
     params: ModelParams,
     cfg: ModelConfig,
@@ -480,20 +664,21 @@ def evaluate(
     schedule=None,
     seed: int = 1234,
     batch_size: int = 16,
-    n_batches: int = 4,
+    n_batches: int = EVAL_BATCHES,
     corpus: Optional[np.ndarray] = None,
+    runner: Optional[_Halves] = None,
 ) -> float:
     """Token accuracy on freshly sampled batches with a fixed seed. All batches
-    are drawn first; the caller scores the first half of each batch's rows
-    while the worker scores the rest, so no more rows are in flight at once
-    than in one batch."""
+    are drawn first; the caller scores the first half of each batch's rows,
+    then the rest, or `runner`, the halves of a `train` call, scores both at
+    once. So no more rows are in flight at once than in one batch."""
     rng = Rng(seed)
     if corpus is None and task.kind == "char_lm":
         corpus = load_corpus(task)
     if schedule is None:
         schedule = gather_schedule(cfg.attention, task.seq_len)
     batches = [make_batch(task, rng, batch_size, corpus) for _ in range(n_batches)]
-    scores = in_halves(_score, [
-        (params, cfg, schedule, [(inp[rows], tgt[rows]) for inp, tgt in batches])
-        for rows in halves(batch_size)])
+    parts = [[(inp[rows], tgt[rows]) for inp, tgt in batches] for rows in halves(batch_size)]
+    scores = (runner.score(parts) if runner is not None
+              else [_score(params, cfg, schedule, part) for part in parts])
     return sum(c for c, _ in scores) / sum(t for _, t in scores)

@@ -125,6 +125,11 @@ def test_manifest_records_heap_retention_and_page_faults(tmp_path):
     for got in (train, rf):
         assert isinstance(got["minor_faults"], int) and got["minor_faults"] >= 0
     assert train["minor_faults"] > 0
+    # the sibling's pages are not this process's: its own peak is recorded beside
+    forked = train["threads"] == 2 and hasattr(os, "fork")
+    assert (train["sibling_peak_rss_mb"] is None) != forked
+    assert not forked or train["sibling_peak_rss_mb"] > 0
+    assert "sibling_peak_rss_mb" not in rf
     bodies = "".join(csv.read_text() for csv in tmp_path.glob("*/*.csv"))
     assert bodies and "heap_kept" not in bodies and "minor_faults" not in bodies
 
@@ -700,3 +705,5 @@ def test_manifest_records_versions_and_thread_settings(tmp_path, monkeypatch):
         for name, job in (("rf", ["rf-bound"]), ("train", train_job)):
             got = manifest(job, f"{name}{cpus}")
             assert got["threads"] == cpus and "train_threads" not in got
+        # the second halves ran in a sibling process on two CPUs, here on one
+        assert (got["sibling_peak_rss_mb"] is None) == (cpus == 1 or not hasattr(os, "fork"))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringskip.model import ModelConfig, flatten, init_model, param_shapes
+from ringskip.model import ModelConfig, bind_params, flatten, init_model, param_shapes
 from ringskip.neighborhood import AttentionConfig, ConfigError
 from ringskip.numerics import Rng
 from ringskip.trainer import (
@@ -69,38 +69,49 @@ def test_count_correct():
 
 
 def test_global_norm_clip():
-    grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-    assert abs(global_norm(grads) - 5.0) < 1e-12
-    norm = clip_by_global_norm(grads, 1.0)
+    grads = np.array([3.0, 4.0])  # two arrays of one element each
+    assert abs(global_norm(grads, [1]) - 5.0) < 1e-12
+    norm = clip_by_global_norm(grads, 1.0, [1])
     assert abs(norm - 5.0) < 1e-12
-    assert abs(global_norm(grads) - 1.0) < 1e-12
-    small = {"a": np.array([0.3])}
+    assert abs(global_norm(grads, [1]) - 1.0) < 1e-12
+    small = np.array([0.3])
     clip_by_global_norm(small, 1.0)
-    assert small["a"][0] == 0.3  # untouched below the threshold
+    assert small[0] == 0.3  # untouched below the threshold
+
+
+def test_global_norm_sums_each_array_on_its_own():
+    # numpy sums a run pairwise, so one run over the whole vector would group
+    # the squares differently; the norm must be the arrays' own, bit for bit
+    cfg = model_cfg(layers=2)
+    arrays = [Rng(i).normal(shape) for i, shape in enumerate(param_shapes(cfg).values())]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    cuts = np.cumsum([a.size for a in arrays])[:-1]
+    assert global_norm(flat, cuts) == float(np.sqrt(sum(float((a * a).sum()) for a in arrays)))
 
 
 def test_adamw_first_step():
     tc = TrainConfig(lr=0.1, weight_decay=0.0)
-    params = {"p": np.array([1.0])}
+    params = np.array([1.0])
     state = AdamState.for_params(params)
-    adamw_step(params, {"p": np.array([0.5])}, state, tc, lr=0.1)
+    adamw_step(params, np.array([0.5]), state, tc, lr=0.1)
     # bias-corrected first step is lr * g / (|g| + eps)
-    assert abs(params["p"][0] - 0.9) < 1e-7
+    assert abs(params[0] - 0.9) < 1e-7
 
     tc = TrainConfig(lr=0.1, weight_decay=0.1)
-    params = {"p": np.array([1.0])}
+    params = np.array([1.0])
     state = AdamState.for_params(params)
-    adamw_step(params, {"p": np.array([0.5])}, state, tc, lr=0.1)
-    assert abs(params["p"][0] - 0.9 * (1.0 - 0.01)) < 1e-7
+    adamw_step(params, np.array([0.5]), state, tc, lr=0.1)
+    assert abs(params[0] - 0.9 * (1.0 - 0.01)) < 1e-7
 
 
 def test_adamw_rejects_non_finite():
     tc = TrainConfig()
-    params = {"p": np.zeros(2)}
+    params = np.zeros(2)
     state = AdamState.for_params(params)
     from ringskip.trainer import TrainDivergedError
-    with pytest.raises(TrainDivergedError, match="p"):
-        adamw_step(params, {"p": np.array([1.0, np.nan])}, state, tc)
+    with pytest.raises(TrainDivergedError, match="index 1"):
+        adamw_step(params, np.array([1.0, np.nan]), state, tc)
+    assert state.t == 0 and not params.any()
 
 
 def test_lr_schedule():
@@ -147,6 +158,54 @@ def test_checkpoint_roundtrip(tmp_path):
     assert seed == 5 and cfg2 == cfg
     for name, arr in flatten(params).items():
         assert (flatten(params2)[name] == arr).all(), name
+
+
+def views_of_one_vector(params) -> np.ndarray:
+    """The vector every array of `params` views, one after another in
+    `flatten` order; fails if there is no such vector."""
+    arrays = list(flatten(params).values())
+    base = arrays[0].base
+    assert base is not None and base.ndim == 1
+    assert base.size == sum(a.size for a in arrays)
+    at, start = 0, base.__array_interface__["data"][0]
+    for a in arrays:
+        assert a.base is base and a.flags.c_contiguous
+        assert a.__array_interface__["data"][0] - start == at * base.itemsize
+        at += a.size
+    return base
+
+
+def test_bind_params_views_one_vector_in_flatten_order():
+    cfg = model_cfg(layers=2)
+    made = flatten(init_model(cfg, seed=1))
+    vec = np.concatenate([a.ravel() for a in made.values()])
+    bound = bind_params(cfg, vec)
+    assert views_of_one_vector(bound) is vec
+    assert [(k, a.shape) for k, a in flatten(bound).items()] == list(param_shapes(cfg).items())
+    assert all(np.array_equal(flatten(bound)[k], a) for k, a in made.items())
+    vec[0] = 7.0  # a write to the vector is a write to the tree
+    assert bound.tok_emb[0, 0] == 7.0
+    with pytest.raises(ValueError, match="parameters"):
+        bind_params(cfg, vec[1:])
+
+
+def test_load_checkpoint_binds_one_vector_and_draws_nothing(tmp_path, monkeypatch):
+    import ringskip.model as model_mod
+    import ringskip.trainer as trainer_mod
+    cfg = model_cfg(layers=2)
+    params = init_model(cfg, seed=5)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, cfg, params, seed=5)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew a model")
+
+    monkeypatch.setattr(trainer_mod, "init_model", no_draw)
+    monkeypatch.setattr(model_mod, "init_model", no_draw)
+    _, loaded, _ = load_checkpoint(path)
+    views_of_one_vector(loaded)
+    for name, arr in flatten(params).items():
+        assert np.array_equal(flatten(loaded)[name], arr), name
 
 
 @settings(max_examples=40, deadline=None)
@@ -380,16 +439,28 @@ def cpus(monkeypatch):
     return lambda k: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
 
 
-def thread_spy(monkeypatch):
-    """Patch trainer.model_forward to record (thread ident, batch rows) per call."""
+def read_log(path) -> list:
+    """The whitespace-separated fields of each line a `half_spy` wrote."""
+    return [tuple(line.split()) for line in path.read_text().splitlines()] if path.exists() else []
+
+
+def half_spy(monkeypatch, log):
+    """Patch trainer.model_forward to append "<process id> <batch rows>" to the
+    file `log` per call, from whichever process makes it, and return a reader
+    of the (process id, rows) pairs written so far."""
     import ringskip.trainer as trainer_mod
-    calls, real = [], trainer_mod.model_forward
+    real = trainer_mod.model_forward
 
     def spy(tokens, *args, **kwargs):
-        calls.append((threading.get_ident(), len(tokens)))
+        with open(log, "a") as f:  # one short append: whole lines from either process
+            f.write(f"{os.getpid()} {len(tokens)}\n")
         return real(tokens, *args, **kwargs)
 
     monkeypatch.setattr(trainer_mod, "model_forward", spy)
+
+    def calls():
+        return [(int(pid), int(rows)) for pid, rows in read_log(log)]
+
     return calls
 
 
@@ -414,10 +485,12 @@ def test_half_gradients_sum_to_the_full_batch_gradient():
     schedule = gather_schedule(cfg.attention, task.seq_len)
     inp, tgt = make_batch(task, Rng(5), 16)
     count = int((tgt != IGNORE_INDEX).sum())
-    loss, full = trainer_mod._half_step(params, cfg, schedule, inp, tgt, count)
-    (l0, g0), (l1, g1) = (trainer_mod._half_step(params, cfg, schedule, inp[rows], tgt[rows],
-                                                 count)
-                          for rows in (slice(0, 8), slice(8, 16)))
+    vectors = np.empty((3, sum(a.size for a in flatten(params).values())))
+    full, g0, g1 = (flatten(bind_params(cfg, v)) for v in vectors)
+    loss = trainer_mod._half_step(params, cfg, schedule, inp, tgt, count, vectors[0])[0]
+    l0, l1 = (trainer_mod._half_step(params, cfg, schedule, inp[rows], tgt[rows], count,
+                                     vec)[0]
+              for rows, vec in ((slice(0, 8), vectors[1]), (slice(8, 16), vectors[2])))
     assert abs(l0 + l1 - loss) <= 1e-13 * loss
     for name, g in full.items():
         assert np.abs(g0[name] + g1[name] - g).max() <= 1e-13 * np.abs(g).max(), name
@@ -432,28 +505,33 @@ def small_run(tmp_path, name):
     return [(tmp_path / name / f).read_bytes() for f in ("metrics.csv", "model.ckpt")]
 
 
-def test_train_outputs_do_not_depend_on_the_worker_thread(tmp_path, monkeypatch, cpus):
-    calls = thread_spy(monkeypatch)
+def test_train_outputs_do_not_depend_on_the_sibling_process(tmp_path, monkeypatch, cpus):
+    calls = half_spy(monkeypatch, tmp_path / "halves.log")
     cpus(2)
-    threaded = small_run(tmp_path, "worker")
-    assert len({ident for ident, _ in calls}) == 2
-    assert {rows for _, rows in calls} == {3, 2}  # rows [0, 3) and [3, 5)
-    calls.clear()
+    forked = small_run(tmp_path, "sibling")
+    here = os.getpid()
+    assert len({pid for pid, _ in calls()}) == 2
+    # rows [0, 3) here and [3, 5) in the sibling
+    assert {(pid == here, rows) for pid, rows in calls()} == {(True, 3), (False, 2)}
+    (tmp_path / "halves.log").unlink()
     cpus(1)
     inline = small_run(tmp_path, "inline")
-    assert {ident for ident, _ in calls} == {threading.get_ident()}
-    assert threaded == inline
+    assert {pid for pid, _ in calls()} == {here}
+    assert forked == inline
 
 
 @pytest.mark.parametrize("batch_size, rows", [(1, {1}), (3, {2, 1})])
-def test_odd_and_single_row_batches_train(monkeypatch, cpus, batch_size, rows):
-    calls = thread_spy(monkeypatch)
+def test_odd_and_single_row_batches_train(tmp_path, monkeypatch, cpus, batch_size, rows):
+    calls = half_spy(monkeypatch, tmp_path / "halves.log")
     cpus(2)
     task = TaskSpec(kind="copy_at_pi", vocab=16, seq_len=16, delay=4)
     res = train(model_cfg(), task, TrainConfig(steps=3, batch_size=batch_size,
                                                eval_interval=10, seed=1))
     assert np.isfinite([m["loss"] for m in res.metrics]).all()
-    assert {n for _, n in calls} == rows  # a half with no rows is not run
+    assert {n for _, n in calls()} == rows  # a half with no rows is not run
+    # the first half's rows run here, the second's in the sibling
+    assert {n for pid, n in calls() if pid == os.getpid()} == {max(rows)}
+    assert len({pid for pid, _ in calls()}) == len(rows)
 
 
 @pytest.mark.parametrize("n_batches", [1, 4])
@@ -499,10 +577,10 @@ def test_an_error_in_the_worker_half_reaches_the_caller(monkeypatch, cpus):
     from ringskip.numerics import NonFiniteError
     cpus(2)
     real = trainer_mod.model_forward
-    caller = threading.get_ident()
+    caller = os.getpid()
 
     def poisoned(tokens, params, *args, **kwargs):
-        if threading.get_ident() != caller:  # the gate sees NaN rows
+        if os.getpid() != caller:  # the sibling's gate sees NaN rows
             params = dataclasses.replace(params, tok_emb=np.full_like(params.tok_emb, np.nan))
         return real(tokens, params, *args, **kwargs)
 
@@ -517,24 +595,30 @@ def test_an_error_in_the_worker_half_reaches_the_caller(monkeypatch, cpus):
 
 def test_attention_inside_a_train_half_runs_inline(tmp_path, monkeypatch, cpus):
     """Half-batches above the attention cut: the attention calls inside either
-    half run inline, so each step and each evaluate hands the worker one half,
-    never more than one worker thread exists, and the outputs are the one-CPU
-    run's bytes."""
+    half run inline, in the caller and in the sibling, so a `train` call
+    submits nothing to the worker thread and starts no worker thread, and the
+    outputs are the one-CPU run's bytes. `train` runs on a thread other than
+    the main one, so the sibling is forked there."""
     import ringskip.attention as attention_mod
     from ringskip import split
     task = TaskSpec(kind="copy_at_pi", vocab=16, seq_len=1024, delay=4)
     cfg = model_cfg(max_seq=1024)
     tc = TrainConfig(lr=3e-3, steps=2, batch_size=8, eval_interval=1, seed=3)
     assert 4 * cfg.n_heads * task.seq_len >= attention_mod.SPLIT_MIN_ROWS
-    submits, workers = [], []
+    log = tmp_path / "calls.log"
     real_submit, real_dots = split._WORKER.submit, attention_mod._slot_dots
 
+    def record(*fields):
+        with open(log, "a") as f:
+            f.write(" ".join(map(str, (os.getpid(),) + fields)) + "\n")
+
     def counting_submit(*args):
-        submits.append(threading.get_ident())
+        record("submit")
         return real_submit(*args)
 
     def watching_dots(*args):
-        workers.append(sum(t.name.startswith("ringskip-half") for t in threading.enumerate()))
+        workers = sum(t.name.startswith("ringskip-half") for t in threading.enumerate())
+        record("dots", workers, int(split.can_split()))
         return real_dots(*args)
 
     monkeypatch.setattr(split._WORKER, "submit", counting_submit)
@@ -547,11 +631,52 @@ def test_attention_inside_a_train_half_runs_inline(tmp_path, monkeypatch, cpus):
         assert not done.is_alive(), "train did not finish"
         return [(tmp_path / name / f).read_bytes() for f in ("metrics.csv", "model.ckpt")]
 
+    before = sum(t.name.startswith("ringskip-half") for t in threading.enumerate())
     cpus(2)
-    threaded = run("worker")
-    assert len(submits) == 4  # two steps and two evaluations, one half each
-    assert workers and max(workers) <= 1
-    submits.clear()
+    forked = run("sibling")
+    calls = read_log(log)
+    assert calls and all(kind == "dots" for _, kind, *_ in calls)  # nothing submitted
+    assert len({pid for pid, *_ in calls}) == 2  # both halves made attention calls
+    assert {(int(workers) <= before, split_here) for _, _, workers, split_here in calls} \
+        == {(True, "0")}
+    log.unlink()
     cpus(1)
-    assert run("inline") == threaded
-    assert submits == []
+    assert run("inline") == forked
+    assert {kind for _, kind, *_ in read_log(log)} == {"dots"}
+
+
+@pytest.mark.parametrize("case", ["return", "early stop", "error in the caller's half",
+                                  "one CPU"])
+def test_train_reaps_its_one_sibling(monkeypatch, cpus, case):
+    """A `train` call on two CPUs forks one sibling, on one CPU none, and no
+    child of this process is left when it returns or raises."""
+    import ringskip.trainer as trainer_mod
+    from ringskip.numerics import NonFiniteError
+    cpus(1 if case == "one CPU" else 2)
+    forks, real_fork, real_forward = [], os.fork, trainer_mod.model_forward
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    def poisoned(tokens, params, *args, **kwargs):
+        if os.getpid() == caller:  # the caller's gate sees NaN rows
+            params = dataclasses.replace(params, tok_emb=np.full_like(params.tok_emb, np.nan))
+        return real_forward(tokens, params, *args, **kwargs)
+
+    caller = os.getpid()
+    monkeypatch.setattr(os, "fork", counting_fork)
+    task = TaskSpec(kind="copy_at_pi", vocab=16, seq_len=16, delay=4)
+    tc = TrainConfig(steps=4, batch_size=4, eval_interval=1, seed=1,
+                     stop_accuracy=0.0 if case == "early stop" else None)
+    if case.startswith("error"):
+        monkeypatch.setattr(trainer_mod, "model_forward", poisoned)
+        with pytest.raises(NonFiniteError, match="gate input"):
+            train(model_cfg(), task, tc)
+    else:
+        res = train(model_cfg(), task, tc)
+        assert len(res.metrics) == (1 if case == "early stop" else 4)
+        assert (res.sibling_peak_rss_mb is None) == (case == "one CPU")
+    assert forks == ([] if case == "one CPU" else [caller])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
