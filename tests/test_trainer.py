@@ -618,7 +618,7 @@ def test_attention_inside_a_train_half_runs_inline(tmp_path, monkeypatch, cpus):
 
     def watching_dots(*args):
         workers = sum(t.name.startswith("ringskip-half") for t in threading.enumerate())
-        record("dots", workers, int(split.can_split()))
+        record("dots", workers, int(split.can_split()), threading.active_count())
         return real_dots(*args)
 
     monkeypatch.setattr(split._WORKER, "submit", counting_submit)
@@ -637,8 +637,10 @@ def test_attention_inside_a_train_half_runs_inline(tmp_path, monkeypatch, cpus):
     calls = read_log(log)
     assert calls and all(kind == "dots" for _, kind, *_ in calls)  # nothing submitted
     assert len({pid for pid, *_ in calls}) == 2  # both halves made attention calls
-    assert {(int(workers) <= before, split_here) for _, _, workers, split_here in calls} \
+    assert {(int(workers) <= before, split_here) for _, _, workers, split_here, _ in calls} \
         == {(True, "0")}
+    # the sibling runs on the one thread it was forked from
+    assert {alive for pid, *_, alive in calls if int(pid) != os.getpid()} == {"1"}
     log.unlink()
     cpus(1)
     assert run("inline") == forked
