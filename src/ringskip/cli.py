@@ -165,7 +165,7 @@ def cmd_rf_bound(args) -> int:
 
 
 def cmd_train(args) -> int:
-    kind = {"copy": "copy_at_pi", "needle": "needle_retrieval", "charlm": "char_lm"}[args.task]
+    kind = {"copy": "copy_at_pi", "charlm": "char_lm"}[args.task]
     cfg, task, tc = load_config(_load_json(args.config) if args.config else {},
                                 kind, args.seed)
     # `train` itself writes metrics.csv and model.ckpt, once its last step has run
@@ -185,8 +185,7 @@ def cmd_decode(args) -> int:
         prompt = [b % cfg.vocab for b in args.prompt.encode("utf-8")]
     # generate rejects tokens outside the vocabulary, max_seq overruns, bad --steps/--temp
     t0 = time.perf_counter()
-    seq = generate(params, cfg, prompt, args.steps, greedy=args.temp is None,
-                   temperature=1.0 if args.temp is None else args.temp, rng=Rng(args.seed))
+    seq = generate(params, cfg, prompt, args.steps, temperature=args.temp, rng=Rng(args.seed))
     # one decode step per position of seq
     tokens_per_sec = len(seq) / (time.perf_counter() - t0)
     print("decode:", ",".join(map(str, seq)))
@@ -343,16 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_rf_bound)
 
     s = sub.add_parser("train", help="train a toy model")
-    s.add_argument("--task", choices=("copy", "needle", "charlm"), required=True)
+    s.add_argument("--task", choices=("copy", "charlm"), required=True)
     s.set_defaults(func=cmd_train)
 
     s = sub.add_parser("decode", help="incremental generation from a checkpoint")
     s.add_argument("--ckpt", required=True)
     s.add_argument("--prompt", required=True)
     s.add_argument("--steps", type=int, default=16)
-    g = s.add_mutually_exclusive_group()
-    g.add_argument("--greedy", action="store_true", default=True)
-    g.add_argument("--temp", type=float, default=None)
+    s.add_argument("--temp", type=float, default=None)  # greedy when omitted
     s.set_defaults(func=cmd_decode)
 
     s = sub.add_parser("bench", help="work/memory ledgers vs complexity claims")

@@ -166,12 +166,12 @@ def generate(
     cfg: ModelConfig,
     prompt: List[int],
     steps: int,
-    greedy: bool = True,
-    temperature: float = 1.0,
+    temperature: Optional[float] = None,
     rng: Optional[Rng] = None,
 ) -> List[int]:
-    """Extend a nonempty prompt by `steps` tokens (greedy, or sampled at a
-    finite temperature > 0), within max_seq."""
+    """Extend a nonempty prompt by `steps` tokens within max_seq: greedy when
+    `temperature` is None, else sampled from `rng` at that temperature, which
+    must be finite and > 0."""
     if not prompt:
         raise ConfigError("prompt must be nonempty")
     if steps < 0:
@@ -179,16 +179,16 @@ def generate(
     if len(prompt) + steps > cfg.max_seq:
         raise ConfigError(f"prompt length {len(prompt)} + steps {steps} exceeds "
                           f"max_seq {cfg.max_seq}")
-    if not greedy and rng is None:
+    if temperature is not None and rng is None:
         raise ConfigError("temperature sampling requires an rng")
-    if not greedy and not 0.0 < temperature < np.inf:
+    if temperature is not None and not 0.0 < temperature < np.inf:
         raise ConfigError(f"temperature must be finite and > 0, got {temperature}")
     cache = KVCache.empty(cfg.layers)
     for t, tok in enumerate(prompt):
         logits = decode_step(params, cfg, cache, tok, t)
     out = list(prompt)
     for _ in range(steps):
-        if greedy:
+        if temperature is None:
             nxt = int(np.argmax(logits))
         else:
             p = softmax_row(np.asarray(logits) / temperature)

@@ -5,8 +5,9 @@ Everything runs in float64 on numpy arrays. Accumulation order is whatever the
 linked BLAS uses, which is deterministic run-to-run for a fixed thread count;
 all determinism guarantees in this package are stated at that level. Training
 splits each batch into two fixed halves and adds their gradients in a fixed
-order, whichever thread ran each half, so its outputs are byte-identical
-across reruns with the same seed and BLAS thread count on any number of CPUs.
+order, whether the second half ran in a forked sibling process or after the
+first in the same one, so its outputs are byte-identical across reruns with
+the same seed and BLAS thread count on any number of CPUs.
 
 `softmax_row`, `gelu`, `gelu_grad` and the layer norm skip redundant passes
 but equal their textbook forms bit for bit; the tests keep those forms.
@@ -45,9 +46,8 @@ class NonFiniteError(FloatingPointError):
 
 
 def softmax_row(logits: np.ndarray, valid: Optional[np.ndarray] = None,
-                axis: int = -1, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Masked, max-subtracted softmax over `axis` (the last by default),
-    written into `out` when given.
+                axis: int = -1) -> np.ndarray:
+    """Masked, max-subtracted softmax over `axis` (the last by default).
 
     `valid` broadcasts against `logits` and is checked for empty rows at its
     own shape. Invalid entries become -inf, so exp gives them exactly 0.
@@ -60,7 +60,7 @@ def softmax_row(logits: np.ndarray, valid: Optional[np.ndarray] = None,
             raise ValueError("empty neighborhood: softmax row has no valid entry")
         logits = np.where(valid, logits, -np.inf)
     expv = np.exp(logits - logits.max(axis=axis, keepdims=True))
-    return np.divide(expv, expv.sum(axis=axis, keepdims=True), out=out)
+    return expv / expv.sum(axis=axis, keepdims=True)
 
 
 def gelu_cdf(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

@@ -22,6 +22,9 @@ from .neighborhood import (AttentionConfig, ConfigError, build_union,
                            count_score_slots, gather_schedule, slot_layout)
 from .numerics import Rng
 
+# microbatches in `ring_simulate`'s pipeline
+MICROBATCHES = 4
+
 
 @dataclass(frozen=True)
 class CostParams:
@@ -52,22 +55,21 @@ def cost_model_eval(cp: CostParams, n: int, k: int, d_h: int) -> float:
 
 def fit_cost_constants(
     measurements: Sequence[Tuple[int, int, int, float]],
-    cp,
+    cps: Sequence[CostParams],
 ) -> Tuple[float, float, float, float]:
-    """Least-squares (c1, c2, c3) from (n, k, d_h, seconds) rows with the
-    gamma rates held fixed. Returns (c1, c2, c3, relative residual).
+    """Least-squares (c1, c2, c3) from (n, k, d_h, seconds) rows, each taken
+    at the gamma rates of its own CostParams in `cps`. Returns (c1, c2, c3,
+    relative residual).
 
-    `cp` is one CostParams shared by all rows, or a sequence with one per
-    row. The memory and activation terms both scale as n*d_h, so a single
-    shared rate set cannot separate c2 from c3 (rank error); recovering all
+    The memory and activation terms both scale as n*d_h, so rows that share
+    one rate set cannot separate c2 from c3 (rank error); recovering all
     three constants needs measurements taken under at least two distinct
     rate settings.
     """
     if len(measurements) < 3:
         raise ValueError("need at least 3 measurements")
-    cps = list(cp) if isinstance(cp, (list, tuple)) else [cp] * len(measurements)
     if len(cps) != len(measurements):
-        raise ValueError("one CostParams per measurement (or a single shared one)")
+        raise ValueError("one CostParams per measurement")
     rows = []
     y = []
     for i, ((n, k, d_h, seconds), c) in enumerate(zip(measurements, cps)):
@@ -119,7 +121,6 @@ def ring_simulate(
     heads: int,
     d_h: int,
     cost: Optional[CostParams] = None,
-    microbatches: int = 4,
 ) -> CommReport:
     """Virtual device-ring run of one layer's three-stage schedule.
 
@@ -128,12 +129,15 @@ def ring_simulate(
     adjacent shards, stage 2 ships every K/V row whose stride partner lives on
     another shard, stage 3 is local. A two-slot pipeline overlaps the next
     microbatch's stage 2 with the current one's stage 3:
-    makespan = M*t1 + t2 + (M-1)*max(t2, t3) + t3.
+    makespan = M*t1 + t2 + (M-1)*max(t2, t3) + t3, M = MICROBATCHES.
     """
     offsets, ring = slot_layout(config)
     k = config.ring_k
     if shards < 1 or shards > n:
         raise ConfigError(f"shards: must lie in [1, n], got {shards} for n={n}")
+    for name, value in (("batch", batch), ("heads", heads), ("d_h", d_h)):
+        if value < 1:
+            raise ConfigError(f"{name}: must be >= 1, got {value}")
     per = -(-n // shards)  # ceil; last shard padded
     shard_of = lambda i: i // per
     row_elems = batch * heads * d_h
@@ -169,7 +173,7 @@ def ring_simulate(
         timeline = [{"stage": "local_sweep", "seconds": t1},
                     {"stage": "periodic_gather", "seconds": t2},
                     {"stage": "fusion_projection", "seconds": t3}]
-        m = max(1, microbatches)
+        m = MICROBATCHES
         makespan = m * t1 + t2 + (m - 1) * max(t2, t3) + t3
 
     return CommReport(

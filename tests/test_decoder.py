@@ -210,7 +210,7 @@ def test_generate_argument_validation():
     with pytest.raises(ValueError, match="nonempty"):
         generate(params, cfg, [], steps=3)
     with pytest.raises(ValueError, match="rng"):
-        generate(params, cfg, [1], steps=3, greedy=False)
+        generate(params, cfg, [1], steps=3, temperature=1.0)
 
 
 def test_generate_rejects_negative_steps():
@@ -228,6 +228,5 @@ def test_generate_rejects_a_temperature_not_finite_and_positive(temp):
     cfg = model_cfg()
     params = init_model(cfg, seed=0)
     with pytest.raises(ValueError, match="temperature must be finite and > 0"):
-        generate(params, cfg, [1], steps=3, greedy=False, temperature=temp, rng=Rng(0))
-    assert len(generate(params, cfg, [1], steps=3, greedy=False, temperature=0.5,
-                        rng=Rng(0))) == 4
+        generate(params, cfg, [1], steps=3, temperature=temp, rng=Rng(0))
+    assert len(generate(params, cfg, [1], steps=3, temperature=0.5, rng=Rng(0))) == 4

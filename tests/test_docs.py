@@ -1,15 +1,19 @@
-"""README.md names every config field and lists exactly the ablations, and
-the attention options that were removed are named nowhere in `src/` or
-README.md but in the checkpoint reader's tables of them
-(`trainer.REMOVED_ATTENTION_FIELDS` and `trainer.REMOVED_ABLATIONS`)."""
+"""README.md names every config field, lists exactly the ablations and the
+`train` fields, and every `ringskip` line of its command blocks parses. The
+attention options that were removed are named nowhere in `src/` or README.md
+but in the checkpoint reader's tables of them
+(`trainer.REMOVED_ATTENTION_FIELDS` and `trainer.REMOVED_ABLATIONS`), and the
+removed task, optimizer fields and decode flag are named nowhere in either."""
 
 import ast
 import dataclasses
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from ringskip.cli import build_parser
 from ringskip.model import ModelConfig
 from ringskip.neighborhood import ABLATIONS, AttentionConfig
 from ringskip.trainer import REMOVED_ABLATIONS, REMOVED_ATTENTION_FIELDS, TaskSpec, TrainConfig
@@ -41,6 +45,35 @@ def test_readme_lists_exactly_the_ablations():
     assert [[a.strip() for a in span.split("|")] for span in listed] == [list(ABLATIONS)]
 
 
+def test_readme_lists_exactly_the_train_fields():
+    # the config section's one sentence `train` takes `lr`, ... ; a field
+    # removed from TrainConfig but left in it fails here
+    sentences = re.findall(r"`train` takes (.*?\.)(?:\s|$)", README, re.S)
+    assert len(sentences) == 1
+    listed = [w for w in re.findall(r"`([^`\n]+)`", sentences[0]) if w.isidentifier()]
+    assert sorted(listed) == sorted(f.name for f in dataclasses.fields(TrainConfig))
+
+
+def readme_command_lines() -> list:
+    """Each line of README's ```sh blocks that starts with `ringskip `."""
+    return [line for block in re.findall(r"```sh\n(.*?)```", README, re.S)
+            for line in block.splitlines() if line.startswith("ringskip ")]
+
+
+def test_every_readme_command_line_parses():
+    parser = build_parser()
+    bad, commands = [], set()
+    for line in readme_command_lines():
+        try:
+            commands.add(parser.parse_args(shlex.split(line, comments=True)[1:]).command)
+        except SystemExit:
+            bad.append(line)
+    assert bad == []
+    # and every subcommand has a line
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    assert commands == set(sub.choices)
+
+
 TABLES = ("REMOVED_ATTENTION_FIELDS", "REMOVED_ABLATIONS")
 
 
@@ -69,3 +102,16 @@ def test_removed_attention_options_are_not_named(path):
         text = without_removed_fields_table(text)
     removed = list(REMOVED_ATTENTION_FIELDS) + list(REMOVED_ABLATIONS)
     assert [name for name in removed if name in text] == []
+
+
+# the task, the optimizer fields and the decode flag that were removed with no
+# stand-in: no config or checkpoint may name them, so no table keeps them
+REMOVED_OPTIONS = ("needle_retrieval", "warmup_steps", "cosine_decay", "beta1", "beta2",
+                   "adam_eps", "--greedy")
+
+
+@pytest.mark.parametrize("path", [ROOT / "README.md"] + sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_removed_task_and_training_options_are_not_named(path):
+    text = path.read_text()
+    assert [name for name in REMOVED_OPTIONS if name in text] == []

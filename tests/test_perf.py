@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ringskip import perf
-from ringskip.neighborhood import AttentionConfig
+from ringskip.neighborhood import AttentionConfig, ConfigError
 from ringskip.perf import (
     CostParams,
     comm_volume,
@@ -65,7 +65,7 @@ def test_fit_shared_rates_is_rank_deficient():
     rows = [(128, 1, 8, 1e-6), (256, 2, 8, 2e-6), (512, 4, 16, 9e-6),
             (1024, 1, 32, 3e-5)]
     with pytest.raises(ValueError, match="rank"):
-        fit_cost_constants(rows, cp)
+        fit_cost_constants(rows, [cp] * 4)
 
 
 @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1e-6])
@@ -101,6 +101,15 @@ def test_ring_simulator_padding_and_edge_cases():
         ring_simulate(20, 10, att(), 1, 1, 4)
 
 
+@pytest.mark.parametrize("field", ["batch", "heads", "d_h"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_ring_simulator_rejects_empty_tensor_dimensions(field, value):
+    # batch -1 used to tally -1,920 elements against a closed-form -512
+    sizes = {"batch": 2, "heads": 4, "d_h": 8, field: value}
+    with pytest.raises(ConfigError, match=f"^{field}: must be >= 1, got {value}$"):
+        ring_simulate(4, 32, att(), **sizes)
+
+
 @pytest.mark.parametrize("causal", [True, False])
 @pytest.mark.parametrize("k,pi", [(4, 2), (4, 4), (2, 1)])
 def test_ring_simulator_sends_no_skip_rows_when_stride_inside_ring(k, pi, causal):
@@ -120,8 +129,7 @@ def test_ring_simulator_no_skip_ablation_has_no_closed_form_volume():
 
 
 def test_ring_simulator_pipeline_makespan():
-    rep = ring_simulate(4, 32, att(), batch=2, heads=4, d_h=8,
-                        cost=rates(), microbatches=4)
+    rep = ring_simulate(4, 32, att(), batch=2, heads=4, d_h=8, cost=rates())
     t = {s["stage"]: s["seconds"] for s in rep.stage_timeline}
     m = 4
     expect = (m * t["local_sweep"] + t["periodic_gather"]

@@ -28,7 +28,6 @@ from ringskip.trainer import (
     load_checkpoint,
     load_config,
     load_corpus,
-    lr_at,
     make_batch,
     save_checkpoint,
     train,
@@ -93,14 +92,14 @@ def test_adamw_first_step():
     tc = TrainConfig(lr=0.1, weight_decay=0.0)
     params = np.array([1.0])
     state = AdamState.for_params(params)
-    adamw_step(params, np.array([0.5]), state, tc, lr=0.1)
+    adamw_step(params, np.array([0.5]), state, tc)
     # bias-corrected first step is lr * g / (|g| + eps)
     assert abs(params[0] - 0.9) < 1e-7
 
     tc = TrainConfig(lr=0.1, weight_decay=0.1)
     params = np.array([1.0])
     state = AdamState.for_params(params)
-    adamw_step(params, np.array([0.5]), state, tc, lr=0.1)
+    adamw_step(params, np.array([0.5]), state, tc)
     assert abs(params[0] - 0.9 * (1.0 - 0.01)) < 1e-7
 
 
@@ -114,31 +113,12 @@ def test_adamw_rejects_non_finite():
     assert state.t == 0 and not params.any()
 
 
-def test_lr_schedule():
-    tc = TrainConfig(lr=1.0, warmup_steps=10, steps=100, cosine_decay=True)
-    assert abs(lr_at(0, tc) - 0.1) < 1e-12
-    assert abs(lr_at(9, tc) - 1.0) < 1e-12
-    assert lr_at(99, tc) < lr_at(50, tc) < 1.0
-    flat = TrainConfig(lr=0.5, steps=100)
-    assert lr_at(77, flat) == 0.5
-
-
 def test_copy_task_batch():
     task = TaskSpec(kind="copy_at_pi", vocab=16, seq_len=12, delay=4)
     inp, tgt = make_batch(task, Rng(0), 8)
     assert inp.shape == tgt.shape == (8, 12)
     assert (tgt[:, :4] == IGNORE_INDEX).all()
     assert (tgt[:, 4:] == inp[:, :8]).all()
-
-
-def test_needle_task_batch():
-    task = TaskSpec(kind="needle_retrieval", vocab=16, seq_len=20, delay=8)
-    inp, tgt = make_batch(task, Rng(1), 16)
-    marker = 15
-    for b in range(16):
-        (q,) = np.flatnonzero(tgt[b] != IGNORE_INDEX)
-        assert inp[b, q] == marker
-        assert inp[b, q - 8] == tgt[b, q]
 
 
 def test_char_lm_batch_is_shifted_corpus():
@@ -277,20 +257,16 @@ def test_seq_len_over_max_seq_rejected():
         train(model_cfg(), task, TrainConfig(steps=1))
 
 
-@pytest.mark.parametrize("kind", ["copy_at_pi", "needle_retrieval"])
+@pytest.mark.parametrize("kind", ["copy_at_pi"])
 @pytest.mark.parametrize("delay", [0, 16, 17])
 def test_task_delay_must_fit_the_sequence(kind, delay):
-    # needle_retrieval at delay >= seq_len used to die in numpy (low >= high)
     with pytest.raises(ConfigError, match="delay"):
         TaskSpec(kind=kind, vocab=16, seq_len=16, delay=delay)
 
 
-def test_needle_task_needs_a_marker_and_a_key():
-    # at vocab 1 make_batch died in numpy (high <= 0)
-    with pytest.raises(ConfigError, match="vocab: needle_retrieval needs >= 2"):
-        TaskSpec(kind="needle_retrieval", vocab=1, seq_len=16, delay=4)
-    assert make_batch(TaskSpec(kind="needle_retrieval", vocab=2, seq_len=16, delay=4),
-                      Rng(0), 2)[0].max() == 1
+def test_the_removed_needle_task_is_an_unknown_kind():
+    with pytest.raises(ConfigError, match="kind: unknown task 'needle_retrieval'"):
+        TaskSpec(kind="needle_retrieval", vocab=16, seq_len=16, delay=4)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +316,7 @@ OUT_OF_RANGE = {
     ("model", "attention", "eps"): 0.5, ("model", "attention", "logit_clamp"): 0,
     ("model", "attention", "ablation"): "bogus",
     ("task", "delay"): 0, ("train", "lr"): -1, ("train", "clip_norm"): 0.0,
-    ("train", "batch_size"): 0, ("train", "steps"): -3, ("train", "warmup_steps"): -5,
+    ("train", "batch_size"): 0, ("train", "steps"): -3, ("train", "eval_interval"): 0,
 }
 MUTATIONS = ("drop", "add", "retype", "out_of_range", "non_object")
 
@@ -382,7 +358,7 @@ SECTIONS = [()] + [p for p in key_paths(DOC) if isinstance(at(DOC, p), dict)]
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_load_config_builds_configs_or_names_the_fault(data):
-    kind = data.draw(st.sampled_from(["copy_at_pi", "needle_retrieval", "char_lm"]))
+    kind = data.draw(st.sampled_from(["copy_at_pi", "char_lm"]))
     # char_lm reads no delay
     ranged = [p for p in OUT_OF_RANGE if kind != "char_lm" or p != ("task", "delay")]
     mutation, dotted, doc = data.draw(mutated(DOC, list(key_paths(DOC)), SECTIONS, ranged))
