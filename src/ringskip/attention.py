@@ -221,10 +221,11 @@ def _skew(coef, top, spans) -> np.ndarray:
 
 
 def _gather(out, coef, src, plan: ExecutionPlan) -> None:
-    """out[:, :, i] = sum over slots s of coef[s, :, :, i] * src[:, :, P + i + o_s], where
-    coef (O, B, H, n) is zero on invalid slots and src has the plan's P margin rows.
-    The ring band writes every row of `out` (every plan's band holds offset 0),
-    so `out` need not be zeroed; the skip slots then add to it."""
+    """out[:, :, i] = sum over slots s of coef[s, :, :, i] * src[:, :, P + i + o_s], over
+    each slot's span, for coef (O, B, H, n) and src with the plan's P margin rows:
+    the band's rows outside their span read the zero margins, and the skip slots
+    read only their span. The ring band writes every row of `out` (every plan's
+    band holds offset 0), so `out` need not be zeroed; the skip slots then add to it."""
     s0, s1 = plan.band
     _band(out, src, coef[s0:s1].transpose(1, 2, 3, 0), 0)
     pad = plan.pad
@@ -474,7 +475,6 @@ def dense_oracle(
 class BlockCache:
     ln1: tuple
     attn: AttnCache
-    y1: np.ndarray
     ln2: tuple
     ff_pre: np.ndarray
     ff_cdf: np.ndarray  # gelu_cdf(ff_pre); the activation is ff_pre * ff_cdf
@@ -495,7 +495,7 @@ def block_forward(
     ff_pre = h2 @ params.w_ff1 + params.b_ff1
     ff_cdf = gelu_cdf(ff_pre)
     out = y1 + (ff_pre * ff_cdf) @ params.w_ff2 + params.b_ff2
-    return out, BlockCache(ln1=ln1c, attn=attn_cache, y1=y1, ln2=ln2c,
+    return out, BlockCache(ln1=ln1c, attn=attn_cache, ln2=ln2c,
                            ff_pre=ff_pre, ff_cdf=ff_cdf, h2=h2)
 
 

@@ -65,9 +65,8 @@ def oracle_grid(size: str = "full") -> List[Tuple[AttentionConfig, int]]:
 
 
 def footprint(cfg: AttentionConfig, n: int) -> tuple:
-    """What `gather_schedule` and `build_union` read of (cfg, n) without a
-    user_mask: the offset plan, causality and n. Equal footprints give equal
-    schedules and unions."""
+    """What `gather_schedule` and `build_union` read of (cfg, n): the offset
+    plan, causality and n. Equal footprints give equal schedules and unions."""
     return tuple(offset_plan(cfg)), cfg.causal, n
 
 

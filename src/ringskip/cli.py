@@ -182,7 +182,8 @@ def cmd_decode(args) -> int:
     try:
         prompt = [int(t) for t in args.prompt.split(",")]
     except ValueError:
-        prompt = [b % cfg.vocab for b in args.prompt.encode("utf-8")]
+        raise ConfigError(f"prompt: expected comma-separated token ids, "
+                          f"got {args.prompt!r}") from None
     # generate rejects tokens outside the vocabulary, max_seq overruns, bad --steps/--temp
     t0 = time.perf_counter()
     seq = generate(params, cfg, prompt, args.steps, temperature=args.temp, rng=Rng(args.seed))
@@ -212,12 +213,14 @@ def cmd_bench(args) -> int:
 
 
 def cmd_simulate_ring(args) -> int:
+    for name, value in (("heads", args.heads), ("d_h", args.d_h)):
+        if value < 1:
+            raise ConfigError(f"{name}: must be >= 1, got {value}")
     cfg = AttentionConfig(d_model=args.heads * args.d_h, n_heads=args.heads,
                           ring_k=args.k, skip_period=args.pi, causal=args.causal,
                           bidirectional_skip=not args.causal)
     cost = CostParams(gamma_tc=1e9, gamma_hbm=1e9, gamma_net=1e9, gamma_act=1e9)
-    rep = ring_simulate(args.shards, args.n, cfg, args.batch, args.heads,
-                        args.d_h, cost=cost)
+    rep = ring_simulate(args.shards, args.n, cfg, args.batch, cost=cost)
     conserved = rep.tallied_elements == rep.received_elements
     print(f"simulate-ring: shards={args.shards} tallied={rep.tallied_elements} "
           f"elements (closed-form figure {rep.formula_elements}; the two count "

@@ -137,7 +137,6 @@ def flatten(obj, prefix: str = "") -> Dict[str, np.ndarray]:
 @dataclass
 class ModelCache:
     tokens: np.ndarray
-    x0: np.ndarray
     blocks: List[BlockCache]
     lnf: tuple
     hf: np.ndarray
@@ -159,14 +158,13 @@ def model_forward(
     if schedule is None:
         schedule = gather_schedule(cfg.attention, n)
     x = params.tok_emb[tokens] + params.pos_emb[:n]
-    x0 = x
     caches: List[BlockCache] = []
     for bp in params.blocks:
         x, c = block_forward(x, bp, schedule, cfg.attention)
         caches.append(c)
     hf, lnf_c = layer_norm_forward(x, params.lnf_g, params.lnf_b)
     logits = hf @ params.w_out + params.b_out
-    return logits, ModelCache(tokens=tokens, x0=x0, blocks=caches, lnf=lnf_c, hf=hf)
+    return logits, ModelCache(tokens=tokens, blocks=caches, lnf=lnf_c, hf=hf)
 
 
 def model_backward(

@@ -5,8 +5,8 @@ union neighborhood each token's single softmax runs over.
 (offsets and RING flags), read by decoding, `rfield` and `perf`.
   * `build_union` — per-token lists of (target, offset, kind, valid) entries,
     the ground truth the dense oracle and `validate-config`'s union table read;
-  * `gather_schedule` — the `ExecutionPlan` of one (config, n, user_mask),
-    built once and read by the kernel and the KL check.
+  * `gather_schedule` — the `ExecutionPlan` of one (config, n), built once
+    and read by the kernel and the KL check.
 
 Ring rule: the ring is one window of consecutive offsets that holds the
 token's own slot, -k ... 0 when causal and -k ... k otherwise.
@@ -17,6 +17,9 @@ slot is kept once as a RING member (the ring log-prior applies).
 Causal rule: a causal plan holds no positive offset, so no slot of the
 execution plan is dead by causality. `build_union` (and the dense oracle
 built from it) still apply their own causal test, since they are the check.
+
+Every ring holds offset 0, so every token has at least one valid slot, its
+own, and a slot is valid exactly where its key row lies in [0, n).
 """
 
 from __future__ import annotations
@@ -68,10 +71,6 @@ def from_dict(cls, raw, where: str, defaults: Optional[dict] = None):
         return cls(**values)
     except ConfigError as exc:
         raise ConfigError(f"{where}.{exc}") from None
-
-
-class EmptyNeighborhoodError(ConfigError):
-    """A token ended up with zero valid attention targets."""
 
 
 class Kind(str, Enum):
@@ -179,9 +178,9 @@ class Slot(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ExecutionPlan:
-    """What the sparse kernel reads of (config, n, user_mask). Row i of slot s
-    reads key row i + offsets[s] and counts where valid[s, i]. Iterating gives
-    one `Slot` per offset, in slot order."""
+    """What the sparse kernel reads of (config, n). Row i of slot s reads key
+    row i + offsets[s] and counts where valid[s, i], that is over the slot's
+    span. Iterating gives one `Slot` per offset, in slot order."""
 
     offsets: np.ndarray  # (O,) int, read-only
     ring: np.ndarray     # (O,) bool, read-only
@@ -203,26 +202,10 @@ class ExecutionPlan:
             yield Slot(o, Kind.RING if self.ring[s] else Kind.SKIP, self.valid[s])
 
 
-def _checked_mask(n: int, user_mask: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    """user_mask as an (n,) bool array (or None); raises ConfigError otherwise."""
+def build_union(config: AttentionConfig, n: int) -> UnionNeighborhood:
+    """Per-token union of ring and skip targets with bounds/causal masking."""
     if n < 1:
         raise ConfigError(f"n: sequence length must be >= 1, got {n}")
-    if user_mask is None:
-        return None
-    user_mask = np.asarray(user_mask, dtype=bool)
-    if user_mask.shape != (n,):
-        raise ConfigError(f"user_mask: expected shape ({n},), got {user_mask.shape}")
-    return user_mask
-
-
-def build_union(
-    config: AttentionConfig,
-    n: int,
-    user_mask: Optional[np.ndarray] = None,
-) -> UnionNeighborhood:
-    """Per-token union of ring and skip targets with bounds/causal masking."""
-    user_mask = _checked_mask(n, user_mask)
-    mask = None if user_mask is None else user_mask.tolist()
     plan = offset_plan(config)
     causal = config.causal
     entries: List[List[NeighborEntry]] = []
@@ -230,31 +213,21 @@ def build_union(
         row = []
         for offset, kind in plan:
             j = i + offset
-            valid = 0 <= j < n and not (causal and j > i) and (mask is None or mask[j])
+            valid = 0 <= j < n and not (causal and j > i)
             row.append(NeighborEntry(min(max(j, 0), n - 1), offset, kind, valid))
-        if not any(e.valid for e in row):
-            raise EmptyNeighborhoodError(f"empty neighborhood at token {i}")
         entries.append(row)
     return UnionNeighborhood(n=n, entries=entries)
 
 
-def gather_schedule(
-    config: AttentionConfig,
-    n: int,
-    user_mask: Optional[np.ndarray] = None,
-) -> ExecutionPlan:
-    """The execution plan of (config, n, user_mask)."""
-    user_mask = _checked_mask(n, user_mask)
+def gather_schedule(config: AttentionConfig, n: int) -> ExecutionPlan:
+    """The execution plan of (config, n)."""
+    if n < 1:
+        raise ConfigError(f"n: sequence length must be >= 1, got {n}")
     offsets, ring = slot_layout(config)
     lo = np.clip(-offsets, 0, n)
     hi = np.maximum(lo, np.clip(n - offsets, 0, n))
     rows = np.arange(n)
     valid = (rows >= lo[:, None]) & (rows < hi[:, None])
-    if user_mask is not None:
-        valid &= user_mask[np.clip(offsets[:, None] + rows, 0, n - 1)]
-    covered = valid.any(axis=0)
-    if not covered.all():
-        raise EmptyNeighborhoodError(f"empty neighborhood at token {int(np.argmin(covered))}")
     valid.flags.writeable = False
     # ring slot s holds offset s - k; the band is the ring slots with |offset| < n
     k = config.ring_k

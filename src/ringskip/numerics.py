@@ -45,9 +45,8 @@ class NonFiniteError(FloatingPointError):
     """A value that must be finite is NaN or Inf."""
 
 
-def softmax_row(logits: np.ndarray, valid: Optional[np.ndarray] = None,
-                axis: int = -1) -> np.ndarray:
-    """Masked, max-subtracted softmax over `axis` (the last by default).
+def softmax_row(logits: np.ndarray, valid: Optional[np.ndarray] = None) -> np.ndarray:
+    """Masked, max-subtracted softmax over the last axis.
 
     `valid` broadcasts against `logits` and is checked for empty rows at its
     own shape. Invalid entries become -inf, so exp gives them exactly 0.
@@ -56,11 +55,11 @@ def softmax_row(logits: np.ndarray, valid: Optional[np.ndarray] = None,
     logits = np.asarray(logits, dtype=np.float64)
     if valid is not None:
         valid = np.asarray(valid, dtype=bool)
-        if not valid.any(axis=axis).all():
+        if not valid.any(axis=-1).all():
             raise ValueError("empty neighborhood: softmax row has no valid entry")
         logits = np.where(valid, logits, -np.inf)
-    expv = np.exp(logits - logits.max(axis=axis, keepdims=True))
-    return expv / expv.sum(axis=axis, keepdims=True)
+    expv = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return expv / expv.sum(axis=-1, keepdims=True)
 
 
 def gelu_cdf(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

@@ -118,11 +118,10 @@ def ring_simulate(
     n: int,
     config: AttentionConfig,
     batch: int,
-    heads: int,
-    d_h: int,
     cost: Optional[CostParams] = None,
 ) -> CommReport:
-    """Virtual device-ring run of one layer's three-stage schedule.
+    """Virtual device-ring run of one layer's three-stage schedule, rows of
+    `batch` x `config.n_heads` x `config.head_dim` elements.
 
     Tokens are sharded contiguously; a non-dividing n pads the last shard with
     masked tokens that generate no messages. Stage 1 exchanges ring halos with
@@ -135,9 +134,9 @@ def ring_simulate(
     k = config.ring_k
     if shards < 1 or shards > n:
         raise ConfigError(f"shards: must lie in [1, n], got {shards} for n={n}")
-    for name, value in (("batch", batch), ("heads", heads), ("d_h", d_h)):
-        if value < 1:
-            raise ConfigError(f"{name}: must be >= 1, got {value}")
+    if batch < 1:
+        raise ConfigError(f"batch: must be >= 1, got {batch}")
+    heads, d_h = config.n_heads, config.head_dim
     per = -(-n // shards)  # ceil; last shard padded
     shard_of = lambda i: i // per
     row_elems = batch * heads * d_h

@@ -376,7 +376,7 @@ class TrainResult:
     sibling_peak_rss_mb: Optional[float] = None  # None when both halves ran on the caller
 
 
-# the batches `evaluate` draws unless told otherwise, and what `train` runs
+# the batches `evaluate` draws, and the rows `_Halves` holds for them
 EVAL_BATCHES = 4
 
 
@@ -623,20 +623,20 @@ def evaluate(
     schedule=None,
     seed: int = 1234,
     batch_size: int = 16,
-    n_batches: int = EVAL_BATCHES,
     corpus: Optional[np.ndarray] = None,
     runner: Optional[_Halves] = None,
 ) -> float:
-    """Token accuracy on freshly sampled batches with a fixed seed. All batches
-    are drawn first; the caller scores the first half of each batch's rows,
-    then the rest, or `runner`, the halves of a `train` call, scores both at
-    once. So no more rows are in flight at once than in one batch."""
+    """Token accuracy on EVAL_BATCHES freshly sampled batches with a fixed
+    seed. All batches are drawn first; the caller scores the first half of
+    each batch's rows, then the rest, or `runner`, the halves of a `train`
+    call, scores both at once. So no more rows are in flight at once than in
+    one batch."""
     rng = Rng(seed)
     if corpus is None and task.kind == "char_lm":
         corpus = load_corpus(task)
     if schedule is None:
         schedule = gather_schedule(cfg.attention, task.seq_len)
-    batches = [make_batch(task, rng, batch_size, corpus) for _ in range(n_batches)]
+    batches = [make_batch(task, rng, batch_size, corpus) for _ in range(EVAL_BATCHES)]
     parts = [[(inp[rows], tgt[rows]) for inp, tgt in batches] for rows in halves(batch_size)]
     scores = (runner.score(parts) if runner is not None
               else [_score(params, cfg, schedule, part) for part in parts])

@@ -190,7 +190,7 @@ def test_criterion_8_cost_and_comm_evaluators(capsys):
                           causal=True)
     conserved = True
     for shards, n in ((2, 16), (4, 32), (4, 30), (8, 64)):
-        rep = ring_simulate(shards, n, att, batch=2, heads=4, d_h=8)
+        rep = ring_simulate(shards, n, att, batch=2)
         conserved &= rep.tallied_elements == rep.received_elements
 
     ok = exact and fit_ok and vol_ok and conserved

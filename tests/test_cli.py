@@ -215,6 +215,8 @@ def small_ckpt(tmp_path):
     ("1,2,99", 4, "outside the vocabulary"),
     ("1,2,3", 14, "exceeds max_seq"),
     ("1,2,3", -3, "steps: must be >= 0"),
+    ("1,2,x", 4, "prompt: expected comma-separated token ids, got '1,2,x'"),
+    ("", 4, "prompt: expected comma-separated token ids, got ''"),
 ])
 def test_decode_bad_input_exits_2(small_ckpt, tmp_path, capsys, prompt, steps,
                                   message):
@@ -563,11 +565,12 @@ def test_charlm_corpus_needs_seq_len_plus_two_bytes(tmp_path, capsys, extra, cod
     (["cost-model", "--n", "0"], "n: must be >= 1, got 0"),
     (["cost-model", "--k", "-1"], "k: must be >= 0, got -1"),
     (["kl-check", "--seeds", "0"], "seeds: must be >= 1, got 0"),
-    (["simulate-ring", "--shards", "2", "--d-h", "0"], "d_model: must be >= 1"),
+    (["simulate-ring", "--shards", "2", "--d-h", "0"], "d_h: must be >= 1, got 0"),
+    (["simulate-ring", "--shards", "2", "--heads", "0"], "heads: must be >= 1, got 0"),
     (["simulate-ring", "--shards", "4", "--batch", "0"], "batch: must be >= 1, got 0"),
     (["simulate-ring", "--shards", "4", "--batch", "-1"], "batch: must be >= 1, got -1"),
-], ids=["gamma_0", "n_0", "k_negative", "kl_seeds_0", "sim_d_h_0", "sim_batch_0",
-        "sim_batch_negative"])
+], ids=["gamma_0", "n_0", "k_negative", "kl_seeds_0", "sim_d_h_0", "sim_heads_0",
+        "sim_batch_0", "sim_batch_negative"])
 def test_bad_numeric_flag_exits_2(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert message in one_error_line(capsys)

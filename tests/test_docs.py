@@ -3,7 +3,8 @@
 attention options that were removed are named nowhere in `src/` or README.md
 but in the checkpoint reader's tables of them
 (`trainer.REMOVED_ATTENTION_FIELDS` and `trainer.REMOVED_ABLATIONS`), and the
-removed task, optimizer fields and decode flag are named nowhere in either."""
+removed task, optimizer fields, decode flag, key-mask argument and
+empty-neighborhood error are named nowhere in either."""
 
 import ast
 import dataclasses
@@ -104,10 +105,12 @@ def test_removed_attention_options_are_not_named(path):
     assert [name for name in removed if name in text] == []
 
 
-# the task, the optimizer fields and the decode flag that were removed with no
-# stand-in: no config or checkpoint may name them, so no table keeps them
+# the task, the optimizer fields, the decode flag, the key mask of
+# `gather_schedule` and `build_union` and the error only that mask could raise,
+# removed with no stand-in: no config or checkpoint may name them, so no table
+# keeps them
 REMOVED_OPTIONS = ("needle_retrieval", "warmup_steps", "cosine_decay", "beta1", "beta2",
-                   "adam_eps", "--greedy")
+                   "adam_eps", "--greedy", "user_mask", "EmptyNeighborhoodError")
 
 
 @pytest.mark.parametrize("path", [ROOT / "README.md"] + sorted(SRC.glob("*.py")),

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringskip.cli import main
@@ -10,7 +10,6 @@ from ringskip.neighborhood import (
     ABLATIONS,
     AttentionConfig,
     ConfigError,
-    EmptyNeighborhoodError,
     Kind,
     NeighborEntry,
     UnionNeighborhood,
@@ -114,13 +113,7 @@ def test_plan_fields_agree_with_offset_plan_and_union(data):
             causal=causal,
             bidirectional_skip=not causal and data.draw(st.booleans(), label="bidir"),
             ablation=data.draw(st.sampled_from(ABLATIONS), label="ablation"))
-    user_mask = data.draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n)
-                          .map(np.array), label="user_mask")
-    try:
-        plan = gather_schedule(c, n, user_mask)
-    except EmptyNeighborhoodError:
-        reject()
-    union = build_union(c, n, user_mask)
+    plan, union = gather_schedule(c, n), build_union(c, n)
     assert [(m.offset, m.kind) for m in plan] == offset_plan(c)
     assert plan.offsets.tolist() == [o for o, _ in offset_plan(c)]
     assert plan.ring.tolist() == [kind == Kind.RING for _, kind in offset_plan(c)]
@@ -129,6 +122,10 @@ def test_plan_fields_agree_with_offset_plan_and_union(data):
     assert all(m.valid.base is plan.valid for m in plan)
     assert [list(range(*span)) for span in plan.spans] == [
         [i for i in range(n) if 0 <= i + m.offset < n] for m in plan]
+    assert [np.flatnonzero(m.valid).tolist() for m in plan] == [
+        list(range(*span)) for span in plan.spans]
+    # every ring holds offset 0, valid on every row: no neighborhood is empty
+    assert plan.valid[plan.offsets == 0].all()
     assert plan.n_valid == count_score_slots(union)
     # one band: exactly the RING slots with |offset| < n, at offsets -P ... 0 or -P ... P
     s0, s1 = plan.band
@@ -171,32 +168,6 @@ def test_valid_targets_in_bounds_and_causal(k, pi, n, causal):
                 assert j <= i
 
 
-def test_empty_neighborhood_raises():
-    # every row holds its own slot, so only a user_mask can empty one: token 3
-    # reads keys 3 and 2 (its skip key, -1, is out of bounds)
-    mask = np.ones(8, dtype=bool)
-    mask[[2, 3]] = False
-    for build in (build_union, gather_schedule):
-        with pytest.raises(EmptyNeighborhoodError, match="empty neighborhood at token 3$"):
-            build(cfg(), 8, user_mask=mask)
-
-
-def test_user_mask_applies():
-    mask = np.ones(8, dtype=bool)
-    mask[3] = False
-    union = build_union(cfg(), 8, user_mask=mask)
-    for i in range(8):
-        assert 3 not in valid_targets(union, i)
-
-
-@pytest.mark.parametrize("shape", [(6,), (3,), (4, 1)])
-def test_user_mask_wrong_shape_rejected(shape):
-    mask = np.ones(shape, dtype=bool)
-    for build in (build_union, gather_schedule):
-        with pytest.raises(ConfigError, match=r"user_mask: expected shape \(4,\)"):
-            build(cfg(), 4, user_mask=mask)
-
-
 def test_union_table_csv_shape(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"d_model": 8, "n_heads": 2, "ring_k": 1,
@@ -211,16 +182,19 @@ def test_union_table_csv_shape(tmp_path):
 
 
 def test_dense_masks_follow_entries_and_are_read_only():
-    mask = np.ones(10, dtype=bool)
-    mask[4] = False
-    union = build_union(cfg(ring_k=2, skip_period=3), 10, user_mask=mask)
+    union = build_union(cfg(ring_k=2, skip_period=5), 10)
     allowed, ring_pair = union.dense_masks
     assert union.dense_masks[0] is allowed  # built once per union
     for i in range(10):
         assert set(np.flatnonzero(allowed[i])) == set(valid_targets(union, i))
         ring = {e.target for e in union.entries[i] if e.valid and e.kind == Kind.RING}
         assert set(np.flatnonzero(ring_pair[i])) == ring
-    assert not allowed[:, 4].any() and not np.triu(allowed, 1).any()
+    # the skip keys of tokens 3 and 4, rows -2 and -1, leave the sequence: their
+    # invalid entries point at key 0, which neither may read; the causal cut
+    # empties the upper triangle
+    assert [(e.target, e.valid) for e in (union.entries[3][-1], union.entries[4][-1])] \
+        == [(0, False), (0, False)]
+    assert not allowed[3:5, 0].any() and not np.triu(allowed, 1).any()
     for m in (allowed, ring_pair):
         with pytest.raises(ValueError):
             m[0, 0] = True

@@ -235,21 +235,6 @@ def test_softmax_bit_identical_to_three_where_form(shape, mask_dims, seed, scale
     assert bits_equal(softmax_row(logits), softmax_textbook(logits, True))
 
 
-def test_softmax_over_first_axis_matches_last_axis():
-    # the slot-major kernel normalises over axis 0; with at most 7 slots the
-    # sum runs in the same order as over the last axis, so the bits agree
-    rng = Rng(3)
-    logits = rng.normal((2, 3, 5, 7))
-    valid = rng.uniform((5, 7)) < 0.6
-    valid[:, 0] = True
-    last = softmax_row(logits, valid)
-    first = softmax_row(np.moveaxis(logits, -1, 0), np.moveaxis(valid, -1, 0)[:, None, None],
-                        axis=0)
-    assert bits_equal(np.moveaxis(first, 0, -1), last)
-    with pytest.raises(ValueError, match="empty neighborhood"):
-        softmax_row(np.zeros((3, 4)), np.zeros((3, 1), dtype=bool), axis=0)
-
-
 def test_softmax_broadcast_mask_empty_row_raises():
     valid = np.ones((5, 3), dtype=bool)
     valid[2] = False

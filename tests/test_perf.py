@@ -26,6 +26,11 @@ def att(k=2, pi=8, **kw):
     return AttentionConfig(**base)
 
 
+def ring_att(k=2, pi=8, **kw):
+    """A config of 4 heads 8 wide, the rows the ring simulator ships."""
+    return att(k, pi, d_model=32, n_heads=4, **kw)
+
+
 def test_cost_model_hand_value():
     assert cost_model_eval(rates(), 1024, 4, 64) == 3.93216e-4
 
@@ -81,7 +86,7 @@ def test_comm_volume_example():
 
 
 def test_ring_simulator_conserves_and_halos():
-    rep = ring_simulate(4, 32, att(), batch=2, heads=4, d_h=8)
+    rep = ring_simulate(4, 32, ring_att(), batch=2)
     assert rep.tallied_elements == rep.received_elements
     halos = [m for m in rep.tallied_messages if m.stage == "halo"]
     # causal: one left-to-right halo per interior boundary,
@@ -93,43 +98,43 @@ def test_ring_simulator_conserves_and_halos():
 
 
 def test_ring_simulator_padding_and_edge_cases():
-    rep = ring_simulate(3, 10, att(k=1, pi=4), batch=1, heads=1, d_h=4)
+    rep = ring_simulate(3, 10, att(k=1, pi=4, d_model=4, n_heads=1), batch=1)
     assert rep.tallied_elements == rep.received_elements
-    solo = ring_simulate(1, 16, att(), batch=1, heads=1, d_h=4)
+    solo = ring_simulate(1, 16, att(d_model=4, n_heads=1), batch=1)
     assert solo.tallied_elements == 0  # single shard never communicates
     with pytest.raises(ValueError, match="shards"):
-        ring_simulate(20, 10, att(), 1, 1, 4)
+        ring_simulate(20, 10, att(), 1)
 
 
-@pytest.mark.parametrize("field", ["batch", "heads", "d_h"])
+@pytest.mark.parametrize("field", ["batch"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_ring_simulator_rejects_empty_tensor_dimensions(field, value):
-    # batch -1 used to tally -1,920 elements against a closed-form -512
-    sizes = {"batch": 2, "heads": 4, "d_h": 8, field: value}
+    # batch -1 used to tally -1,920 elements against a closed-form -512; the
+    # head count and width are the config's, which rejects its own zeros
     with pytest.raises(ConfigError, match=f"^{field}: must be >= 1, got {value}$"):
-        ring_simulate(4, 32, att(), **sizes)
+        ring_simulate(4, 32, ring_att(), **{field: value})
 
 
 @pytest.mark.parametrize("causal", [True, False])
 @pytest.mark.parametrize("k,pi", [(4, 2), (4, 4), (2, 1)])
 def test_ring_simulator_sends_no_skip_rows_when_stride_inside_ring(k, pi, causal):
     # pi <= k: the plan keeps the stride as a RING slot, which the halo carries
-    c = att(k=k, pi=pi, causal=causal, bidirectional_skip=not causal)
-    rep = ring_simulate(4, 32, c, batch=2, heads=4, d_h=8)
+    c = ring_att(k=k, pi=pi, causal=causal, bidirectional_skip=not causal)
+    rep = ring_simulate(4, 32, c, batch=2)
     assert not [m for m in rep.tallied_messages if m.stage == "skip"]
     assert [m for m in rep.tallied_messages if m.stage == "halo"]
     assert rep.formula_elements == 0
 
 
 def test_ring_simulator_no_skip_ablation_has_no_closed_form_volume():
-    rep = ring_simulate(4, 32, att(ablation="no_skip"), batch=2, heads=4, d_h=8)
+    rep = ring_simulate(4, 32, ring_att(ablation="no_skip"), batch=2)
     assert not [m for m in rep.tallied_messages if m.stage == "skip"]
     assert rep.formula_elements == 0
-    assert ring_simulate(4, 32, att(), batch=2, heads=4, d_h=8).formula_elements == 1024
+    assert ring_simulate(4, 32, ring_att(), batch=2).formula_elements == 1024
 
 
 def test_ring_simulator_pipeline_makespan():
-    rep = ring_simulate(4, 32, att(), batch=2, heads=4, d_h=8, cost=rates())
+    rep = ring_simulate(4, 32, ring_att(), batch=2, cost=rates())
     t = {s["stage"]: s["seconds"] for s in rep.stage_timeline}
     m = 4
     expect = (m * t["local_sweep"] + t["periodic_gather"]

@@ -511,10 +511,12 @@ def test_odd_and_single_row_batches_train(tmp_path, monkeypatch, cpus, batch_siz
 
 
 @pytest.mark.parametrize("n_batches", [1, 4])
-def test_evaluate_equals_a_serial_loop_over_the_same_batches(cpus, n_batches):
+def test_evaluate_equals_a_serial_loop_over_the_same_batches(monkeypatch, cpus, n_batches):
+    import ringskip.trainer as trainer_mod
     from ringskip.model import model_forward
     from ringskip.trainer import evaluate
     cpus(2)
+    monkeypatch.setattr(trainer_mod, "EVAL_BATCHES", n_batches)
     cfg = model_cfg(layers=2)
     task = TaskSpec(kind="copy_at_pi", vocab=16, seq_len=16, delay=4)
     params = init_model(cfg, seed=4)
@@ -523,7 +525,7 @@ def test_evaluate_equals_a_serial_loop_over_the_same_batches(cpus, n_batches):
         inp, tgt = make_batch(task, rng, 5)
         h, c = count_correct(model_forward(inp, params, cfg)[0], tgt)
         hits, counted = hits + h, counted + c
-    assert evaluate(params, cfg, task, seed=9, batch_size=5, n_batches=n_batches) \
+    assert evaluate(params, cfg, task, seed=9, batch_size=5) \
         == hits / counted
 
 
