@@ -1,7 +1,15 @@
 """Verification drivers shared by the CLI and the acceptance suite: the
 sparse-vs-dense oracle sweep, finite-difference gradient checks through
 stacked blocks, stepwise decode-vs-full-forward equivalence with a live gate,
-and the KL stabilization sweep."""
+and the KL stabilization sweep.
+
+The oracle sweep and the stacked gradient check are many short numpy calls,
+so they use both CPUs through the `split` sibling rule: their work items
+(footprint groups, tensors) are cut into two fixed sets of near-equal static
+cost, the caller runs one and a process forked per call runs the other, and
+the results are put back in grid or tensor order. So their
+results are the same floats on any number of CPUs; each reports the
+sibling's peak resident memory, None when nothing was forked."""
 
 from __future__ import annotations
 
@@ -27,7 +35,8 @@ from .gate import clip_alpha
 from .model import ModelConfig, ModelParams, flatten, init_model, model_forward
 from .neighborhood import (ABLATIONS, AttentionConfig, ConfigError, build_union,
                            gather_schedule, offset_plan)
-from .numerics import Rng, grad_check
+from .numerics import GRAD_CHECK_CHUNK, Rng, grad_check
+from .split import in_two_sets
 
 
 def random_attention_params(rng: Rng, d_model: int, n_heads: int):
@@ -80,6 +89,26 @@ class OracleResult:
     worst: Optional[Tuple[AttentionConfig, int]]
     deltas: List[float]  # per config, in grid order
     footprints: int  # schedule/union pairs built: one per distinct footprint
+    sibling_peak_rss_mb: Optional[float] = None  # None when no sibling was forked
+
+
+def _footprint_deltas(grid: Sequence[Tuple[AttentionConfig, int]], seed: int,
+                      members: List[int]) -> List[float]:
+    """Max |sparse - dense| of each config of `members`, the grid indices of
+    one footprint, through one schedule and one union."""
+    first_cfg, n = grid[members[0]]
+    schedule = gather_schedule(first_cfg, n)
+    union = build_union(first_cfg, n)
+    deltas = []
+    for idx in members:
+        cfg = grid[idx][0]
+        rng = Rng(seed).spawn(idx)
+        proj, gate = random_attention_params(rng, cfg.d_model, cfg.n_heads)
+        x = rng.normal((1, n, cfg.d_model))
+        sparse, _ = pi_attention_forward(x, proj, gate, schedule, cfg)
+        dense = dense_oracle(x, proj, gate, union, cfg)
+        deltas.append(float(np.abs(sparse - dense).max()))
+    return deltas
 
 
 def run_oracle_check(grid: Sequence[Tuple[AttentionConfig, int]],
@@ -87,28 +116,25 @@ def run_oracle_check(grid: Sequence[Tuple[AttentionConfig, int]],
     """Sparse path vs dense masked oracle, elementwise, per config.
 
     Configs that share a `footprint` share one schedule and one union, built
-    when the footprint first appears and dropped once its configs have run,
-    so one union is alive at a time. Each config keeps its own
-    `Rng(seed).spawn(idx)`, and `deltas`, `max_delta` and `worst` follow grid
-    order, so the result does not depend on the grouping.
+    when the footprint's group runs and dropped after it, so one union is
+    alive at a time in each process. The groups run through
+    `split.in_two_sets`, at a cost of n² per config: the caller runs one set
+    while a forked sibling runs the other, or the caller runs both. Each
+    config keeps its own `Rng(seed).spawn(idx)`, and `deltas`, `max_delta`
+    and `worst` follow grid order, so the result does not depend on the
+    grouping, the sets or the CPU count.
     """
     groups: Dict[tuple, List[int]] = {}
     for idx, (cfg, n) in enumerate(grid):
         groups.setdefault(footprint(cfg, n), []).append(idx)
+    members = list(groups.values())
+    per_group, sibling_peak = in_two_sets(
+        lambda g: _footprint_deltas(grid, seed, members[g]),
+        [grid[m[0]][1] ** 2 * len(m) for m in members])
     deltas = [0.0] * len(grid)
-    for members in groups.values():
-        first_cfg, n = grid[members[0]]
-        schedule = gather_schedule(first_cfg, n)
-        union = build_union(first_cfg, n)
-        for idx in members:
-            cfg = grid[idx][0]
-            rng = Rng(seed).spawn(idx)
-            proj, gate = random_attention_params(rng, cfg.d_model, cfg.n_heads)
-            x = rng.normal((1, n, cfg.d_model))
-            sparse, _ = pi_attention_forward(x, proj, gate, schedule, cfg)
-            dense = dense_oracle(x, proj, gate, union, cfg)
-            deltas[idx] = float(np.abs(sparse - dense).max())
-        del schedule, union
+    for m, group_deltas in zip(members, per_group):
+        for idx, delta in zip(m, group_deltas):
+            deltas[idx] = delta
     max_delta = 0.0
     worst = None
     for (cfg, n), delta in zip(grid, deltas):
@@ -116,7 +142,7 @@ def run_oracle_check(grid: Sequence[Tuple[AttentionConfig, int]],
         if not delta <= max_delta and max_delta == max_delta:
             max_delta, worst = delta, (cfg, n)
     return OracleResult(max_delta=max_delta, worst=worst, deltas=deltas,
-                        footprints=len(groups))
+                        footprints=len(groups), sibling_peak_rss_mb=sibling_peak)
 
 
 def stacked_block_setup(seed: int = 0, n: int = 6, d_model: int = 16,
@@ -152,7 +178,15 @@ def _with_tensor(obj, path: str, value: np.ndarray):
     return dataclasses.replace(obj, **{head: value})
 
 
-def run_stacked_grad_check(seed: int = 0, h: float = 1e-3, **kw) -> Dict[str, float]:
+class GradCheckErrors(dict):
+    """Tensor name -> max relative error, in tensor order, and the peak
+    resident memory in MB of the sibling process that checked some of the
+    tensors, None when no sibling was forked."""
+
+    sibling_peak_rss_mb: Optional[float] = None
+
+
+def run_stacked_grad_check(seed: int = 0, h: float = 1e-3, **kw) -> GradCheckErrors:
     """Fourth-order central-difference check of every parameter tensor and
     the input (see `grad_check`).
 
@@ -164,7 +198,14 @@ def run_stacked_grad_check(seed: int = 0, h: float = 1e-3, **kw) -> Dict[str, fl
     since the blocks before it see no change, and runs through block i and
     every block after it.
 
-    Returns name -> max relative error.
+    The tensors run through `split.in_two_sets`, at a cost of `grad_check`'s
+    chunks times the blocks each chunk runs through: the caller checks one
+    set while a forked sibling checks the other, or the caller checks both.
+    Each check reads only the analytic pass, so the errors do not depend on
+    the sets or the CPU count.
+
+    Returns name -> max relative error, in the order of `flatten` per block,
+    then x.
     """
     cfg, blocks, x, w_loss, schedule = stacked_block_setup(seed, **kw)
 
@@ -197,13 +238,18 @@ def run_stacked_grad_check(seed: int = 0, h: float = 1e-3, **kw) -> Dict[str, fl
             return losses(np.broadcast_to(y_in, (len(stack),) + y_in.shape[1:]), trial)
         return f
 
-    errors: Dict[str, float] = {}
-    for i, (bp, g) in enumerate(zip(blocks, grads)):
-        for name, arr in flatten(bp).items():
-            errors[f"block{i}.{name}"] = grad_check(
-                perturbed_block(i, name), arr, flatten(g)[name], h=h)
-    errors["x"] = grad_check(
-        lambda stack: losses(stack.reshape((-1,) + x.shape[1:]), blocks), x, d_y, h=h)
+    # (name, loss of a stack of points, point, analytic gradient, blocks run)
+    tensors = [(f"block{i}.{name}", perturbed_block(i, name), arr, flatten(g)[name],
+                len(blocks) - i)
+               for i, (bp, g) in enumerate(zip(blocks, grads))
+               for name, arr in flatten(bp).items()]
+    tensors.append(("x", lambda stack: losses(stack.reshape((-1,) + x.shape[1:]), blocks),
+                    x, d_y, len(blocks)))
+    found, sibling_peak = in_two_sets(
+        lambda j: grad_check(*tensors[j][1:4], h=h),
+        [-(-point.size // GRAD_CHECK_CHUNK) * depth for _, _, point, _, depth in tensors])
+    errors = GradCheckErrors(zip((name for name, *_ in tensors), found))
+    errors.sibling_peak_rss_mb = sibling_peak
     return errors
 
 

@@ -7,14 +7,18 @@ numpy and scipy versions, the BLAS thread variables and `threads`, the CPU
 count of the `split` rule: 2, or 1 on a one-CPU host; `heap_kept`, whether a
 large attention call has switched on `split.keep_heap`, and `minor_faults`,
 this process's minor page faults over the command, None where the platform
-does not count them; `train` adds `sibling_peak_rss_mb`, the peak resident
-memory of the process that ran its second halves, None when they ran in
-this process, whose `minor_faults` do not count that process's), the CSVs
-and summary.json. CSV bodies are byte-identical across reruns with the same
-seed and BLAS thread count (times live only in the manifest), on any number
-of CPUs: `train` splits each batch into two fixed halves, runs the second in
-a forked sibling process on two CPUs, and adds their gradients in a fixed
-order, and attention splits only steps that never sum over rows.
+does not count them; `train`, `oracle-check` and `grad-check` add
+`sibling_peak_rss_mb`, the peak resident memory of the forked process that
+ran their second part, for `grad-check` the largest over its seeds, None
+when nothing was forked; this process's `minor_faults` do not count that
+process's), the CSVs and summary.json. CSV bodies are byte-identical across
+reruns with the same seed and BLAS thread count (times live only in the
+manifest), on any number of CPUs: `train` splits each batch into two fixed
+halves, runs the second in a forked sibling process on two CPUs, and adds
+their gradients in a fixed order; `oracle-check` and each seed of
+`grad-check` fork one sibling that runs a fixed set of the configs or
+tensors, each of which is computed on its own; and attention splits only
+steps that never sum over rows.
 Exit codes: 0 all asserted properties pass, 1 a property failed, 2 usage,
 configuration or file error (one `error:` line on stderr).
 """
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -129,7 +134,8 @@ def cmd_oracle_check(args) -> int:
         args, 0 if ok else 1,
         {"oracle_check.csv": ("n,k,pi,heads,causal,ablation,max_delta,ok", rows)},
         {"checked": len(grid), "max_delta": res.max_delta, "pass": ok},
-        footprints_built=res.footprints, sweep_seconds=sweep_seconds)
+        footprints_built=res.footprints, sweep_seconds=sweep_seconds,
+        sibling_peak_rss_mb=res.sibling_peak_rss_mb)
 
 
 def cmd_grad_check(args) -> int:
@@ -139,6 +145,7 @@ def cmd_grad_check(args) -> int:
                  "max_rel_error": max(e.values())} for seed, e in errors.items()]
     worst = max(per_seed, key=lambda r: r["max_rel_error"])
     ok = bool(worst["max_rel_error"] < 1e-6)
+    peaks = [e.sibling_peak_rss_mb for e in errors.values() if e.sibling_peak_rss_mb is not None]
     print(f"grad-check: {len(errors[args.seed])} tensors at {len(seeds)} seeds, worst "
           f"{worst['worst_tensor']} = {worst['max_rel_error']:.3e} at seed {worst['seed']}"
           f" -> {'PASS' if ok else 'FAIL'}")
@@ -147,7 +154,8 @@ def cmd_grad_check(args) -> int:
         args, 0 if ok else 1,
         {"grad_check.csv": ("seed,tensor,max_rel_error", rows)},
         {"worst_seed": worst["seed"], "worst_tensor": worst["worst_tensor"],
-         "max_rel_error": worst["max_rel_error"], "pass": ok, "per_seed": per_seed})
+         "max_rel_error": worst["max_rel_error"], "pass": ok, "per_seed": per_seed},
+        sibling_peak_rss_mb=max(peaks, default=None))
 
 
 def cmd_rf_bound(args) -> int:
@@ -179,11 +187,12 @@ def cmd_train(args) -> int:
 
 def cmd_decode(args) -> int:
     cfg, params, _ = load_checkpoint(Path(args.ckpt))
-    try:
-        prompt = [int(t) for t in args.prompt.split(",")]
-    except ValueError:
+    fields = args.prompt.split(",")
+    # int() would also take spaces, digit-group underscores and a plus sign
+    if not all(re.fullmatch(r"-?[0-9]+", t) for t in fields):
         raise ConfigError(f"prompt: expected comma-separated token ids, "
-                          f"got {args.prompt!r}") from None
+                          f"got {args.prompt!r}")
+    prompt = [int(t) for t in fields]
     # generate rejects tokens outside the vocabulary, max_seq overruns, bad --steps/--temp
     t0 = time.perf_counter()
     seq = generate(params, cfg, prompt, args.steps, temperature=args.temp, rng=Rng(args.seed))

@@ -1,20 +1,29 @@
-"""The one split rule for running a batch on both CPUs: its rows as two fixed
-halves, rows [0, ⌈B/2⌉) and the rest, results combined by the caller in a
-fixed order. `in_halves` runs the first half on the calling thread and the
-second on one worker thread; on a host that gives this process one CPU both
-halves run on the caller, in the same order, so results depend on neither
-the CPU count nor thread scheduling.
+"""The one split rule for running work on both CPUs: a batch's rows as two
+fixed halves, rows [0, ⌈B/2⌉) and the rest, or a list of jobs as two fixed
+sets of near-equal static cost (`two_sets`), results combined by the caller
+in a fixed order. On a host that gives this process one CPU both parts run on
+the caller, in the same order, so results depend on neither the CPU count
+nor thread or process scheduling.
 
-Splits do not nest: a call to `in_halves` made while a half of another split
-runs (marked by `one_half`) runs its halves inline. So there is never more
-than one worker thread, and the worker never waits on itself. `attention`
-splits the row-local steps of each large forward and backward, runs the
-backward's whole-row sums as two concurrent jobs, and runs a call whole where
-`can_split` is False. `trainer` cuts each train step and evaluation batch by
-`halves` too, but runs its second half in a forked process, not on the
-worker thread: at train sizes the two threads would spend the step handing
-the interpreter lock back and forth. Both of its halves run inside
-`one_half`, so the attention calls they make run inline.
+The second part runs beside the first in one of two ways:
+- `in_halves` runs it on one worker thread. That pays only where a few long
+  calls release the interpreter lock: `attention` splits the row-local steps
+  of each large forward and backward this way, runs the backward's whole-row
+  sums as two concurrent jobs, and runs a call whole where `can_split` is
+  False.
+- `Sibling` runs it in a process forked from the caller, or, where
+  `can_split` is False or the platform has no `os.fork`, on the caller
+  after the first. Two processes, not two threads, where the work is many
+  short numpy calls that hold the lock. Its three clients: `trainer`, whose
+  sibling lives for a whole `train` call and runs the second half of each
+  step and evaluation batch, and, through `in_two_sets`, one fork per call,
+  `checks.run_oracle_check` (a set of its footprint groups) and
+  `checks.run_stacked_grad_check` (a set of its tensors).
+
+Splits do not nest: a part runs inside `one_half`, and a split asked for
+there runs its parts inline. So there is never more than one worker thread
+or one sibling at a time, the worker never waits on itself, and a sibling,
+which has no worker thread, never submits to one.
 
 A large attention call frees and reallocates tens of MB of arrays per call.
 glibc hands blocks above its mmap threshold, and a heap top above its trim
@@ -30,9 +39,12 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import os
+import pickle
 import threading
+import traceback
 from concurrent import futures
-from typing import Callable, List
+from multiprocessing.connection import Pipe
+from typing import Callable, List, Optional, Sequence, Tuple
 
 # runs the second half; its one thread starts on the first submit
 _WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="ringskip-half")
@@ -52,8 +64,8 @@ def threads() -> int:
 
 
 def can_split() -> bool:
-    """True when `in_halves` called here would run a second half on the worker
-    thread: the process may use two CPUs and this thread runs no half."""
+    """True when a split asked for here would run its second part beside the
+    first: the process may use two CPUs and this thread runs no part."""
     return threads() >= 2 and not getattr(_STATE, "busy", False)
 
 
@@ -63,10 +75,24 @@ def halves(size: int) -> List[slice]:
     return [slice(0, cut), slice(cut, size)][:2 if cut < size else 1]
 
 
+def two_sets(costs: Sequence[float]) -> List[List[int]]:
+    """The indices of `costs` as two sets of near-equal total cost: from the
+    largest cost down, each index joins the set with the smaller total so
+    far, the first on a tie. Each set is in ascending order; a set left
+    empty is left out."""
+    sets: List[List[int]] = [[], []]
+    totals = [0.0, 0.0]
+    for i in sorted(range(len(costs)), key=lambda i: (-costs[i], i)):
+        j = totals.index(min(totals))
+        sets[j].append(i)
+        totals[j] += costs[i]
+    return [sorted(part) for part in sets if part]
+
+
 @contextlib.contextmanager
 def one_half():
     """Marks the calling thread as running one half of a split for the body of
-    the `with`: a call to `in_halves` made inside runs its halves inline."""
+    the `with`: a split asked for inside runs its parts inline."""
     was = getattr(_STATE, "busy", False)
     _STATE.busy = True
     try:
@@ -93,6 +119,141 @@ def in_halves(fn: Callable, parts: List[tuple]) -> list:
     finally:
         futures.wait([pending])
     return [head, pending.result()]
+
+
+class Sibling:
+    """A process forked here, when `fork` and `can_split()` and the platform
+    has `os.fork`, that runs `run(*command)` for each command given to
+    `submit` while the caller works on; `result` returns the results in
+    submit order. Where nothing is forked, `result` runs the next command on
+    the caller, so the commands run in the same order either way.
+
+    The sibling sees the caller's memory as it was at the fork, plus whatever
+    the two share through anonymous shared memory. Commands and results are
+    pickled through a pipe each way (`multiprocessing.connection`); `run`
+    itself is not, so it may be a closure. An exception that `run` raises
+    there is raised by `result`, chained to the sibling's formatted
+    traceback; one that does not survive pickling comes back as a
+    RuntimeError naming it.
+    The sibling runs inside `one_half`, starts no thread, and exits when its
+    command pipe ends: `close`, or leaving a `with` block, closes the pipes
+    and reaps it, and keeps its peak resident memory in MB as `peak_rss_mb`,
+    None when nothing was forked."""
+
+    def __init__(self, run: Callable, fork: bool):
+        self._run = run
+        self._pending: List[tuple] = []  # commands to run here, when nothing forked
+        self._pid: Optional[int] = None
+        self.peak_rss_mb: Optional[float] = None
+        if fork and can_split() and hasattr(os, "fork"):
+            self._fork()
+
+    def _fork(self) -> None:
+        commands_r, commands = Pipe(duplex=False)
+        replies, replies_w = Pipe(duplex=False)
+        try:
+            pid = os.fork()
+        except OSError:
+            for end in (commands_r, commands, replies, replies_w):
+                end.close()
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                commands.close()
+                replies.close()
+                with commands_r, replies_w, one_half():
+                    self._serve(commands_r, replies_w)
+                code = 0
+            finally:
+                os._exit(code)
+        commands_r.close()
+        replies_w.close()
+        self._pid = pid
+        self._commands, self._replies = commands, replies
+
+    def _serve(self, commands, replies) -> None:
+        """The sibling's loop until its command pipe ends: per command,
+        (result, None), or the exception `run` raised and its formatted
+        traceback, pickled whole before any of it is sent."""
+        while True:
+            try:
+                command = commands.recv()
+            except EOFError:
+                return
+            try:
+                blob = pickle.dumps((self._run(*command), None))
+            except Exception as exc:
+                trace = traceback.format_exc()
+                try:
+                    blob = pickle.dumps((exc, trace))
+                    pickle.loads(blob)
+                except Exception:  # an exception that does not survive pickling
+                    blob = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), trace))
+            replies.send_bytes(blob)
+
+    def submit(self, *command) -> None:
+        if self._pid is None:
+            self._pending.append(command)
+        else:
+            self._commands.send(command)
+
+    def result(self):
+        if self._pid is None:
+            return self._run(*self._pending.pop(0))
+        try:
+            reply, trace = pickle.loads(self._replies.recv_bytes())
+        except EOFError:
+            raise RuntimeError("the sibling process ended before its reply") from None
+        if trace is not None:
+            raise reply from RuntimeError(f"raised in the sibling process:\n{trace}")
+        return reply
+
+    def close(self) -> Optional[float]:
+        """Ends and reaps the sibling, if there is one; returns `peak_rss_mb`.
+        A closed sibling runs nothing: it drops `run`, which may be a method
+        of an object that holds the sibling, so that no cycle keeps that
+        object and its arrays alive until the garbage collector runs."""
+        self._run = None
+        if self._pid is not None:
+            pid, self._pid = self._pid, None
+            try:
+                self._commands.close()
+            finally:
+                self._replies.close()
+                self.peak_rss_mb = os.wait4(pid, 0)[2].ru_maxrss / 1024.0
+        return self.peak_rss_mb
+
+    def __enter__(self) -> "Sibling":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def in_two_sets(fn: Callable[[int], object],
+                costs: Sequence[float]) -> Tuple[list, Optional[float]]:
+    """[fn(i) for i in range(len(costs))], and the peak resident memory in MB
+    of the `Sibling` that ran a part of it, None when none was forked. The
+    indices are cut by `two_sets`: the caller runs the first set while a
+    sibling forked here runs the second, or after it on the caller, each
+    inside `one_half`. Only the second set's indices and its results pass
+    through the pipes. An exception in either set is raised here once the
+    sibling has been reaped."""
+    sets = two_sets(costs)
+
+    def run(chosen: List[int]) -> list:
+        return [fn(i) for i in chosen]
+
+    with Sibling(run, fork=len(sets) == 2) as sibling, one_half():
+        for chosen in sets[1:]:
+            sibling.submit(chosen)
+        found = [run(chosen) for chosen in sets[:1]] + [sibling.result() for _ in sets[1:]]
+    results: list = [None] * len(costs)
+    for chosen, part in zip(sets, found):
+        for i, result in zip(chosen, part):
+            results[i] = result
+    return results, sibling.peak_rss_mb
 
 
 def keep_heap() -> None:

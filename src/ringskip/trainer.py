@@ -11,24 +11,26 @@ Tasks:
 
 Each training step splits its batch into two fixed halves by `split.halves`,
 rows [0, ⌈B/2⌉) and the rest. The caller runs forward, loss and backward on
-the first while a sibling process, forked once at the start of `train`, runs
-the second; each half's loss divides by the whole batch's count of scored
-targets, so the step's loss and gradient are the first half's plus the
-second's, added in that order. Two processes, not two threads: at these
-sizes two threads of one process spend the step handing the interpreter lock
-back and forth. The parameters are views of one flat vector in anonymous
-shared memory (`model.bind_params`), so the sibling reads each step's
-parameters, updated in place by the caller's AdamW, without a copy; the rows
-it runs and the flat gradient it returns pass through shared buffers too,
-and one pipe each way carries the commands and the losses. Clipping, AdamW,
-the half-sum and the finiteness check work on the flat vectors.
+the first while a `split.Sibling` process, forked once at the start of
+`train`, runs the second; each half's loss divides by the whole batch's
+count of scored targets, so the step's loss and gradient are the first
+half's plus the second's, added in that order. Two processes, not two
+threads: at these sizes two threads of one process spend the step handing
+the interpreter lock back and forth. The parameters are views of one flat
+vector in anonymous shared memory (`model.bind_params`), so the sibling
+reads each step's parameters, updated in place by the caller's AdamW,
+without a copy; the rows it runs and the flat gradient it returns pass
+through shared buffers too, and the sibling's pipes carry only the commands
+and the losses. Clipping, AdamW, the half-sum and the finiteness check work
+on the flat vectors.
 
-Where `split.threads()` is 1 or the platform has no `os.fork`, both halves
-run on the caller, in the same order, so outputs depend on neither the CPU
-count nor process scheduling. The sibling exits before `train` returns or
-raises, and an exception in its half is raised in the caller. `evaluate`
-splits the rows of its batches the same way, its second half in the sibling
-when `train` calls it. The attention calls inside either half run inline.
+Where the `split` rule forks nothing (one CPU, no `os.fork`, or a `train`
+call made inside a half), both halves run on the caller, in the same order,
+so outputs depend on neither the CPU count nor process scheduling. The
+sibling exits before `train` returns or raises, and an exception in its half
+is raised in the caller. `evaluate` splits the rows of its batches the same
+way, its second half in the sibling when `train` calls it. The attention
+calls inside either half run inline.
 """
 
 from __future__ import annotations
@@ -37,10 +39,7 @@ import dataclasses
 import json
 import math
 import mmap
-import os
-import pickle
 import time
-import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -51,7 +50,7 @@ from .model import (ModelConfig, ModelParams, bind_params, flatten, init_model,
                     model_backward, model_forward, param_shapes)
 from .neighborhood import ConfigError, from_dict, gather_schedule
 from .numerics import Rng, softmax_row
-from .split import halves, one_half, threads
+from .split import Sibling, halves, one_half
 
 IGNORE_INDEX = -1
 # AdamW's moment decay rates and denominator floor (Loshchilov & Hutter 2019)
@@ -414,16 +413,13 @@ def _score(params: ModelParams, cfg: ModelConfig, schedule,
 
 class _Halves:
     """The two halves of each batch of one `train` call: rows [0, ⌈B/2⌉) run
-    on the caller, the rest in a sibling process forked here when `fork`,
-    else on the caller after the first.
+    on the caller, the rest in a `split.Sibling` forked here, or on the
+    caller after the first where the sibling rule forks nothing.
 
     `params` must be views of shared memory: the sibling reads the caller's
     in-place updates through them. It writes its flat gradient into `grad`
-    and reads its rows from `inp` and `tgt`, all in shared memory too. A
-    pipe each way carries the commands and the results; an exception raised
-    in its half is sent back and raised in the caller. The sibling starts no
-    thread and exits when it reads the end of its command pipe: `close`
-    closes it and reaps the sibling.
+    and reads its rows from `inp` and `tgt`, all in shared memory too, so
+    its commands and results are a few numbers each.
 
     Each half's last gradient tree is held until its next step. Freed at
     once, above the step's other freed arrays, it would leave the heap's top
@@ -432,60 +428,13 @@ class _Halves:
     faults and 8.6 against 7.3 ms a step."""
 
     def __init__(self, params: ModelParams, cfg: ModelConfig, schedule, batch_size: int,
-                 seq_len: int, fork: bool):
+                 seq_len: int):
         self.params, self.cfg, self.schedule = params, cfg, schedule
         self.grad = _shared((sum(a.size for a in flatten(params).values()),), np.float64)
         self.inp, self.tgt = (_shared((EVAL_BATCHES, batch_size // 2, seq_len), np.int64)
                               for _ in range(2))
-        self.pid = None
-        self._pending = None
         self._trees = [None, None]  # each half's last
-        if fork:
-            self._fork()
-
-    def _fork(self) -> None:
-        commands, commands_w = os.pipe()
-        replies_r, replies = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (commands, commands_w, replies_r, replies):
-                os.close(fd)
-            raise
-        if pid == 0:
-            code = 1
-            try:
-                os.close(commands_w)
-                os.close(replies_r)
-                with open(commands, "rb") as cmd, open(replies, "wb") as out, one_half():
-                    self._serve(cmd, out)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(commands)
-        os.close(replies)
-        self.pid = pid
-        self._commands, self._replies = open(commands_w, "wb"), open(replies_r, "rb")
-
-    def _serve(self, commands, replies) -> None:
-        """The sibling's loop until EOF: per command, (result, None), or the
-        exception the half raised and its formatted traceback."""
-        while True:
-            try:
-                command = pickle.load(commands)
-            except EOFError:
-                return
-            try:
-                blob = pickle.dumps((self._run(*command), None))
-            except Exception as exc:
-                trace = traceback.format_exc()
-                try:
-                    blob = pickle.dumps((exc, trace))
-                    pickle.loads(blob)
-                except Exception:  # an exception that does not survive pickling
-                    blob = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), trace))
-            replies.write(blob)
-            replies.flush()
+        self.sibling = Sibling(self._run, fork=len(halves(batch_size)) == 2)
 
     def _run(self, kind: str, n_batches: int, count: int):
         """The second half: a step's loss, or an evaluation's (hits, counted)."""
@@ -501,23 +450,7 @@ class _Halves:
                 count: int = 0) -> None:
         for i, (inp, tgt) in enumerate(batches):
             self.inp[i], self.tgt[i] = inp, tgt
-        command = (kind, len(batches), count)
-        if self.pid is None:
-            self._pending = command
-            return
-        pickle.dump(command, self._commands)
-        self._commands.flush()
-
-    def _result(self):
-        if self.pid is None:
-            return self._run(*self._pending)
-        try:
-            reply, trace = pickle.load(self._replies)
-        except EOFError:
-            raise RuntimeError("the sibling process running the second half ended") from None
-        if trace is not None:
-            raise reply from RuntimeError(f"raised in the sibling process:\n{trace}")
-        return reply
+        self.sibling.submit(kind, len(batches), count)
 
     def step(self, inp: np.ndarray, tgt: np.ndarray, grad: np.ndarray) -> float:
         """A batch's loss, its flat gradient written into `grad`: the first
@@ -529,7 +462,7 @@ class _Halves:
         loss, self._trees[0] = _half_step(self.params, self.cfg, self.schedule, inp[first],
                                           tgt[first], count, grad)
         for _ in rest:
-            loss += self._result()
+            loss += self.sibling.result()
             grad += self.grad
         return loss
 
@@ -539,17 +472,7 @@ class _Halves:
         for part in rest:
             self._submit("score", part)
         return [_score(self.params, self.cfg, self.schedule, first)] + [
-            self._result() for _ in rest]
-
-    def close(self) -> Optional[float]:
-        """Ends and reaps the sibling; returns its peak resident memory in MB,
-        None when there was none."""
-        if self.pid is None:
-            return None
-        self._commands.close()
-        self._replies.close()
-        pid, self.pid = self.pid, None
-        return os.wait4(pid, 0)[2].ru_maxrss / 1024.0
+            self.sibling.result() for _ in rest]
 
 
 def train(
@@ -579,30 +502,25 @@ def train(
     metrics: List[dict] = []
     acc = float("nan")
     tokens, busy = 0, 0.0
-    with one_half():
-        runner = _Halves(params, cfg, schedule, tc.batch_size, task.seq_len,
-                         fork=len(halves(tc.batch_size)) == 2 and threads() == 2
-                         and hasattr(os, "fork"))
-        try:
-            for step in range(tc.steps):
-                t0 = time.perf_counter()
-                inp, tgt = make_batch(task, data_rng, tc.batch_size, corpus)
-                loss = runner.step(inp, tgt, grad)
-                if not np.isfinite(loss):
-                    raise TrainDivergedError(f"loss diverged at step {step}: {loss}")
-                clip_by_global_norm(grad, tc.clip_norm, cuts)
-                adamw_step(vec, grad, state, tc)
-                busy += time.perf_counter() - t0
-                tokens += inp.size
+    runner = _Halves(params, cfg, schedule, tc.batch_size, task.seq_len)
+    with runner.sibling, one_half():
+        for step in range(tc.steps):
+            t0 = time.perf_counter()
+            inp, tgt = make_batch(task, data_rng, tc.batch_size, corpus)
+            loss = runner.step(inp, tgt, grad)
+            if not np.isfinite(loss):
+                raise TrainDivergedError(f"loss diverged at step {step}: {loss}")
+            clip_by_global_norm(grad, tc.clip_norm, cuts)
+            adamw_step(vec, grad, state, tc)
+            busy += time.perf_counter() - t0
+            tokens += inp.size
 
-                if step % tc.eval_interval == 0 or step == tc.steps - 1:
-                    acc = evaluate(params, cfg, task, schedule, seed=eval_rng_seed,
-                                   batch_size=tc.batch_size, corpus=corpus, runner=runner)
-                    metrics.append({"step": step, "loss": loss, "accuracy": acc})
-                    if tc.stop_accuracy is not None and acc >= tc.stop_accuracy:
-                        break
-        finally:
-            sibling_peak = runner.close()
+            if step % tc.eval_interval == 0 or step == tc.steps - 1:
+                acc = evaluate(params, cfg, task, schedule, seed=eval_rng_seed,
+                               batch_size=tc.batch_size, corpus=corpus, runner=runner)
+                metrics.append({"step": step, "loss": loss, "accuracy": acc})
+                if tc.stop_accuracy is not None and acc >= tc.stop_accuracy:
+                    break
 
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -613,7 +531,8 @@ def train(
                 f.write(f"{m['step']},{m['loss']:.17g},{m['accuracy']:.17g}\n")
         save_checkpoint(out_dir / "model.ckpt", cfg, params, tc.seed)
     return TrainResult(params=params, metrics=metrics, final_accuracy=acc,
-                       tokens_per_sec=tokens / busy, sibling_peak_rss_mb=sibling_peak)
+                       tokens_per_sec=tokens / busy,
+                       sibling_peak_rss_mb=runner.sibling.peak_rss_mb)
 
 
 def evaluate(

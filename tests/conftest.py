@@ -37,3 +37,10 @@ def grad_check_run(tmp_path_factory) -> GradCheckRun:
     dt = time.perf_counter() - t0
     return GradCheckRun(code, json.loads((out / "summary.json").read_text()),
                         (out / "grad_check.csv").read_text().splitlines(), dt)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(k) makes the `split` rule see k CPUs: on 1, both parts of every
+    split run on the caller and nothing is forked."""
+    return lambda k: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +17,7 @@ from ringskip.attention import (
     pi_attention_forward,
     split_heads,
 )
-from ringskip import checks
+from ringskip import checks, split
 from ringskip.checks import (
     footprint,
     kl_divergence,
@@ -106,6 +108,74 @@ def test_oracle_check_nan_delta_is_the_worst(monkeypatch):
     # while its own row said ok = 0
     res = oracle_with_one_wrong_config(monkeypatch, np.nan)
     assert np.isnan(res.max_delta)
+
+
+# the two checks that split their work with a forked sibling, each with the
+# function that one of its work items calls
+SIBLING_CHECKS = {
+    "oracle": (lambda: run_oracle_check(oracle_grid("small")), "dense_oracle"),
+    "grad": (lambda: run_stacked_grad_check(seed=0), "grad_check"),
+}
+
+
+def test_two_sets_balance_the_largest_costs_first():
+    assert split.two_sets([5, 1, 4, 2, 3]) == [[0, 1, 3], [2, 4]]
+    assert split.two_sets([7]) == [[0]] and split.two_sets([]) == []
+
+
+def test_checks_do_not_depend_on_the_sibling(cpus):
+    """Deltas, worst config and footprint count of the oracle sweep and the
+    gradient check's errors at two seeds, keys and order included, are the
+    same floats with the sibling and without it."""
+    results = []
+    for k in (2, 1):
+        cpus(k)
+        oracle = run_oracle_check(oracle_grid("small"), seed=3)
+        grads = [list(run_stacked_grad_check(seed=seed).items()) for seed in (0, 4)]
+        results.append((oracle.deltas, oracle.worst, oracle.footprints, grads))
+        assert (oracle.sibling_peak_rss_mb is None) == (k == 1)
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("case", ["return", "error in the sibling's set", "one CPU",
+                                  "inside a half"])
+@pytest.mark.parametrize("check", sorted(SIBLING_CHECKS))
+def test_checks_reap_their_one_sibling(monkeypatch, cpus, check, case):
+    """A call on two CPUs forks one sibling, on one CPU or inside a half none,
+    and no child of this process is left when it returns or raises; an
+    exception raised only in the sibling's set reaches the caller, chained
+    to the sibling's traceback."""
+    import os
+    run, item = SIBLING_CHECKS[check]
+    cpus(1 if case == "one CPU" else 2)
+    forks, real_fork, real_item = [], os.fork, getattr(checks, item)
+    caller = os.getpid()
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    def poisoned(*args, **kwargs):
+        if os.getpid() != caller:
+            raise ValueError("poisoned in the sibling")
+        return real_item(*args, **kwargs)
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    if case.startswith("error"):
+        monkeypatch.setattr(checks, item, poisoned)
+        with pytest.raises(ValueError, match="poisoned in the sibling") as raised:
+            run()
+        cause = raised.value.__cause__
+        assert isinstance(cause, RuntimeError)
+        assert "raised in the sibling process" in str(cause) and "poisoned" in str(cause)
+    else:
+        with split.one_half() if case == "inside a half" else contextlib.nullcontext():
+            res = run()
+        peak = res.sibling_peak_rss_mb
+        assert (peak is None) == (case != "return") and (peak is None or peak > 0)
+    assert forks == ([caller] if case in ("return", "error in the sibling's set") else [])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ringskip import cli
+from ringskip.checks import run_stacked_grad_check
 from ringskip.cli import main
 from ringskip.model import ModelConfig, flatten, init_model
 from ringskip.neighborhood import AttentionConfig, offset_plan
@@ -217,6 +219,10 @@ def small_ckpt(tmp_path):
     ("1,2,3", -3, "steps: must be >= 0"),
     ("1,2,x", 4, "prompt: expected comma-separated token ids, got '1,2,x'"),
     ("", 4, "prompt: expected comma-separated token ids, got ''"),
+    # int() takes each of these: digit-group underscores, spaces, a plus sign
+    ("1_0,2", 4, "prompt: expected comma-separated token ids, got '1_0,2'"),
+    (" 3,4", 4, "prompt: expected comma-separated token ids, got ' 3,4'"),
+    ("+5", 4, "prompt: expected comma-separated token ids, got '+5'"),
 ])
 def test_decode_bad_input_exits_2(small_ckpt, tmp_path, capsys, prompt, steps,
                                   message):
@@ -711,6 +717,16 @@ def test_manifest_records_versions_and_thread_settings(tmp_path, monkeypatch):
         "train": {"steps": 2, "batch_size": 2, "eval_interval": 1},
     }))
     train_job = ["train", "--task", "copy", "--config", str(cfg_path)]
+    peaks = []
+
+    def recording_grad_check(**kw):
+        errors = run_stacked_grad_check(**kw)
+        if errors.sibling_peak_rss_mb is not None:
+            peaks.append(errors.sibling_peak_rss_mb)
+        return errors
+
+    monkeypatch.setattr(cli, "GRAD_CHECK_SEEDS", 2)
+    monkeypatch.setattr(cli, "run_stacked_grad_check", recording_grad_check)
 
     def manifest(job, name):
         assert main(job + ["--out", str(tmp_path / name)]) == 0
@@ -727,4 +743,14 @@ def test_manifest_records_versions_and_thread_settings(tmp_path, monkeypatch):
             got = manifest(job, f"{name}{cpus}")
             assert got["threads"] == cpus and "train_threads" not in got
         # the second halves ran in a sibling process on two CPUs, here on one
-        assert (got["sibling_peak_rss_mb"] is None) == (cpus == 1 or not hasattr(os, "fork"))
+        forked = cpus == 2 and hasattr(os, "fork")
+        assert (got["sibling_peak_rss_mb"] is None) != forked
+        # so did the second sets of the oracle sweep and of each seed's gradient
+        # check; grad-check records the largest of its seeds' sibling peaks
+        oracle = manifest(["oracle-check", "--grid", "small"], f"oracle{cpus}")
+        assert (oracle["sibling_peak_rss_mb"] is None) != forked
+        assert not forked or oracle["sibling_peak_rss_mb"] > 0
+        got = manifest(["grad-check"], f"grad{cpus}")
+        assert len(peaks) == (cli.GRAD_CHECK_SEEDS if forked else 0)
+        assert got["sibling_peak_rss_mb"] == max(peaks, default=None)
+        peaks.clear()

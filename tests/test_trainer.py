@@ -409,12 +409,6 @@ def test_mutated_checkpoint_model_is_a_config_error_naming_file(saved_ckpt, data
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """cpus(k) makes the trainer see k CPUs: 1 runs both halves on the caller."""
-    return lambda k: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
-
-
 def read_log(path) -> list:
     """The whitespace-separated fields of each line a `half_spy` wrote."""
     return [tuple(line.split()) for line in path.read_text().splitlines()] if path.exists() else []
@@ -623,6 +617,33 @@ def test_attention_inside_a_train_half_runs_inline(tmp_path, monkeypatch, cpus):
     cpus(1)
     assert run("inline") == forked
     assert {kind for _, kind, *_ in read_log(log)} == {"dots"}
+
+
+@pytest.mark.parametrize("n_cpus", [2, 1])
+def test_train_frees_its_halves_without_the_garbage_collector(monkeypatch, cpus, n_cpus):
+    """The halves of a `train` call, with each half's last gradient tree, are
+    freed when it returns: a reference cycle through their sibling would hold
+    them until the garbage collector runs, and a process that trains again
+    and again would grow by them."""
+    import gc
+    import weakref
+    import ringskip.trainer as trainer_mod
+    cpus(n_cpus)
+    made = []
+
+    class Watched(trainer_mod._Halves):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(trainer_mod, "_Halves", Watched)
+    task = TaskSpec(kind="copy_at_pi", vocab=16, seq_len=16, delay=4)
+    gc.disable()
+    try:
+        train(model_cfg(), task, TrainConfig(steps=2, batch_size=4, eval_interval=1, seed=1))
+        assert len(made) == 1 and made[0]() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("case", ["return", "early stop", "error in the caller's half",
