@@ -7,9 +7,12 @@ The oracle sweep and the stacked gradient check are many short numpy calls,
 so they use both CPUs through the `split` sibling rule: their work items
 (footprint groups, tensors) are cut into two fixed sets of near-equal static
 cost, the caller runs one and a process forked per call runs the other, and
-the results are put back in grid or tensor order. So their
-results are the same floats on any number of CPUs; each reports the
-sibling's peak resident memory, None when nothing was forked."""
+the results are put back in grid or tensor order. The sibling reads the
+grid, or the analytic pass and the tensors, from the memory it was forked
+with: only its set's indices cross the pipe to it and only its deltas or
+errors come back; nothing is in shared memory. So their results are the
+same floats on any number of CPUs; each reports the sibling's peak resident
+memory, None when nothing was forked."""
 
 from __future__ import annotations
 

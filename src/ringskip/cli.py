@@ -20,7 +20,9 @@ their gradients in a fixed order; `oracle-check` and each seed of
 tensors, each of which is computed on its own; and attention splits only
 steps that never sum over rows.
 Exit codes: 0 all asserted properties pass, 1 a property failed, 2 usage,
-configuration or file error (one `error:` line on stderr).
+configuration or file error (one `error:` line on stderr). A flag that the
+command would ignore is a usage error: `--config` on any command but
+`train`, and `rf-bound`'s `--pi` or `--layers` without `--k`.
 """
 
 from __future__ import annotations
@@ -64,8 +66,7 @@ GRAD_CHECK_SEEDS = 9
 # read by the BLAS library when numpy loads; each manifest records their values
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # the columns of a `cost-model --fit` file; its first line names them
-FIT_HEADER = "n,k,d_h,seconds"
-FIT_RATES = "gamma_tc,gamma_hbm,gamma_net,gamma_act"
+FIT_HEADER = "n,k,d_h,seconds,gamma_tc,gamma_hbm,gamma_net,gamma_act"
 
 
 def _out_dir(args) -> Path:
@@ -160,11 +161,16 @@ def cmd_grad_check(args) -> int:
 
 def cmd_rf_bound(args) -> int:
     if args.k is not None:
-        rows = rf_report([args.k], [args.pi], [args.layers])
+        rows = rf_report([args.k], [4 if args.pi is None else args.pi],
+                         [4 if args.layers is None else args.layers])
         r = rows[0]
         print(f"restricted={r.restricted_reach}, bound={r.bound}, full={r.full_reach}")
         ok = bool(r.bound_holds_restricted)
     else:
+        for name in ("pi", "layers"):
+            if getattr(args, name) is not None:
+                raise ConfigError(f"{name}: applies only with --k; without it rf-bound "
+                                  f"runs its whole grid")
         rows = rf_report(range(1, 5), (2, 4, 8, 16), range(1, 11))
         ok = all(r.bound_holds_restricted for r in rows)
         print(f"rf-bound: {len(rows)} grid points, restricted bound holds at "
@@ -246,30 +252,27 @@ def cmd_simulate_ring(args) -> int:
 
 
 def cmd_cost_model(args) -> int:
-    cp = CostParams(gamma_tc=args.gamma, gamma_hbm=args.gamma,
-                    gamma_net=args.gamma, gamma_act=args.gamma)
     if args.fit:
         try:
             with open(args.fit, encoding="utf-8") as f:
                 lines = f.readlines()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{args.fit}: not UTF-8 text ({exc})") from None
-        if not lines or lines[0].strip() not in (FIT_HEADER, f"{FIT_HEADER},{FIT_RATES}"):
-            raise ConfigError(f"{args.fit} line 1: expected the header {FIT_HEADER}, "
-                              f"optionally followed by ,{FIT_RATES}")
+        if not lines or lines[0].strip() != FIT_HEADER:
+            raise ConfigError(f"{args.fit} line 1: expected the header {FIT_HEADER}")
         rows, cps = [], []
         for lineno, line in enumerate(lines[1:], start=2):
             fields = line.strip().split(",")
             try:
-                if len(fields) not in (4, 8):
+                if len(fields) != 8:
                     raise ValueError
                 n, k, d_h = (int(v) for v in fields[:3])
                 secs, *gammas = (float(v) for v in fields[3:])
             except ValueError:
-                raise ConfigError(f"{args.fit} line {lineno}: expected 4 fields "
-                                  f"{FIT_HEADER}, or 8 with {FIT_RATES} after them") from None
+                raise ConfigError(f"{args.fit} line {lineno}: expected 8 fields "
+                                  f"{FIT_HEADER}") from None
             try:
-                cps.append(CostParams(*gammas) if gammas else cp)
+                cps.append(CostParams(*gammas))
             except ConfigError as exc:
                 raise ConfigError(f"{args.fit} line {lineno}: {exc}") from None
             rows.append((n, k, d_h, secs))
@@ -282,6 +285,8 @@ def cmd_cost_model(args) -> int:
         csvs = {"fit.csv": ("c1,c2,c3,relative_residual",
                             [(f"{c1:.12g}", f"{c2:.12g}", f"{c3:.12g}", f"{resid:.6e}")])}
     else:
+        cp = CostParams(gamma_tc=args.gamma, gamma_hbm=args.gamma,
+                        gamma_net=args.gamma, gamma_act=args.gamma)
         t = cost_model_eval(cp, args.n, args.k, args.d_h)
         print(f"cost-model: predicted {t:.6e} s for n={args.n} k={args.k} "
               f"d_h={args.d_h}")
@@ -349,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("rf-bound", help="receptive-field reach vs analytic bound")
     s.add_argument("--k", type=int, default=None)
-    s.add_argument("--pi", type=int, default=4)
-    s.add_argument("--layers", type=int, default=4)
+    s.add_argument("--pi", type=int, default=None)  # 4 when omitted; only with --k
+    s.add_argument("--layers", type=int, default=None)  # 4 when omitted; only with --k
     s.set_defaults(func=cmd_rf_bound)
 
     s = sub.add_parser("train", help="train a toy model")
@@ -382,13 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("cost-model", help="latency model evaluation or constant fitting")
     s.add_argument("--fit", type=str, default=None,
-                   help=f"CSV of measurements: the header line {FIT_HEADER}[,{FIT_RATES}], "
-                        f"then one {FIT_HEADER} row each, optionally followed by its own "
-                        f"{FIT_RATES} (else --gamma)")
+                   help=f"CSV of measurements: the header line {FIT_HEADER}, "
+                        f"then one such row per measurement, each with its own rates")
     s.add_argument("--n", type=int, default=1024)
     s.add_argument("--k", type=int, default=4)
     s.add_argument("--d-h", type=int, default=64)
-    s.add_argument("--gamma", type=float, default=1e9)
+    s.add_argument("--gamma", type=float, default=1e9,
+                   help="the one rate for all four terms of an evaluation (not --fit)")
     s.set_defaults(func=cmd_cost_model)
 
     s = sub.add_parser("kl-check", help="stabilization KL sweep")
@@ -412,6 +417,8 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:  # PCG64 takes no negative seed
             raise ConfigError(f"seed: must be >= 0, got {args.seed}")
+        if args.config is not None and args.command != "train":
+            raise ConfigError(f"config: only train reads --config, not {args.command}")
         return args.func(args)
     # OSError: a path that cannot be read or written, such as a missing file, a
     # directory given as a file, or an --out that names an existing file

@@ -14,11 +14,15 @@ The second part runs beside the first in one of two ways:
 - `Sibling` runs it in a process forked from the caller, or, where
   `can_split` is False or the platform has no `os.fork`, on the caller
   after the first. Two processes, not two threads, where the work is many
-  short numpy calls that hold the lock. Its three clients: `trainer`, whose
-  sibling lives for a whole `train` call and runs the second half of each
-  step and evaluation batch, and, through `in_two_sets`, one fork per call,
-  `checks.run_oracle_check` (a set of its footprint groups) and
-  `checks.run_stacked_grad_check` (a set of its tensors).
+  short numpy calls that hold the lock. Only the second part's arguments
+  and its result cross the pipes; besides them, the sibling sees the
+  caller's memory as it was at the fork, and shares with it only what the
+  caller put in anonymous shared memory before the fork. Its three clients:
+  `trainer`, whose sibling lives for a whole `train` call and runs the
+  second half of each step and evaluation batch, and, through
+  `in_two_sets`, one fork per call, `checks.run_oracle_check` (a set of its
+  footprint groups) and `checks.run_stacked_grad_check` (a set of its
+  tensors).
 
 Splits do not nest: a part runs inside `one_half`, and a split asked for
 there runs its parts inline. So there is never more than one worker thread
@@ -43,7 +47,6 @@ import pickle
 import threading
 import traceback
 from concurrent import futures
-from multiprocessing.connection import Pipe
 from typing import Callable, List, Optional, Sequence, Tuple
 
 # runs the second half; its one thread starts on the first submit
@@ -122,33 +125,35 @@ def in_halves(fn: Callable, parts: List[tuple]) -> list:
 
 
 class Sibling:
-    """A process forked here, when `fork` and `can_split()` and the platform
-    has `os.fork`, that runs `run(*command)` for each command given to
-    `submit` while the caller works on; `result` returns the results in
-    submit order. Where nothing is forked, `result` runs the next command on
-    the caller, so the commands run in the same order either way.
+    """Runs `run(*part)` for the parts given to `parts`, the second of two in
+    a process forked from the caller while the caller runs the first. The
+    first call of `parts` with two parts forks, when `can_split()` held as
+    the `Sibling` was built and the platform has `os.fork`; later calls
+    reuse that sibling. Where nothing is forked, the caller runs both parts,
+    in order, so the results are the same either way.
 
-    The sibling sees the caller's memory as it was at the fork, plus whatever
-    the two share through anonymous shared memory. Commands and results are
-    pickled through a pipe each way (`multiprocessing.connection`); `run`
+    Parts and results are pickled (`multiprocessing.connection`); `run`
     itself is not, so it may be a closure. An exception that `run` raises
-    there is raised by `result`, chained to the sibling's formatted
+    in the sibling is raised by `parts`, chained to the sibling's formatted
     traceback; one that does not survive pickling comes back as a
     RuntimeError naming it.
-    The sibling runs inside `one_half`, starts no thread, and exits when its
-    command pipe ends: `close`, or leaving a `with` block, closes the pipes
-    and reaps it, and keeps its peak resident memory in MB as `peak_rss_mb`,
-    None when nothing was forked."""
 
-    def __init__(self, run: Callable, fork: bool):
+    A `with` block runs the caller inside `one_half`. The sibling runs
+    inside it too, starts no thread, and exits when its command pipe ends.
+    Leaving the block closes the pipes, reaps the sibling and keeps its
+    peak resident memory in MB as `peak_rss_mb`, None when nothing was
+    forked."""
+
+    def __init__(self, run: Callable):
         self._run = run
-        self._pending: List[tuple] = []  # commands to run here, when nothing forked
+        self._may_fork = can_split() and hasattr(os, "fork")
         self._pid: Optional[int] = None
+        self._half = one_half()
         self.peak_rss_mb: Optional[float] = None
-        if fork and can_split() and hasattr(os, "fork"):
-            self._fork()
 
     def _fork(self) -> None:
+        # imported here: only the commands that fork pay for it
+        from multiprocessing.connection import Pipe
         commands_r, commands = Pipe(duplex=False)
         replies, replies_w = Pipe(duplex=False)
         try:
@@ -173,16 +178,16 @@ class Sibling:
         self._commands, self._replies = commands, replies
 
     def _serve(self, commands, replies) -> None:
-        """The sibling's loop until its command pipe ends: per command,
+        """The sibling's loop until its command pipe ends: per part,
         (result, None), or the exception `run` raised and its formatted
         traceback, pickled whole before any of it is sent."""
         while True:
             try:
-                command = commands.recv()
+                part = commands.recv()
             except EOFError:
                 return
             try:
-                blob = pickle.dumps((self._run(*command), None))
+                blob = pickle.dumps((self._run(*part), None))
             except Exception as exc:
                 trace = traceback.format_exc()
                 try:
@@ -192,28 +197,36 @@ class Sibling:
                     blob = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), trace))
             replies.send_bytes(blob)
 
-    def submit(self, *command) -> None:
-        if self._pid is None:
-            self._pending.append(command)
-        else:
-            self._commands.send(command)
-
-    def result(self):
-        if self._pid is None:
-            return self._run(*self._pending.pop(0))
+    def parts(self, parts: List[tuple]) -> list:
+        """[run(*part) for part in parts] for one or two parts. The sibling's
+        reply is read even when the caller's part raises, so every call
+        starts with the pipes empty."""
+        if len(parts) == 2 and self._pid is None and self._may_fork:
+            self._fork()
+        if len(parts) < 2 or self._pid is None:
+            return [self._run(*part) for part in parts]
+        self._commands.send(parts[1])
         try:
-            reply, trace = pickle.loads(self._replies.recv_bytes())
-        except EOFError:
-            raise RuntimeError("the sibling process ended before its reply") from None
+            head = self._run(*parts[0])
+        finally:
+            try:
+                reply, trace = pickle.loads(self._replies.recv_bytes())
+            except EOFError:
+                raise RuntimeError("the sibling process ended before its reply") from None
         if trace is not None:
             raise reply from RuntimeError(f"raised in the sibling process:\n{trace}")
-        return reply
+        return [head, reply]
 
-    def close(self) -> Optional[float]:
-        """Ends and reaps the sibling, if there is one; returns `peak_rss_mb`.
-        A closed sibling runs nothing: it drops `run`, which may be a method
-        of an object that holds the sibling, so that no cycle keeps that
-        object and its arrays alive until the garbage collector runs."""
+    def __enter__(self) -> "Sibling":
+        self._half.__enter__()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        """Leaves `one_half`, then ends and reaps the sibling, if there is
+        one. A closed sibling runs nothing: it drops `run`, which may be a
+        method of an object that holds the sibling, so that no cycle keeps
+        that object and its arrays alive until the garbage collector runs."""
+        self._half.__exit__(None, None, None)
         self._run = None
         if self._pid is not None:
             pid, self._pid = self._pid, None
@@ -222,33 +235,23 @@ class Sibling:
             finally:
                 self._replies.close()
                 self.peak_rss_mb = os.wait4(pid, 0)[2].ru_maxrss / 1024.0
-        return self.peak_rss_mb
-
-    def __enter__(self) -> "Sibling":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def in_two_sets(fn: Callable[[int], object],
                 costs: Sequence[float]) -> Tuple[list, Optional[float]]:
     """[fn(i) for i in range(len(costs))], and the peak resident memory in MB
     of the `Sibling` that ran a part of it, None when none was forked. The
-    indices are cut by `two_sets`: the caller runs the first set while a
-    sibling forked here runs the second, or after it on the caller, each
-    inside `one_half`. Only the second set's indices and its results pass
-    through the pipes. An exception in either set is raised here once the
-    sibling has been reaped."""
+    indices are cut by `two_sets`, and the sets run as the parts of one
+    `Sibling`: only the second set's indices and its results pass through
+    the pipes. An exception in either set is raised here once the sibling
+    has been reaped."""
     sets = two_sets(costs)
 
     def run(chosen: List[int]) -> list:
         return [fn(i) for i in chosen]
 
-    with Sibling(run, fork=len(sets) == 2) as sibling, one_half():
-        for chosen in sets[1:]:
-            sibling.submit(chosen)
-        found = [run(chosen) for chosen in sets[:1]] + [sibling.result() for _ in sets[1:]]
+    with Sibling(run) as sibling:
+        found = sibling.parts([(chosen,) for chosen in sets])
     results: list = [None] * len(costs)
     for chosen, part in zip(sets, found):
         for i, result in zip(chosen, part):

@@ -10,19 +10,20 @@ Tasks:
   * char_lm    — next-character prediction over a plain-text corpus.
 
 Each training step splits its batch into two fixed halves by `split.halves`,
-rows [0, ⌈B/2⌉) and the rest. The caller runs forward, loss and backward on
-the first while a `split.Sibling` process, forked once at the start of
-`train`, runs the second; each half's loss divides by the whole batch's
-count of scored targets, so the step's loss and gradient are the first
-half's plus the second's, added in that order. Two processes, not two
-threads: at these sizes two threads of one process spend the step handing
-the interpreter lock back and forth. The parameters are views of one flat
-vector in anonymous shared memory (`model.bind_params`), so the sibling
-reads each step's parameters, updated in place by the caller's AdamW,
-without a copy; the rows it runs and the flat gradient it returns pass
-through shared buffers too, and the sibling's pipes carry only the commands
-and the losses. Clipping, AdamW, the half-sum and the finiteness check work
-on the flat vectors.
+rows [0, ⌈B/2⌉) and the rest, and runs them as the two parts of a
+`split.Sibling`: the caller runs forward, loss and backward on the first
+while the sibling, a process forked at the first step, runs the second.
+Each half's loss divides by the whole batch's count of scored targets, so
+the step's loss and gradient are the first half's plus the second's, added
+in that order. Two processes, not two threads: at these sizes two threads of
+one process spend the step handing the interpreter lock back and forth.
+The parameters are views of one flat vector in anonymous shared memory
+(`model.bind_params`), so the sibling reads each step's parameters, updated
+in place by the caller's AdamW, without a copy, and it writes its flat
+gradient into a second shared vector. Those two vectors are all that is
+shared: the sibling's half of the rows travels down its pipe with each
+command, and only its loss comes back. Clipping, AdamW, the half-sum and
+the finiteness check work on the flat vectors.
 
 Where the `split` rule forks nothing (one CPU, no `os.fork`, or a `train`
 call made inside a half), both halves run on the caller, in the same order,
@@ -50,7 +51,7 @@ from .model import (ModelConfig, ModelParams, bind_params, flatten, init_model,
                     model_backward, model_forward, param_shapes)
 from .neighborhood import ConfigError, from_dict, gather_schedule
 from .numerics import Rng, softmax_row
-from .split import Sibling, halves, one_half
+from .split import Sibling, halves
 
 IGNORE_INDEX = -1
 # AdamW's moment decay rates and denominator floor (Loshchilov & Hutter 2019)
@@ -375,7 +376,7 @@ class TrainResult:
     sibling_peak_rss_mb: Optional[float] = None  # None when both halves ran on the caller
 
 
-# the batches `evaluate` draws, and the rows `_Halves` holds for them
+# the batches `evaluate` draws
 EVAL_BATCHES = 4
 
 
@@ -412,14 +413,15 @@ def _score(params: ModelParams, cfg: ModelConfig, schedule,
 
 
 class _Halves:
-    """The two halves of each batch of one `train` call: rows [0, ⌈B/2⌉) run
-    on the caller, the rest in a `split.Sibling` forked here, or on the
-    caller after the first where the sibling rule forks nothing.
+    """The two halves of each batch of one `train` call, run as the parts of
+    a `split.Sibling`: rows [0, ⌈B/2⌉) on the caller, the rest in the
+    sibling, or on the caller after the first where nothing is forked.
 
     `params` must be views of shared memory: the sibling reads the caller's
-    in-place updates through them. It writes its flat gradient into `grad`
-    and reads its rows from `inp` and `tgt`, all in shared memory too, so
-    its commands and results are a few numbers each.
+    in-place updates through them. Each command carries its half's rows.
+    Half h writes its flat gradient into `grads[h]`: `grad` for the caller's
+    half, an array in shared memory for the sibling's, so the sibling
+    returns only its loss or its (hits, counted) over the pipe.
 
     Each half's last gradient tree is held until its next step. Freed at
     once, above the step's other freed arrays, it would leave the heap's top
@@ -427,52 +429,36 @@ class _Halves:
     every step: on `train --task copy`, 2 CPUs, about ten times the minor
     faults and 8.6 against 7.3 ms a step."""
 
-    def __init__(self, params: ModelParams, cfg: ModelConfig, schedule, batch_size: int,
-                 seq_len: int):
+    def __init__(self, params: ModelParams, cfg: ModelConfig, schedule, grad: np.ndarray):
         self.params, self.cfg, self.schedule = params, cfg, schedule
-        self.grad = _shared((sum(a.size for a in flatten(params).values()),), np.float64)
-        self.inp, self.tgt = (_shared((EVAL_BATCHES, batch_size // 2, seq_len), np.int64)
-                              for _ in range(2))
+        self.grads = [grad, _shared(grad.shape, np.float64)]
         self._trees = [None, None]  # each half's last
-        self.sibling = Sibling(self._run, fork=len(halves(batch_size)) == 2)
+        self.sibling = Sibling(self._run)
 
-    def _run(self, kind: str, n_batches: int, count: int):
-        """The second half: a step's loss, or an evaluation's (hits, counted)."""
-        batches = list(zip(self.inp[:n_batches], self.tgt[:n_batches]))
+    def _run(self, half: int, kind: str, batches: List[Tuple[np.ndarray, np.ndarray]],
+             count: int = 0):
+        """One half: a step's loss, or an evaluation's (hits, counted)."""
         if kind == "score":
             return _score(self.params, self.cfg, self.schedule, batches)
         (inp, tgt), = batches
-        loss, self._trees[1] = _half_step(self.params, self.cfg, self.schedule, inp, tgt,
-                                          count, self.grad)
+        loss, self._trees[half] = _half_step(self.params, self.cfg, self.schedule, inp, tgt,
+                                             count, self.grads[half])
         return loss
 
-    def _submit(self, kind: str, batches: List[Tuple[np.ndarray, np.ndarray]],
-                count: int = 0) -> None:
-        for i, (inp, tgt) in enumerate(batches):
-            self.inp[i], self.tgt[i] = inp, tgt
-        self.sibling.submit(kind, len(batches), count)
-
-    def step(self, inp: np.ndarray, tgt: np.ndarray, grad: np.ndarray) -> float:
-        """A batch's loss, its flat gradient written into `grad`: the first
+    def step(self, inp: np.ndarray, tgt: np.ndarray) -> float:
+        """A batch's loss, its flat gradient written into `grads[0]`: the first
         half's plus the second's, added in that order."""
         count = int((tgt != IGNORE_INDEX).sum())
-        first, *rest = halves(len(inp))
-        for rows in rest:
-            self._submit("step", [(inp[rows], tgt[rows])], count)
-        loss, self._trees[0] = _half_step(self.params, self.cfg, self.schedule, inp[first],
-                                          tgt[first], count, grad)
-        for _ in rest:
-            loss += self.sibling.result()
-            grad += self.grad
+        loss, *rest = self.sibling.parts([(half, "step", [(inp[rows], tgt[rows])], count)
+                                          for half, rows in enumerate(halves(len(inp)))])
+        for other in rest:
+            loss += other
+            self.grads[0] += self.grads[1]
         return loss
 
     def score(self, parts: List[List[Tuple[np.ndarray, np.ndarray]]]) -> List[Tuple[int, int]]:
         """`_score` of each half's (inputs, targets) pairs, in half order."""
-        first, *rest = parts
-        for part in rest:
-            self._submit("score", part)
-        return [_score(self.params, self.cfg, self.schedule, first)] + [
-            self.sibling.result() for _ in rest]
+        return self.sibling.parts([(half, "score", part) for half, part in enumerate(parts)])
 
 
 def train(
@@ -502,12 +488,12 @@ def train(
     metrics: List[dict] = []
     acc = float("nan")
     tokens, busy = 0, 0.0
-    runner = _Halves(params, cfg, schedule, tc.batch_size, task.seq_len)
-    with runner.sibling, one_half():
+    runner = _Halves(params, cfg, schedule, grad)
+    with runner.sibling:
         for step in range(tc.steps):
             t0 = time.perf_counter()
             inp, tgt = make_batch(task, data_rng, tc.batch_size, corpus)
-            loss = runner.step(inp, tgt, grad)
+            loss = runner.step(inp, tgt)
             if not np.isfinite(loss):
                 raise TrainDivergedError(f"loss diverged at step {step}: {loss}")
             clip_by_global_norm(grad, tc.clip_norm, cuts)

@@ -575,20 +575,36 @@ def test_charlm_corpus_needs_seq_len_plus_two_bytes(tmp_path, capsys, extra, cod
     (["simulate-ring", "--shards", "2", "--heads", "0"], "heads: must be >= 1, got 0"),
     (["simulate-ring", "--shards", "4", "--batch", "0"], "batch: must be >= 1, got 0"),
     (["simulate-ring", "--shards", "4", "--batch", "-1"], "batch: must be >= 1, got -1"),
+    # flags a command would ignore: before, each ran and exited 0, and the
+    # manifest of the first named a config that was never read
+    (["--config", "/nonexistent.json", "rf-bound", "--k", "1"],
+     "config: only train reads --config, not rf-bound"),
+    (["oracle-check", "--grid", "small", "--config", "c.json"],
+     "config: only train reads --config, not oracle-check"),
+    (["rf-bound", "--layers", "0"], "layers: applies only with --k"),
+    (["rf-bound", "--pi", "4"], "pi: applies only with --k"),
 ], ids=["gamma_0", "n_0", "k_negative", "kl_seeds_0", "sim_d_h_0", "sim_heads_0",
-        "sim_batch_0", "sim_batch_negative"])
+        "sim_batch_0", "sim_batch_negative", "config_rf_bound", "config_oracle_check",
+        "rf_layers_without_k", "rf_pi_without_k"])
 def test_bad_numeric_flag_exits_2(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert message in one_error_line(capsys)
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("row", ["1024,4,64", "1024,4,64,0.1,9", "n,k,d_h,s", ""])
+FIT_HEADER = "n,k,d_h,seconds,gamma_tc,gamma_hbm,gamma_net,gamma_act"
+
+
+# a row without its four rates is as wrong as one with too few fields: a
+# file of such rows took --gamma for every rate and could never fit
+@pytest.mark.parametrize("row", ["1024,4,64", "1024,4,64,0.1", "1024,4,64,0.1,9",
+                                 "1024,4,64,0.1,1e9,1e9,1e9,1e9,1", "n,k,d_h,s", ""])
 def test_cost_model_fit_bad_row_names_file_and_line(tmp_path, capsys, row):
     fit = tmp_path / "m.csv"
-    fit.write_text(f"n,k,d_h,seconds\n256,1,8,0.001\n{row}\n512,2,8,0.002\n")
+    fit.write_text(f"{FIT_HEADER}\n256,1,8,0.001,1e9,1e9,1e9,1e9\n{row}\n"
+                   f"512,2,8,0.002,1e9,1e9,1e9,1e9\n")
     assert main(["cost-model", "--fit", str(fit), "--out", str(tmp_path / "o")]) == 2
-    assert f"{fit} line 3: expected 4 fields n,k,d_h,seconds" in one_error_line(capsys)
+    assert f"{fit} line 3: expected 8 fields {FIT_HEADER}" in one_error_line(capsys)
     assert not (tmp_path / "o").exists()
 
 
@@ -623,21 +639,23 @@ def test_infinite_logit_clamp_stays_legal(tmp_path):
 
 
 @pytest.mark.parametrize("body", ["256,1,8,0.001\n512,2,8,0.002\n1024,4,8,0.005\n",
-                                  "n,k,d_h\n256,1,8,0.001\n", "", "seconds,n,k,d_h\n"],
-                         ids=["headerless", "short_header", "empty", "reordered_header"])
+                                  "n,k,d_h\n256,1,8,0.001\n", "", "seconds,n,k,d_h\n",
+                                  "n,k,d_h,seconds\n256,1,8,0.001\n"],
+                         ids=["headerless", "short_header", "empty", "reordered_header",
+                              "header_without_rates"])
 def test_cost_model_fit_needs_its_header_line(tmp_path, capsys, body):
     # before, line 1 was dropped unread: three headerless rows lost the first
     # and failed with "need at least 3 measurements"
     fit = tmp_path / "m.csv"
     fit.write_text(body)
     assert main(["cost-model", "--fit", str(fit), "--out", str(tmp_path / "o")]) == 2
-    assert f"{fit} line 1: expected the header n,k,d_h,seconds" in one_error_line(capsys)
+    assert one_error_line(capsys).endswith(f"{fit} line 1: expected the header {FIT_HEADER}")
     assert not (tmp_path / "o").exists()
 
 
 def test_cost_model_fit_non_utf8_exits_2(tmp_path, capsys):
     fit = tmp_path / "m.csv"
-    fit.write_bytes(b"n,k,d_h,seconds\n\xff\xfe,1,8,0.001\n")
+    fit.write_bytes(FIT_HEADER.encode() + b"\n\xff\xfe,1,8,0.001,1e9,1e9,1e9,1e9\n")
     assert main(["cost-model", "--fit", str(fit), "--out", str(tmp_path / "o")]) == 2
     assert f"{fit}: not UTF-8 text" in one_error_line(capsys)
     assert not (tmp_path / "o").exists()
@@ -665,11 +683,14 @@ def test_unusable_path_exits_2(tmp_path, monkeypatch, capsys, argv):
 
 
 def test_cost_model_fit_shared_gamma_exits_2(tmp_path, capsys):
-    # one --gamma for every row makes the c2 and c3 columns proportional
+    # one set of rates for every row makes the c2 and c3 columns proportional;
+    # --gamma is an evaluation's rate and does not reach the fit
     fit = tmp_path / "m.csv"
-    fit.write_text("n,k,d_h,seconds\n128,1,8,1e-6\n256,2,8,2e-6\n512,4,16,9e-6\n"
-                   "1024,1,32,3e-5\n")
-    assert main(["cost-model", "--fit", str(fit), "--out", str(tmp_path / "o")]) == 2
+    rates = "2e9,4e9,3e9,5e8"
+    fit.write_text(f"{FIT_HEADER}\n128,1,8,1e-6,{rates}\n256,2,8,2e-6,{rates}\n"
+                   f"512,4,16,9e-6,{rates}\n1024,1,32,3e-5,{rates}\n")
+    assert main(["cost-model", "--fit", str(fit), "--gamma", "7e8",
+                 "--out", str(tmp_path / "o")]) == 2
     line = one_error_line(capsys)
     assert f"{fit}: rank-deficient design matrix" in line
     assert not (tmp_path / "o").exists()
@@ -678,7 +699,7 @@ def test_cost_model_fit_shared_gamma_exits_2(tmp_path, capsys):
 def test_cost_model_fit_rows_with_own_rates_recover_constants(tmp_path):
     true = (2.0, 3.0, 5.0)
     rate_sets = [(1e9, 1e9, 1e9, 1e9), (2e9, 4e9, 3e9, 5e8)]
-    lines = ["n,k,d_h,seconds,gamma_tc,gamma_hbm,gamma_net,gamma_act"]
+    lines = [FIT_HEADER]
     for i, (n, k, d_h) in enumerate([(128, 1, 8), (256, 2, 8), (512, 4, 16),
                                      (1024, 1, 32), (256, 8, 8), (640, 3, 16)]):
         gammas = rate_sets[i % 2]
@@ -697,7 +718,8 @@ def test_cost_model_fit_rows_with_own_rates_recover_constants(tmp_path):
 
 def test_cost_model_fit_bad_row_rate_names_file_and_line(tmp_path, capsys):
     fit = tmp_path / "m.csv"
-    fit.write_text("n,k,d_h,seconds\n256,1,8,0.001\n512,2,8,0.002,1e9,1e9,0,1e9\n")
+    fit.write_text(f"{FIT_HEADER}\n256,1,8,0.001,1e9,1e9,1e9,1e9\n"
+                   f"512,2,8,0.002,1e9,1e9,0,1e9\n")
     assert main(["cost-model", "--fit", str(fit), "--out", str(tmp_path / "o")]) == 2
     assert (f"{fit} line 3: gamma_net: must be strictly positive"
             in one_error_line(capsys))

@@ -2,9 +2,14 @@
 `__init__.py` is exempt, since its imports are re-exports.
 
 Only `cli` and `trainer` write files, and no module imports `io`: report
-builders return rows, and `cli` formats and writes them."""
+builders return rows, and `cli` formats and writes them. Importing the
+package loads no `multiprocessing` module: only the commands that fork a
+sibling pay for its pipes."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,3 +86,12 @@ def test_only_cli_and_trainer_write_files(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_does_not_import_io(path):
     assert not imports_io(path.read_text())
+
+
+def test_importing_the_package_loads_no_multiprocessing_module():
+    code = ("import sys, ringskip, ringskip.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[]"

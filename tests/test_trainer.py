@@ -506,8 +506,11 @@ def test_odd_and_single_row_batches_train(tmp_path, monkeypatch, cpus, batch_siz
 
 @pytest.mark.parametrize("n_batches", [1, 4])
 def test_evaluate_equals_a_serial_loop_over_the_same_batches(monkeypatch, cpus, n_batches):
+    """On the caller alone, and through the halves of a `train` call, whose
+    sibling scores the second half of each batch's rows."""
     import ringskip.trainer as trainer_mod
     from ringskip.model import model_forward
+    from ringskip.neighborhood import gather_schedule
     from ringskip.trainer import evaluate
     cpus(2)
     monkeypatch.setattr(trainer_mod, "EVAL_BATCHES", n_batches)
@@ -521,6 +524,13 @@ def test_evaluate_equals_a_serial_loop_over_the_same_batches(monkeypatch, cpus, 
         hits, counted = hits + h, counted + c
     assert evaluate(params, cfg, task, seed=9, batch_size=5) \
         == hits / counted
+    schedule = gather_schedule(cfg.attention, task.seq_len)
+    grad = np.empty(sum(a.size for a in flatten(params).values()))
+    runner = trainer_mod._Halves(params, cfg, schedule, grad)
+    with runner.sibling:
+        assert evaluate(params, cfg, task, schedule, seed=9, batch_size=5,
+                        runner=runner) == hits / counted
+    assert runner.sibling.peak_rss_mb is not None  # the sibling scored a half
 
 
 def test_evaluate_builds_one_plan_per_call(monkeypatch):
@@ -617,6 +627,26 @@ def test_attention_inside_a_train_half_runs_inline(tmp_path, monkeypatch, cpus):
     cpus(1)
     assert run("inline") == forked
     assert {kind for _, kind, *_ in read_log(log)} == {"dots"}
+
+
+@pytest.mark.parametrize("n_cpus", [2, 1])
+def test_train_shares_only_the_parameters_and_the_sibling_gradient(monkeypatch, cpus,
+                                                                   n_cpus):
+    """Shared memory holds the flat parameter vector and the flat gradient the
+    sibling writes; each command carries its half's rows."""
+    import ringskip.trainer as trainer_mod
+    cpus(n_cpus)
+    made, real = [], trainer_mod._shared
+
+    def counting(shape, dtype):
+        made.append((shape, np.dtype(dtype)))
+        return real(shape, dtype)
+
+    monkeypatch.setattr(trainer_mod, "_shared", counting)
+    task = TaskSpec(kind="copy_at_pi", vocab=16, seq_len=16, delay=4)
+    res = train(model_cfg(), task, TrainConfig(steps=2, batch_size=4, eval_interval=1, seed=1))
+    size = sum(a.size for a in flatten(res.params).values())
+    assert made == [((size,), np.dtype(np.float64))] * 2
 
 
 @pytest.mark.parametrize("n_cpus", [2, 1])
