@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -433,14 +433,17 @@ def dense_oracle(
     x: np.ndarray,
     proj: ProjectionParams,
     gate_params: GateParams,
-    union: UnionNeighborhood,
+    union: Union[UnionNeighborhood, Sequence[UnionNeighborhood]],
     config: AttentionConfig,
 ) -> np.ndarray:
     """Full n x n masked attention with the log-prior as a bias matrix.
 
     The masks come from the per-token union entries (`union.dense_masks`,
     built once per union), independently of the gather-based sparse path;
-    used purely for equivalence checks. Heads are (B, H, n, d_h) views of the
+    used purely for equivalence checks. `union` is one neighborhood for
+    every batch row, or a sequence of B, row b masked by the b-th: the oracle
+    sweep stacks configs of several footprints as the rows of one call, with
+    replica-stacked parameters. Heads are (B, H, n, d_h) views of the
     projections, and the scores and the value aggregation are one batched
     matmul each.
     """
@@ -455,7 +458,11 @@ def dense_oracle(
 
     alpha, _ = gate_forward(gate_params, x, config)
 
-    allowed, ring_pair = union.dense_masks
+    if isinstance(union, UnionNeighborhood):
+        allowed, ring_pair = union.dense_masks
+    else:  # (B, 1, n, n): one mask per row, broadcast over heads
+        allowed, ring_pair = (np.stack(masks)[:, None]
+                              for masks in zip(*(u.dense_masks for u in union)))
 
     scores = (qh @ kh.swapaxes(-1, -2)) * scale
     logits = np.clip(scores, -config.logit_clamp, config.logit_clamp)

@@ -3,16 +3,30 @@ sparse-vs-dense oracle sweep, finite-difference gradient checks through
 stacked blocks, stepwise decode-vs-full-forward equivalence with a live gate,
 and the KL stabilization sweep.
 
+The oracle sweep and the KL sweep run as replica-stacked calls, cutting
+calls rather than work. The oracle sweep stacks the configs that share n,
+causality, head count, gate-on, d_model, eps and logit_clamp, sorted by
+footprint: the sparse path runs once per footprint run of a stack and
+`dense_oracle` once per stack, each row with its own footprint's masks. The
+KL sweep draws every seed once into one stack and reuses it for every eps.
+No stacked score array holds more than STACK_ELEMENTS elements, so a larger
+grid or more seeds cost more stacks, not more memory. Each config or seed
+keeps its own seeded draws and its own row, so the results are those of one
+call per config or seed, bit for bit.
+
 The oracle sweep and the stacked gradient check are many short numpy calls,
 so they use both CPUs through the `split` sibling rule: their work items
-(footprint groups, tensors) are cut into two fixed sets of near-equal static
-cost, the caller runs one and a process forked per call runs the other, and
-the results are put back in grid or tensor order. The sibling reads the
-grid, or the analytic pass and the tensors, from the memory it was forked
-with: only its set's indices cross the pipe to it and only its deltas or
-errors come back; nothing is in shared memory. So their results are the
-same floats on any number of CPUs; each reports the sibling's peak resident
-memory, None when nothing was forked."""
+((n, causal) buckets of the grid, tensors) are cut into two fixed sets of
+near-equal static cost, the caller runs one and a process forked per call
+runs the other, and the results are put back in grid or tensor order. A
+footprint lies in one bucket, so its schedule and union are built once, in
+one process, and held until its bucket ends: the unions alive at once in
+each process are at most those of one bucket, 18 for the full grid. The
+sibling reads the grid, or the analytic pass and the tensors, from the
+memory it was forked with: only its set's indices cross the pipe to it and
+only its deltas or errors come back; nothing is in shared memory. So their
+results are the same floats on any number of CPUs; each reports the
+sibling's peak resident memory, None when nothing was forked."""
 
 from __future__ import annotations
 
@@ -86,66 +100,154 @@ def footprint(cfg: AttentionConfig, n: int) -> tuple:
 ORACLE_TOL = 1e-10
 
 
+# No stacked score array of the oracle or KL sweep holds more elements than
+# this: the oracle's (m, H, n, n) dense and (O, m, H, n) sparse scores and the
+# KL sweep's (O, seeds, 1, n). A larger sweep costs more stacks, not more
+# memory. On a 2-CPU host, one BLAS thread, the oracle sweep ran 18% faster
+# than one call per config at 2^16, 16% at 2^18 and 21-26% unbounded, for
+# 2.9, 11 and 27 MB more peak memory in the caller.
+STACK_ELEMENTS = 1 << 16
+
+
 @dataclass
 class OracleResult:
     max_delta: float
     worst: Optional[Tuple[AttentionConfig, int]]
     deltas: List[float]  # per config, in grid order
     footprints: int  # schedule/union pairs built: one per distinct footprint
+    sparse_calls: int  # one per footprint run of a stack
+    dense_calls: int  # one per stack
     sibling_peak_rss_mb: Optional[float] = None  # None when no sibling was forked
 
 
-def _footprint_deltas(grid: Sequence[Tuple[AttentionConfig, int]], seed: int,
-                      members: List[int]) -> List[float]:
-    """Max |sparse - dense| of each config of `members`, the grid indices of
-    one footprint, through one schedule and one union."""
-    first_cfg, n = grid[members[0]]
-    schedule = gather_schedule(first_cfg, n)
-    union = build_union(first_cfg, n)
-    deltas = []
+def _stack_key(cfg: AttentionConfig, n: int) -> tuple:
+    """What the configs of one stack share: all that `pi_attention_forward`
+    and `dense_oracle` read of a config besides its footprint, and n."""
+    return (n, cfg.causal, cfg.n_heads, cfg.ablation != "no_gate", cfg.d_model,
+            cfg.eps, cfg.logit_clamp)
+
+
+def oracle_stacks(grid: Sequence[Tuple[AttentionConfig, int]],
+                  members: Sequence[int]) -> List[List[List[int]]]:
+    """The stacks of the grid indices `members`, each a list of footprint
+    runs, each run the grid indices of one footprint in ascending order.
+
+    The members of one `_stack_key` are sorted by footprint, stably, and cut
+    in that order into stacks of at most STACK_ELEMENTS score elements, a
+    config counting H·n·max(n, O) for its O slots; a config larger than that
+    is a stack of its own."""
+    keys: Dict[tuple, List[int]] = {}
+    prints = {}
     for idx in members:
-        cfg = grid[idx][0]
+        keys.setdefault(_stack_key(*grid[idx]), []).append(idx)
+        prints[idx] = footprint(*grid[idx])
+    stacks = []
+    for idxs in keys.values():
+        stack: List[int] = []
+        size = 0
+        for idx in sorted(idxs, key=prints.__getitem__):
+            cfg, n = grid[idx]
+            elements = cfg.n_heads * n * max(n, len(prints[idx][0]))
+            if stack and size + elements > STACK_ELEMENTS:
+                stacks.append(stack)
+                stack, size = [], 0
+            stack.append(idx)
+            size += elements
+        stacks.append(stack)
+    return [[list(run) for _, run in itertools.groupby(stack, key=prints.__getitem__)]
+            for stack in stacks]
+
+
+def _rows(params, rows: slice):
+    """The replica rows `rows` of a stacked parameter dataclass, as views."""
+    return type(params)(*(a[rows] for a in vars(params).values()))
+
+
+def _stack_deltas(grid: Sequence[Tuple[AttentionConfig, int]], seed: int,
+                  runs: List[List[int]], plans: Dict[tuple, tuple]) -> List[float]:
+    """Max |sparse - dense| of each config of one stack, given as its
+    footprint runs, in stack order. `plans` maps a footprint to its schedule
+    and union; a footprint not in it is built and added."""
+    stack = [idx for run in runs for idx in run]
+    cfg, n = grid[stack[0]]
+    m, d, heads, hidden = len(stack), cfg.d_model, cfg.n_heads, cfg.d_model // 2
+    proj = ProjectionParams(*np.empty((4, m, d, d)), *np.empty((3, m, 1, d)))
+    gate = GateParams(np.empty((m, d, hidden)), np.empty((m, 1, hidden)),
+                      np.empty((m, hidden, heads)), np.empty((m, 1, heads)))
+    x = np.empty((m, n, d))
+    tensors = [*vars(proj).values(), *vars(gate).values()]
+    for row, idx in enumerate(stack):
         rng = Rng(seed).spawn(idx)
-        proj, gate = random_attention_params(rng, cfg.d_model, cfg.n_heads)
-        x = rng.normal((1, n, cfg.d_model))
-        sparse, _ = pi_attention_forward(x, proj, gate, schedule, cfg)
-        dense = dense_oracle(x, proj, gate, union, cfg)
-        deltas.append(float(np.abs(sparse - dense).max()))
-    return deltas
+        drawn_proj, drawn_gate = random_attention_params(rng, d, heads)
+        for stacked, drawn in zip(tensors, [*vars(drawn_proj).values(),
+                                            *vars(drawn_gate).values()]):
+            stacked[row] = drawn
+        x[row] = rng.normal((n, d))
+    sparse = np.empty((m, n, d))
+    unions = []
+    for run in runs:
+        rows = slice(len(unions), len(unions) + len(run))
+        run_cfg = grid[run[0]][0]
+        key = footprint(run_cfg, n)
+        if key not in plans:
+            plans[key] = gather_schedule(run_cfg, n), build_union(run_cfg, n)
+        schedule, union = plans[key]
+        sparse[rows], _ = pi_attention_forward(x[rows], _rows(proj, rows), _rows(gate, rows),
+                                               schedule, run_cfg)
+        unions += [union] * len(run)
+    dense = dense_oracle(x, proj, gate, unions, cfg)
+    return [float(np.abs(s - t).max()) for s, t in zip(sparse, dense)]
+
+
+def _bucket_deltas(grid: Sequence[Tuple[AttentionConfig, int]], seed: int,
+                   stacks: List[List[List[int]]]) -> List[List[float]]:
+    """`_stack_deltas` of each stack of one (n, causal) bucket; each of the
+    bucket's footprints is built once and kept until the bucket ends."""
+    plans: Dict[tuple, tuple] = {}
+    return [_stack_deltas(grid, seed, runs, plans) for runs in stacks]
 
 
 def run_oracle_check(grid: Sequence[Tuple[AttentionConfig, int]],
                      seed: int = 0) -> OracleResult:
     """Sparse path vs dense masked oracle, elementwise, per config.
 
-    Configs that share a `footprint` share one schedule and one union, built
-    when the footprint's group runs and dropped after it, so one union is
-    alive at a time in each process. The groups run through
-    `split.in_two_sets`, at a cost of n² per config: the caller runs one set
-    while a forked sibling runs the other, or the caller runs both. Each
-    config keeps its own `Rng(seed).spawn(idx)`, and `deltas`, `max_delta`
-    and `worst` follow grid order, so the result does not depend on the
-    grouping, the sets or the CPU count.
+    The configs run as replica-stacked calls (see `oracle_stacks`): the
+    sparse path once per footprint run of a stack, on views of its rows, and
+    `dense_oracle` once per stack, each row with the masks of its own
+    footprint's union. The work is cut into (n, causal) buckets, which run
+    through `split.in_two_sets` at a cost of n² per config: the caller runs
+    one set while a forked sibling runs the other, or the caller runs both.
+    A footprint holds its n and causality, so it lies in one bucket, and its
+    schedule and union are built once, in one process, and held until its
+    bucket ends: at most one bucket's unions are alive at a time in each
+    process. Each config keeps its own `Rng(seed).spawn(idx)` draws, written
+    into its row of the stack; each row is computed on its own, and
+    `deltas`, `max_delta` and `worst` follow grid order, so the result does
+    not depend on the stacks, the sets or the CPU count.
     """
-    groups: Dict[tuple, List[int]] = {}
+    buckets: Dict[tuple, List[int]] = {}
     for idx, (cfg, n) in enumerate(grid):
-        groups.setdefault(footprint(cfg, n), []).append(idx)
-    members = list(groups.values())
-    per_group, sibling_peak = in_two_sets(
-        lambda g: _footprint_deltas(grid, seed, members[g]),
-        [grid[m[0]][1] ** 2 * len(m) for m in members])
+        buckets.setdefault((n, cfg.causal), []).append(idx)
+    units = [oracle_stacks(grid, members) for members in buckets.values()]
+    per_unit, sibling_peak = in_two_sets(
+        lambda u: _bucket_deltas(grid, seed, units[u]),
+        [sum(grid[idx][1] ** 2 for idx in members) for members in buckets.values()])
     deltas = [0.0] * len(grid)
-    for m, group_deltas in zip(members, per_group):
-        for idx, delta in zip(m, group_deltas):
-            deltas[idx] = delta
+    for stacks, found in zip(units, per_unit):
+        for runs, stack_deltas in zip(stacks, found):
+            for idx, delta in zip((idx for run in runs for idx in run), stack_deltas):
+                deltas[idx] = delta
     max_delta = 0.0
     worst = None
     for (cfg, n), delta in zip(grid, deltas):
         # the first NaN is the worst: it fails `< ORACLE_TOL` like its row does
         if not delta <= max_delta and max_delta == max_delta:
             max_delta, worst = delta, (cfg, n)
-    return OracleResult(max_delta=max_delta, worst=worst, deltas=deltas,
-                        footprints=len(groups), sibling_peak_rss_mb=sibling_peak)
+    return OracleResult(
+        max_delta=max_delta, worst=worst, deltas=deltas,
+        footprints=len({footprint(cfg, n) for cfg, n in grid}),
+        sparse_calls=sum(len(runs) for stacks in units for runs in stacks),
+        dense_calls=sum(len(stacks) for stacks in units), sibling_peak_rss_mb=sibling_peak)
 
 
 def stacked_block_setup(seed: int = 0, n: int = 6, d_model: int = 16,
@@ -299,31 +401,48 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return terms.sum(axis=0)
 
 
-def run_kl_random_scores(n: int = 256, k: int = 2, pi: int = 8,
-                         eps: float = 1e-4, clamp: float = 20.0,
-                         seeds: int = 100) -> Tuple[float, float]:
-    """Mean/max KL on standard-normal scores and uniform raw gate values.
+def run_kl_random_scores(eps: Sequence[float], n: int = 256, k: int = 2, pi: int = 8,
+                         clamp: float = 20.0, seeds: int = 100) -> List[Tuple[float, float]]:
+    """Mean/max KL on standard-normal scores and uniform raw gate values, one
+    (mean, max) per value of `eps`.
 
     Both distributions come from `gated_softmax`. The stabilized one takes the
-    clipped gate and the clamp; the ideal one takes the raw gate and no clamp,
-    so an alpha of exactly 0 or 1 gives a -inf prior and probability 0.
+    gate clipped at that eps and the clamp; the ideal one takes the raw gate
+    and no clamp, so an alpha of exactly 0 or 1 gives a -inf prior and
+    probability 0.
+
+    Seed s draws its (O, 1, 1, n) scores and (1, 1, n) raw gate from
+    `Rng(1000 + s)`. The seeds are drawn once, in chunks of at most
+    STACK_ELEMENTS score elements stacked on the second axis; each chunk's
+    ideal distribution, which reads no eps, is computed once and reused for
+    every eps. Each seed's mean and max come from its own slice, so the
+    results do not depend on the chunking.
     """
     if seeds < 1:
         raise ConfigError(f"seeds: must be >= 1, got {seeds}")
-    cfg = AttentionConfig(d_model=4, n_heads=1, ring_k=k, skip_period=pi,
-                          causal=True, eps=eps, logit_clamp=clamp)
-    ideal_cfg = dataclasses.replace(cfg, logit_clamp=np.inf)
-    plan = gather_schedule(cfg, n)
+    base = AttentionConfig(d_model=4, n_heads=1, ring_k=k, skip_period=pi, causal=True,
+                           logit_clamp=clamp)
+    cfgs = [dataclasses.replace(base, eps=e) for e in eps]
+    ideal_cfg = dataclasses.replace(base, logit_clamp=np.inf)
+    plan = gather_schedule(base, n)
     valid = plan.valid[:, None, None]
-    means, maxes = [], []
-    for s in range(seeds):
-        rng = Rng(1000 + s)
-        scores = rng.normal((len(plan), 1, 1, n))
-        alpha_raw = rng.uniform((1, 1, n))
+    chunk = max(1, STACK_ELEMENTS // (len(plan) * n))
+    means: List[List[float]] = [[] for _ in cfgs]
+    maxes: List[List[float]] = [[] for _ in cfgs]
+    for start in range(0, seeds, chunk):
+        drawn = range(start, min(seeds, start + chunk))
+        scores = np.empty((len(plan), len(drawn), 1, n))
+        alpha_raw = np.empty((len(drawn), 1, n))
+        for j, s in enumerate(drawn):
+            rng = Rng(1000 + s)
+            scores[:, j] = rng.normal((len(plan), 1, n))
+            alpha_raw[j] = rng.uniform((1, n))
         with np.errstate(divide="ignore"):
             ideal = gated_softmax(scores, alpha_raw, plan.ring, valid, ideal_cfg)
-        stab = gated_softmax(scores, clip_alpha(alpha_raw, eps), plan.ring, valid, cfg)
-        kl = kl_divergence(stab, ideal)
-        means.append(float(kl.mean()))
-        maxes.append(float(kl.max()))
-    return float(np.mean(means)), float(np.max(maxes))
+        for cfg, m_list, x_list in zip(cfgs, means, maxes):
+            stab = gated_softmax(scores, clip_alpha(alpha_raw, cfg.eps), plan.ring, valid, cfg)
+            kl = kl_divergence(stab, ideal)
+            for row in kl:
+                m_list.append(float(row.mean()))
+                x_list.append(float(row.max()))
+    return [(float(np.mean(m)), float(np.max(x))) for m, x in zip(means, maxes)]

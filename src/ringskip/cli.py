@@ -22,7 +22,8 @@ steps that never sum over rows.
 Exit codes: 0 all asserted properties pass, 1 a property failed, 2 usage,
 configuration or file error (one `error:` line on stderr). A flag that the
 command would ignore is a usage error: `--config` on any command but
-`train`, and `rf-bound`'s `--pi` or `--layers` without `--k`.
+`train`, `rf-bound`'s `--pi` or `--layers` without `--k`, and `cost-model`'s
+`--n`, `--k`, `--d-h` or `--gamma` with `--fit`.
 """
 
 from __future__ import annotations
@@ -135,7 +136,8 @@ def cmd_oracle_check(args) -> int:
         args, 0 if ok else 1,
         {"oracle_check.csv": ("n,k,pi,heads,causal,ablation,max_delta,ok", rows)},
         {"checked": len(grid), "max_delta": res.max_delta, "pass": ok},
-        footprints_built=res.footprints, sweep_seconds=sweep_seconds,
+        footprints_built=res.footprints, sparse_calls=res.sparse_calls,
+        dense_calls=res.dense_calls, sweep_seconds=sweep_seconds,
         sibling_peak_rss_mb=res.sibling_peak_rss_mb)
 
 
@@ -251,8 +253,16 @@ def cmd_simulate_ring(args) -> int:
          "makespan_seconds": rep.makespan})
 
 
+# `cost-model`'s evaluation point and rate when their flags are omitted
+COST_MODEL_DEFAULTS = {"n": 1024, "k": 4, "d_h": 64, "gamma": 1e9}
+
+
 def cmd_cost_model(args) -> int:
     if args.fit:
+        for name in COST_MODEL_DEFAULTS:
+            if getattr(args, name) is not None:
+                raise ConfigError(f"{name}: applies only to an evaluation; with --fit "
+                                  f"cost-model fits the file's rows")
         try:
             with open(args.fit, encoding="utf-8") as f:
                 lines = f.readlines()
@@ -285,6 +295,9 @@ def cmd_cost_model(args) -> int:
         csvs = {"fit.csv": ("c1,c2,c3,relative_residual",
                             [(f"{c1:.12g}", f"{c2:.12g}", f"{c3:.12g}", f"{resid:.6e}")])}
     else:
+        for name, default in COST_MODEL_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
         cp = CostParams(gamma_tc=args.gamma, gamma_hbm=args.gamma,
                         gamma_net=args.gamma, gamma_act=args.gamma)
         t = cost_model_eval(cp, args.n, args.k, args.d_h)
@@ -297,7 +310,7 @@ def cmd_cost_model(args) -> int:
 
 def cmd_kl_check(args) -> int:
     eps_list = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
-    kls = [run_kl_random_scores(eps=eps, seeds=args.seeds) for eps in eps_list]
+    kls = run_kl_random_scores(eps_list, seeds=args.seeds)
     means = [mean_kl for mean_kl, _ in kls]
     monotone = all(b <= a + 1e-12 for a, b in zip(means, means[1:]))
     mean_ref = means[eps_list.index(1e-4)]
@@ -389,10 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--fit", type=str, default=None,
                    help=f"CSV of measurements: the header line {FIT_HEADER}, "
                         f"then one such row per measurement, each with its own rates")
-    s.add_argument("--n", type=int, default=1024)
-    s.add_argument("--k", type=int, default=4)
-    s.add_argument("--d-h", type=int, default=64)
-    s.add_argument("--gamma", type=float, default=1e9,
+    # None when omitted: COST_MODEL_DEFAULTS for an evaluation, refused with --fit
+    s.add_argument("--n", type=int, default=None)
+    s.add_argument("--k", type=int, default=None)
+    s.add_argument("--d-h", type=int, default=None)
+    s.add_argument("--gamma", type=float, default=None,
                    help="the one rate for all four terms of an evaluation (not --fit)")
     s.set_defaults(func=cmd_cost_model)
 

@@ -153,11 +153,11 @@ def test_criterion_6_skip_path_necessity(capsys):
 
 def test_criterion_7_stabilization_kl(capsys):
     eps_list = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
-    means = [run_kl_random_scores(eps=eps, seeds=100)[0] for eps in eps_list]
+    means = [mean for mean, _ in run_kl_random_scores(eps_list, seeds=100)]
     monotone = all(b <= a + 1e-12 for a, b in zip(means, means[1:]))
     mean_ref = means[eps_list.index(1e-4)]
     # vanishing clip with a clamp that never binds: KL collapses to zero
-    tiny_mean, _ = run_kl_random_scores(eps=1e-15, clamp=1e9, seeds=20)
+    [(tiny_mean, _)] = run_kl_random_scores([1e-15], clamp=1e9, seeds=20)
     ok = monotone and mean_ref < 2e-2 and tiny_mean < 1e-10
     report(capsys, f"[criterion 7] stabilization KL: zero in the vanishing "
                    f"limit ({tiny_mean:.1e}), nonincreasing in the clip "

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -75,26 +76,37 @@ def test_footprint_determines_schedule_and_union():
 
 def oracle_with_one_wrong_config(monkeypatch, error):
     """run_oracle_check on the small grid with `error` added to the sparse
-    output of one config that shares its footprint with an earlier one."""
+    output of one config that shares its footprint and stack key with an
+    earlier one, so that one sparse call runs both: to the one row whose
+    input is that config's drawn x."""
     grid = oracle_grid("small")
     first = {}
+    key = lambda c, n: (footprint(c, n), checks._stack_key(c, n))
     for idx, (c, n) in enumerate(grid):
-        first.setdefault(footprint(c, n), idx)
-    target = next(i for i in range(len(grid) // 2, len(grid))
-                  if first[footprint(*grid[i])] != i)
+        first.setdefault(key(c, n), idx)
+    target = next(i for i in range(len(grid) // 2, len(grid)) if first[key(*grid[i])] != i)
     bad_cfg, bad_n = grid[target]
+    rng = Rng(0).spawn(target)
+    random_attention_params(rng, bad_cfg.d_model, bad_cfg.n_heads)
+    bad_x = rng.normal((bad_n, bad_cfg.d_model))
     forward = checks.pi_attention_forward
+    hit_rows = []
 
     def perturbed(x, proj, gate, sched, c, **kw):
         out, cache = forward(x, proj, gate, sched, c, **kw)
-        if c == bad_cfg and x.shape[1] == bad_n:
-            out = out + error
+        if x.shape[1:] == bad_x.shape:
+            hit = (x == bad_x).all(axis=(1, 2))
+            if hit.any():
+                hit_rows.append(len(x))
+                out[hit] += error
         return out, cache
 
     monkeypatch.setattr(checks, "pi_attention_forward", perturbed)
     res = run_oracle_check(grid)
     assert [i for i, d in enumerate(res.deltas) if not d < 1e-10] == [target]
     assert res.worst == (bad_cfg, bad_n)
+    # the perturbed call stacked the target with other configs
+    assert hit_rows and hit_rows[0] > 1
     return res
 
 
@@ -108,6 +120,92 @@ def test_oracle_check_nan_delta_is_the_worst(monkeypatch):
     # while its own row said ok = 0
     res = oracle_with_one_wrong_config(monkeypatch, np.nan)
     assert np.isnan(res.max_delta)
+
+
+def per_config_deltas(grid, seed):
+    """The oracle sweep one config at a time: a B = 1 sparse call and a B = 1
+    dense call per config, each on its own schedule and union."""
+    deltas = []
+    for idx, (c, n) in enumerate(grid):
+        rng = Rng(seed).spawn(idx)
+        proj, gate = random_attention_params(rng, c.d_model, c.n_heads)
+        x = rng.normal((1, n, c.d_model))
+        sparse, _ = pi_attention_forward(x, proj, gate, gather_schedule(c, n), c)
+        dense = dense_oracle(x, proj, gate, build_union(c, n), c)
+        deltas.append(float(np.abs(sparse - dense).max()))
+    return deltas
+
+
+def cut_runs(grid):
+    """The footprints of the small grid that `oracle_stacks` puts in more
+    than one stack."""
+    seen, cut = {}, set()
+    for members in ([i for i, (c, n) in enumerate(grid) if (n, c.causal) == key]
+                    for key in {(n, c.causal) for c, n in grid}):
+        for s, runs in enumerate(checks.oracle_stacks(grid, members)):
+            for run in runs:
+                key = (footprint(*grid[run[0]]), checks._stack_key(*grid[run[0]]))
+                if seen.setdefault(key, s) != s:
+                    cut.add(key)
+    return cut
+
+
+# 2 * 12 * 12 holds two n = 12, H = 1 configs a stack and cuts their runs of three
+@pytest.mark.parametrize("budget", [None, 1, 2 * 12 * 12])
+@pytest.mark.parametrize("seed", [0, 41])
+def test_stacked_oracle_equals_one_config_at_a_time(monkeypatch, seed, budget):
+    """The stacked sweep's deltas are the per-config loop's, bit for bit: at
+    the default element budget, at a budget of 1 (every stack one config) and
+    at one that cuts footprint runs across stacks."""
+    grid = oracle_grid("small")
+    if budget is not None:
+        monkeypatch.setattr(checks, "STACK_ELEMENTS", budget)
+    res = run_oracle_check(grid, seed=seed)
+    assert res.deltas == per_config_deltas(grid, seed)
+    if budget == 1:
+        assert res.dense_calls == res.sparse_calls == len(grid)
+    elif budget is not None:
+        assert cut_runs(grid)
+    else:
+        assert res.dense_calls < res.sparse_calls < len(grid) and not cut_runs(grid)
+
+
+def per_seed_kl(eps, seeds, n=256, k=2, pi=8, clamp=20.0):
+    """The KL sweep one seed and one eps at a time."""
+    out = []
+    for e in eps:
+        cfg = AttentionConfig(d_model=4, n_heads=1, ring_k=k, skip_period=pi, causal=True,
+                              eps=e, logit_clamp=clamp)
+        plan = gather_schedule(cfg, n)
+        valid = plan.valid[:, None, None]
+        means, maxes = [], []
+        for s in range(seeds):
+            rng = Rng(1000 + s)
+            scores = rng.normal((len(plan), 1, 1, n))
+            alpha_raw = rng.uniform((1, 1, n))
+            with np.errstate(divide="ignore"):
+                ideal = gated_softmax(scores, alpha_raw, plan.ring, valid,
+                                      dataclasses.replace(cfg, logit_clamp=np.inf))
+            stab = gated_softmax(scores, clip_alpha(alpha_raw, e), plan.ring, valid, cfg)
+            kl = kl_divergence(stab, ideal)
+            means.append(float(kl.mean()))
+            maxes.append(float(kl.max()))
+        out.append((float(np.mean(means)), float(np.max(maxes))))
+    return out
+
+
+# 3 * 4 * 256 holds three seeds of the default 4-slot plan a chunk
+@pytest.mark.parametrize("budget", [None, 1, 3 * 4 * 256])
+def test_stacked_kl_equals_one_seed_at_a_time(monkeypatch, budget):
+    """One draw of the seeds, chunked by the element budget (the default's
+    64 seeds a chunk, one seed, three seeds), gives the per-seed loop's floats
+    for every eps."""
+    if budget is not None:
+        monkeypatch.setattr(checks, "STACK_ELEMENTS", budget)
+    eps = [1e-2, 1e-4, 1e-6]
+    assert checks.run_kl_random_scores(eps, seeds=70) == per_seed_kl(eps, 70)
+    assert (checks.run_kl_random_scores([1e-15], n=40, k=1, pi=4, clamp=1e9, seeds=7)
+            == per_seed_kl([1e-15], 7, n=40, k=1, pi=4, clamp=1e9))
 
 
 # the two checks that split their work with a forked sibling, each with the

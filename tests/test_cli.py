@@ -60,6 +60,9 @@ def test_oracle_check_cost_goes_to_manifest(tmp_path):
     assert main(["oracle-check", "--grid", "full", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["footprints_built"] == 144
+    # the 1,440 configs as replica-stacked calls: one dense call per stack
+    # and one sparse call per footprint run of a stack, not 1,440 of each
+    assert (manifest["sparse_calls"], manifest["dense_calls"]) == (862, 100)
     assert manifest["sweep_seconds"] > 0
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary) == {"checked", "max_delta", "pass"}
@@ -583,9 +586,17 @@ def test_charlm_corpus_needs_seq_len_plus_two_bytes(tmp_path, capsys, extra, cod
      "config: only train reads --config, not oracle-check"),
     (["rf-bound", "--layers", "0"], "layers: applies only with --k"),
     (["rf-bound", "--pi", "4"], "pi: applies only with --k"),
+    # an evaluation's flags beside --fit: before, the fit ran from the file
+    # and exited 0; the file is never opened, so it need not exist
+    (["cost-model", "--fit", "fit.csv", "--n", "5"], "n: applies only to an evaluation"),
+    (["cost-model", "--fit", "fit.csv", "--k", "9"], "k: applies only to an evaluation"),
+    (["cost-model", "--fit", "fit.csv", "--d-h", "8"], "d_h: applies only to an evaluation"),
+    (["cost-model", "--fit", "fit.csv", "--gamma", "3"],
+     "gamma: applies only to an evaluation"),
 ], ids=["gamma_0", "n_0", "k_negative", "kl_seeds_0", "sim_d_h_0", "sim_heads_0",
         "sim_batch_0", "sim_batch_negative", "config_rf_bound", "config_oracle_check",
-        "rf_layers_without_k", "rf_pi_without_k"])
+        "rf_layers_without_k", "rf_pi_without_k", "fit_with_n", "fit_with_k",
+        "fit_with_d_h", "fit_with_gamma"])
 def test_bad_numeric_flag_exits_2(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert message in one_error_line(capsys)
@@ -683,14 +694,13 @@ def test_unusable_path_exits_2(tmp_path, monkeypatch, capsys, argv):
 
 
 def test_cost_model_fit_shared_gamma_exits_2(tmp_path, capsys):
-    # one set of rates for every row makes the c2 and c3 columns proportional;
-    # --gamma is an evaluation's rate and does not reach the fit
+    # one set of rates for every row makes the c2 and c3 columns proportional
+    # (--gamma, an evaluation's one rate, is refused beside --fit)
     fit = tmp_path / "m.csv"
     rates = "2e9,4e9,3e9,5e8"
     fit.write_text(f"{FIT_HEADER}\n128,1,8,1e-6,{rates}\n256,2,8,2e-6,{rates}\n"
                    f"512,4,16,9e-6,{rates}\n1024,1,32,3e-5,{rates}\n")
-    assert main(["cost-model", "--fit", str(fit), "--gamma", "7e8",
-                 "--out", str(tmp_path / "o")]) == 2
+    assert main(["cost-model", "--fit", str(fit), "--out", str(tmp_path / "o")]) == 2
     line = one_error_line(capsys)
     assert f"{fit}: rank-deficient design matrix" in line
     assert not (tmp_path / "o").exists()
