@@ -21,7 +21,7 @@ The second part runs beside the first in one of two ways:
   `trainer`, whose sibling lives for a whole `train` call and runs the
   second half of each step and evaluation batch, and, through
   `in_two_sets`, one fork per call, `checks.run_oracle_check` (a set of its
-  footprint groups) and `checks.run_stacked_grad_check` (a set of its
+  (n, causal) buckets) and `checks.run_stacked_grad_check` (a set of its
   tensors).
 
 Splits do not nest: a part runs inside `one_half`, and a split asked for

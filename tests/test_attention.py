@@ -137,16 +137,14 @@ def per_config_deltas(grid, seed):
 
 
 def cut_runs(grid):
-    """The footprints of the small grid that `oracle_stacks` puts in more
-    than one stack."""
+    """The (footprint, stack key) runs that `oracle_stacks` puts in more than
+    one stack."""
     seen, cut = {}, set()
-    for members in ([i for i, (c, n) in enumerate(grid) if (n, c.causal) == key]
-                    for key in {(n, c.causal) for c, n in grid}):
-        for s, runs in enumerate(checks.oracle_stacks(grid, members)):
-            for run in runs:
-                key = (footprint(*grid[run[0]]), checks._stack_key(*grid[run[0]]))
-                if seen.setdefault(key, s) != s:
-                    cut.add(key)
+    for s, runs in enumerate(checks.oracle_stacks(grid, range(len(grid)))):
+        for run in runs:
+            key = (footprint(*grid[run[0]]), checks._stack_key(*grid[run[0]]))
+            if seen.setdefault(key, s) != s:
+                cut.add(key)
     return cut
 
 
