@@ -35,14 +35,14 @@ rule of `split`: batch rows [0, ⌈B/2⌉) run on the caller and the rest on the
 one worker thread, each half writing its rows of whole-batch arrays allocated
 before the split. Per half run every row-local step: in the forward the
 Q/K/V and output projections, the head split and merge, `gate_forward` (into
-the rows of one `empty_gate` cache), `_slot_dots`, `gated_softmax` and
-`_gather`; in the backward d_out @ wo.T, `_slot_dots`, `_scatter`, `_gather`,
-the softmax backward, d_alpha, the gate's row-local chain
-`gate_rows_backward`, and the d_q/d_k/d_v merges with their products into
-d_x. What sums over rows runs after the halves as two concurrent jobs, each
-sum whole: the caller takes the wq and wk gradients, bq and the gate's first
-layer (`linear_grads` of w1, b1); the worker takes wv, wo, bv, bo and the gate's
-second layer (w2, b2). So each sum keeps the unsplit call's order, and
+`split.row_views` of one `empty_gate` cache), `_slot_dots`, `gated_softmax`
+and `_gather`; in the backward d_out @ wo.T, `_slot_dots`, `_scatter`,
+`_gather`, the softmax backward, d_alpha, `gate_backward` (the gate's
+row-local chain), and the d_q/d_k/d_v merges with their products into d_x.
+What sums over rows runs after the halves as two concurrent jobs, each sum
+whole: the caller takes the wq and wk gradients, bq and the gate's first
+layer (`linear_grads` of w1, b1); the worker takes wv, wo, bv, bo and the
+gate's second layer (w2, b2). So each sum keeps the unsplit call's order, and
 forward and backward are bit-identical to the call run inline. A call runs
 whole, inline, with its two jobs in order on the caller, when its B * H * n
 is below SPLIT_MIN_ROWS, on a host that gives the process one CPU, inside a
@@ -64,7 +64,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .gate import GateCache, GateParams, empty_gate, gate_forward, gate_rows_backward
+from .gate import GateCache, GateParams, empty_gate, gate_backward, gate_forward
 from .neighborhood import AttentionConfig, ExecutionPlan, UnionNeighborhood
 from .numerics import (
     Rng,
@@ -76,7 +76,7 @@ from .numerics import (
     linear_grads,
     softmax_row,
 )
-from .split import can_split, halves, in_halves, keep_heap
+from .split import can_split, halves, in_halves, keep_heap, row_views
 
 
 @dataclass
@@ -326,7 +326,7 @@ def pi_attention_forward(
         split_heads(xr @ proj.wv + proj.bv, h_cnt, pad, out=v)
         alpha_h = None
         if alpha is not None:
-            gate_forward(gate_params, xr, config, out=(alpha[rows], gate_cache.rows(rows)))
+            gate_forward(gate_params, xr, config, out=(alpha[rows], row_views(gate_cache, rows)))
             alpha_h = alpha[rows].transpose(0, 2, 1)  # (B, H, n)
         s = scores[:, rows]
         _slot_dots(s, q, k, schedule)
@@ -404,9 +404,9 @@ def pi_attention_backward(
         np.add(d_q[rows] @ proj.wq.T + d_k[rows] @ proj.wk.T, d_v[rows] @ proj.wv.T,
                out=d_x[rows])
         if gate_cache is not None:
-            d_x[rows] += gate_rows_backward(gate_params, gate_cache.rows(rows),
-                                            d_alpha_h.transpose(0, 2, 1),
-                                            out=(dz[rows], dh[rows]))[2]
+            d_x[rows] += gate_backward(gate_params, row_views(gate_cache, rows),
+                                       d_alpha_h.transpose(0, 2, 1), cfg.eps,
+                                       out=(dz[rows], dh[rows]))[2]
 
     parts = _parts(b, h_cnt * n, proj, gate_params)
     in_halves(rows_backward, parts)
@@ -415,7 +415,7 @@ def pi_attention_backward(
     # unsplit call; the two jobs hold disjoint sums (wk has no bias)
     def caller_sums() -> tuple:
         return (linear_grads(cache.x, d_q), cache.x.reshape(-1, d).T @ d_k.reshape(-1, d),
-                None if gate_cache is None else linear_grads(gate_cache.inp, dh))
+                None if gate_cache is None else linear_grads(cache.x, dh))
 
     def worker_sums() -> tuple:
         return (linear_grads(cache.x, d_v), linear_grads(cache.fused, d_out),

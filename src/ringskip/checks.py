@@ -53,7 +53,7 @@ from .model import ModelConfig, ModelParams, flatten, init_model, model_forward
 from .neighborhood import (ABLATIONS, AttentionConfig, ConfigError, build_union,
                            gather_schedule, offset_plan)
 from .numerics import GRAD_CHECK_CHUNK, Rng, grad_check
-from .split import in_two_sets
+from .split import in_two_sets, row_views
 
 
 def random_attention_params(rng: Rng, d_model: int, n_heads: int):
@@ -158,11 +158,6 @@ def oracle_stacks(grid: Sequence[Tuple[AttentionConfig, int]],
             for stack in stacks]
 
 
-def _rows(params, rows: slice):
-    """The replica rows `rows` of a stacked parameter dataclass, as views."""
-    return type(params)(*(a[rows] for a in vars(params).values()))
-
-
 def _stack_deltas(grid: Sequence[Tuple[AttentionConfig, int]], seed: int,
                   runs: List[List[int]], plans: Dict[tuple, tuple]) -> List[float]:
     """Max |sparse - dense| of each config of one stack, given as its
@@ -192,8 +187,8 @@ def _stack_deltas(grid: Sequence[Tuple[AttentionConfig, int]], seed: int,
         if key not in plans:
             plans[key] = gather_schedule(run_cfg, n), build_union(run_cfg, n)
         schedule, union = plans[key]
-        sparse[rows], _ = pi_attention_forward(x[rows], _rows(proj, rows), _rows(gate, rows),
-                                               schedule, run_cfg)
+        sparse[rows], _ = pi_attention_forward(x[rows], row_views(proj, rows),
+                                               row_views(gate, rows), schedule, run_cfg)
         unions += [union] * len(run)
     dense = dense_oracle(x, proj, gate, unions, cfg)
     return [float(np.abs(s - t).max()) for s, t in zip(sparse, dense)]

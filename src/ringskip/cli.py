@@ -204,8 +204,9 @@ def cmd_decode(args) -> int:
     # generate rejects tokens outside the vocabulary, max_seq overruns, bad --steps/--temp
     t0 = time.perf_counter()
     seq = generate(params, cfg, prompt, args.steps, temperature=args.temp, rng=Rng(args.seed))
-    # one decode step per position of seq
-    tokens_per_sec = len(seq) / (time.perf_counter() - t0)
+    # decode steps run per second: one per token of seq but the last sampled
+    # one, whose logits generate would never read
+    tokens_per_sec = (len(seq) - 1 if args.steps else len(seq)) / (time.perf_counter() - t0)
     print("decode:", ",".join(map(str, seq)))
     return _write_outputs(args, 0, {"tokens.csv": ("position,token", enumerate(seq))},
                           tokens_per_sec=tokens_per_sec)

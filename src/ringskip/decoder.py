@@ -171,7 +171,9 @@ def generate(
 ) -> List[int]:
     """Extend a nonempty prompt by `steps` tokens within max_seq: greedy when
     `temperature` is None, else sampled from `rng` at that temperature, which
-    must be finite and > 0."""
+    must be finite and > 0. Runs one `decode_step` per prompt token and per
+    sampled token but the last: len(prompt) + steps - 1 steps, or
+    len(prompt) when `steps` is 0."""
     if not prompt:
         raise ConfigError("prompt must be nonempty")
     if steps < 0:
@@ -187,12 +189,13 @@ def generate(
     for t, tok in enumerate(prompt):
         logits = decode_step(params, cfg, cache, tok, t)
     out = list(prompt)
-    for _ in range(steps):
+    for step in range(steps):
         if temperature is None:
             nxt = int(np.argmax(logits))
         else:
             p = softmax_row(np.asarray(logits) / temperature)
             nxt = int(np.searchsorted(np.cumsum(p), rng.uniform(())))
         out.append(nxt)
-        logits = decode_step(params, cfg, cache, nxt, len(out) - 1)
+        if step + 1 < steps:  # the last token's logits would never be read
+            logits = decode_step(params, cfg, cache, nxt, len(out) - 1)
     return out

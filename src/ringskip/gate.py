@@ -11,11 +11,11 @@ of "no log-prior": the term is dropped downstream, and callers cannot
 accidentally use a gate value.
 
 A split attention call runs the gate per half of its batch rows. In the
-forward each half writes its rows of one whole-batch cache (`empty_gate`,
-`GateCache.rows`, `gate_forward`'s `out`). `gate_backward` is two parts: the
-row-local chain `gate_rows_backward` (dz, dh, the input gradient), which runs
-per half, and `numerics.linear_grads` of each layer, each weight and bias
-gradient one reduction over all rows, which runs whole after the halves.
+forward each half writes its rows (`split.row_views`) of one whole-batch
+cache (`empty_gate`, `gate_forward`'s `out`); in the backward each half runs
+`gate_backward`, the row-local chain. The weight and bias gradients, each one
+reduction over all rows, are `numerics.linear_grads` of each layer, which
+attention runs whole after the halves.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import expit
 
 from .neighborhood import AttentionConfig
-from .numerics import NonFiniteError, Rng, gelu_cdf, gelu_grad, linear_grads
+from .numerics import NonFiniteError, Rng, gelu_cdf, gelu_grad
 
 
 @dataclass
@@ -58,20 +58,13 @@ def clip_alpha(alpha_raw: np.ndarray, eps: float,
 
 @dataclass
 class GateCache:
-    inp: np.ndarray
     h_pre: np.ndarray   # pre-GELU hidden
     h_cdf: np.ndarray   # gelu_cdf(h_pre); the activation is h_pre * h_cdf
     alpha_raw: np.ndarray
-    eps: float
-
-    def rows(self, rows: slice) -> "GateCache":
-        """The cache of batch rows `rows`, as views: writing it writes this one."""
-        return GateCache(inp=self.inp[rows], h_pre=self.h_pre[rows], h_cdf=self.h_cdf[rows],
-                         alpha_raw=self.alpha_raw[rows], eps=self.eps)
 
 
 # the `out` of `gate_forward` that writes nothing given: every array is fresh
-_FRESH = (None, GateCache(inp=None, h_pre=None, h_cdf=None, alpha_raw=None, eps=0.0))
+_FRESH = (None, GateCache(h_pre=None, h_cdf=None, alpha_raw=None))
 
 
 def empty_gate(
@@ -85,8 +78,8 @@ def empty_gate(
         return None, None
     lead, hidden, heads = inp.shape[:-1], params.w1.shape[-1:], params.w2.shape[-1:]
     return np.empty(lead + heads), GateCache(
-        inp=inp, h_pre=np.empty(lead + hidden), h_cdf=np.empty(lead + hidden),
-        alpha_raw=np.empty(lead + heads), eps=config.eps)
+        h_pre=np.empty(lead + hidden), h_cdf=np.empty(lead + hidden),
+        alpha_raw=np.empty(lead + heads))
 
 
 def gate_forward(
@@ -110,8 +103,7 @@ def gate_forward(
     h_pre = np.add(inp @ params.w1, params.b1, out=cache.h_pre)
     alpha, h_cdf, alpha_raw = gate_head(h_pre, params, config.eps,
                                         (alpha, cache.h_cdf, cache.alpha_raw))
-    return alpha, GateCache(inp=inp, h_pre=h_pre, h_cdf=h_cdf,
-                            alpha_raw=alpha_raw, eps=config.eps)
+    return alpha, GateCache(h_pre=h_pre, h_cdf=h_cdf, alpha_raw=alpha_raw)
 
 
 def gate_head(h_pre: np.ndarray, params: GateParams, eps: float, out=(None, None, None)):
@@ -128,35 +120,22 @@ def gate_head(h_pre: np.ndarray, params: GateParams, eps: float, out=(None, None
     return clip_alpha(alpha_raw, eps, out=alpha), h_cdf, alpha_raw
 
 
-def gate_rows_backward(
-    params: GateParams,
-    cache: GateCache,
-    d_alpha: np.ndarray,
-    out=(None, None),
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The row-local chain through clip, sigmoid and the trunk: (dz, dh, d_inp),
-    the gradients at the output layer's pre-activation, the hidden
-    pre-activation and the gate input, row for row of `cache`; dz and dh are
-    written into the arrays of `out` (dz, dh) that are not None."""
-    dz = np.multiply((1.0 - 2.0 * cache.eps) * d_alpha * cache.alpha_raw,
-                     1.0 - cache.alpha_raw, out=out[0])
-    dh = np.multiply(dz @ params.w2.T, gelu_grad(cache.h_pre, cache.h_cdf), out=out[1])
-    return dz, dh, dh @ params.w1.T
-
-
 def gate_backward(
     params: GateParams,
     cache: Optional[GateCache],
     d_alpha: np.ndarray,
-) -> Tuple[np.ndarray, GateParams]:
-    """Chain rule through clip, sigmoid, and the trunk: `gate_rows_backward`,
-    then `linear_grads` of each layer.
-
-    Returns (gradient w.r.t. the gate input, gradient tree for the params).
-    """
+    eps: float,
+    out=(None, None),
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chain rule through clip (at `eps`), sigmoid and the trunk, row for
+    row of `cache`: (dz, dh, d_inp), the gradients at the output layer's
+    pre-activation, the hidden pre-activation and the gate input; dz and dh
+    are written into the arrays of `out` (dz, dh) that are not None. The
+    weight and bias gradients are `linear_grads(inp, dh)` and
+    `linear_grads(h_pre * h_cdf, dz)`."""
     if cache is None:
         raise ValueError("gate_backward: no cache (ablated gate has no gradients)")
-    dz, dh, d_inp = gate_rows_backward(params, cache, d_alpha)
-    d_w1, d_b1 = linear_grads(cache.inp, dh)
-    d_w2, d_b2 = linear_grads(cache.h_pre * cache.h_cdf, dz)
-    return d_inp, GateParams(w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2)
+    dz = np.multiply((1.0 - 2.0 * eps) * d_alpha * cache.alpha_raw,
+                     1.0 - cache.alpha_raw, out=out[0])
+    dh = np.multiply(dz @ params.w2.T, gelu_grad(cache.h_pre, cache.h_cdf), out=out[1])
+    return dz, dh, dh @ params.w1.T

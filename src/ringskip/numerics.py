@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.special import erf
 
 SQRT2 = np.sqrt(2.0)
 GRAD_CHECK_FLOOR = 1e-8
@@ -85,10 +85,6 @@ def linear_grads(inp: np.ndarray, d_out: np.ndarray) -> tuple:
     each one reduction over all rows."""
     flat_d = d_out.reshape(-1, d_out.shape[-1])
     return inp.reshape(-1, inp.shape[-1]).T @ flat_d, flat_d.sum(axis=0)
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    return expit(np.asarray(x, dtype=np.float64))
 
 
 LN_EPS = 1e-5

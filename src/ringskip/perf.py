@@ -38,8 +38,8 @@ class CostParams:
 
     def __post_init__(self) -> None:
         for name in ("gamma_tc", "gamma_hbm", "gamma_net", "gamma_act", "c1", "c2", "c3"):
-            if not getattr(self, name) > 0:  # NaN fails
-                raise ConfigError(f"{name}: must be strictly positive")
+            if not 0.0 < getattr(self, name) < np.inf:  # NaN fails
+                raise ConfigError(f"{name}: must be strictly positive and finite")
 
 
 def cost_model_eval(cp: CostParams, n: int, k: int, d_h: int) -> float:

@@ -78,6 +78,12 @@ def halves(size: int) -> List[slice]:
     return [slice(0, cut), slice(cut, size)][:2 if cut < size else 1]
 
 
+def row_views(tree, rows: slice):
+    """The rows `rows` of every array of the dataclass `tree`, as one of its
+    type: views, so writing them writes `tree`."""
+    return type(tree)(*(a[rows] for a in vars(tree).values()))
+
+
 def two_sets(costs: Sequence[float]) -> List[List[int]]:
     """The indices of `costs` as two sets of near-equal total cost: from the
     largest cost down, each index joins the set with the smaller total so

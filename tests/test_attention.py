@@ -738,7 +738,7 @@ def spy_threads(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(attention, name, wrapped)
 
-    for name in ("_slot_dots", "gate_forward", "gate_rows_backward", "linear_grads"):
+    for name in ("_slot_dots", "gate_forward", "gate_backward", "linear_grads"):
         spy(name)
     real_jobs = attention._in_jobs
 
@@ -821,7 +821,7 @@ def test_split_call_equals_inline_bit_for_bit(monkeypatch, ablation, causal, bat
     for mode, (_, seen) in results.items():
         split = mode == "split"
         # the row-local steps, the gate's among them, run once per half
-        for name in ("_slot_dots", "gate_forward", "gate_rows_backward"):
+        for name in ("_slot_dots", "gate_forward", "gate_backward"):
             if name != "_slot_dots" and not gated:
                 assert seen[name] == [], (mode, name)
             else:
@@ -840,6 +840,40 @@ def test_split_call_equals_inline_bit_for_bit(monkeypatch, ablation, causal, bat
         assert sorted(seen["linear_grads"]) == sorted(
             [threads[0]] * (1 + gated) + [threads[1]] * (2 + gated)), mode
     assert_all_equal(results)
+
+
+@pytest.mark.parametrize("ablation", ["full", "no_gate"])
+def test_the_traced_gate_backward_is_the_one_attention_runs(monkeypatch, ablation):
+    """A tracer that rebinds every `ringskip.*` module attribute that is
+    `gate.gate_backward`, as perfbench's does, times the gate's backward: a
+    gated backward reaches it once per half, split or inline; a no_gate
+    backward never does."""
+    import os
+    import sys
+    from ringskip import attention, gate as gate_module
+    real, calls = gate_module.gate_backward, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if key == "ringskip" or key.startswith("ringskip."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+    c, n = cfg(n_heads=4, ablation=ablation), 1100
+    rng = Rng(5)
+    proj, gate = random_attention_params(rng, c.d_model, c.n_heads)
+    x, d_out = rng.normal((2, 2, n, c.d_model))
+    plan = gather_schedule(c, n)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for cut, parts in ((attention.SPLIT_MIN_ROWS, 2), (10 ** 12, 1)):
+        monkeypatch.setattr(attention, "SPLIT_MIN_ROWS", cut)
+        _, cache = pi_attention_forward(x, proj, gate, plan, c)
+        calls.clear()
+        pi_attention_backward(proj, gate, cache, d_out)
+        assert len(calls) == (0 if ablation == "no_gate" else parts), cut
 
 
 def test_replica_stacked_call_runs_whole_above_the_cut(monkeypatch):

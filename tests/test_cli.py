@@ -571,6 +571,8 @@ def test_charlm_corpus_needs_seq_len_plus_two_bytes(tmp_path, capsys, extra, cod
 
 @pytest.mark.parametrize("argv,message", [
     (["cost-model", "--gamma", "0"], "gamma_tc: must be strictly positive"),
+    # before, an infinite rate predicted 0 s and exited 0
+    (["cost-model", "--gamma", "inf"], "gamma_tc: must be strictly positive and finite"),
     (["cost-model", "--n", "0"], "n: must be >= 1, got 0"),
     (["cost-model", "--k", "-1"], "k: must be >= 0, got -1"),
     (["kl-check", "--seeds", "0"], "seeds: must be >= 1, got 0"),
@@ -593,7 +595,7 @@ def test_charlm_corpus_needs_seq_len_plus_two_bytes(tmp_path, capsys, extra, cod
     (["cost-model", "--fit", "fit.csv", "--d-h", "8"], "d_h: applies only to an evaluation"),
     (["cost-model", "--fit", "fit.csv", "--gamma", "3"],
      "gamma: applies only to an evaluation"),
-], ids=["gamma_0", "n_0", "k_negative", "kl_seeds_0", "sim_d_h_0", "sim_heads_0",
+], ids=["gamma_0", "gamma_inf", "n_0", "k_negative", "kl_seeds_0", "sim_d_h_0", "sim_heads_0",
         "sim_batch_0", "sim_batch_negative", "config_rf_bound", "config_oracle_check",
         "rf_layers_without_k", "rf_pi_without_k", "fit_with_n", "fit_with_k",
         "fit_with_d_h", "fit_with_gamma"])
@@ -727,12 +729,15 @@ def test_cost_model_fit_rows_with_own_rates_recover_constants(tmp_path):
 
 
 def test_cost_model_fit_bad_row_rate_names_file_and_line(tmp_path, capsys):
-    fit = tmp_path / "m.csv"
-    fit.write_text(f"{FIT_HEADER}\n256,1,8,0.001,1e9,1e9,1e9,1e9\n"
-                   f"512,2,8,0.002,1e9,1e9,0,1e9\n")
-    assert main(["cost-model", "--fit", str(fit), "--out", str(tmp_path / "o")]) == 2
-    assert (f"{fit} line 3: gamma_net: must be strictly positive"
-            in one_error_line(capsys))
+    # an infinite rate fitted and exited 0 before (c1 = -0.131 on such a file)
+    for rates, name in (("1e9,1e9,0,1e9", "gamma_net"), ("inf,1e9,1e9,1e9", "gamma_tc")):
+        fit = tmp_path / "m.csv"
+        fit.write_text(f"{FIT_HEADER}\n256,1,8,0.001,1e9,1e9,1e9,1e9\n"
+                       f"512,2,8,0.002,{rates}\n")
+        assert main(["cost-model", "--fit", str(fit), "--out", str(tmp_path / "o")]) == 2
+        assert (f"{fit} line 3: {name}: must be strictly positive and finite"
+                in one_error_line(capsys))
+        assert not (tmp_path / "o").exists()
 
 
 def test_manifest_records_versions_and_thread_settings(tmp_path, monkeypatch):

@@ -222,6 +222,25 @@ def test_generate_rejects_negative_steps():
     assert generate(params, cfg, [1, 2], steps=0) == [1, 2]
 
 
+@pytest.mark.parametrize("prompt,steps", [([1, 2, 3], 5), ([1, 2, 3], 1), ([1, 2], 0), ([4], 1)],
+                         ids=["3+5", "3+1", "2+0", "1+1"])
+def test_generate_steps_every_token_whose_logits_it_reads(monkeypatch, prompt, steps):
+    # before, the last sampled token took a step too: 8 calls for 3 + 5
+    from ringskip import decoder
+    cfg = model_cfg()
+    params = init_model(cfg, seed=3)
+    real, positions = decoder.decode_step, []
+
+    def counted(params, cfg, cache, token, position):
+        positions.append(position)
+        return real(params, cfg, cache, token, position)
+
+    monkeypatch.setattr(decoder, "decode_step", counted)
+    out = generate(params, cfg, prompt, steps)
+    assert len(out) == len(prompt) + steps
+    assert positions == list(range(len(prompt) + max(steps - 1, 0)))
+
+
 @pytest.mark.parametrize("temp", [0.0, -1.0, float("inf"), float("nan")])
 def test_generate_rejects_a_temperature_not_finite_and_positive(temp):
     # at 0 the old CLI sampled at 1.0, and below 0 from the inverted distribution

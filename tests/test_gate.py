@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
+from scipy.special import erf, expit
 
-from ringskip.gate import (GateParams, clip_alpha, empty_gate, gate_backward, gate_forward,
-                           gate_rows_backward, init_gate)
+from ringskip.gate import GateParams, clip_alpha, empty_gate, gate_backward, gate_forward, init_gate
 from ringskip.neighborhood import AttentionConfig
-from ringskip.numerics import Rng, gelu_cdf, gelu_grad, grad_check, linear_grads, sigmoid
-from ringskip.split import halves
+from ringskip.numerics import Rng, gelu_cdf, gelu_grad, grad_check, linear_grads
+from ringskip.split import halves, row_views
 
 
 def cfg(**kw):
@@ -51,7 +50,7 @@ def test_gate_forward_is_the_textbook_chain_bit_for_bit(shape, seed, eps, scale)
     alpha, cache = gate_forward(params, x, cfg(eps=eps))
     h_pre = x @ params.w1 + params.b1
     h_cdf = 0.5 * (1.0 + erf(h_pre / np.sqrt(2.0)))
-    alpha_raw = sigmoid((h_pre * h_cdf) @ params.w2 + params.b2)
+    alpha_raw = expit((h_pre * h_cdf) @ params.w2 + params.b2)
     for got, want in [(alpha, (1.0 - 2.0 * eps) * alpha_raw + eps), (cache.h_pre, h_pre),
                       (cache.h_cdf, h_cdf), (cache.alpha_raw, alpha_raw)]:
         assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -73,7 +72,7 @@ def test_no_gate_returns_none():
 
 def test_backward_without_cache_rejected():
     with pytest.raises(ValueError, match="no cache"):
-        gate_backward(random_gate(0), None, np.zeros((1, 3, 2)))
+        gate_backward(random_gate(0), None, np.zeros((1, 3, 2)), cfg().eps)
 
 
 def test_gate_gradients_match_finite_differences():
@@ -95,23 +94,24 @@ def test_gate_gradients_match_finite_differences():
         return f
 
     alpha, cache = gate_forward(params, x, c)
-    d_inp, g = gate_backward(params, cache, w.copy())
-    for name, arr, grad in [("w1", params.w1, g.w1), ("b1", params.b1, g.b1),
-                            ("w2", params.w2, g.w2), ("b2", params.b2, g.b2),
+    dz, dh, d_inp = gate_backward(params, cache, w.copy(), c.eps)
+    (d_w1, d_b1), (d_w2, d_b2) = linear_grads(x, dh), linear_grads(cache.h_pre * cache.h_cdf, dz)
+    for name, arr, grad in [("w1", params.w1, d_w1), ("b1", params.b1, d_b1),
+                            ("w2", params.w2, d_w2), ("b2", params.b2, d_b2),
                             ("x", x, d_inp)]:
         assert grad_check(losses(name), arr, grad) < 1e-6, name
 
 
-def one_piece_gate_backward(params, cache, d_alpha):
+def one_piece_gate_backward(params, x, cache, d_alpha, eps):
     """The gate backward as one function over all rows, the form the row-local
     chain and the whole sums were split from."""
-    dz = (1.0 - 2.0 * cache.eps) * d_alpha * cache.alpha_raw * (1.0 - cache.alpha_raw)
+    dz = (1.0 - 2.0 * eps) * d_alpha * cache.alpha_raw * (1.0 - cache.alpha_raw)
     flat_h = (cache.h_pre * cache.h_cdf).reshape(-1, cache.h_pre.shape[-1])
     flat_dz = dz.reshape(-1, dz.shape[-1])
     d_w2 = flat_h.T @ flat_dz
     d_b2 = flat_dz.sum(axis=0)
     dh = (dz @ params.w2.T) * gelu_grad(cache.h_pre, cache.h_cdf)
-    flat_in = cache.inp.reshape(-1, cache.inp.shape[-1])
+    flat_in = x.reshape(-1, x.shape[-1])
     flat_dh = dh.reshape(-1, dh.shape[-1])
     d_w1 = flat_in.T @ flat_dh
     d_b1 = flat_dh.sum(axis=0)
@@ -127,16 +127,16 @@ def same_bits(got, want):
        seed=st.integers(0, 2 ** 31 - 1), head_major=st.booleans())
 def test_halves_of_the_gate_equal_the_one_piece_gate_bit_for_bit(shape, seed, head_major):
     """Forward: halves written into `empty_gate` arrays equal one whole call.
-    Backward: the row-local chain per half into whole arrays, then the whole
-    sums, equal `gate_backward` and the one-piece backward. d_alpha is either
-    C-ordered or the (B, H, n) transposed view attention passes."""
+    Backward: `gate_backward` whole, and per half into whole arrays, each
+    followed by the whole sums, equal the one-piece backward. d_alpha is
+    either C-ordered or the (B, H, n) transposed view attention passes."""
     params, c = random_gate(seed), cfg()
     x = Rng(seed + 1).normal(shape)
     b, n, _ = shape
     alpha, cache = gate_forward(params, x, c)
     alpha_split, cache_split = empty_gate(params, x, c)
     for rows in halves(b):
-        gate_forward(params, x[rows], c, out=(alpha_split[rows], cache_split.rows(rows)))
+        gate_forward(params, x[rows], c, out=(alpha_split[rows], row_views(cache_split, rows)))
     for name in ("h_pre", "h_cdf", "alpha_raw"):
         assert same_bits(getattr(cache_split, name), getattr(cache, name)), name
     assert same_bits(alpha_split, alpha)
@@ -144,15 +144,18 @@ def test_halves_of_the_gate_equal_the_one_piece_gate_bit_for_bit(shape, seed, he
     d_alpha = Rng(seed + 2).normal((b, 2, n) if head_major else (b, n, 2))
     if head_major:
         d_alpha = d_alpha.transpose(0, 2, 1)
-    want_inp, want = one_piece_gate_backward(params, cache, d_alpha)
-    got_inp, got = gate_backward(params, cache, d_alpha)
+    want_inp, want = one_piece_gate_backward(params, x, cache, d_alpha, c.eps)
+
+    def with_sums(dz, dh, d_inp):
+        (w1, b1), (w2, b2) = linear_grads(x, dh), linear_grads(cache.h_pre * cache.h_cdf, dz)
+        return d_inp, GateParams(w1=w1, b1=b1, w2=w2, b2=b2)
+
     dz, dh, split_inp = np.empty(alpha.shape), np.empty(cache.h_pre.shape), np.empty(x.shape)
     for rows in halves(b):
-        split_inp[rows] = gate_rows_backward(params, cache.rows(rows), d_alpha[rows],
-                                             out=(dz[rows], dh[rows]))[2]
-    (w1, b1), (w2, b2) = linear_grads(cache.inp, dh), linear_grads(cache.h_pre * cache.h_cdf, dz)
-    split = GateParams(w1=w1, b1=b1, w2=w2, b2=b2)
-    for d_inp, grads in ((got_inp, got), (split_inp, split)):
+        split_inp[rows] = gate_backward(params, row_views(cache, rows), d_alpha[rows], c.eps,
+                                        out=(dz[rows], dh[rows]))[2]
+    for d_inp, grads in (with_sums(*gate_backward(params, cache, d_alpha, c.eps)),
+                         with_sums(dz, dh, split_inp)):
         assert same_bits(d_inp, want_inp)
         for name in ("w1", "b1", "w2", "b2"):
             assert same_bits(getattr(grads, name), getattr(want, name)), name

@@ -1,5 +1,7 @@
 """Every name a `ringskip` module imports is used in that module. The package
-`__init__.py` is exempt, since its imports are re-exports.
+`__init__.py` is exempt, since its imports are re-exports. Every module-level
+function, class and assignment is read somewhere in the package besides its
+own definition: a name only tests call is not part of the program.
 
 Only `cli` and `trainer` write files, and no module imports `io`: report
 builders return rows, and `cli` formats and writes them. Importing the
@@ -10,6 +12,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -43,6 +46,52 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# module-level names that nothing in the package reads, each with its reason
+UNREFERENCED = {
+    # drives acceptance criterion 5 from the tests; no command runs it yet (ROADMAP item 22)
+    "checks.run_decode_check",
+}
+
+
+def unreferenced_names(sources: dict) -> list:
+    """"module.name" for each module-level function, class and assignment of
+    `sources` (module -> source) that no `Name` or `Attribute` of any of them
+    refers to outside its own definition. Dunder names, which Python and its
+    tools read, are left out."""
+    def refs(node) -> Counter:
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum((refs(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            inside = refs(node)
+            found += [f"{module}.{name}" for name in names
+                      if not name.startswith("__") and everywhere[name] == inside[name]]
+    return sorted(found)
+
+
+def test_unreferenced_names_are_found():
+    sources = {"a": "import b\nX = 1\nY, Z = 2, 3\n__all__ = []\n"
+                    "def f():\n    return f()\nclass C:\n    pass\n",
+               "b": "from a import Y\nW = Y\nimport a\nprint(a.C, W)\n"}
+    assert unreferenced_names(sources) == ["a.X", "a.Z", "a.f"]
+
+
+def test_every_module_level_name_is_read_in_the_package():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert set(unreferenced_names(sources)) == UNREFERENCED
 
 
 def file_writes(source: str) -> list:
