@@ -729,7 +729,7 @@ def test_cost_model_fit_rows_with_own_rates_recover_constants(tmp_path):
 
 
 def test_cost_model_fit_bad_row_rate_names_file_and_line(tmp_path, capsys):
-    # an infinite rate fitted and exited 0 before (c1 = -0.131 on such a file)
+    # before, an infinite rate fitted and exited 0
     for rates, name in (("1e9,1e9,0,1e9", "gamma_net"), ("inf,1e9,1e9,1e9", "gamma_tc")):
         fit = tmp_path / "m.csv"
         fit.write_text(f"{FIT_HEADER}\n256,1,8,0.001,1e9,1e9,1e9,1e9\n"

@@ -56,10 +56,10 @@ UNREFERENCED = {
 
 
 def unreferenced_names(sources: dict) -> list:
-    """"module.name" for each module-level function, class and assignment of
-    `sources` (module -> source) that no `Name` or `Attribute` of any of them
-    refers to outside its own definition. Dunder names, which Python and its
-    tools read, are left out."""
+    """The "module.name" of each module-level function, class and assignment
+    of `sources` (module -> source) that no `Name` or `Attribute` of any of
+    them refers to outside its own definition. Dunder names, which Python and
+    its tools read, are left out."""
     def refs(node) -> Counter:
         return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
                        if isinstance(n, (ast.Name, ast.Attribute)))
