@@ -67,7 +67,6 @@ import numpy as np
 from .gate import GateCache, GateParams, empty_gate, gate_backward, gate_forward
 from .neighborhood import AttentionConfig, ExecutionPlan, UnionNeighborhood
 from .numerics import (
-    Rng,
     ShapeError,
     gelu_cdf,
     gelu_grad,
@@ -102,17 +101,6 @@ class BlockParams:
     b_ff1: np.ndarray
     w_ff2: np.ndarray
     b_ff2: np.ndarray
-
-
-def init_projection(rng: Rng, d_model: int) -> ProjectionParams:
-    z = lambda: np.zeros(d_model)
-    return ProjectionParams(
-        wq=rng.glorot((d_model, d_model)),
-        wk=rng.glorot((d_model, d_model)),
-        wv=rng.glorot((d_model, d_model)),
-        wo=rng.glorot((d_model, d_model)),
-        bq=z(), bv=z(), bo=z(),
-    )
 
 
 def split_heads(x: np.ndarray, n_heads: int, pad: int = 0,

@@ -375,7 +375,7 @@ def run_decode_check(cfg: ModelConfig, seq_len: int = 40, seed: int = 0,
                      params: Optional[ModelParams] = None) -> float:
     """Max |stepwise logits - teacher-forced full-forward logits| for `params`,
     by default `random_model_params(cfg, seed)`, whose every parameter, and so
-    the gate's input, reaches the logits."""
+    the gate's input, reaches the logits; NaN when any delta is NaN."""
     if params is None:
         params = random_model_params(cfg, seed)
     rng = Rng(seed).spawn(7)
@@ -385,8 +385,9 @@ def run_decode_check(cfg: ModelConfig, seq_len: int = 40, seed: int = 0,
     worst = 0.0
     for t in range(seq_len):
         step_logits = decode_step(params, cfg, cache, int(tokens[t]), t)
-        worst = max(worst, float(np.abs(step_logits - full_logits[0, t]).max()))
-    return worst
+        # np.maximum keeps a NaN delta, which then fails every `< tol`
+        worst = np.maximum(worst, np.abs(step_logits - full_logits[0, t]).max())
+    return float(worst)
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:

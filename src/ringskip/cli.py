@@ -57,7 +57,7 @@ from .perf import (CostParams, WorkRow, cost_model_eval, fit_cost_constants, rin
                    work_report)
 from .rfield import RfRow, rf_report
 from .split import heap_kept, threads
-from .trainer import CONFIG_DEFAULTS, load_checkpoint, load_config, train
+from .trainer import CONFIG_DEFAULTS, TrainDivergedError, load_checkpoint, load_config, train
 from .decoder import generate
 from .numerics import Rng
 
@@ -144,9 +144,13 @@ def cmd_oracle_check(args) -> int:
 def cmd_grad_check(args) -> int:
     seeds = range(args.seed, args.seed + GRAD_CHECK_SEEDS)
     errors = {seed: run_stacked_grad_check(seed=seed) for seed in seeds}
-    per_seed = [{"seed": seed, "worst_tensor": max(e, key=e.get),
-                 "max_rel_error": max(e.values())} for seed, e in errors.items()]
-    worst = max(per_seed, key=lambda r: r["max_rel_error"])
+    # a NaN ranks above every number, the first NaN above the others: it fails `< 1e-6`
+    rank = lambda err: (err != err, err)
+    per_seed = []
+    for seed, e in errors.items():
+        name = max(e, key=lambda t: rank(e[t]))
+        per_seed.append({"seed": seed, "worst_tensor": name, "max_rel_error": e[name]})
+    worst = max(per_seed, key=lambda r: rank(r["max_rel_error"]))
     ok = bool(worst["max_rel_error"] < 1e-6)
     peaks = [e.sibling_peak_rss_mb for e in errors.values() if e.sibling_peak_rss_mb is not None]
     print(f"grad-check: {len(errors[args.seed])} tensors at {len(seeds)} seeds, worst "
@@ -185,7 +189,11 @@ def cmd_train(args) -> int:
     cfg, task, tc = load_config(_load_json(args.config) if args.config else {},
                                 kind, args.seed)
     # `train` itself writes metrics.csv and model.ckpt, once its last step has run
-    res = train(cfg, task, tc, out_dir=_out_dir(args))
+    try:
+        res = train(cfg, task, tc, out_dir=_out_dir(args))
+    except TrainDivergedError as exc:  # a property failed; no file is written
+        print(f"train: {exc}", file=sys.stderr)
+        return 1
     last = res.metrics[-1]
     print(f"train: task={task.kind} steps_run={last['step'] + 1} "
           f"loss={last['loss']:.4f} accuracy={res.final_accuracy:.4f}")

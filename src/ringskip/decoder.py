@@ -194,7 +194,10 @@ def generate(
             nxt = int(np.argmax(logits))
         else:
             p = softmax_row(np.asarray(logits) / temperature)
-            nxt = int(np.searchsorted(np.cumsum(p), rng.uniform(())))
+            # rounding can leave the last cumulative sum below the draw, which then
+            # takes the last token of nonzero probability, not one past the vocabulary
+            nxt = min(int(np.searchsorted(np.cumsum(p), rng.uniform(()))),
+                      int(np.flatnonzero(p)[-1]))
         out.append(nxt)
         if step + 1 < steps:  # the last token's logits would never be read
             logits = decode_step(params, cfg, cache, nxt, len(out) - 1)

@@ -6,6 +6,9 @@ the log-priors built from it stay finite. Everything after the trunk's first
 product is `gate_head`, which stepwise decoding calls on the trunk columns of
 its packed product.
 
+A fresh model (`model.init_model`) has a Glorot trunk and a zero output
+layer, so every alpha starts at 0.5.
+
 Under the no_gate ablation `gate_forward` returns (None, None), the one form
 of "no log-prior": the term is dropped downstream, and callers cannot
 accidentally use a gate value.
@@ -27,7 +30,7 @@ import numpy as np
 from scipy.special import expit
 
 from .neighborhood import AttentionConfig
-from .numerics import NonFiniteError, Rng, gelu_cdf, gelu_grad
+from .numerics import NonFiniteError, gelu_cdf, gelu_grad
 
 
 @dataclass
@@ -36,17 +39,6 @@ class GateParams:
     b1: np.ndarray  # (d_model // 2,)
     w2: np.ndarray  # (d_model // 2, n_heads)
     b2: np.ndarray  # (n_heads,)
-
-
-def init_gate(rng: Rng, d_model: int, n_heads: int) -> GateParams:
-    """Glorot trunk, zero output layer so training starts at alpha = 0.5."""
-    hidden = d_model // 2
-    return GateParams(
-        w1=rng.glorot((d_model, hidden)),
-        b1=np.zeros(hidden),
-        w2=np.zeros((hidden, n_heads)),
-        b2=np.zeros(n_heads),
-    )
 
 
 def clip_alpha(alpha_raw: np.ndarray, eps: float,

@@ -5,7 +5,10 @@ float64 numpy with hand-written backward passes.
 Parameters and gradients share the same dataclass tree; `flatten` gives the
 ordered name -> array view checkpoints operate on, and `bind_params` builds a
 tree whose arrays are views of one flat vector in that order, the layout the
-optimizer works on.
+optimizer works on. `param_shapes` is the one statement of that layout:
+`init_model` draws into the views of a zeroed vector bound to it, and the
+checkpoint reader checks a file against it. So a fresh model's biases and
+gate output layer are 0, and its gate starts at alpha = 0.5.
 """
 
 from __future__ import annotations
@@ -17,15 +20,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .attention import (
-    BlockCache,
-    BlockParams,
-    ProjectionParams,
-    block_backward,
-    block_forward,
-    init_projection,
-)
-from .gate import GateParams, init_gate
+from .attention import BlockCache, BlockParams, ProjectionParams, block_backward, block_forward
+from .gate import GateParams
 from .neighborhood import AttentionConfig, ConfigError, ExecutionPlan, gather_schedule
 from .numerics import Rng, layer_norm_backward, layer_norm_forward, linear_grads
 
@@ -59,32 +55,33 @@ class ModelParams:
     b_out: np.ndarray
 
 
-def init_block(rng: Rng, cfg: ModelConfig) -> BlockParams:
-    d = cfg.d_model
-    return BlockParams(
-        proj=init_projection(rng.spawn(1), d),
-        gate=init_gate(rng.spawn(2), d, cfg.n_heads),
-        ln1_g=np.ones(d), ln1_b=np.zeros(d),
-        ln2_g=np.ones(d), ln2_b=np.zeros(d),
-        w_ff1=rng.spawn(3).glorot((d, cfg.d_ff)), b_ff1=np.zeros(cfg.d_ff),
-        w_ff2=rng.spawn(4).glorot((cfg.d_ff, d)), b_ff2=np.zeros(d),
-    )
-
-
 def init_model(cfg: ModelConfig, seed: int) -> ModelParams:
+    """Fresh parameters: views of one zeroed vector (`bind_params`) with unit
+    layer-norm gains, where every bias and the gate's output layer stay 0.
+    Each draw has its own `Rng(seed)` stream: the embeddings are normal
+    (scale 0.02) from spawn(10) and (11), the vocab head Glorot from
+    spawn(12), and block i's spawn(100 + i) gives wq, wk, wv and wo from its
+    spawn(1) and the gate trunk, w_ff1 and w_ff2 from its spawn(2), (3), (4)."""
+    params = bind_params(cfg, np.zeros(sum(map(math.prod, param_shapes(cfg).values()))))
     rng = Rng(seed)
-    return ModelParams(
-        tok_emb=rng.spawn(10).normal((cfg.vocab, cfg.d_model), scale=0.02),
-        pos_emb=rng.spawn(11).normal((cfg.max_seq, cfg.d_model), scale=0.02),
-        blocks=[init_block(rng.spawn(100 + i), cfg) for i in range(cfg.layers)],
-        lnf_g=np.ones(cfg.d_model), lnf_b=np.zeros(cfg.d_model),
-        w_out=rng.spawn(12).glorot((cfg.d_model, cfg.vocab)),
-        b_out=np.zeros(cfg.vocab),
-    )
+    params.tok_emb[...] = rng.spawn(10).normal(params.tok_emb.shape, scale=0.02)
+    params.pos_emb[...] = rng.spawn(11).normal(params.pos_emb.shape, scale=0.02)
+    for i, bp in enumerate(params.blocks):
+        block_rng = rng.spawn(100 + i)
+        proj_rng = block_rng.spawn(1)
+        for w in (bp.proj.wq, bp.proj.wk, bp.proj.wv, bp.proj.wo):
+            w[...] = proj_rng.glorot(w.shape)
+        for offset, w in ((2, bp.gate.w1), (3, bp.w_ff1), (4, bp.w_ff2)):
+            w[...] = block_rng.spawn(offset).glorot(w.shape)
+        bp.ln1_g[...] = bp.ln2_g[...] = 1.0
+    params.lnf_g[...] = 1.0
+    params.w_out[...] = rng.spawn(12).glorot(params.w_out.shape)
+    return params
 
 
 def param_shapes(cfg: ModelConfig) -> Dict[str, Tuple[int, ...]]:
-    """Name -> shape of each init_model(cfg) array, in flatten order, none allocated."""
+    """Name -> shape of each parameter array of `cfg`, in flatten order, none
+    allocated: the one place that states them."""
     d, half, f, h, v = cfg.d_model, cfg.d_model // 2, cfg.d_ff, cfg.n_heads, cfg.vocab
     block = {**dict.fromkeys(("proj.wq", "proj.wk", "proj.wv", "proj.wo"), (d, d)),
              **dict.fromkeys(("proj.bq", "proj.bv", "proj.bo"), (d,)),

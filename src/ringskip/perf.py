@@ -16,8 +16,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .attention import init_projection, pi_attention_forward
-from .gate import init_gate
+from .attention import pi_attention_forward
+from .checks import random_attention_params
 from .neighborhood import (AttentionConfig, ConfigError, build_union,
                            count_score_slots, gather_schedule, slot_layout)
 from .numerics import Rng
@@ -205,12 +205,12 @@ class WorkRow(NamedTuple):
 
 
 def measure_work(config: AttentionConfig, n: int, seed: int = 0) -> WorkRow:
-    """Run the instrumented sparse path once and collect its counters; the
-    row's `doubling_ratio` is None."""
+    """Run the instrumented sparse path once, on random parameters, and
+    collect its counters, which no parameter value changes; the row's
+    `doubling_ratio` is None."""
     rng = Rng(seed)
     x = rng.normal((1, n, config.d_model), scale=0.5)
-    proj = init_projection(rng.spawn(1), config.d_model)
-    gate = init_gate(rng.spawn(2), config.d_model, config.n_heads)
+    proj, gate = random_attention_params(rng.spawn(1), config.d_model, config.n_heads)
     schedule = gather_schedule(config, n)
     _, cache = pi_attention_forward(x, proj, gate, schedule, config)
     # an explicit check, not an assert, so that `python -O` keeps it

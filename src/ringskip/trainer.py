@@ -50,7 +50,7 @@ import numpy as np
 from .model import (ModelConfig, ModelParams, bind_params, flatten, init_model,
                     model_backward, model_forward, param_shapes)
 from .neighborhood import ConfigError, from_dict, gather_schedule
-from .numerics import Rng, softmax_row
+from .numerics import NonFiniteError, Rng, softmax_row
 from .split import Sibling, halves
 
 IGNORE_INDEX = -1
@@ -59,8 +59,8 @@ BETA1, BETA2 = 0.9, 0.999
 ADAM_EPS = 1e-8
 
 
-class TrainDivergedError(RuntimeError):
-    pass
+class TrainDivergedError(NonFiniteError):
+    """A training run met a non-finite loss, gradient or activation."""
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,9 @@ class TrainConfig:
                 raise ConfigError(f"{name}: must be >= {low}")
         if not self.clip_norm > 0:
             raise ConfigError("clip_norm: must be > 0")
+        for name in ("lr", "weight_decay"):
+            if getattr(self, name) == math.inf:
+                raise ConfigError(f"{name}: must be finite")
 
 
 @dataclass(frozen=True)
@@ -467,7 +470,9 @@ def train(
     tc: TrainConfig,
     out_dir: Optional[Path] = None,
 ) -> TrainResult:
-    """Seeded end-to-end run. Writes metrics.csv and model.ckpt under out_dir."""
+    """Seeded end-to-end run. Writes metrics.csv and model.ckpt under out_dir.
+    A non-finite loss, gradient or gate input in either half raises
+    TrainDivergedError naming the step, before any file is written."""
     if task.vocab != cfg.vocab:
         raise ConfigError(f"task.vocab: {task.vocab} differs from model.vocab {cfg.vocab}")
     if task.seq_len > cfg.max_seq:
@@ -489,24 +494,28 @@ def train(
     acc = float("nan")
     tokens, busy = 0, 0.0
     runner = _Halves(params, cfg, schedule, grad)
-    with runner.sibling:
-        for step in range(tc.steps):
-            t0 = time.perf_counter()
-            inp, tgt = make_batch(task, data_rng, tc.batch_size, corpus)
-            loss = runner.step(inp, tgt)
-            if not np.isfinite(loss):
-                raise TrainDivergedError(f"loss diverged at step {step}: {loss}")
-            clip_by_global_norm(grad, tc.clip_norm, cuts)
-            adamw_step(vec, grad, state, tc)
-            busy += time.perf_counter() - t0
-            tokens += inp.size
+    try:
+        # the checks below report a diverging run, so numpy's own warnings stay off
+        with np.errstate(all="ignore"), runner.sibling:
+            for step in range(tc.steps):
+                t0 = time.perf_counter()
+                inp, tgt = make_batch(task, data_rng, tc.batch_size, corpus)
+                loss = runner.step(inp, tgt)
+                if not np.isfinite(loss):
+                    raise TrainDivergedError(f"loss {loss}")
+                clip_by_global_norm(grad, tc.clip_norm, cuts)
+                adamw_step(vec, grad, state, tc)
+                busy += time.perf_counter() - t0
+                tokens += inp.size
 
-            if step % tc.eval_interval == 0 or step == tc.steps - 1:
-                acc = evaluate(params, cfg, task, schedule, seed=eval_rng_seed,
-                               batch_size=tc.batch_size, corpus=corpus, runner=runner)
-                metrics.append({"step": step, "loss": loss, "accuracy": acc})
-                if tc.stop_accuracy is not None and acc >= tc.stop_accuracy:
-                    break
+                if step % tc.eval_interval == 0 or step == tc.steps - 1:
+                    acc = evaluate(params, cfg, task, schedule, seed=eval_rng_seed,
+                                   batch_size=tc.batch_size, corpus=corpus, runner=runner)
+                    metrics.append({"step": step, "loss": loss, "accuracy": acc})
+                    if tc.stop_accuracy is not None and acc >= tc.stop_accuracy:
+                        break
+    except NonFiniteError as exc:  # from either half: one error that names the step
+        raise TrainDivergedError(f"diverged at step {step}: {exc}") from exc
 
     if out_dir is not None:
         out_dir = Path(out_dir)

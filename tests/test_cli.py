@@ -414,6 +414,33 @@ def test_grad_check_writes_passing_summary(grad_check_run):
         assert csv_worst == float(f"{r['max_rel_error']:.6e}")
 
 
+def test_grad_check_fails_on_a_nan_error(tmp_path, capsys, monkeypatch):
+    # Python's max ranked a NaN below the other errors, and the check passed
+    from ringskip.checks import GradCheckErrors
+
+    def nan_at_seed_1(seed):
+        return GradCheckErrors(a=1e-9, b=float("nan") if seed == 1 else 2e-9, c=3e-9)
+
+    monkeypatch.setattr(cli, "run_stacked_grad_check", nan_at_seed_1)
+    out = tmp_path / "gc"
+    assert main(["grad-check", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "-> FAIL" in captured.out and captured.err == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["pass"] is False
+    assert (summary["worst_seed"], summary["worst_tensor"]) == (1, "b")
+
+
+def test_train_that_diverges_exits_1_with_one_line(tmp_path, capfd):
+    # capfd: the forked sibling writes to the same stderr
+    cfg = write_json(tmp_path / "cfg.json", {"train": {"lr": 1e6, "steps": 50}})
+    code = main(["train", "--task", "copy", "--config", cfg, "--out", str(tmp_path / "run")])
+    err = capfd.readouterr().err
+    assert code == 1
+    assert err.splitlines() == ["train: diverged at step 1: loss inf"]
+    assert not (tmp_path / "run").exists()
+
+
 def one_error_line(capsys) -> str:
     """The single stderr line of a command that exited 2."""
     err = capsys.readouterr().err
@@ -442,6 +469,9 @@ def write_json(path: Path, doc) -> str:
     ("copy", [1, 2], "config: expected a JSON object"),
     ("copy", {"task": {"vocab": 8}}, "task.vocab: 8 differs from model.vocab 16"),
     ("copy", {"train": {"lr": -1}}, "train.lr: must be >= 0"),
+    # JSON's Infinity passed as a rate, and the run ended in a traceback
+    ("copy", {"train": {"lr": float("inf")}}, "train.lr: must be finite"),
+    ("copy", {"train": {"weight_decay": float("inf")}}, "train.weight_decay: must be finite"),
     ("copy", {"task": {"delay": 32}}, "task.delay: must lie in [1, seq_len - 1]"),
     ("copy", {"task": {"kind": "char_lm"}}, "task.kind: set by --task or --seed"),
     ("copy", {"train": {"seed": 4}}, "train.seed: set by --task or --seed"),
@@ -458,6 +488,7 @@ def write_json(path: Path, doc) -> str:
 ], ids=["seq_len_over_max_seq", "unknown_attention_key", "unknown_train_key",
         "unknown_section", "string_int", "bool_int", "float_int", "string_bool",
         "section_not_object", "config_not_object", "vocab_mismatch", "negative_lr",
+        "infinite_lr", "infinite_weight_decay",
         "copy_delay", "kind_in_file", "seed_in_file", "not_json",
         "removed_ablation", "removed_warmup_steps", "removed_cosine_decay", "removed_beta1",
         "removed_beta2", "removed_adam_eps"])

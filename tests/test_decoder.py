@@ -71,6 +71,15 @@ def test_stepwise_matches_full_forward_random_config(k, pi, heads, ablation, lay
     assert run_decode_check(cfg, seq_len=24, seed=seed) < 1e-8
 
 
+def test_decode_check_reports_a_nan_delta():
+    # no gate, so nothing raises on the NaN; Python's max(worst, nan) kept 0.0
+    cfg = model_cfg(ablation="no_gate")
+    params = random_model_params(cfg, seed=0)
+    params.b_out[3] = np.nan
+    delta = run_decode_check(cfg, seq_len=8, params=params)
+    assert np.isnan(delta) and not delta < 1e-8
+
+
 def test_interleaved_sequences_keep_their_own_slot_plan():
     # two sequences under different slot plans, stepped alternately: neither
     # may read the other's offsets or ring mask
@@ -249,3 +258,31 @@ def test_generate_rejects_a_temperature_not_finite_and_positive(temp):
     with pytest.raises(ValueError, match="temperature must be finite and > 0"):
         generate(params, cfg, [1], steps=3, temperature=temp, rng=Rng(0))
     assert len(generate(params, cfg, [1], steps=3, temperature=0.5, rng=Rng(0))) == 4
+
+
+class TopRng(Rng):
+    """An Rng whose every uniform draw is the largest double below 1, a value
+    `Generator.uniform` can return."""
+
+    def uniform(self, shape, low=0.0, high=1.0):
+        return np.full(shape, np.nextafter(1.0, 0.0))
+
+
+def test_sampling_never_leaves_the_vocabulary():
+    # here the cumulative sum ends below that draw, and searchsorted returned V = 16
+    att = AttentionConfig(d_model=8, n_heads=2, ring_k=1, skip_period=3, causal=True)
+    cfg = ModelConfig(layers=1, d_model=8, n_heads=2, d_ff=8, vocab=16, max_seq=12,
+                      attention=att)
+    params = random_model_params(cfg, seed=4)
+    assert generate(params, cfg, [1, 2], steps=1, temperature=1.0, rng=TopRng(0)) == [1, 2, 15]
+
+
+def test_sampling_gives_no_token_of_zero_probability(monkeypatch):
+    # seven equal logits and one whose probability underflows to 0: the
+    # cumulative sum ends below the top draw, and a cap at V - 1 took token 7
+    from ringskip import decoder
+    cfg = dataclasses.replace(model_cfg(), vocab=8)
+    logits = np.zeros(8)
+    logits[-1] = -1e4
+    monkeypatch.setattr(decoder, "decode_step", lambda *args: logits)
+    assert generate(None, cfg, [1], steps=1, temperature=1.0, rng=TopRng(0)) == [1, 6]

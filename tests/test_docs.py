@@ -1,5 +1,6 @@
 """README.md names every config field, lists exactly the ablations and the
-`train` fields, and every `ringskip` line of its command blocks parses. The
+`train` fields, and every `ringskip` line of its command blocks parses. Its
+claim table names only tests that exist and commands that parse. The
 attention options that were removed are named nowhere in `src/` or README.md
 but in the checkpoint reader's tables of them
 (`trainer.REMOVED_ATTENTION_FIELDS` and `trainer.REMOVED_ABLATIONS`), and the
@@ -73,6 +74,32 @@ def test_every_readme_command_line_parses():
     # and every subcommand has a line
     (sub,) = [a for a in parser._actions if a.dest == "command"]
     assert commands == set(sub.choices)
+
+
+def claims_section() -> str:
+    """README's "Paper claims and their checks" section, up to the next heading."""
+    (section,) = re.findall(r"^## Paper claims and their checks\n(.*?)^## ", README, re.S | re.M)
+    return section
+
+
+def test_claims_section_names_only_tests_that_exist():
+    named = set(re.findall(r"`(test_\w+)`", claims_section()))
+    defined = {node.name for path in (ROOT / "tests").glob("test_*.py")
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef)}
+    assert named and sorted(named - defined) == []
+
+
+def test_claims_section_commands_parse():
+    parser = build_parser()
+    commands = re.findall(r"`(ringskip [^`]+)`", claims_section())
+    bad = []
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            bad.append(command)
+    assert commands and bad == []
 
 
 TABLES = ("REMOVED_ATTENTION_FIELDS", "REMOVED_ABLATIONS")

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf, expit
 
-from ringskip.gate import GateParams, clip_alpha, empty_gate, gate_backward, gate_forward, init_gate
+from ringskip.gate import GateParams, clip_alpha, empty_gate, gate_backward, gate_forward
+from ringskip.model import ModelConfig, init_model
 from ringskip.neighborhood import AttentionConfig
 from ringskip.numerics import Rng, gelu_cdf, gelu_grad, grad_check, linear_grads
 from ringskip.split import halves, row_views
@@ -25,7 +26,10 @@ def random_gate(seed, d=8, h=2):
 
 
 def test_fresh_gate_starts_at_half():
-    params = init_gate(Rng(0), 8, 2)
+    model = ModelConfig(layers=1, d_model=8, n_heads=2, d_ff=8, vocab=4, max_seq=5,
+                        attention=cfg())
+    params = init_model(model, seed=0).blocks[0].gate
+    assert params.w1.any()
     alpha, cache = gate_forward(params, Rng(1).normal((1, 5, 8)), cfg())
     assert np.abs(alpha - 0.5).max() < 1e-15
     assert cache is not None

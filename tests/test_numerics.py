@@ -119,6 +119,13 @@ def test_grad_check_catches_one_wrong_coordinate(i):
     assert grad_check(half_square, x, analytic) > 1e-6
 
 
+def test_grad_check_reports_a_nan_error():
+    # Python's max(worst, nan) keeps worst: the NaN hid its chunk's errors, the wrong 7 too
+    x = np.array([1.0, 2.0, 3.0])
+    err = grad_check(lambda stack: (stack * stack).sum(axis=1), x, np.array([np.nan, 4.0, 7.0]))
+    assert np.isnan(err) and not err < 1e-6
+
+
 def test_grad_check_names_first_non_finite_coordinate():
     x = Rng(8).normal((7, 10))
 
