@@ -4,10 +4,8 @@ A shared two-layer trunk (width d_model/2, GELU) emits H sigmoid outputs per
 token; `clip_alpha` then maps the raw gate alpha affinely onto [eps, 1-eps] so
 the log-priors built from it stay finite. Everything after the trunk's first
 product is `gate_head`, which stepwise decoding calls on the trunk columns of
-its packed product.
-
-A fresh model (`model.init_model`) has a Glorot trunk and a zero output
-layer, so every alpha starts at 0.5.
+its packed product. A fresh model (`model.init_model`) has a Glorot trunk
+and a zero output layer, so every alpha starts at 0.5.
 
 Under the no_gate ablation `gate_forward` returns (None, None), the one form
 of "no log-prior": the term is dropped downstream, and callers cannot

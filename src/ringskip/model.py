@@ -5,10 +5,8 @@ float64 numpy with hand-written backward passes.
 Parameters and gradients share the same dataclass tree; `flatten` gives the
 ordered name -> array view checkpoints operate on, and `bind_params` builds a
 tree whose arrays are views of one flat vector in that order, the layout the
-optimizer works on. `param_shapes` is the one statement of that layout:
-`init_model` draws into the views of a zeroed vector bound to it, and the
-checkpoint reader checks a file against it. So a fresh model's biases and
-gate output layer are 0, and its gate starts at alpha = 0.5.
+optimizer works on; `param_shapes` alone states it. `init_model` draws into
+a zeroed vector's views, so its biases and gate output layer are 0 (alpha 0.5).
 """
 
 from __future__ import annotations

@@ -470,9 +470,8 @@ def train(
     tc: TrainConfig,
     out_dir: Optional[Path] = None,
 ) -> TrainResult:
-    """Seeded end-to-end run. Writes metrics.csv and model.ckpt under out_dir.
-    A non-finite loss, gradient or gate input in either half raises
-    TrainDivergedError naming the step, before any file is written."""
+    """Seeded end-to-end run. Writes metrics.csv and model.ckpt under out_dir,
+    unless it diverges: then TrainDivergedError names the step."""
     if task.vocab != cfg.vocab:
         raise ConfigError(f"task.vocab: {task.vocab} differs from model.vocab {cfg.vocab}")
     if task.seq_len > cfg.max_seq:
